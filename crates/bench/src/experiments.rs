@@ -15,6 +15,7 @@ use blobseer_meta::{
     build_write_metadata, publish_metadata, InMemoryMetaStore, SnapshotDescriptor, WrittenChunk,
 };
 use blobseer_qos::{MonitoringCollector, QosController};
+use blobseer_sim::model::{LINK_BANDWIDTH_BPS, META_SERVICE_NS};
 use blobseer_sim::{
     mean, std_dev, SimulatedCluster, SweepSeries, Workload, WorkloadBuilder, NANOS_PER_SEC,
 };
@@ -216,55 +217,6 @@ pub fn fig_b2_size_sweep(clients: usize, op_sizes_mib: &[u64]) -> SweepSeries {
 }
 
 // ---------------------------------------------------------------------------
-// Fig. P1 — pipelined transfer scheduler versus the phased schedule (the
-// paper's "data and metadata planes proceed in parallel" claim, measured)
-// ---------------------------------------------------------------------------
-
-/// Fig. P1: aggregated throughput of the phased (`pipeline_depth = 0`) and
-/// pipelined schedules on the two workloads the pipeline targets —
-/// concurrent disjoint readers, and readers racing writers on one blob.
-/// Small 256 KiB chunks make the metadata plane expensive enough that
-/// overlapping it with chunk I/O is visible end to end.
-pub fn fig_p1_pipeline_overlap(clients: &[usize], op_mib: u64) -> Vec<SweepSeries> {
-    let sim_with_depth = |depth: usize| {
-        move || {
-            SimulatedCluster::new(ClusterConfig {
-                data_providers: 64,
-                metadata_providers: 16,
-                pipeline_depth: depth,
-                ..ClusterConfig::default()
-            })
-            .expect("valid simulated cluster")
-        }
-    };
-    let reads = |n: usize| {
-        WorkloadBuilder::new(n)
-            .ops_per_client(2)
-            .op_size(op_mib * MIB)
-            .chunk_size(256 << 10)
-            .disjoint_reads()
-    };
-    let mixed = |n: usize| {
-        WorkloadBuilder::new(n)
-            .ops_per_client(2)
-            .op_size(op_mib * MIB)
-            .chunk_size(256 << 10)
-            .readers_during_writers()
-    };
-    vec![
-        run_series("phased reads", clients, sim_with_depth(0), reads),
-        run_series("pipelined reads", clients, sim_with_depth(4), reads),
-        run_series("phased readers+writers", clients, sim_with_depth(0), mixed),
-        run_series(
-            "pipelined readers+writers",
-            clients,
-            sim_with_depth(4),
-            mixed,
-        ),
-    ]
-}
-
-// ---------------------------------------------------------------------------
 // Fig. N1 — framed RPC transport versus the in-process service boundary
 // ---------------------------------------------------------------------------
 
@@ -426,14 +378,12 @@ pub fn fig_n1_transport_overhead(clients: &[usize], op_mib: u64) -> Vec<SweepSer
 /// Everything `fig_n2` measures, so the binary can both print the series
 /// and assert the scaling properties the reactor exists for.
 pub struct ScalingOutcome {
-    /// One point per serving mode (in-process control first).
+    /// One series per arm (in-process control first).
     pub series: Vec<SweepSeries>,
     /// Wall-clock MiB/s of the in-process (no-wire) control.
     pub in_process_mibps: f64,
     /// Wall-clock MiB/s of the event-driven (reactor + pool) TCP server.
     pub reactor_mibps: f64,
-    /// Wall-clock MiB/s of the thread-per-request TCP control.
-    pub thread_per_request_mibps: f64,
     /// Peak `net-reactor` + `net-worker-*` thread count observed while the
     /// reactor deployment served all the clients.
     pub peak_serving_threads: usize,
@@ -445,12 +395,9 @@ pub struct ScalingOutcome {
 }
 
 /// Fig. N2: throughput and server-side thread census with `clients`
-/// concurrent connections per serving mode — the reactor's bounded
-/// worker pool against the in-process boundary (upper bound) and the
-/// thread-per-request server (the shape the reactor replaced). Small
-/// operations on purpose: with per-request cost dominating, a server that
-/// spawns a thread per request pays for it, and one that parks requests in
-/// a bounded pool does not.
+/// concurrent connections — the reactor's bounded worker pool against the
+/// in-process boundary (upper bound). Small operations on purpose: the
+/// workload is request-dominated, the regime the reactor targets.
 /// Shared client handles for the Fig. N2 arms. The figure models an
 /// application tier: many request contexts (threads) multiplexed over a
 /// small, pooled set of storage clients — exactly the regime where the
@@ -465,7 +412,7 @@ const CLIENT_HANDLES: usize = 16;
 const BENCH_RUNS: usize = 3;
 
 /// Read-back passes per Fig. N2 client. Writes populate the client chunk
-/// cache (write-through), so every scan is served from memory in all three
+/// cache (write-through), so every scan is served from memory in both
 /// arms — the scans add identical work everywhere, keeping the figure about
 /// the cost of the serving architecture on the write path rather than raw
 /// loopback memcpy bandwidth.
@@ -479,7 +426,7 @@ fn median_point(mut points: Vec<TransportPoint>) -> TransportPoint {
 }
 
 pub fn fig_n2_connection_scaling(clients: usize, ops: usize, op_kib: u64) -> ScalingOutcome {
-    use blobseer_net::{count_threads_with_prefix, NetCluster};
+    use blobseer_net::{count_threads_with_prefix, default_rpc_workers, NetCluster};
 
     let op_bytes = op_kib << 10;
     let chunk_size = 32 << 10;
@@ -487,20 +434,17 @@ pub fn fig_n2_connection_scaling(clients: usize, ops: usize, op_kib: u64) -> Sca
     // several chunks onto the same provider endpoint, so the pipelined
     // transfers overlap on one connection — which is what exercises the
     // client's frame coalescing and the server's multi-frame reads. The
-    // small chunk size makes the workload request-dominated: that is the
-    // regime the reactor targets (a thread-per-request server pays a spawn
-    // per frame; the reactor pays a queue push).
+    // small chunk size makes the workload request-dominated.
     let config = || ClusterConfig {
         data_providers: 2,
         metadata_providers: 2,
         connections_per_endpoint: 2,
         ..ClusterConfig::default()
     };
-    let worker_bound = config().effective_rpc_workers();
+    let worker_bound = default_rpc_workers();
 
     let mut in_process = SweepSeries::new("in-process");
     let mut reactor = SweepSeries::new("TCP event-driven");
-    let mut thread_per_request = SweepSeries::new("TCP thread-per-request");
 
     let push = |series: &mut SweepSeries, point: TransportPoint| {
         let seconds = point.elapsed.as_secs_f64().max(1e-9);
@@ -590,34 +534,10 @@ pub fn fig_n2_connection_scaling(clients: usize, ops: usize, op_kib: u64) -> Sca
         (push(&mut reactor, point), peak, coalesced)
     };
 
-    let thread_per_request_mibps = {
-        let point = median_point(
-            (0..BENCH_RUNS)
-                .map(|_| {
-                    let tcp =
-                        NetCluster::new_tcp_thread_per_request(config()).expect("control cluster");
-                    let mut point = run_transport_point(
-                        clients,
-                        CLIENT_HANDLES,
-                        ops,
-                        op_bytes,
-                        chunk_size,
-                        SCANS,
-                        &|| tcp.client(),
-                    );
-                    point.meta_round_trips = tcp.inner().metadata_round_trips();
-                    point
-                })
-                .collect(),
-        );
-        push(&mut thread_per_request, point)
-    };
-
     ScalingOutcome {
-        series: vec![in_process, reactor, thread_per_request],
+        series: vec![in_process, reactor],
         in_process_mibps,
         reactor_mibps,
-        thread_per_request_mibps,
         peak_serving_threads,
         worker_bound,
         frames_coalesced,
@@ -916,15 +836,14 @@ pub fn fig_d1_bsfs_vs_hdfs(clients: &[usize], op_mib: u64) -> Vec<SweepSeries> {
     // parameters: appenders to one file hold an exclusive lease, so the file
     // grows at the rate of a single write pipeline regardless of N; every
     // block allocation additionally visits the namenode.
-    let config = ClusterConfig::default();
     let mut hdfs = SweepSeries::new("HDFS-like (single writer)");
     for &n in clients {
         let ops = n as u64 * 2;
         let total_bytes = ops * op_mib * MIB;
-        let pipeline_seconds = total_bytes as f64 / config.link_bandwidth_bps as f64;
+        let pipeline_seconds = total_bytes as f64 / LINK_BANDWIDTH_BPS as f64;
         let blocks = total_bytes.div_ceil(64 * MIB);
         let namenode_seconds =
-            (blocks + ops) as f64 * config.meta_service_ns as f64 / NANOS_PER_SEC as f64;
+            (blocks + ops) as f64 * META_SERVICE_NS as f64 / NANOS_PER_SEC as f64;
         let makespan = pipeline_seconds + namenode_seconds;
         let throughput = total_bytes as f64 / (1024.0 * 1024.0) / makespan;
         let latency_ms = makespan / ops as f64 * 1_000.0;
@@ -1363,33 +1282,6 @@ mod tests {
             rand_fast.payload_bytes_copied, 0,
             "the verbatim passthrough must keep the zero-copy write path"
         );
-    }
-
-    #[test]
-    fn fig_p1_pipelining_beats_phased_on_both_workloads() {
-        let series = fig_p1_pipeline_overlap(&[16], 8);
-        assert_eq!(series.len(), 4);
-        let phased_reads = series[0].final_throughput().unwrap();
-        let pipelined_reads = series[1].final_throughput().unwrap();
-        assert!(
-            pipelined_reads > phased_reads,
-            "pipelined reads must beat phased ({pipelined_reads:.0} vs {phased_reads:.0} MiB/s)"
-        );
-        let phased_mixed = series[2].final_throughput().unwrap();
-        let pipelined_mixed = series[3].final_throughput().unwrap();
-        assert!(
-            pipelined_mixed > phased_mixed,
-            "pipelined readers racing writers must beat phased \
-             ({pipelined_mixed:.0} vs {phased_mixed:.0} MiB/s)"
-        );
-        // Both schedules move the same chunks: the win is overlap, not work.
-        for pair in [(0, 1), (2, 3)] {
-            assert_eq!(
-                series[pair.0].points[0].data_round_trips,
-                series[pair.1].points[0].data_round_trips
-            );
-            assert!(series[pair.0].points[0].data_round_trips > 0);
-        }
     }
 
     #[test]

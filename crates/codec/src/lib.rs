@@ -51,6 +51,14 @@ pub const MAX_OFFSET: usize = 65_535;
 /// by per-request overhead anyway.
 pub const MIN_COMPRESS_INPUT: usize = 32;
 
+/// Most output bytes one block byte can stand for. A literal byte decodes to
+/// itself; offset bytes and literal-count extension bytes decode to nothing
+/// of their own (the literals they announce are block bytes too); a token
+/// contributes at most `MIN_MATCH + 15` = 19 match bytes; and a match-length
+/// extension byte contributes at most 255 — the maximum. So no block of `n`
+/// bytes decodes to more than `255 * n`, and a constant run approaches that.
+pub const MAX_EXPANSION: usize = 255;
+
 const HASH_BITS: u32 = 14;
 
 #[inline]
@@ -161,7 +169,18 @@ fn get_nibble_ext(input: &[u8], pos: &mut usize) -> Result<usize> {
 /// `logical_len` bytes. Any malformed input — truncation, a bad offset, a
 /// length disagreement — is rejected as the retryable transport error it
 /// is, never panicked on and never silently padded.
+///
+/// `logical_len` comes from an envelope header the peer wrote, so it is
+/// checked against [`MAX_EXPANSION`] before it sizes the output buffer: a
+/// forged header can make this allocate at most 255× the bytes it actually
+/// delivered.
 pub fn decompress(input: &[u8], logical_len: usize) -> Result<Vec<u8>> {
+    if logical_len > input.len().saturating_mul(MAX_EXPANSION) {
+        return Err(BlobError::Transport(format!(
+            "codec: a {}-byte block cannot decode to the declared {logical_len} bytes",
+            input.len()
+        )));
+    }
     let mut out = Vec::with_capacity(logical_len);
     let mut pos = 0usize;
     while pos < input.len() {
@@ -366,6 +385,25 @@ mod tests {
     }
 
     #[test]
+    fn forged_logical_lengths_are_rejected_before_allocating() {
+        // A ~40-byte compressed envelope whose header claims an absurd
+        // logical length: must be a typed error, not a multi-GiB
+        // `Vec::with_capacity` (which aborts the process when it fails).
+        let block = compress(&[7u8; 4096]).unwrap();
+        assert!(block.len() < 40);
+        for declared in [u64::MAX, 1 << 40] {
+            let forged = ChunkEnvelope::compressed(declared, Bytes::from(block.clone()));
+            assert!(matches!(open(&forged), Err(BlobError::Transport(_))));
+        }
+        let just_over = block.len() * MAX_EXPANSION + 1;
+        assert!(matches!(
+            decompress(&block, just_over),
+            Err(BlobError::Transport(_))
+        ));
+        assert!(matches!(decompress(&[], 1), Err(BlobError::Transport(_))));
+    }
+
+    #[test]
     fn zero_offset_is_rejected() {
         // token: 0 literals, match of 4; offset 0 is invalid.
         assert!(decompress(&[0x00, 0x00, 0x00], 4).is_err());
@@ -377,6 +415,20 @@ mod tests {
         fn random_buffers_roundtrip(data in proptest::collection::vec(0u16..256, 0..4096)) {
             let data: Vec<u8> = data.into_iter().map(|b| b as u8).collect();
             roundtrip(&data);
+        }
+
+        #[test]
+        fn compress_output_stays_within_the_expansion_bound(
+            byte in 0u16..256,
+            len in MIN_COMPRESS_INPUT..(1usize << 20),
+        ) {
+            // Constant runs are the format's densest blocks (one 255-valued
+            // extension byte per 255 output bytes): if any `compress` output
+            // tripped the decoder's allocation bound, these would.
+            let input = vec![byte as u8; len];
+            let block = compress(&input).expect("runs compress");
+            prop_assert!(input.len() <= block.len() * MAX_EXPANSION);
+            prop_assert_eq!(decompress(&block, input.len()).unwrap(), input);
         }
 
         #[test]

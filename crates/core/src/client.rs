@@ -14,13 +14,12 @@
 //! [`TransferPool`] instead of spawning threads per operation (see
 //! [`crate::services`]).
 //!
-//! Both hot paths are *pipelined* (when `pipeline_depth > 0`): the data and
-//! metadata planes proceed in parallel instead of strictly phasing. A read
-//! submits chunk fetches to the transfer scheduler level by level while the
-//! segment-tree descent is still batching deeper levels; a write submits
-//! each chunk store the moment its payload is assembled and weaves the
-//! write's metadata while those transfers are on the wire, joining the
-//! completions only right before publication.
+//! Both hot paths are *pipelined*: the data and metadata planes proceed in
+//! parallel. A read submits chunk fetches to the transfer scheduler level by
+//! level while the segment-tree descent is still batching deeper levels; a
+//! write submits each chunk store the moment its payload is assembled and
+//! weaves the write's metadata while those transfers are on the wire,
+//! joining the completions only right before publication.
 //!
 //! The data plane is *zero-copy* end to end: payloads enter as [`Bytes`]
 //! (`impl Into<Bytes>` on [`BlobClient::write`]/[`BlobClient::append`]), a
@@ -30,9 +29,9 @@
 //! [`BlobSlice`] of the fetched chunks ([`BlobClient::read_bytes`]); the
 //! contiguous `Vec<u8>` API is reimplemented on top of it. An optional
 //! client [`ChunkCache`] (`ClusterConfig::chunk_cache_bytes`) exploits chunk
-//! immutability: both read schedules consult it before submitting a fetch,
-//! writes populate it write-through, and re-reading a published version
-//! costs no data round-trips at all.
+//! immutability: reads consult it before submitting a fetch, writes populate
+//! it write-through, and re-reading a published version costs no data
+//! round-trips at all.
 
 use crate::admission::AdmissionController;
 use crate::chunk_cache::ChunkCache;
@@ -182,7 +181,7 @@ pub struct BlobClient {
     transfers: Arc<TransferPool>,
     /// Transfer-pipeline depth: how many tree levels' worth of chunk
     /// transfers (per pool worker) this client keeps in flight while the
-    /// metadata plane is still being walked. Zero = legacy phased schedule.
+    /// metadata plane is still being walked. At least 1.
     pipeline_depth: usize,
     /// Client-owned generator for write tags and replica-rotation offsets,
     /// seeded once at creation so the hot paths never touch thread-local
@@ -245,12 +244,11 @@ impl BlobClient {
         self
     }
 
-    /// Sets the transfer-pipeline depth (zero = legacy phased schedule:
-    /// the metadata descent fully completes before the first chunk fetch,
-    /// and every chunk store completes before metadata weaving starts).
+    /// Sets the transfer-pipeline depth — the in-flight fetch window per
+    /// transfer worker. Clamped to at least 1.
     #[must_use]
     pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline_depth = depth;
+        self.pipeline_depth = depth.max(1);
         self
     }
 
@@ -389,18 +387,7 @@ impl BlobClient {
         if range.is_empty() {
             return Ok(BlobSlice::empty());
         }
-        let fetched = if self.pipeline_depth == 0 {
-            // Phased: finish the whole metadata descent, then move data.
-            let leaves = collect_leaves(self.metadata.as_ref(), blob, &snapshot, range)?;
-            let jobs: Vec<(ByteRange, LeafNode)> = leaves
-                .into_iter()
-                .filter_map(|m| m.leaf.map(|leaf| (m.slot_range, leaf)))
-                .filter(|(_, leaf)| !leaf.is_hole())
-                .collect();
-            self.fetch_chunks(jobs)?
-        } else {
-            self.fetch_chunks_pipelined(blob, &snapshot, range)?
-        };
+        let fetched = self.fetch_chunks_pipelined(blob, &snapshot, range)?;
         let mut segments = Vec::with_capacity(fetched.len());
         for (slot_range, leaf, data) in fetched {
             let valid = ByteRange::new(slot_range.offset, leaf.len.min(data.len() as u64));
@@ -573,14 +560,12 @@ impl BlobClient {
     /// Pushes the chunks, weaves and stores the metadata. Returns the number
     /// of metadata nodes created.
     ///
-    /// With `pipeline_depth > 0` the data and metadata planes overlap: each
-    /// chunk store is submitted to the transfer scheduler the moment its
-    /// payload is assembled, the segment-tree metadata is woven from the
-    /// *planned* placement while those transfers are on the wire, and the
-    /// completions are joined only right before publication (leaves whose
-    /// store had to fall back to substitute providers are patched first).
-    /// With depth zero the legacy phased schedule is kept: assemble all
-    /// payloads, push and join them all, only then weave.
+    /// The data and metadata planes overlap: each chunk store is submitted
+    /// to the transfer scheduler once its payload is assembled, the
+    /// segment-tree metadata is woven from the *planned* placement while
+    /// those transfers are on the wire, and the completions are joined only
+    /// right before publication (leaves whose store had to fall back to
+    /// substitute providers are patched first).
     fn perform_write(
         &self,
         blob: BlobId,
@@ -604,70 +589,48 @@ impl BlobClient {
 
         // Ask the chunk service where to put each chunk (the chunk count is
         // known from the slot span alone, so placement can precede payload
-        // assembly and the pipelined path can push as it assembles). The tag
-        // salting chunk ids is drawn from the client-owned generator: no
-        // thread-local lookup on the hot path.
+        // assembly). The tag salting chunk ids is drawn from the client-owned
+        // generator: no thread-local lookup on the hot path.
         let placement = self.chunks.allocate(PlacementRequest {
             chunk_count: slots.len(),
             replication: config.replication,
         })?;
         let write_tag: u64 = self.rng.lock().gen();
 
-        let meta = if self.pipeline_depth == 0 {
-            // Phased: every payload exists and every chunk is durably stored
-            // before the first metadata node is woven.
-            let mut payloads = Vec::with_capacity(slots.len());
-            for slot in &slots {
-                payloads.push(self.slot_payload(blob, config, ticket, data, slot, known_size)?);
-            }
-            let completions =
-                self.submit_store_groups(blob, write_tag, codec, &slots, payloads, &placement);
-            let chunks = self.join_stores(completions)?;
-            build_write_metadata_chained(
-                self.metadata.as_ref(),
-                blob,
-                &ticket.chain,
-                ticket.version,
-                ticket.new_size,
-                &chunks,
-            )?
-        } else {
-            let mut planned = Vec::with_capacity(slots.len());
-            let mut payloads = Vec::with_capacity(slots.len());
-            for (slot, replicas) in slots.iter().zip(&placement) {
-                let payload = self.slot_payload(blob, config, ticket, data, slot, known_size)?;
-                planned.push(WrittenChunk {
+        let mut planned = Vec::with_capacity(slots.len());
+        let mut payloads = Vec::with_capacity(slots.len());
+        for (slot, replicas) in slots.iter().zip(&placement) {
+            let payload = self.slot_payload(blob, config, ticket, data, slot, known_size)?;
+            planned.push(WrittenChunk {
+                slot: slot.index,
+                chunk: ChunkId {
+                    blob,
+                    write_tag,
                     slot: slot.index,
-                    chunk: ChunkId {
-                        blob,
-                        write_tag,
-                        slot: slot.index,
-                    },
-                    providers: replicas.clone(),
-                    len: payload.len() as u64,
-                });
-                payloads.push(payload);
-            }
-            let completions =
-                self.submit_store_groups(blob, write_tag, codec, &slots, payloads, &placement);
-            // Weave while the chunk transfers are in flight: the node keys
-            // and chunk ids are deterministic, only the providers of a leaf
-            // can differ if a store falls back mid-transfer.
-            let woven = build_write_metadata_chained(
-                self.metadata.as_ref(),
-                blob,
-                &ticket.chain,
-                ticket.version,
-                ticket.new_size,
-                &planned,
-            );
-            // Join before inspecting the weaving outcome: even when weaving
-            // failed, every in-flight store must be drained.
-            let chunks = self.join_stores(completions)?;
-            let mut meta = woven?;
-            patch_stored_providers(&mut meta, ticket.version, chunk_size, &chunks);
-            meta
-        };
+                },
+                providers: replicas.clone(),
+                len: payload.len() as u64,
+            });
+            payloads.push(payload);
+        }
+        let completions =
+            self.submit_store_groups(blob, write_tag, codec, &slots, payloads, &placement);
+        // Weave while the chunk transfers are in flight: the node keys and
+        // chunk ids are deterministic, only the providers of a leaf can
+        // differ if a store falls back mid-transfer.
+        let woven = build_write_metadata_chained(
+            self.metadata.as_ref(),
+            blob,
+            &ticket.chain,
+            ticket.version,
+            ticket.new_size,
+            &planned,
+        );
+        // Join before inspecting the weaving outcome: even when weaving
+        // failed, every in-flight store must be drained.
+        let chunks = self.join_stores(completions)?;
+        let mut meta = woven?;
+        patch_stored_providers(&mut meta, ticket.version, chunk_size, &chunks);
 
         // Upload the woven nodes in one batched, shard-grouped publish, then
         // hand the version back to the version manager for in-order
@@ -1044,27 +1007,6 @@ impl BlobClient {
             }
             Ok((slot_range, leaf, data))
         })
-    }
-
-    /// Fetches many chunks through the shared transfer scheduler (the
-    /// phased read path: every fetch is submitted only after the metadata
-    /// descent discovered all of them).
-    fn fetch_chunks(
-        &self,
-        jobs: Vec<(ByteRange, LeafNode)>,
-    ) -> Result<Vec<(ByteRange, LeafNode, Bytes)>> {
-        if jobs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let rotate: usize = self.rng.lock().gen();
-        let completions: Vec<_> = jobs
-            .into_iter()
-            .enumerate()
-            .map(|(i, (slot_range, leaf))| {
-                self.submit_fetch(slot_range, leaf, rotate.wrapping_add(i))
-            })
-            .collect();
-        self.join_fetches(completions, Vec::new(), None)
     }
 
     /// The pipelined read path: walks the snapshot's segment tree level by
@@ -1558,25 +1500,16 @@ mod tests {
     }
 
     #[test]
-    fn phased_clients_still_round_trip() {
-        // pipeline_depth = 0 keeps the legacy phased schedule working end to
-        // end (the differential proptest in tests/pipeline.rs compares the
-        // two schedules op by op).
-        let cluster = Cluster::new(ClusterConfig {
-            pipeline_depth: 0,
-            ..ClusterConfig::small()
-        })
-        .unwrap();
-        let client = cluster.client();
-        assert_eq!(client.pipeline_depth(), 0);
+    fn zero_pipeline_depth_is_clamped_to_one() {
+        // Clients built from raw handles bypass `ClusterConfig::validate`;
+        // a zero window would otherwise never admit a fetch.
+        let cluster = cluster();
+        let client = cluster.client().with_pipeline_depth(0);
+        assert_eq!(client.pipeline_depth(), 1);
         let blob = client.create_blob(BlobConfig::new(CS, 1).unwrap()).unwrap();
         let data = pattern(5 * CS as usize + 17, 3);
         client.append(blob, &data).unwrap();
-        let patch = pattern(30, 9);
-        client.write(blob, CS + 5, &patch).unwrap();
-        let mut expected = data.clone();
-        expected[(CS + 5) as usize..(CS + 35) as usize].copy_from_slice(&patch);
-        assert_eq!(client.read_all(blob, None).unwrap(), expected);
+        assert_eq!(client.read_all(blob, None).unwrap(), data);
     }
 
     #[test]

@@ -24,6 +24,7 @@ use blobseer_provider::{DataProvider, ProviderManager};
 use blobseer_qos::{MonitoringCollector, QosController};
 use blobseer_types::{
     BlobError, ClientId, ClusterConfig, IdGenerator, MetaNodeId, ProviderId, Result,
+    DHT_VIRTUAL_NODES, QOS_HORIZON,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -166,7 +167,7 @@ impl Cluster {
         }
         let metadata = Arc::new(Dht::new(
             config.metadata_providers,
-            config.dht_virtual_nodes,
+            DHT_VIRTUAL_NODES,
             config.dht_replication,
         )?);
         // One transfer pool for the whole deployment: clients share it, so
@@ -229,7 +230,7 @@ impl Cluster {
                 collector,
                 Arc::clone(chunk_service.manager()),
                 config.effective_qos_states(),
-                config.qos_horizon,
+                QOS_HORIZON,
             )))
         });
         let cluster = Cluster {

@@ -19,14 +19,12 @@
 //! tests run the same operation histories over both — and over the plain
 //! in-process cluster — and assert byte-identical results.
 
-use crate::reactor::{Reactor, WorkerPool};
+use crate::reactor::{default_rpc_workers, Reactor, WorkerPool};
 use crate::rpc::{
     ChunkHost, ManagerHost, MetaHost, RpcEndpoint, RpcHandler, RpcServer, VersionHost,
 };
 use crate::services::{NetChunkService, NetMetadataService, NetVersionService};
-use crate::transport::{
-    channel_endpoint, tcp_endpoint, tcp_listener, Connect, FaultState, TcpConnector,
-};
+use crate::transport::{channel_endpoint, tcp_listener, Connect, FaultState, TcpConnector};
 use blobseer_core::{
     BlobClient, ChunkCache, ChunkService, Cluster, LifecycleEngine, MetadataService, TransferPool,
     VersionService,
@@ -45,7 +43,7 @@ use std::sync::Arc;
 /// A networked BlobSeer deployment (TCP loopback or channel transport).
 ///
 /// Serving is event-driven and bounded: all endpoints share one
-/// [`WorkerPool`] of `ClusterConfig::rpc_workers` threads, and on the TCP
+/// [`WorkerPool`] of [`default_rpc_workers`] threads, and on the TCP
 /// transport one [`Reactor`] thread owns every accepted socket — the
 /// deployment's serving threads are O(workers), however many clients
 /// connect.
@@ -107,14 +105,8 @@ impl NetCluster {
     /// write-ahead log before the DHT.
     pub fn open_durable(config: ClusterConfig, dir: impl AsRef<std::path::Path>) -> Result<Self> {
         match config.transport {
-            TransportKind::TcpLoopback => {
-                let mut config = config;
-                config.transport = TransportKind::TcpLoopback;
-                Self::serve_tcp(Cluster::open_durable(config, dir)?)
-            }
+            TransportKind::TcpLoopback => Self::serve_tcp(Cluster::open_durable(config, dir)?),
             TransportKind::Channel => {
-                let mut config = config;
-                config.transport = TransportKind::Channel;
                 Self::serve_channel(Cluster::open_durable(config, dir)?, FaultPlan::none())
             }
             TransportKind::InProcess => Err(BlobError::InvalidConfig(
@@ -134,7 +126,7 @@ impl NetCluster {
     fn serve_tcp(inner: Cluster) -> Result<Self> {
         let config = inner.config();
         let listen = config.net_listen.clone();
-        let pool = WorkerPool::new(config.effective_rpc_workers());
+        let pool = WorkerPool::new(default_rpc_workers());
         let reactor = Reactor::new(pool.clone(), config.io_timeout());
         let serve_reactor = Arc::clone(&reactor);
         Self::build(inner, pool, Some(reactor), move |handler| {
@@ -142,24 +134,6 @@ impl NetCluster {
             Ok((
                 connector,
                 RpcServer::spawn_reactor(&serve_reactor, listener, handler),
-            ))
-        })
-    }
-
-    /// Starts a TCP deployment served the pre-reactor way: a blocking
-    /// accept loop per endpoint and one thread per request, unbounded.
-    /// This exists solely as the control arm of the connection-scaling
-    /// benchmark (`fig_n2`); production wiring is [`NetCluster::new_tcp`].
-    pub fn new_tcp_thread_per_request(mut config: ClusterConfig) -> Result<Self> {
-        config.transport = TransportKind::TcpLoopback;
-        let inner = Cluster::new(config)?;
-        let listen = inner.config().net_listen.clone();
-        let pool = WorkerPool::new(1); // unused by this mode, minimal
-        Self::build(inner, pool, None, move |handler| {
-            let (connector, acceptor, stopper) = tcp_endpoint(&listen)?;
-            Ok((
-                connector,
-                RpcServer::spawn_thread_per_request(acceptor, stopper, handler),
             ))
         })
     }
@@ -178,7 +152,7 @@ impl NetCluster {
         faults.validate()?;
         let state = Arc::new(FaultState::new(faults));
         let fault_state = Arc::clone(&state);
-        let pool = WorkerPool::new(inner.config().effective_rpc_workers());
+        let pool = WorkerPool::new(default_rpc_workers());
         let serve_pool = pool.clone();
         let mut cluster = Self::build(inner, pool, None, move |handler| {
             let (connector, acceptor, stopper) = channel_endpoint(Arc::clone(&state));

@@ -9,7 +9,7 @@
 //! libc binding; the loop parks itself briefly whenever a full scan makes
 //! no progress, which keeps idle CPU near zero while staying pure
 //! `std::net`). Complete frames are handed to a bounded [`WorkerPool`]
-//! (`ClusterConfig::rpc_workers` threads named `net-worker-N`) through an
+//! ([`default_rpc_workers`] threads named `net-worker-N`) through an
 //! MPMC queue; responses travel back through per-connection outbound
 //! queues — as one vectored write across however many responses are ready,
 //! so the server coalesces small frames for free. Workers flush a response
@@ -35,13 +35,13 @@
 //! thread hostage either way, which is what defeats slow-loris clients.
 
 use crate::frame::{Frame, FRAME_PREFIX_BYTES, MAX_FRAME_BYTES};
-use crate::rpc::{op, RpcHandler};
-use blobseer_types::wire::encode;
+use crate::rpc::{respond, RpcHandler};
 use bytes::{Bytes, BytesMut};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -184,7 +184,10 @@ impl WorkerPool {
                             }
                         }
                     };
-                    job();
+                    // A panicking job must not cost the pool a worker: the
+                    // serving capacity is this fixed thread set. (Request
+                    // jobs already turn handler panics into `RESP_ERR`.)
+                    let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
                 })
                 .expect("cannot spawn rpc worker thread");
         }
@@ -915,18 +918,7 @@ fn dispatch_batch(
     let job = move || {
         let responses: Vec<OutFrame> = requests
             .into_iter()
-            .map(|request| {
-                let response =
-                    match handler.handle(request.opcode, &request.header, request.payload) {
-                        Ok((header, payload)) => {
-                            Frame::new(request.request_id, op::RESP_OK, header, payload)
-                        }
-                        Err(err) => {
-                            Frame::new(request.request_id, op::RESP_ERR, encode(&err), Bytes::new())
-                        }
-                    };
-                OutFrame::new(&response)
-            })
+            .map(|request| OutFrame::new(&respond(handler.as_ref(), request)))
             .collect();
         let mut out = outbound.inner.lock();
         if !out.closed {
@@ -1001,6 +993,21 @@ mod tests {
         }
         assert_eq!(hits.load(Ordering::Relaxed), 32);
         assert_eq!(named.load(Ordering::Relaxed), 32);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_job_does_not_cost_the_pool_its_worker() {
+        // The automatic size never drops below four, whatever the host; an
+        // explicit size is taken as given.
+        assert!(default_rpc_workers() >= 4);
+        let pool = WorkerPool::with_configured(1);
+        assert_eq!(pool.worker_count(), 1);
+        pool.execute(|| panic!("job bug"));
+        let (tx, rx) = std::sync::mpsc::channel();
+        pool.execute(move || tx.send(()).unwrap());
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("the only worker survived the panic");
         pool.shutdown();
     }
 

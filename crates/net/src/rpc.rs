@@ -13,18 +13,16 @@
 //! small frames (metadata gets, allocations) ride one syscall; the
 //! `frames_coalesced` counter makes the batching observable.
 //!
-//! The server side is a facade over three serving modes:
+//! The server side is a facade over two serving modes:
 //!
 //! * [`RpcServer::spawn_reactor`] — the production TCP shape: connections
 //!   are owned by a shared event-driven [`crate::reactor::Reactor`] and
 //!   requests execute on its bounded [`crate::reactor::WorkerPool`], so
 //!   serving threads scale with cores, not clients;
-//! * [`RpcServer::spawn`] / [`RpcServer::spawn_pooled`] — a blocking
-//!   accept loop plus one reader thread per connection, with request
-//!   execution still bounded by a worker pool (the shape used by the
-//!   channel transport, whose fault injection needs blocking sources);
-//! * [`RpcServer::spawn_thread_per_request`] — the pre-reactor control:
-//!   unbounded handler threads. Kept for A/B benchmarks (`fig_n2`).
+//! * [`RpcServer::spawn_pooled`] — a blocking accept loop plus one reader
+//!   thread per connection, with request execution still bounded by a
+//!   worker pool (the shape used by the channel transport, whose fault
+//!   injection needs blocking sources).
 //!
 //! Every call is bounded by the deployment's `io_timeout` and retried a
 //! bounded number of times on *transport* errors (timeout, disconnect,
@@ -533,21 +531,28 @@ pub trait RpcHandler: Send + Sync {
     fn handle(&self, opcode: u8, header: &[u8], payload: Bytes) -> Result<(Bytes, Bytes)>;
 }
 
-/// How an accept-loop server executes decoded requests.
-enum ServeMode {
-    /// Bounded: requests run as jobs on a worker pool.
-    Pooled(WorkerPool),
-    /// Unbounded: one short-lived thread per request (the pre-reactor
-    /// shape, kept as the A/B control for the `fig_n2` scaling benchmark).
-    ThreadPerRequest,
-}
-
-impl Clone for ServeMode {
-    fn clone(&self) -> Self {
-        match self {
-            ServeMode::Pooled(pool) => ServeMode::Pooled(pool.clone()),
-            ServeMode::ThreadPerRequest => ServeMode::ThreadPerRequest,
-        }
+/// Runs `handler` on one decoded request and builds its response frame.
+/// An `Err` — or a handler panic, caught here so it costs neither a
+/// `net-worker` thread nor the caller its full `io_timeout` — becomes a
+/// `RESP_ERR` frame carrying the typed error.
+pub(crate) fn respond(handler: &dyn RpcHandler, request: Frame) -> Frame {
+    let Frame {
+        request_id,
+        opcode,
+        header,
+        payload,
+    } = request;
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        handler.handle(opcode, &header, payload)
+    }))
+    .unwrap_or_else(|_| {
+        Err(BlobError::Internal(format!(
+            "rpc: handler panicked serving opcode {opcode:#x}"
+        )))
+    });
+    match outcome {
+        Ok((header, payload)) => Frame::new(request_id, op::RESP_OK, header, payload),
+        Err(err) => Frame::new(request_id, op::RESP_ERR, encode(&err), Bytes::new()),
     }
 }
 
@@ -557,10 +562,6 @@ enum ServerInner {
         stop: KillHandle,
         conns: Arc<Mutex<HashMap<u64, KillHandle>>>,
         accept_thread: Option<std::thread::JoinHandle<()>>,
-        /// A pool created by (and private to) this server; shut down with
-        /// it. `None` when the pool is shared or the mode is
-        /// thread-per-request.
-        own_pool: Option<WorkerPool>,
     },
     /// An endpoint registered on a shared event-driven reactor.
     Reactor {
@@ -570,56 +571,66 @@ enum ServerInner {
     },
 }
 
-/// One running server endpoint, behind any of the three serving modes
-/// (reactor / pooled accept loop / thread-per-request); torn down by
-/// [`RpcServer::stop`] (or drop).
+/// One running server endpoint, behind either serving mode (reactor /
+/// pooled accept loop); torn down by [`RpcServer::stop`] (or drop).
 pub struct RpcServer {
     inner: ServerInner,
     stopped: bool,
 }
 
 impl RpcServer {
-    /// Starts serving `handler` behind `acceptor` with a private worker
-    /// pool of the default size. `stopper` must unblock the acceptor (see
-    /// `tcp_endpoint` / `channel_endpoint`).
-    #[must_use]
-    pub fn spawn(
-        acceptor: Box<dyn Accept>,
-        stopper: KillHandle,
-        handler: Arc<dyn RpcHandler>,
-    ) -> Self {
-        let pool = WorkerPool::with_configured(0);
-        let mut server =
-            Self::spawn_accepting(acceptor, stopper, handler, ServeMode::Pooled(pool.clone()));
-        if let ServerInner::Accepting { own_pool, .. } = &mut server.inner {
-            *own_pool = Some(pool);
-        }
-        server
-    }
-
     /// Starts serving `handler` behind `acceptor`, executing requests on a
     /// shared worker `pool` (not shut down by [`RpcServer::stop`] — several
-    /// endpoints of one deployment share it).
+    /// endpoints of one deployment share it). `stopper` must unblock the
+    /// acceptor (see `tcp_endpoint` / `channel_endpoint`).
     #[must_use]
     pub fn spawn_pooled(
-        acceptor: Box<dyn Accept>,
+        mut acceptor: Box<dyn Accept>,
         stopper: KillHandle,
         handler: Arc<dyn RpcHandler>,
         pool: WorkerPool,
     ) -> Self {
-        Self::spawn_accepting(acceptor, stopper, handler, ServeMode::Pooled(pool))
-    }
-
-    /// Starts serving `handler` with one thread per request — the
-    /// pre-reactor serving shape, kept only as the scaling benchmark's
-    /// control arm.
-    #[must_use]
-    pub fn spawn_thread_per_request(
-        acceptor: Box<dyn Accept>,
-        stopper: KillHandle,
-        handler: Arc<dyn RpcHandler>,
-    ) -> Self {
-        Self::spawn_accepting(acceptor, stopper, handler, ServeMode::ThreadPerRequest)
+        let conns: Arc<Mutex<HashMap<u64, KillHandle>>> = Arc::new(Mutex::new(HashMap::new()));
+        let accept_conns = Arc::clone(&conns);
+        let accept_thread = std::thread::Builder::new()
+            .name("blobseer-rpc-accept".into())
+            .spawn(move || {
+                let mut next_conn_id = 0u64;
+                loop {
+                    match acceptor.accept() {
+                        Accepted::Conn(conn) => {
+                            let conn_id = next_conn_id;
+                            next_conn_id += 1;
+                            accept_conns.lock().insert(conn_id, Arc::clone(&conn.kill));
+                            let handler = Arc::clone(&handler);
+                            let registry = Arc::clone(&accept_conns);
+                            let pool = pool.clone();
+                            std::thread::Builder::new()
+                                .name("blobseer-rpc-conn".into())
+                                .spawn(move || {
+                                    Self::serve_connection(conn, &handler, &pool);
+                                    // The connection is gone: drop its kill
+                                    // handle (and, for TCP, the cloned
+                                    // stream it owns) so a server outliving
+                                    // many client reconnects does not
+                                    // accumulate dead handles and fds.
+                                    registry.lock().remove(&conn_id);
+                                })
+                                .expect("cannot spawn rpc connection thread");
+                        }
+                        Accepted::Closed => return,
+                    }
+                }
+            })
+            .expect("cannot spawn rpc accept thread");
+        RpcServer {
+            inner: ServerInner::Accepting {
+                stop: stopper,
+                conns,
+                accept_thread: Some(accept_thread),
+            },
+            stopped: false,
+        }
     }
 
     /// Registers `handler` as an endpoint on a shared event-driven
@@ -644,92 +655,24 @@ impl RpcServer {
         }
     }
 
-    fn spawn_accepting(
-        mut acceptor: Box<dyn Accept>,
-        stopper: KillHandle,
-        handler: Arc<dyn RpcHandler>,
-        mode: ServeMode,
-    ) -> Self {
-        let conns: Arc<Mutex<HashMap<u64, KillHandle>>> = Arc::new(Mutex::new(HashMap::new()));
-        let accept_conns = Arc::clone(&conns);
-        let accept_thread = std::thread::Builder::new()
-            .name("blobseer-rpc-accept".into())
-            .spawn(move || {
-                let mut next_conn_id = 0u64;
-                loop {
-                    match acceptor.accept() {
-                        Accepted::Conn(conn) => {
-                            let conn_id = next_conn_id;
-                            next_conn_id += 1;
-                            accept_conns.lock().insert(conn_id, Arc::clone(&conn.kill));
-                            let handler = Arc::clone(&handler);
-                            let registry = Arc::clone(&accept_conns);
-                            let mode = mode.clone();
-                            std::thread::Builder::new()
-                                .name("blobseer-rpc-conn".into())
-                                .spawn(move || {
-                                    Self::serve_connection(conn, &handler, &mode);
-                                    // The connection is gone: drop its kill
-                                    // handle (and, for TCP, the cloned
-                                    // stream it owns) so a server outliving
-                                    // many client reconnects does not
-                                    // accumulate dead handles and fds.
-                                    registry.lock().remove(&conn_id);
-                                })
-                                .expect("cannot spawn rpc connection thread");
-                        }
-                        Accepted::Closed => return,
-                    }
-                }
-            })
-            .expect("cannot spawn rpc accept thread");
-        RpcServer {
-            inner: ServerInner::Accepting {
-                stop: stopper,
-                conns,
-                accept_thread: Some(accept_thread),
-                own_pool: None,
-            },
-            stopped: false,
-        }
-    }
-
-    fn serve_connection(conn: Connection, handler: &Arc<dyn RpcHandler>, mode: &ServeMode) {
+    fn serve_connection(conn: Connection, handler: &Arc<dyn RpcHandler>, pool: &WorkerPool) {
         let Connection {
             sink, mut source, ..
         } = conn;
         // Requests of one connection are *dispatched* in arrival order but
         // *served* concurrently, sharing the response sink — a slow chunk
         // fetch never head-of-line-blocks the requests queued behind it
-        // into their callers' I/O timeouts. In pooled mode concurrency is
-        // bounded by the worker count; in the thread-per-request control it
-        // is bounded only by the client's pipeline cap.
+        // into their callers' I/O timeouts. Concurrency is bounded by the
+        // pool's worker count.
         let sink = Arc::new(Mutex::new(sink));
         while let Ok(Some(request)) = source.recv() {
             let handler = Arc::clone(handler);
             let sink = Arc::clone(&sink);
-            let job = move || {
-                let response =
-                    match handler.handle(request.opcode, &request.header, request.payload) {
-                        Ok((header, payload)) => {
-                            Frame::new(request.request_id, op::RESP_OK, header, payload)
-                        }
-                        Err(err) => {
-                            Frame::new(request.request_id, op::RESP_ERR, encode(&err), Bytes::new())
-                        }
-                    };
+            pool.execute(move || {
+                let response = respond(handler.as_ref(), request);
                 // A dead sink means the client is gone; nothing to do.
                 let _ = sink.lock().send(&response);
-            };
-            match mode {
-                ServeMode::Pooled(pool) => pool.execute(job),
-                ServeMode::ThreadPerRequest => {
-                    std::thread::Builder::new()
-                        .name("blobseer-rpc-handler".into())
-                        .spawn(job)
-                        .expect("cannot spawn rpc handler thread");
-                }
-            }
+            });
         }
     }
 
@@ -744,10 +687,9 @@ impl RpcServer {
     }
 
     /// Stops this endpoint: an accept-loop server stops accepting, tears
-    /// every live connection down and joins the accept loop (shutting its
-    /// private pool down, if it owns one); a reactor endpoint deregisters
-    /// from the reactor, which closes its listener and connections.
-    /// Idempotent.
+    /// every live connection down and joins the accept loop; a reactor
+    /// endpoint deregisters from the reactor, which closes its listener and
+    /// connections. Idempotent.
     pub fn stop(&mut self) {
         if self.stopped {
             return;
@@ -758,7 +700,6 @@ impl RpcServer {
                 stop,
                 conns,
                 accept_thread,
-                own_pool,
             } => {
                 (stop)();
                 for (_, kill) in conns.lock().drain() {
@@ -766,9 +707,6 @@ impl RpcServer {
                 }
                 if let Some(handle) = accept_thread.take() {
                     let _ = handle.join();
-                }
-                if let Some(pool) = own_pool.take() {
-                    pool.shutdown();
                 }
             }
             ServerInner::Reactor {
@@ -1154,7 +1092,7 @@ mod tests {
     use blobseer_types::{BlobId, FaultPlan};
 
     /// Echoes the request back; opcode 0x70 sleeps forever (a hung
-    /// endpoint), opcode 0x71 returns an application error.
+    /// endpoint), opcode 0x71 returns an application error, 0x73 panics.
     struct EchoHandler;
 
     impl RpcHandler for EchoHandler {
@@ -1173,6 +1111,7 @@ mod tests {
                     std::thread::sleep(Duration::from_millis(800));
                     Ok((Bytes::new(), Bytes::new()))
                 }
+                0x73 => panic!("handler bug"),
                 _ => Ok((Bytes::from(header.to_vec()), payload)),
             }
         }
@@ -1181,7 +1120,8 @@ mod tests {
     fn channel_rig(plan: FaultPlan, io_timeout: Duration) -> (RpcServer, RpcEndpoint) {
         let faults = Arc::new(FaultState::new(plan));
         let (connector, acceptor, stopper) = channel_endpoint(faults);
-        let server = RpcServer::spawn(acceptor, stopper, Arc::new(EchoHandler));
+        let server =
+            RpcServer::spawn_pooled(acceptor, stopper, Arc::new(EchoHandler), WorkerPool::new(4));
         let endpoint = RpcEndpoint::new(
             connector,
             Some(io_timeout),
@@ -1296,10 +1236,26 @@ mod tests {
     }
 
     #[test]
+    fn handler_panics_become_typed_errors_on_the_pooled_path() {
+        let (_server, endpoint) = channel_rig(FaultPlan::none(), Duration::from_secs(20));
+        // More panics than the rig's pool has workers, answered promptly
+        // (not by the 20 s timeout) and without costing a worker.
+        for _ in 0..6 {
+            let err = endpoint.call(0x73, Bytes::new(), Bytes::new()).unwrap_err();
+            assert!(matches!(err, BlobError::Internal(_)), "{err:?}");
+        }
+        let resp = endpoint
+            .call(0x20, Bytes::from_static(b"alive"), Bytes::new())
+            .unwrap();
+        assert_eq!(resp.header.as_slice(), b"alive");
+    }
+
+    #[test]
     fn dead_connections_are_pruned_from_the_server_registry() {
         let faults = Arc::new(FaultState::new(FaultPlan::none()));
         let (connector, acceptor, stopper) = channel_endpoint(faults);
-        let server = RpcServer::spawn(acceptor, stopper, Arc::new(EchoHandler));
+        let server =
+            RpcServer::spawn_pooled(acceptor, stopper, Arc::new(EchoHandler), WorkerPool::new(4));
         // Churn: dial, use, drop — like a client failing over repeatedly.
         for round in 0..5u8 {
             let endpoint = RpcEndpoint::new(
@@ -1365,7 +1321,8 @@ mod tests {
     #[test]
     fn rpc_works_over_real_tcp_sockets() {
         let (connector, acceptor, stopper) = tcp_endpoint("127.0.0.1:0").unwrap();
-        let mut server = RpcServer::spawn(acceptor, stopper, Arc::new(EchoHandler));
+        let mut server =
+            RpcServer::spawn_pooled(acceptor, stopper, Arc::new(EchoHandler), WorkerPool::new(4));
         let endpoint = RpcEndpoint::new(
             connector,
             Some(Duration::from_secs(5)),

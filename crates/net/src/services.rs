@@ -526,6 +526,7 @@ impl VersionService for NetVersionService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::WorkerPool;
     use crate::rpc::{ChunkHost, ManagerHost, MetaHost, RpcServer};
     use crate::transport::{channel_endpoint, FaultState};
     use blobseer_meta::{InMemoryMetaStore, LeafNode};
@@ -539,7 +540,7 @@ mod tests {
     ) -> (RpcServer, RpcEndpoint) {
         let faults = Arc::new(FaultState::new(FaultPlan::none()));
         let (connector, acceptor, stopper) = channel_endpoint(faults);
-        let server = RpcServer::spawn(acceptor, stopper, handler);
+        let server = RpcServer::spawn_pooled(acceptor, stopper, handler, WorkerPool::new(4));
         let endpoint =
             RpcEndpoint::new(connector, Some(Duration::from_secs(5)), Arc::clone(metrics));
         (server, endpoint)

@@ -134,7 +134,6 @@ impl ServerOptions {
             // ---- deployment shape ----
             "data_providers" => c.data_providers = parse_usize(key, value)?,
             "metadata_providers" => c.metadata_providers = parse_usize(key, value)?,
-            "dht_virtual_nodes" => c.dht_virtual_nodes = parse_usize(key, value)?,
             "dht_replication" => c.dht_replication = parse_usize(key, value)?,
             "placement" => {
                 c.placement = match value {
@@ -154,7 +153,6 @@ impl ServerOptions {
             // ---- networking ----
             "net_listen" => c.net_listen = value.to_string(),
             "io_timeout_ms" => c.io_timeout_ms = parse_u64(key, value)?,
-            "rpc_workers" => c.rpc_workers = parse_usize(key, value)?,
             "connections_per_endpoint" => {
                 c.connections_per_endpoint = parse_usize(key, value)?;
             }
@@ -188,9 +186,7 @@ impl ServerOptions {
             "checkpoint_interval_ms" => c.checkpoint_interval_ms = parse_u64(key, value)?,
             "compact_dead_ratio" => c.compact_dead_ratio = parse_f64(key, value)?,
             "segment_bytes" => c.segment_bytes = parse_u64(key, value)?,
-            // ---- QoS / admission ----
-            "qos_states" => c.qos_states = parse_usize(key, value)?,
-            "qos_horizon" => c.qos_horizon = parse_usize(key, value)?,
+            // ---- admission ----
             "admission_limit" => c.admission_limit = parse_usize(key, value)?,
             _ => {
                 return Err(BlobError::InvalidConfig(format!(
@@ -337,6 +333,52 @@ mod tests {
         assert!(ServerOptions::parse("placement = fastest\n").is_err());
         assert!(ServerOptions::parse("data_providers = many\n").is_err());
         assert!(ServerOptions::parse("no equals sign\n").is_err());
+    }
+
+    #[test]
+    fn retired_keys_are_unknown_and_the_benchmark_keys_still_parse() {
+        for key in [
+            "dht_virtual_nodes",
+            "rpc_workers",
+            "qos_states",
+            "qos_horizon",
+        ] {
+            let err = ServerOptions::parse(&format!("{key} = 4\n")).unwrap_err();
+            assert_eq!(
+                err,
+                BlobError::InvalidConfig(format!("unknown config key {key:?}")),
+            );
+        }
+        // The pipeline window survives as a key, but zero is no longer a
+        // schedule selector.
+        assert!(ServerOptions::parse("pipeline_depth = 0\n").is_err());
+        assert_eq!(
+            ServerOptions::parse("pipeline_depth = 2\n")
+                .unwrap()
+                .cluster
+                .pipeline_depth,
+            2
+        );
+        // Exactly the keys the `e2e` benchmark harness writes.
+        let opts = ServerOptions::parse(
+            "data_providers = 4\n\
+             metadata_providers = 2\n\
+             durable_dir = /tmp/bench\n\
+             durability = commit\n\
+             chunk_codec = fast\n\
+             endpoints_file = /tmp/bench/endpoints\n\
+             metrics_listen = 127.0.0.1:0\n",
+        )
+        .unwrap();
+        assert_eq!(opts.cluster.data_providers, 4);
+        assert_eq!(opts.cluster.metadata_providers, 2);
+        assert_eq!(opts.cluster.durability, Durability::Commit);
+        assert_eq!(opts.cluster.chunk_codec, ChunkCodec::Fast);
+        assert_eq!(
+            opts.endpoints_file.as_deref(),
+            Some(Path::new("/tmp/bench/endpoints"))
+        );
+        assert_eq!(opts.metrics_listen, "127.0.0.1:0");
     }
 
     #[test]

@@ -17,6 +17,9 @@
 //! throughput, per-operation latencies and per-resource utilisation the
 //! paper's figures are built from.
 
+use crate::model::{
+    FSYNC_NS, LINK_BANDWIDTH_BPS, LINK_LATENCY_NS, META_SERVICE_NS, VERSION_MANAGER_SERVICE_NS,
+};
 use crate::resource::{Resource, SimTime, NANOS_PER_SEC};
 use crate::workload::{OpKind, Workload};
 use blobseer_core::{NodeArtifact, VersionManager, WriteKind};
@@ -29,7 +32,7 @@ use blobseer_provider::{PlacementRequest, ProviderManager};
 use blobseer_types::FaultPlan;
 use blobseer_types::{
     chunk_span, BlobError, BlobId, ByteRange, ChunkCodec, ChunkId, ClusterConfig, Durability,
-    MetaNodeId, ProviderId, Result,
+    MetaNodeId, ProviderId, Result, DHT_VIRTUAL_NODES,
 };
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -105,9 +108,8 @@ pub struct SimulationResult {
     /// Total data-plane round-trips issued during the measured phase: one
     /// chunk moved between a client and a data provider (replica pushes
     /// counted individually). Together with `meta_round_trips` this is the
-    /// pipeline-occupancy measure: the pipelined schedule moves the same
-    /// number of chunks as the phased one, in strictly less elapsed time.
-    /// Chunk-cache hits are *not* round-trips — they never touch the wire.
+    /// pipeline-occupancy measure. Chunk-cache hits are *not* round-trips —
+    /// they never touch the wire.
     pub data_round_trips: u64,
     /// Client-side payload bytes memcpy'd during the measured phase. Writes
     /// charge the assembly of boundary (not fully covered) chunk slots —
@@ -167,7 +169,7 @@ pub struct SimulationResult {
     /// under `ClusterConfig::durability`: zero when `Buffered`, segment
     /// syncs plus one WAL commit sync per published version when `Commit`,
     /// one per appended record when `Always`. Each costs
-    /// `ClusterConfig::fsync_ns` on the acknowledgement path.
+    /// [`crate::model::FSYNC_NS`] on the acknowledgement path.
     pub fsyncs: u64,
     /// Bytes appended to the metadata write-ahead log (node records plus
     /// one commit record per published version) — appended under *every*
@@ -492,11 +494,11 @@ impl SimulatedCluster {
         }
         let metadata = Arc::new(Dht::new(
             config.metadata_providers,
-            config.dht_virtual_nodes,
+            DHT_VIRTUAL_NODES,
             config.dht_replication,
         )?);
-        let bw = config.link_bandwidth_bps;
-        let lat = config.link_latency_ns;
+        let bw = LINK_BANDWIDTH_BPS;
+        let lat = LINK_LATENCY_NS;
         Ok(SimulatedCluster {
             provider_in: (0..config.data_providers)
                 .map(|i| Resource::new(format!("provider-{i}-in"), bw, lat))
@@ -505,7 +507,7 @@ impl SimulatedCluster {
                 .map(|i| Resource::new(format!("provider-{i}-out"), bw, lat))
                 .collect(),
             meta_cpu: (0..config.metadata_providers)
-                .map(|i| Resource::new(format!("meta-{i}"), bw, config.meta_service_ns))
+                .map(|i| Resource::new(format!("meta-{i}"), bw, META_SERVICE_NS))
                 .collect(),
             vm_requests: 0,
             version_manager: VersionManager::new(),
@@ -718,7 +720,7 @@ impl SimulatedCluster {
     /// is modelled as a pure delay.
     fn vm_delay(&mut self, now: SimTime) -> SimTime {
         self.vm_requests += 1;
-        now + self.config.version_manager_service_ns
+        now + VERSION_MANAGER_SERVICE_NS
     }
 
     /// Runs a workload and returns its measured result.
@@ -773,8 +775,8 @@ impl SimulatedCluster {
             .map(|i| {
                 Resource::new(
                     format!("client-{i}-out"),
-                    self.config.link_bandwidth_bps,
-                    self.config.link_latency_ns,
+                    LINK_BANDWIDTH_BPS,
+                    LINK_LATENCY_NS,
                 )
             })
             .collect();
@@ -782,8 +784,8 @@ impl SimulatedCluster {
             .map(|i| {
                 Resource::new(
                     format!("client-{i}-in"),
-                    self.config.link_bandwidth_bps,
-                    self.config.link_latency_ns,
+                    LINK_BANDWIDTH_BPS,
+                    LINK_LATENCY_NS,
                 )
             })
             .collect();
@@ -1139,7 +1141,7 @@ impl SimulatedCluster {
                 // segment file appends it, before the provider acks.
                 if self.config.durability == Durability::Always {
                     self.fsyncs += 1;
-                    done += self.config.fsync_ns;
+                    done += FSYNC_NS;
                 }
                 t_chunks = t_chunks.max(done);
             }
@@ -1174,20 +1176,19 @@ impl SimulatedCluster {
 
         // Phase 3: metadata weaving and publication — run the real
         // algorithm (whose hot paths batch: one get per tree level, one
-        // shard-grouped publish), then charge the recorded round-trips. In
-        // the phased schedule the weaving round-trips start only after the
-        // last chunk landed; in the pipelined schedule the client weaves
-        // while its chunk transfers are on the wire, so weaving starts
-        // right after the ticket and the write's elapsed cost becomes
-        // max(data path, weaving path) + publication. Publication itself
-        // never overlaps the chunk transfers — exactly like the client,
-        // which joins every store completion before `publish_metadata` —
-        // so its round-trips are charged from max(weave done, chunks done).
+        // shard-grouped publish), then charge the recorded round-trips. The
+        // client weaves while its chunk transfers are on the wire, so
+        // weaving starts right after the ticket and the write's elapsed
+        // cost becomes max(data path, weaving path) + publication.
+        // Publication itself never overlaps the chunk transfers — exactly
+        // like the client, which joins every store completion before
+        // `publish_metadata` — so its round-trips are charged from
+        // max(weave done, chunks done).
         //
-        // `pipeline_depth` is modelled as a binary phased/pipelined switch:
-        // the client-side in-flight cap (depth × workers) is a memory/
-        // backpressure bound that the open-ended resource model here has no
-        // queue-occupancy notion to express.
+        // `pipeline_depth` is not modelled: the client-side in-flight cap
+        // (depth × workers) is a memory/backpressure bound that the
+        // open-ended resource model here has no queue-occupancy notion to
+        // express.
         let recorder = RecordingStore::new(self.metadata.as_ref(), cache);
         let meta = build_write_metadata_chained(
             &recorder,
@@ -1203,12 +1204,7 @@ impl SimulatedCluster {
         publish_metadata(&recorder, meta)?;
         self.meta_nodes_created += nodes_created;
         let publish_trips = recorder.trips.into_inner();
-        let weave_start = if self.config.pipeline_depth > 0 {
-            t_ticket
-        } else {
-            t_chunks
-        };
-        let t_weave = self.charge_meta_trips(weave_start, &weave_trips, client_out);
+        let t_weave = self.charge_meta_trips(t_ticket, &weave_trips, client_out);
         let t_meta = self.charge_meta_trips(t_weave.max(t_chunks), &publish_trips, client_out);
 
         // Durability cost model: the WAL appends one record per tree node
@@ -1221,17 +1217,16 @@ impl SimulatedCluster {
         // as it was appended (those serialise on the one WAL file), leaving
         // the commit record's own flush.
         self.wal_bytes += nodes_created * WAL_NODE_RECORD_BYTES + WAL_COMMIT_RECORD_BYTES;
-        let fsync = self.config.fsync_ns;
         let t_durable = match self.config.durability {
             Durability::Buffered => t_meta.max(t_chunks),
             Durability::Commit => {
                 let touched: HashSet<ProviderId> = placement.iter().flatten().copied().collect();
                 self.fsyncs += touched.len() as u64 + 1;
-                t_meta.max(t_chunks) + 2 * fsync
+                t_meta.max(t_chunks) + 2 * FSYNC_NS
             }
             Durability::Always => {
                 self.fsyncs += nodes_created + 1;
-                t_meta.max(t_chunks) + (nodes_created + 1) * fsync
+                t_meta.max(t_chunks) + (nodes_created + 1) * FSYNC_NS
             }
         };
 
@@ -1283,22 +1278,17 @@ impl SimulatedCluster {
         // Phase 2+3: metadata tree descent (one batched round-trip per tree
         // level per owning metadata node, respecting the client-side cache)
         // and chunk fetches from the providers (provider uplink, then
-        // client downlink, first live replica of each chunk).
-        //
-        // Phased schedule: the fetches all start once the *whole* descent
-        // has finished (sum of phases). Pipelined schedule: a leaf's fetch
-        // starts the moment its own shard round-trip completed, while
+        // client downlink, first live replica of each chunk). A leaf's
+        // fetch starts the moment its own shard round-trip completed, while
         // deeper levels and slower shards are still in flight — the
         // operation's elapsed cost becomes max(metadata critical path, data
         // critical path).
-        let pipelined = self.config.pipeline_depth > 0;
         let metadata = Arc::clone(&self.metadata);
         let recorder = RecordingStore::new(metadata.as_ref(), cache);
         let mut t_meta = t_snapshot;
         let mut t_data = t_snapshot;
         let mut fetched_bytes = 0u64;
         let mut all_found = true;
-        let mut deferred: Vec<(ByteRange, blobseer_meta::LeafNode)> = Vec::new();
         let walk = collect_leaves_streaming(&recorder, blob, &snapshot, range, |level| {
             let trips = recorder.drain_trips();
             let routes = recorder.take_last_routes();
@@ -1312,39 +1302,27 @@ impl SimulatedCluster {
                 if leaf.is_hole() {
                     continue;
                 }
-                if pipelined {
-                    // This leaf's fetch starts when the shard that served
-                    // its metadata answered (cache hits start immediately).
-                    let start_at = routes
-                        .get(&mapping.slot_range)
-                        .and_then(|node| trip_done.get(node))
-                        .copied()
-                        .unwrap_or(t_snapshot);
-                    let (done, wanted, found) = self.schedule_fetch(
-                        start_at,
-                        mapping.slot_range,
-                        &leaf,
-                        range,
-                        client_in,
-                        chunk_cache,
-                    );
-                    t_data = t_data.max(done);
-                    fetched_bytes += wanted;
-                    all_found &= found;
-                } else {
-                    deferred.push((mapping.slot_range, leaf));
-                }
+                // This leaf's fetch starts when the shard that served its
+                // metadata answered (cache hits start immediately).
+                let start_at = routes
+                    .get(&mapping.slot_range)
+                    .and_then(|node| trip_done.get(node))
+                    .copied()
+                    .unwrap_or(t_snapshot);
+                let (done, wanted, found) = self.schedule_fetch(
+                    start_at,
+                    mapping.slot_range,
+                    &leaf,
+                    range,
+                    client_in,
+                    chunk_cache,
+                );
+                t_data = t_data.max(done);
+                fetched_bytes += wanted;
+                all_found &= found;
             }
         });
         let _ = walk?;
-        // Phased: every fetch starts only after the full descent finished.
-        for (slot_range, leaf) in deferred {
-            let (done, wanted, found) =
-                self.schedule_fetch(t_meta, slot_range, &leaf, range, client_in, chunk_cache);
-            t_data = t_data.max(done);
-            fetched_bytes += wanted;
-            all_found &= found;
-        }
         Ok(OpRecord {
             client,
             start: now,
@@ -1476,7 +1454,7 @@ impl SimulatedCluster {
         if makespan_ns == 0 {
             return 0.0;
         }
-        (self.vm_requests * self.config.version_manager_service_ns) as f64 / makespan_ns as f64
+        (self.vm_requests * VERSION_MANAGER_SERVICE_NS) as f64 / makespan_ns as f64
     }
 
     /// Convenience used by tests: whether any chunk was charged to the given
@@ -1728,83 +1706,6 @@ mod tests {
         );
     }
 
-    fn with_depth(
-        data_providers: usize,
-        metadata_providers: usize,
-        depth: usize,
-    ) -> SimulatedCluster {
-        SimulatedCluster::new(ClusterConfig {
-            data_providers,
-            metadata_providers,
-            pipeline_depth: depth,
-            ..ClusterConfig::default()
-        })
-        .unwrap()
-    }
-
-    #[test]
-    fn pipelined_reads_cost_strictly_less_than_phased_with_identical_bytes() {
-        // The acceptance property of the pipelined scheduler: on the
-        // concurrent-read workload the overlapped schedule finishes strictly
-        // earlier, returns the same bytes and moves the same chunks.
-        let workload = WorkloadBuilder::new(16)
-            .ops_per_client(2)
-            .op_size(16 << 20)
-            .chunk_size(256 << 10)
-            .disjoint_reads();
-        let phased = with_depth(16, 4, 0).run(&workload).unwrap();
-        let pipelined = with_depth(16, 4, 4).run(&workload).unwrap();
-        assert_eq!(phased.failed_ops, 0);
-        assert_eq!(pipelined.failed_ops, 0);
-        assert_eq!(phased.total_bytes, pipelined.total_bytes);
-        assert_eq!(phased.data_round_trips, pipelined.data_round_trips);
-        assert!(phased.data_round_trips > 0);
-        assert!(
-            pipelined.makespan_ns < phased.makespan_ns,
-            "overlapping descent and fetches must beat the phased schedule \
-             ({} vs {} ns)",
-            pipelined.makespan_ns,
-            phased.makespan_ns
-        );
-    }
-
-    #[test]
-    fn pipelined_writes_overlap_weaving_with_chunk_io() {
-        // Small chunks make the metadata plane expensive enough that hiding
-        // it behind the chunk transfers is visible end to end.
-        let workload = WorkloadBuilder::new(8)
-            .ops_per_client(2)
-            .op_size(8 << 20)
-            .chunk_size(256 << 10)
-            .concurrent_appends();
-        let phased = with_depth(16, 4, 0).run(&workload).unwrap();
-        let pipelined = with_depth(16, 4, 4).run(&workload).unwrap();
-        assert_eq!(phased.total_bytes, pipelined.total_bytes);
-        assert_eq!(phased.data_round_trips, pipelined.data_round_trips);
-        assert!(
-            pipelined.makespan_ns < phased.makespan_ns,
-            "weaving while chunks are on the wire must beat the phased \
-             schedule ({} vs {} ns)",
-            pipelined.makespan_ns,
-            phased.makespan_ns
-        );
-    }
-
-    #[test]
-    fn pipelining_helps_readers_racing_writers() {
-        let workload = WorkloadBuilder::new(16)
-            .ops_per_client(2)
-            .op_size(8 << 20)
-            .chunk_size(256 << 10)
-            .readers_during_writers();
-        let phased = with_depth(16, 4, 0).run(&workload).unwrap();
-        let pipelined = with_depth(16, 4, 4).run(&workload).unwrap();
-        assert_eq!(phased.failed_ops, 0);
-        assert_eq!(pipelined.failed_ops, 0);
-        assert_eq!(phased.total_bytes, pipelined.total_bytes);
-        assert!(pipelined.makespan_ns < phased.makespan_ns);
-    }
-
     #[test]
     fn data_round_trips_count_chunks_and_replicas() {
         // 4 clients × 2 appends × 8 MiB in 1 MiB chunks, replication 2:
@@ -1815,7 +1716,7 @@ mod tests {
             .chunk_size(1 << 20)
             .replication(2)
             .concurrent_appends();
-        let result = with_depth(16, 4, 4).run(&workload).unwrap();
+        let result = grid_like_cluster(16, 4).unwrap().run(&workload).unwrap();
         assert_eq!(result.failed_ops, 0);
         assert_eq!(result.data_round_trips, 4 * 2 * 8 * 2);
     }

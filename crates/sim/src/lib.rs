@@ -23,6 +23,7 @@
 //! in-process cluster of `blobseer-core`.
 
 pub mod cluster;
+pub mod model;
 pub mod report;
 pub mod resource;
 pub mod workload;

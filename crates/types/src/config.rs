@@ -306,6 +306,12 @@ impl Default for BlobConfig {
     }
 }
 
+/// Virtual nodes per metadata provider on the consistent-hashing ring.
+pub const DHT_VIRTUAL_NODES: usize = 64;
+
+/// Number of recent monitoring windows a provider's QoS score averages over.
+pub const QOS_HORIZON: usize = 4;
+
 /// Configuration of a whole deployment (an in-process cluster or a simulated
 /// one).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -314,8 +320,6 @@ pub struct ClusterConfig {
     pub data_providers: usize,
     /// Number of metadata providers (DHT nodes).
     pub metadata_providers: usize,
-    /// Virtual nodes per metadata provider on the consistent-hashing ring.
-    pub dht_virtual_nodes: usize,
     /// Replication factor for metadata entries inside the DHT.
     pub dht_replication: usize,
     /// Default placement policy handed to the provider manager.
@@ -329,36 +333,22 @@ pub struct ClusterConfig {
     /// thread (no parallel striping), which is useful for deterministic
     /// debugging.
     pub transfer_workers: usize,
-    /// Depth of the client transfer pipeline: how many tree levels' worth of
-    /// chunk transfers a client may have in flight (per transfer worker)
-    /// while the metadata plane is still being walked. Zero restores the
-    /// legacy *phased* behaviour — the full metadata descent completes
-    /// before the first chunk fetch is issued, and every chunk store
-    /// completes before metadata weaving starts — kept so the two schedules
-    /// can be compared differentially.
+    /// In-flight window of the client transfer pipeline: how many tree
+    /// levels' worth of chunk fetches a client may have in flight (per
+    /// transfer worker) while the metadata plane is still being walked.
+    /// Must be at least 1.
     pub pipeline_depth: usize,
     /// Byte budget of each client's chunk cache (0 = no chunk cache;
     /// defaults to 64 MiB). Chunks are immutable once published under a `ChunkId`, so
     /// the cache needs no invalidation protocol at all: entries only ever
-    /// leave by LRU eviction. Both read schedules consult it before
-    /// submitting a fetch, and writes populate it write-through, so
-    /// re-reading a published version (the MapReduce-input pattern) costs no
-    /// data round-trips. The cache is 16-way sharded and a chunk larger
+    /// leave by LRU eviction. Reads consult it before submitting a fetch,
+    /// and writes populate it write-through, so re-reading a published
+    /// version (the MapReduce-input pattern) costs no data round-trips. The
+    /// cache is 16-way sharded and a chunk larger
     /// than one shard's budget share (1/16th of this value) is never
     /// cached, so size the budget to at least ~16 chunks of the blobs that
     /// should hit.
     pub chunk_cache_bytes: u64,
-    /// Network bandwidth of every node in bytes per second (used only by the
-    /// simulator; 1 Gbps by default, matching Grid'5000's interconnect).
-    pub link_bandwidth_bps: u64,
-    /// One-way network latency in nanoseconds (used only by the simulator).
-    pub link_latency_ns: u64,
-    /// Service time of a metadata operation at a metadata provider, in
-    /// nanoseconds (used only by the simulator).
-    pub meta_service_ns: u64,
-    /// Service time of a version-manager operation, in nanoseconds (used
-    /// only by the simulator).
-    pub version_manager_service_ns: u64,
     /// How clients reach the chunk and metadata planes. The in-process
     /// `Cluster` ignores this (it *is* the in-process transport); the
     /// networked `NetCluster` dispatches on it.
@@ -372,13 +362,6 @@ pub struct ClusterConfig {
     /// a hung endpoint fails the operation instead of blocking the transfer
     /// scheduler forever. Zero disables both timeouts.
     pub io_timeout_ms: u64,
-    /// Handler threads of each server's bounded RPC worker pool (the
-    /// `net-worker-N` threads fed by the `net-reactor`). Zero — the default —
-    /// sizes the pool automatically: the machine's core count, floored at 4
-    /// so a small host still overlaps independent requests and rides out a
-    /// couple of wedged handlers. The pool bounds server-side concurrency at
-    /// O(`rpc_workers`) threads no matter how many clients connect.
-    pub rpc_workers: usize,
     /// Per-chunk compression codec applied by writing clients (at rest and
     /// on the wire). `Off` — the default — is byte-identical to the
     /// pre-codec protocol; `Fast` compresses each chunk once at the writing
@@ -416,10 +399,6 @@ pub struct ClusterConfig {
     /// equivalent) — RAM-resident clusters ignore it entirely.
     #[serde(default)]
     pub durability: Durability,
-    /// Modelled latency of one fsync in nanoseconds (used only by the
-    /// simulator's durability cost model; ~200 µs, an NVMe-class flush).
-    #[serde(default = "default_fsync_ns")]
-    pub fsync_ns: u64,
     /// WAL records appended since the last checkpoint after which a durable
     /// deployment takes the next one. Checkpoints fire from the background
     /// checkpointer (and the lifecycle maintenance pass when enabled), so a
@@ -446,15 +425,6 @@ pub struct ClusterConfig {
     /// also bounds how much garbage the dead-ratio policy cannot yet see.
     #[serde(default = "default_segment_bytes")]
     pub segment_bytes: u64,
-    /// Number of behaviour states the QoS monitoring model classifies
-    /// provider windows into. Zero — the default — derives it: 3 when the
-    /// placement policy is `QosAware`, otherwise QoS stays off.
-    #[serde(default)]
-    pub qos_states: usize,
-    /// Number of recent monitoring windows a provider's QoS score averages
-    /// over (must be at least 1).
-    #[serde(default = "default_qos_horizon")]
-    pub qos_horizon: usize,
     /// Per-client admission throttle: the maximum number of chunk transfers
     /// one client may have in flight in the shared transfer pool. A client at
     /// its limit blocks at submission (on its own thread) until a transfer it
@@ -462,10 +432,6 @@ pub struct ClusterConfig {
     /// ahead of everyone else. Zero — the default — disables admission.
     #[serde(default)]
     pub admission_limit: usize,
-}
-
-fn default_fsync_ns() -> u64 {
-    200_000
 }
 
 fn default_checkpoint_records() -> u64 {
@@ -486,10 +452,6 @@ fn default_compact_dead_ratio() -> f64 {
 
 fn default_segment_bytes() -> u64 {
     64 << 20
-}
-
-fn default_qos_horizon() -> usize {
-    4
 }
 
 impl ClusterConfig {
@@ -526,11 +488,6 @@ impl ClusterConfig {
                 "at least one metadata provider is required".into(),
             ));
         }
-        if self.dht_virtual_nodes == 0 {
-            return Err(BlobError::InvalidConfig(
-                "at least one virtual node per metadata provider is required".into(),
-            ));
-        }
         if self.dht_replication == 0 || self.dht_replication > self.metadata_providers {
             return Err(BlobError::InvalidConfig(format!(
                 "DHT replication must be in 1..={}",
@@ -540,6 +497,11 @@ impl ClusterConfig {
         if self.transport == TransportKind::TcpLoopback && self.net_listen.is_empty() {
             return Err(BlobError::InvalidConfig(
                 "TCP transport needs a non-empty listen address".into(),
+            ));
+        }
+        if self.pipeline_depth == 0 {
+            return Err(BlobError::InvalidConfig(
+                "pipeline_depth must be at least 1".into(),
             ));
         }
         if self.connections_per_endpoint == 0 {
@@ -562,27 +524,14 @@ impl ClusterConfig {
                 "segment_bytes must be at least 1".into(),
             ));
         }
-        if self.qos_states == 1 {
-            return Err(BlobError::InvalidConfig(
-                "qos_states must be 0 (auto) or at least 2".into(),
-            ));
-        }
-        if self.qos_horizon == 0 {
-            return Err(BlobError::InvalidConfig(
-                "qos_horizon must be at least 1".into(),
-            ));
-        }
         Ok(())
     }
 
-    /// The QoS model's state count actually used: `qos_states`, or when zero
-    /// an automatic 3 if (and only if) placement is QoS-aware. Zero here
-    /// means the QoS feedback loop stays off.
+    /// Number of behaviour states the QoS monitoring model classifies
+    /// provider windows into: 3 if (and only if) placement is QoS-aware.
+    /// Zero means the QoS feedback loop stays off.
     #[must_use]
     pub fn effective_qos_states(&self) -> usize {
-        if self.qos_states > 0 {
-            return self.qos_states;
-        }
         if self.placement == PlacementPolicy::QosAware {
             3
         } else {
@@ -597,21 +546,6 @@ impl ClusterConfig {
             .then(|| std::time::Duration::from_millis(self.checkpoint_interval_ms))
     }
 
-    /// The worker-pool size actually used by servers: `rpc_workers`, or when
-    /// zero an automatic default of the core count floored at 4 (so even a
-    /// small host overlaps slow requests with fast ones, and a worker or two
-    /// lost to a wedged handler does not stall the endpoint).
-    #[must_use]
-    pub fn effective_rpc_workers(&self) -> usize {
-        if self.rpc_workers > 0 {
-            return self.rpc_workers;
-        }
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4)
-            .max(4)
-    }
-
     /// The configured I/O timeout as a duration (`None` when disabled).
     #[must_use]
     pub fn io_timeout(&self) -> Option<std::time::Duration> {
@@ -624,7 +558,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             data_providers: 16,
             metadata_providers: 8,
-            dht_virtual_nodes: 64,
             dht_replication: 1,
             placement: PlacementPolicy::RoundRobin,
             client_metadata_cache: true,
@@ -635,32 +568,23 @@ impl Default for ClusterConfig {
             // that need a cold client (differential baselines, cache-off
             // benchmark arms) set 0 explicitly.
             chunk_cache_bytes: 64 << 20,
-            // 1 Gbps full duplex, 100 microseconds one-way latency.
-            link_bandwidth_bps: 125_000_000,
-            link_latency_ns: 100_000,
-            meta_service_ns: 50_000,
-            version_manager_service_ns: 20_000,
             transport: TransportKind::InProcess,
             net_listen: "127.0.0.1:0".into(),
             // 30 s: far above any healthy in-process or loopback operation,
             // low enough that a genuinely hung endpoint fails the op instead
             // of wedging the scheduler. Fault-injection tests dial it down.
             io_timeout_ms: 30_000,
-            rpc_workers: 0,
             chunk_codec: ChunkCodec::Off,
             shared_chunk_cache: false,
             connections_per_endpoint: 1,
             retained_versions: 0,
             flatten_threshold: 0,
             durability: Durability::default(),
-            fsync_ns: default_fsync_ns(),
             checkpoint_records: default_checkpoint_records(),
             checkpoint_bytes: default_checkpoint_bytes(),
             checkpoint_interval_ms: default_checkpoint_interval_ms(),
             compact_dead_ratio: default_compact_dead_ratio(),
             segment_bytes: default_segment_bytes(),
-            qos_states: 0,
-            qos_horizon: default_qos_horizon(),
             admission_limit: 0,
         }
     }
@@ -720,32 +644,20 @@ mod tests {
             ..ClusterConfig::default()
         };
         assert!(cfg.validate().is_err());
-        let cfg = ClusterConfig {
-            dht_virtual_nodes: 0,
-            ..ClusterConfig::default()
-        };
-        assert!(cfg.validate().is_err());
     }
 
     #[test]
-    fn zero_connections_per_endpoint_is_rejected() {
+    fn zero_connections_or_pipeline_window_is_rejected() {
         let cfg = ClusterConfig {
             connections_per_endpoint: 0,
             ..ClusterConfig::default()
         };
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn auto_rpc_workers_never_drops_below_four() {
-        let cfg = ClusterConfig::default();
-        assert_eq!(cfg.rpc_workers, 0);
-        assert!(cfg.effective_rpc_workers() >= 4);
-        let pinned = ClusterConfig {
-            rpc_workers: 7,
+        let cfg = ClusterConfig {
+            pipeline_depth: 0,
             ..ClusterConfig::default()
         };
-        assert_eq!(pinned.effective_rpc_workers(), 7);
+        assert!(cfg.validate().is_err());
     }
 
     #[test]
@@ -863,16 +775,6 @@ mod tests {
             ..ClusterConfig::default()
         };
         assert!(cfg.validate().is_err());
-        let cfg = ClusterConfig {
-            qos_states: 1,
-            ..ClusterConfig::default()
-        };
-        assert!(cfg.validate().is_err());
-        let cfg = ClusterConfig {
-            qos_horizon: 0,
-            ..ClusterConfig::default()
-        };
-        assert!(cfg.validate().is_err());
     }
 
     #[test]
@@ -884,11 +786,6 @@ mod tests {
             ..ClusterConfig::default()
         };
         assert_eq!(cfg.effective_qos_states(), 3);
-        let cfg = ClusterConfig {
-            qos_states: 5,
-            ..ClusterConfig::default()
-        };
-        assert_eq!(cfg.effective_qos_states(), 5);
         assert_eq!(
             ClusterConfig::default().checkpoint_interval(),
             Some(std::time::Duration::from_millis(200))

@@ -5,22 +5,28 @@
 //! contract rests on:
 //!
 //! * **thread census** — however many clients connect and operate
-//!   concurrently, the serving side stays at `rpc_workers` pool threads
-//!   plus one reactor thread;
+//!   concurrently, the serving side stays at `default_rpc_workers()` pool
+//!   threads plus one reactor thread;
 //! * **slow-loris immunity** — a connection that stalls mid-frame occupies
 //!   no worker thread, does not starve other connections, and is pruned
 //!   once it exceeds `io_timeout`;
 //! * **reconnect storms** — waves of short-lived clients (each with its
 //!   own `connections_per_endpoint` pool) connect, operate and vanish
-//!   without leaking serving threads or wedging the reactor.
+//!   without leaking serving threads or wedging the reactor;
+//! * **panic containment** — a handler that panics fails that one request
+//!   with a typed error and leaves the worker pool at full strength.
 //!
 //! The tests serialise on a process-local lock: the census counts threads
 //! by name across the whole process, so two deployments at once would
 //! double-count. CI additionally runs this binary with
 //! `--test-threads=1`.
 
-use blobseer::net::{count_threads_with_prefix, NetCluster};
-use blobseer::types::{BlobConfig, ClusterConfig, ProviderId};
+use blobseer::net::{
+    count_threads_with_prefix, default_rpc_workers, tcp_listener, NetCluster, Reactor, RpcEndpoint,
+    RpcHandler, RpcServer, WorkerPool,
+};
+use blobseer::types::{BlobConfig, BlobError, ClusterConfig, ProviderId, Result, TransportMetrics};
+use bytes::Bytes;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -67,7 +73,7 @@ fn spawn_census(stop: Arc<AtomicBool>) -> std::thread::JoinHandle<usize> {
 fn serving_threads_stay_bounded_under_concurrent_clients() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = config();
-    let bound = cfg.effective_rpc_workers();
+    let bound = default_rpc_workers();
     let cluster = NetCluster::new_tcp(cfg).unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -103,7 +109,7 @@ fn stalled_connection_cannot_starve_pool_or_peers() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut cfg = config();
     cfg.io_timeout_ms = 300; // prune quickly in the test
-    let bound = cfg.effective_rpc_workers();
+    let bound = default_rpc_workers();
     let cluster = NetCluster::new_tcp(cfg).unwrap();
     let addr = cluster
         .provider_endpoint_addr(ProviderId(0))
@@ -155,7 +161,7 @@ fn stalled_connection_cannot_starve_pool_or_peers() {
 fn reconnect_storm_leaks_no_serving_threads() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = config();
-    let bound = cfg.effective_rpc_workers();
+    let bound = default_rpc_workers();
     let cluster = NetCluster::new_tcp(cfg).unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -198,4 +204,72 @@ fn reconnect_storm_leaks_no_serving_threads() {
     let data = pattern(CS as usize, 42);
     client.append(blob, &data).unwrap();
     assert_eq!(client.read_all(blob, None).unwrap(), data);
+}
+
+/// Echoes every request; opcode 0x7f hits a handler bug.
+struct PanickyHandler;
+
+impl RpcHandler for PanickyHandler {
+    fn handle(&self, opcode: u8, header: &[u8], payload: Bytes) -> Result<(Bytes, Bytes)> {
+        assert_ne!(opcode, 0x7f, "handler bug");
+        Ok((Bytes::copy_from_slice(header), payload))
+    }
+}
+
+#[test]
+fn panicking_handler_fails_one_request_and_keeps_every_worker() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // Pools shut down without joining: let an earlier test's workers exit
+    // so the exact census below counts only this test's pool.
+    let quiesce = Instant::now() + Duration::from_secs(10);
+    while serving_threads() > 0 && Instant::now() < quiesce {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let workers = 3;
+    let pool = WorkerPool::new(workers);
+    let io_timeout = Duration::from_secs(20);
+    let reactor = Reactor::new(pool.clone(), Some(io_timeout));
+    let (connector, listener) = tcp_listener("127.0.0.1:0").unwrap();
+    let mut server = RpcServer::spawn_reactor(&reactor, listener, Arc::new(PanickyHandler));
+    let endpoint = RpcEndpoint::new(
+        connector,
+        Some(io_timeout),
+        Arc::new(TransportMetrics::new()),
+    );
+    endpoint
+        .call(0x20, Bytes::from_static(b"warm"), Bytes::new())
+        .unwrap();
+    assert_eq!(count_threads_with_prefix("net-worker"), workers);
+
+    // One more panic than there are workers: without containment the pool
+    // would be empty by now. The 64 KiB payload keeps these requests off
+    // the reactor's inline fast path, so they really run on pool workers.
+    let started = Instant::now();
+    for _ in 0..workers + 1 {
+        let err = endpoint
+            .call(0x7f, Bytes::new(), Bytes::from(vec![0u8; 64 << 10]))
+            .unwrap_err();
+        assert!(matches!(err, BlobError::Internal(_)), "{err:?}");
+    }
+    // A payload-less request is served inline on the reactor thread itself,
+    // which must survive the same bug.
+    let err = endpoint.call(0x7f, Bytes::new(), Bytes::new()).unwrap_err();
+    assert!(matches!(err, BlobError::Internal(_)), "{err:?}");
+    assert!(
+        started.elapsed() < io_timeout / 2,
+        "a panic must answer with a typed error, not wait out io_timeout"
+    );
+
+    assert_eq!(count_threads_with_prefix("net-worker"), workers);
+    assert_eq!(count_threads_with_prefix("net-reactor"), 1);
+    let payload = Bytes::from(pattern(64 << 10, 3));
+    let reply = endpoint
+        .call(0x20, Bytes::from_static(b"after"), payload.clone())
+        .unwrap();
+    assert_eq!(reply.header.as_ref(), b"after");
+    assert_eq!(reply.payload, payload);
+
+    server.stop();
+    reactor.stop();
+    pool.shutdown();
 }

@@ -1,6 +1,6 @@
-//! Integration tests of the pipelined transfer scheduler: differential
-//! equivalence between the pipelined and phased schedules on a real
-//! in-process cluster, and liveness when a metadata shard fails while chunk
+//! Integration tests of the pipelined transfer scheduler: a model-based
+//! differential against a flat byte-vector oracle on a real in-process
+//! cluster, and liveness when a metadata shard fails while chunk
 //! submissions are in flight.
 
 use blobseer::core::Cluster;
@@ -9,54 +9,47 @@ use proptest::prelude::*;
 
 const CS: u64 = 512;
 
-fn cluster_with_depth(depth: usize) -> Cluster {
-    Cluster::new(ClusterConfig {
-        data_providers: 8,
-        metadata_providers: 4,
-        pipeline_depth: depth,
-        ..ClusterConfig::default()
-    })
-    .unwrap()
-}
-
-/// Replays unaligned writes on a fresh cluster with the given pipeline
-/// depth and returns every published version with its full contents.
-fn replay(depth: usize, ops: &[(u64, u64, u8)]) -> (Vec<Version>, Vec<Vec<u8>>) {
-    let cluster = cluster_with_depth(depth);
-    let client = cluster.client();
-    let blob = client.create_blob(BlobConfig::new(CS, 1).unwrap()).unwrap();
-    for &(slot, len_slots, seed) in ops {
-        // Deliberately unaligned offsets and lengths: boundary-chunk merging
-        // runs inside the pipelined write path too.
-        let len = len_slots * CS + u64::from(seed) % CS;
-        let data: Vec<u8> = (0..len)
-            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed))
-            .collect();
-        client
-            .write(blob, slot * CS + u64::from(seed) % 7, &data)
-            .unwrap();
-    }
-    let versions = client.published_versions(blob).unwrap();
-    let contents = versions
-        .iter()
-        .map(|&v| client.read_all(blob, Some(v)).unwrap())
-        .collect();
-    (versions, contents)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-    /// The pipelined schedule is an optimisation, not a semantic change:
-    /// for any write history, `pipeline_depth > 0` and the phased path
-    /// publish the same versions and every snapshot reads byte-identically.
+    /// For any history of unaligned writes the cluster behaves like a flat
+    /// `Vec<u8>` that zero-fills past its end and keeps one copy per
+    /// version: versions are dense, and every published snapshot reads
+    /// byte-identically to the oracle's retained copy.
     #[test]
-    fn prop_pipelined_and_phased_schedules_are_equivalent(
+    fn prop_write_history_matches_a_flat_byte_vector_model(
         ops in proptest::collection::vec((0u64..24, 1u64..6, 1u8..255), 1..8)
     ) {
-        let (phased_versions, phased_reads) = replay(0, &ops);
-        let (pipelined_versions, pipelined_reads) = replay(4, &ops);
-        prop_assert_eq!(phased_versions, pipelined_versions);
-        prop_assert_eq!(phased_reads, pipelined_reads);
+        let cluster = Cluster::new(ClusterConfig {
+            data_providers: 8,
+            metadata_providers: 4,
+            ..ClusterConfig::default()
+        })
+        .unwrap();
+        let client = cluster.client();
+        let blob = client.create_blob(BlobConfig::new(CS, 1).unwrap()).unwrap();
+        // Version 0 is the empty blob.
+        let mut model: Vec<Vec<u8>> = vec![Vec::new()];
+        for &(slot, len_slots, seed) in &ops {
+            // Deliberately unaligned offsets and lengths: boundary-chunk
+            // merging runs inside the pipelined write path too.
+            let len = len_slots * CS + u64::from(seed) % CS;
+            let offset = (slot * CS + u64::from(seed) % 7) as usize;
+            let data: Vec<u8> = (0..len)
+                .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed))
+                .collect();
+            let version = client.write(blob, offset as u64, &data).unwrap();
+            let mut next = model.last().unwrap().clone();
+            next.resize(next.len().max(offset + data.len()), 0);
+            next[offset..offset + data.len()].copy_from_slice(&data);
+            model.push(next);
+            prop_assert_eq!(version, Version(model.len() as u64 - 1));
+        }
+        let versions = client.published_versions(blob).unwrap();
+        let dense: Vec<Version> = (0..model.len() as u64).map(Version).collect();
+        prop_assert_eq!(&versions, &dense);
+        for (version, expected) in versions.iter().zip(&model) {
+            prop_assert_eq!(&client.read_all(blob, Some(*version)).unwrap(), expected);
+        }
     }
 }
 

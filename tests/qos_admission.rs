@@ -108,8 +108,6 @@ fn networked_clients_share_the_same_admission_gate() {
 fn qos_pressure_shrinks_the_effective_budget_on_the_maintenance_tick() {
     let cluster = Cluster::new(ClusterConfig {
         placement: PlacementPolicy::QosAware,
-        qos_states: 3,
-        qos_horizon: 2,
         ..config(8)
     })
     .unwrap();
