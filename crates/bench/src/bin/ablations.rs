@@ -2,7 +2,7 @@
 //! client-side metadata caching.
 
 use blobseer_bench::{
-    ablation_chunk_size, ablation_meta_cache, ablation_placement, emit, series_json, Json,
+    ablation_chunk_size, ablation_meta_cache, ablation_placement, emit, series_json, Clock, Json,
 };
 use blobseer_sim::format_table;
 
@@ -36,6 +36,7 @@ fn main() {
     };
     emit(
         "ablations",
+        Clock::Sim,
         Json::obj([
             ("chunk_size", series_json(&series)),
             ("placement", named(&placement)),

@@ -4,7 +4,7 @@
 //! bytes of metadata) a single-chunk write creates as the blob grows from
 //! 64 MiB to 16 GiB.
 
-use blobseer_bench::{emit, fig_a1_metadata_overhead, Json};
+use blobseer_bench::{emit, fig_a1_metadata_overhead, Clock, Json};
 
 fn main() {
     let sizes = [64u64, 256, 1024, 4096, 16384]; // chunks of 1 MiB => 64 MiB .. 16 GiB
@@ -27,6 +27,7 @@ fn main() {
     println!("\nExpected shape (paper): overhead grows logarithmically with the blob size.");
     emit(
         "fig_a1",
+        Clock::Counts,
         Json::arr(rows.iter().map(|row| {
             Json::obj([
                 ("blob_chunks", Json::num(row.blob_chunks as f64)),

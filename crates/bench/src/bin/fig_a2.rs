@@ -2,7 +2,7 @@
 //! (Section IV.A).
 
 use blobseer_bench::fig_a2_concurrent_rw;
-use blobseer_bench::{emit, series_list_json};
+use blobseer_bench::{emit, series_list_json, Clock};
 use blobseer_sim::format_table;
 
 fn main() {
@@ -12,5 +12,5 @@ fn main() {
     println!("(64 data providers, 16 metadata providers, 1 Gbps links)\n");
     print!("{}", format_table("clients", &series));
     println!("\nExpected shape (paper): near-linear scaling until the providers saturate.");
-    emit("fig_a2", series_list_json(&series));
+    emit("fig_a2", Clock::Sim, series_list_json(&series));
 }

@@ -2,7 +2,7 @@
 //! (Section IV.B).
 
 use blobseer_bench::fig_b1_append_scaling;
-use blobseer_bench::{emit, series_list_json};
+use blobseer_bench::{emit, series_list_json, Clock};
 use blobseer_sim::format_table;
 
 fn main() {
@@ -12,5 +12,5 @@ fn main() {
     let series = [series];
     print!("{}", format_table("appenders", &series));
     println!("\nExpected shape (paper): appends scale like writes because the version\nmanager only assigns offsets; data and metadata I/O stay fully parallel.");
-    emit("fig_b1", series_list_json(&series));
+    emit("fig_b1", Clock::Sim, series_list_json(&series));
 }

@@ -1,7 +1,7 @@
 //! Fig. B2 — append/write throughput versus per-operation size (Section IV.B).
 
 use blobseer_bench::fig_b2_size_sweep;
-use blobseer_bench::{emit, series_list_json};
+use blobseer_bench::{emit, series_list_json, Clock};
 use blobseer_sim::format_table;
 
 fn main() {
@@ -11,5 +11,5 @@ fn main() {
     let series = [series];
     print!("{}", format_table("op size (MiB)", &series));
     println!("\nExpected shape (paper): throughput improves with larger operations as\nper-operation overheads amortise, then plateaus at the network limit.");
-    emit("fig_b2", series_list_json(&series));
+    emit("fig_b2", Clock::Sim, series_list_json(&series));
 }

@@ -3,7 +3,7 @@
 //! cached re-scans of one shared published input (the MapReduce-input
 //! pattern the client chunk cache targets).
 
-use blobseer_bench::{emit, series_list_json};
+use blobseer_bench::{emit, series_list_json, Clock};
 use blobseer_bench::{fig_c1_chunk_cache, fig_c1_metadata_decentralization};
 use blobseer_sim::format_table;
 
@@ -26,5 +26,5 @@ fn main() {
     );
 
     series.extend(cache_series);
-    emit("fig_c1", series_list_json(&series));
+    emit("fig_c1", Clock::Sim, series_list_json(&series));
 }

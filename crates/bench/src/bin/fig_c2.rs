@@ -2,7 +2,7 @@
 //! providers (Section IV.C).
 
 use blobseer_bench::fig_c2_provider_sweep;
-use blobseer_bench::{emit, series_list_json};
+use blobseer_bench::{emit, series_list_json, Clock};
 use blobseer_sim::format_table;
 
 fn main() {
@@ -12,5 +12,5 @@ fn main() {
     let series = [series];
     print!("{}", format_table("providers", &series));
     println!("\nExpected shape (paper): throughput grows with the number of providers until\nthe writers' own links become the bottleneck.");
-    emit("fig_c2", series_list_json(&series));
+    emit("fig_c2", Clock::Sim, series_list_json(&series));
 }

@@ -1,7 +1,7 @@
 //! Fig. D2 — MapReduce applications (wordcount, grep, sort) on BSFS versus
 //! the HDFS-like baseline (Section IV.D).
 
-use blobseer_bench::{emit, fig_d2_mapreduce_jobs, Json};
+use blobseer_bench::{emit, fig_d2_mapreduce_jobs, Clock, Json};
 
 fn main() {
     println!("Fig. D2 — MapReduce job completion time (real in-process engine)\n");
@@ -22,6 +22,7 @@ fn main() {
     println!("\nNote: both backends run in-process here, so absolute times are close; the\nscale separation between the storage layers is shown by fig_d1.");
     emit(
         "fig_d2",
+        Clock::Wall,
         Json::arr(rows.iter().map(|row| {
             Json::obj([
                 ("job", Json::str(row.job.clone())),

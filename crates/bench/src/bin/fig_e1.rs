@@ -1,7 +1,7 @@
 //! Fig. E1 — QoS: throughput stability under provider degradation, with and
 //! without behaviour-model feedback (Section IV.E).
 
-use blobseer_bench::{emit, fig_e1_qos_stability, Json};
+use blobseer_bench::{emit, fig_e1_qos_stability, Clock, Json};
 
 fn main() {
     println!("Fig. E1 — windowed write throughput while 8 of 32 providers degrade 12x\n");
@@ -28,6 +28,7 @@ fn main() {
     };
     emit(
         "fig_e1",
+        Clock::Sim,
         Json::obj([
             ("without_feedback", stability_json(&without)),
             ("with_feedback", stability_json(&with)),

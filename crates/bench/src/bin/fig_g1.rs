@@ -25,7 +25,7 @@
 //!   a retained version returns the same bytes before and after a
 //!   flatten + GC pass.
 
-use blobseer_bench::{emit, Json};
+use blobseer_bench::{emit, Clock, Json};
 use blobseer_core::Cluster;
 use blobseer_types::{BlobConfig, ClusterConfig, Version};
 
@@ -210,6 +210,7 @@ fn main() {
 
     emit(
         "fig_g1",
+        Clock::Counts,
         Json::arr(arms.iter().map(|a| {
             Json::obj([
                 ("name", Json::str(a.name)),

@@ -2,7 +2,7 @@
 //! in-process service boundary, wall-clock on real clusters.
 
 use blobseer_bench::fig_n1_transport_overhead;
-use blobseer_bench::{emit, series_list_json};
+use blobseer_bench::{emit, series_list_json, Clock};
 use blobseer_sim::format_table;
 
 fn main() {
@@ -24,5 +24,5 @@ fn main() {
          in-process — the zero-copy framed protocol pays per-frame overhead,\n\
          visible in bytes_on_wire, not per-byte copies."
     );
-    emit("fig_n1", series_list_json(&series));
+    emit("fig_n1", Clock::Wall, series_list_json(&series));
 }

@@ -10,7 +10,7 @@
 //!   this request-dominated workload.
 
 use blobseer_bench::fig_n2_connection_scaling;
-use blobseer_bench::{emit, series_list_json};
+use blobseer_bench::{emit, series_list_json, Clock};
 use blobseer_sim::format_table;
 
 fn main() {
@@ -43,5 +43,5 @@ fn main() {
         outcome.in_process_mibps
     );
     println!("\nscaling assertions passed.");
-    emit("fig_n2", series_list_json(&outcome.series));
+    emit("fig_n2", Clock::Wall, series_list_json(&outcome.series));
 }

@@ -20,7 +20,7 @@
 //!   (`payload_bytes_copied == 0`): chunks are served as refcounted views
 //!   of the recovered segment buffers, never re-materialised.
 
-use blobseer_bench::{emit, Json};
+use blobseer_bench::{emit, Clock, Json};
 use blobseer_core::Cluster;
 use blobseer_types::{BlobConfig, ClusterConfig, Durability};
 use std::time::Instant;
@@ -175,6 +175,7 @@ fn main() {
 
     emit(
         "fig_r1",
+        Clock::Wall,
         Json::arr(arms.iter().map(|a| {
             Json::obj([
                 ("appends", Json::num(a.appends as f64)),

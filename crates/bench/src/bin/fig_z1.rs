@@ -11,7 +11,7 @@
 //! * the incompressible/fast arm ships verbatim: wire identical to the off
 //!   arm, zero chunks compressed, zero client-side payload copies.
 
-use blobseer_bench::{emit, fig_z1_compression, Json};
+use blobseer_bench::{emit, fig_z1_compression, Clock, Json};
 
 fn main() {
     let (clients, ops, op_mib) = (4, 2, 2);
@@ -71,6 +71,7 @@ fn main() {
 
     emit(
         "fig_z1",
+        Clock::Wall,
         Json::arr(arms.iter().map(|a| {
             Json::obj([
                 ("name", Json::str(a.name.clone())),

@@ -1,7 +1,7 @@
 //! Tab. E2 — replication overhead and read availability under failures
 //! (Sections IV.E and V).
 
-use blobseer_bench::{emit, tab_e2_replication, Json};
+use blobseer_bench::{emit, tab_e2_replication, Clock, Json};
 
 fn main() {
     println!("Tab. E2 — replication factor vs write throughput and read availability\n");
@@ -21,6 +21,7 @@ fn main() {
     println!("\nExpected shape: each extra replica costs write bandwidth but masks failures.");
     emit(
         "tab_e2",
+        Clock::Sim,
         Json::arr(rows.iter().map(|row| {
             Json::obj([
                 ("replication", Json::num(row.replication as f64)),

@@ -152,14 +152,40 @@ pub fn series_list_json(series: &[SweepSeries]) -> Json {
     Json::arr(series.iter().map(series_json))
 }
 
-/// Writes `{"figure": <figure>, "data": <data>}` to `BENCH_<figure>.json`
-/// (in `BLOBSEER_BENCH_DIR` or the current directory) and reports the path
-/// on stdout. Set `BLOBSEER_BENCH_JSON=0` to skip.
-pub fn emit(figure: &str, data: Json) {
+/// Which clock a figure's numbers are on (README "Which clock each number
+/// is on"); numbers on different clocks never compare.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Clock {
+    /// Measured elapsed time of the real code on the host (`"wall"`).
+    Wall,
+    /// Virtual time of the `blobseer-sim` hardware model (`"sim"`).
+    Sim,
+    /// Exact, machine-independent counts; no time at all (`"none"`).
+    Counts,
+}
+
+impl Clock {
+    fn tag(self) -> &'static str {
+        match self {
+            Clock::Wall => "wall",
+            Clock::Sim => "sim",
+            Clock::Counts => "none",
+        }
+    }
+}
+
+/// Writes `{"figure": <figure>, "clock": <clock>, "data": <data>}` to
+/// `BENCH_<figure>.json` (in `BLOBSEER_BENCH_DIR` or the current directory)
+/// and reports the path on stdout. Set `BLOBSEER_BENCH_JSON=0` to skip.
+pub fn emit(figure: &str, clock: Clock, data: Json) {
     if std::env::var("BLOBSEER_BENCH_JSON").as_deref() == Ok("0") {
         return;
     }
-    let record = Json::obj([("figure", Json::str(figure)), ("data", data)]);
+    let record = Json::obj([
+        ("figure", Json::str(figure)),
+        ("clock", Json::str(clock.tag())),
+        ("data", data),
+    ]);
     let dir = std::env::var("BLOBSEER_BENCH_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|_| PathBuf::from("."));
@@ -208,10 +234,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("blobseer-json-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::env::set_var("BLOBSEER_BENCH_DIR", &dir);
-        emit("test_figure", Json::num(1.0));
+        emit("test_figure", Clock::Sim, Json::num(1.0));
         std::env::remove_var("BLOBSEER_BENCH_DIR");
         let written = std::fs::read_to_string(dir.join("BENCH_test_figure.json")).unwrap();
-        assert_eq!(written.trim(), "{\"figure\":\"test_figure\",\"data\":1}");
+        assert_eq!(
+            written.trim(),
+            "{\"figure\":\"test_figure\",\"clock\":\"sim\",\"data\":1}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -11,4 +11,4 @@ pub mod experiments;
 pub mod json;
 
 pub use experiments::*;
-pub use json::{emit, series_json, series_list_json, Json};
+pub use json::{emit, series_json, series_list_json, Clock, Json};

@@ -3,29 +3,31 @@
 //!
 //! One provider owns one directory of `seg-NNNNNN.log` files. Every sealed
 //! [`ChunkEnvelope`] is appended verbatim as one CRC-framed record
-//! ([`crate::frame`]); an in-memory index maps chunk ids to record
-//! locations. Removals append *tombstone* records — the log itself is never
-//! rewritten in place — and [`SegmentStore::compact`] folds tombstoned and
-//! superseded bytes away by rewriting survivors into the active segment.
+//! ([`crate::frame`]); an in-memory index maps chunk ids to slots. Removals
+//! append *tombstone* records — the log itself is never rewritten in place
+//! — and [`SegmentStore::compact`] folds tombstoned and superseded bytes
+//! away by rewriting survivors into the active segment.
 //!
-//! Reads are zero-copy in the spirit of the `OwnedArchivedVersionChanges`
-//! pattern: a recovered or sealed segment is held as one refcounted
-//! [`Bytes`] buffer and every read hands out `buf.slice(..)` views of it —
-//! the payload is never memcpy'd, so aligned reads keep the client's
-//! `payload_bytes_copied == 0` even after a cold restart. Each mapped read
-//! re-verifies the record CRC; a mismatch surfaces as the retryable
-//! [`BlobError::Transport`] so readers rotate to another replica instead of
-//! consuming silent corruption.
+//! A record's CRC is computed once, when it is appended, and checked once,
+//! when recovery scans it; reads never re-check it. Every slot owns its
+//! envelope: the one it arrived as for records appended this run, and for
+//! recovered records a zero-copy slice of the segment's recovered buffer
+//! (in the spirit of the `OwnedArchivedVersionChanges` pattern), so aligned
+//! reads keep the client's `payload_bytes_copied == 0` even after a cold
+//! restart. A record whose CRC failed at recovery stays addressable, and
+//! every read of it fails with the retryable [`BlobError::Transport`] so
+//! readers rotate to another replica instead of consuming silent
+//! corruption. Sealing a segment is an fsync and a roll to the next file:
+//! nothing is read back.
 
-use crate::frame::{frame_record, record_crc, scan, RECORD_HEADER_BYTES};
+use crate::frame::{frame_parts, frame_record, scan, LogTail, RECORD_HEADER_BYTES};
 use blobseer_provider::ChunkStore;
 use blobseer_types::wire::{encode, WireReader};
 use blobseer_types::{BlobError, ChunkEnvelope, ChunkId, Durability, EnvelopeHeader, Result};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::collections::{BTreeMap, HashMap};
+use std::fs::OpenOptions;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -38,6 +40,8 @@ const CHUNK_ID_BYTES: usize = 24;
 /// Wire size of an `EnvelopeHeader` (encoding tag + logical len + physical
 /// len).
 const ENVELOPE_HEADER_BYTES: usize = 13;
+/// Bytes of a chunk record that are not payload.
+const CHUNK_RECORD_OVERHEAD: usize = RECORD_HEADER_BYTES + CHUNK_ID_BYTES + ENVELOPE_HEADER_BYTES;
 
 /// Tuning knobs of a [`SegmentStore`].
 #[derive(Debug, Clone, Copy)]
@@ -74,32 +78,79 @@ pub struct SegmentRecovery {
     pub segments: u64,
 }
 
-/// Where one chunk's record lives.
-#[derive(Debug, Clone)]
+/// One indexed chunk.
 struct Slot {
+    /// Segment holding the record.
     seg: u64,
-    /// Record span within the segment file (framing included).
-    start: u64,
-    end: u64,
-    header: EnvelopeHeader,
-    crc: u32,
-    /// Envelope as written this process run; `None` once the segment sealed
-    /// (or for recovered records), in which case reads map the segment
-    /// buffer.
-    resident: Option<ChunkEnvelope>,
+    /// Record length on disk, framing included.
+    len: u64,
+    /// The chunk as appended this run, or a slice of its recovered segment;
+    /// `None` when recovery found the record's CRC failing.
+    envelope: Option<ChunkEnvelope>,
 }
 
+impl Slot {
+    fn physical_len(&self) -> u64 {
+        self.len - CHUNK_RECORD_OVERHEAD as u64
+    }
+}
+
+/// One segment file's length and the bytes of it live slots cover.
+#[derive(Debug, Clone, Copy, Default)]
+struct Usage {
+    len: u64,
+    live: u64,
+}
+
+#[derive(Default)]
 struct Index {
     slots: HashMap<ChunkId, Slot>,
-    /// Sealed (and recovered-prefix) segment buffers, one refcounted
-    /// allocation per segment.
-    buffers: HashMap<u64, Bytes>,
+    /// Every segment file, oldest first; the last is the active one.
+    segments: BTreeMap<u64, Usage>,
+    /// Physical payload bytes of every indexed chunk.
+    physical: u64,
+}
+
+impl Index {
+    /// Indexes `id` at a `len`-byte record in `seg`, replacing (and
+    /// un-counting) any earlier slot of the same chunk.
+    fn insert(&mut self, id: ChunkId, seg: u64, len: u64, envelope: Option<ChunkEnvelope>) {
+        let slot = Slot { seg, len, envelope };
+        self.segments.entry(seg).or_default().live += len;
+        self.physical += slot.physical_len();
+        if let Some(old) = self.slots.insert(id, slot) {
+            self.forget(&old);
+        }
+    }
+
+    /// Drops `id`'s slot, returning the physical bytes it held.
+    fn remove(&mut self, id: &ChunkId) -> Option<u64> {
+        let old = self.slots.remove(id)?;
+        self.forget(&old);
+        Some(old.physical_len())
+    }
+
+    fn forget(&mut self, slot: &Slot) {
+        if let Some(usage) = self.segments.get_mut(&slot.seg) {
+            usage.live -= slot.len;
+        }
+        self.physical -= slot.physical_len();
+    }
+
+    /// Every segment but the active one, which is always the newest.
+    fn sealed(&self) -> impl Iterator<Item = (u64, Usage)> + '_ {
+        let active = self.segments.keys().next_back().copied().unwrap_or(0);
+        self.segments
+            .range(..active)
+            .map(|(&seg, &usage)| (seg, usage))
+    }
 }
 
 struct Active {
     seg: u64,
-    file: File,
-    len: u64,
+    tail: LogTail,
+    /// Bytes appended since open, across every segment.
+    appended: u64,
 }
 
 /// The log-structured durable chunk store.
@@ -108,7 +159,10 @@ pub struct SegmentStore {
     opts: SegmentStoreOptions,
     active: Mutex<Active>,
     index: RwLock<Index>,
-    bytes: AtomicU64,
+    /// How much of [`Active::appended`] a completed fsync covers. Raised
+    /// (`AcqRel`) only after the fsync returns; a `sync` that reads
+    /// (`Acquire`) a value covering its bytes may skip its own.
+    synced: AtomicU64,
     recovery: SegmentRecovery,
 }
 
@@ -123,12 +177,10 @@ fn segment_number(path: &Path) -> Option<u64> {
 }
 
 fn chunk_record(id: &ChunkId, data: &ChunkEnvelope) -> Vec<u8> {
-    let mut payload =
-        Vec::with_capacity(CHUNK_ID_BYTES + ENVELOPE_HEADER_BYTES + data.payload().len());
-    payload.extend_from_slice(&encode(id));
-    payload.extend_from_slice(&encode(&data.header()));
-    payload.extend_from_slice(data.payload());
-    frame_record(KIND_CHUNK, &payload)
+    frame_parts(
+        KIND_CHUNK,
+        &[&encode(id), &encode(&data.header()), data.payload()],
+    )
 }
 
 impl SegmentStore {
@@ -146,10 +198,8 @@ impl SegmentStore {
             seg_numbers.push(1);
         }
 
-        let mut slots: HashMap<ChunkId, Slot> = HashMap::new();
-        let mut buffers = HashMap::new();
+        let mut index = Index::default();
         let mut recovery = SegmentRecovery::default();
-        let last_seg = *seg_numbers.last().unwrap();
         for &seg in &seg_numbers {
             let path = segment_path(&dir, seg);
             let raw = match std::fs::read(&path) {
@@ -172,6 +222,13 @@ impl SegmentStore {
             }
             recovery.truncated_bytes += (raw.len() - cut) as u64;
             let buf = Bytes::from(raw).slice(0..cut);
+            index.segments.insert(
+                seg,
+                Usage {
+                    len: cut as u64,
+                    live: 0,
+                },
+            );
             for record in records {
                 let payload = &buf[record.payload.clone()];
                 match record.kind {
@@ -182,26 +239,19 @@ impl SegmentStore {
                             .and_then(|id| Ok((id, reader.get::<EnvelopeHeader>()?)));
                         match parsed {
                             Ok((id, header))
-                                if RECORD_HEADER_BYTES
-                                    + CHUNK_ID_BYTES
-                                    + ENVELOPE_HEADER_BYTES
-                                    + header.physical_len as usize
+                                if CHUNK_RECORD_OVERHEAD + header.physical_len as usize
                                     == record.span.len() =>
                             {
-                                if !record.crc_ok {
+                                // The one CRC check this record ever gets.
+                                let body = record.span.start + CHUNK_RECORD_OVERHEAD;
+                                let envelope = record
+                                    .crc_ok
+                                    .then(|| header.into_envelope(buf.slice(body..record.span.end)))
+                                    .and_then(Result::ok);
+                                if envelope.is_none() {
                                     recovery.corrupt_records += 1;
                                 }
-                                slots.insert(
-                                    id,
-                                    Slot {
-                                        seg,
-                                        start: record.span.start as u64,
-                                        end: record.span.end as u64,
-                                        header,
-                                        crc: record.crc,
-                                        resident: None,
-                                    },
-                                );
+                                index.insert(id, seg, record.span.len() as u64, envelope);
                             }
                             // Undecodable chunk record: unreachable with a
                             // passing CRC, droppable garbage without one.
@@ -211,7 +261,7 @@ impl SegmentStore {
                     KIND_TOMBSTONE => {
                         if record.crc_ok {
                             if let Ok(id) = blobseer_types::wire::decode::<ChunkId>(payload) {
-                                slots.remove(&id);
+                                index.remove(&id);
                                 continue;
                             }
                         }
@@ -222,9 +272,6 @@ impl SegmentStore {
                     }
                     _ => recovery.corrupt_records += 1,
                 }
-            }
-            if !buf.is_empty() {
-                buffers.insert(seg, buf);
             }
             // Physically drop the torn tail so future appends extend a
             // well-framed file.
@@ -237,27 +284,23 @@ impl SegmentStore {
             recovery.segments += 1;
         }
 
-        let active_path = segment_path(&dir, last_seg);
+        let last_seg = *seg_numbers.last().unwrap();
         let file = OpenOptions::new()
             .create(true)
             .append(true)
-            .open(&active_path)?;
+            .open(segment_path(&dir, last_seg))?;
         let len = file.metadata()?.len();
-        let bytes = slots
-            .values()
-            .map(|slot| u64::from(slot.header.physical_len))
-            .sum();
-        recovery.recovered_chunks = slots.len() as u64;
+        recovery.recovered_chunks = index.slots.len() as u64;
         Ok(SegmentStore {
             dir,
             opts,
             active: Mutex::new(Active {
                 seg: last_seg,
-                file,
-                len,
+                tail: LogTail::new(file, len),
+                appended: 0,
             }),
-            index: RwLock::new(Index { slots, buffers }),
-            bytes: AtomicU64::new(bytes),
+            index: RwLock::new(index),
+            synced: AtomicU64::new(0),
             recovery,
         })
     }
@@ -277,41 +320,35 @@ impl SegmentStore {
     /// Flushes the active segment to stable storage. The durable tier calls
     /// this from its commit hook under [`Durability::Commit`], *before* the
     /// WAL commit record is written — the write-ahead ordering that makes
-    /// publication atomic.
+    /// publication atomic. The fsync runs outside the append lock, so
+    /// appends keep flowing during it, and is skipped when an earlier one
+    /// already covers every appended byte.
     pub fn sync(&self) -> Result<()> {
-        self.active.lock().file.sync_data()?;
+        let (file, appended) = {
+            let active = self.active.lock();
+            (active.tail.handle()?, active.appended)
+        };
+        if self.synced.load(Ordering::Acquire) < appended {
+            file.sync_data()?;
+            self.synced.fetch_max(appended, Ordering::AcqRel);
+        }
         Ok(())
     }
 
     /// Number of segment files currently on disk.
     #[must_use]
     pub fn segment_count(&self) -> usize {
-        let active_seg = self.active.lock().seg;
-        let sealed = self
-            .index
-            .read()
-            .buffers
-            .keys()
-            .filter(|&&seg| seg != active_seg)
-            .count();
-        sealed + 1
+        self.index.read().segments.len()
     }
 
     /// Bytes that a [`SegmentStore::compact`] pass could reclaim: everything
     /// in sealed segments not covered by a live record.
     #[must_use]
     pub fn reclaimable_bytes(&self) -> u64 {
-        let active_seg = self.active.lock().seg;
-        let index = self.index.read();
-        let mut live: HashMap<u64, u64> = HashMap::new();
-        for slot in index.slots.values() {
-            *live.entry(slot.seg).or_default() += slot.end - slot.start;
-        }
-        index
-            .buffers
-            .iter()
-            .filter(|(&seg, _)| seg != active_seg)
-            .map(|(seg, buf)| buf.len() as u64 - live.get(seg).copied().unwrap_or(0))
+        self.index
+            .read()
+            .sealed()
+            .map(|(_, usage)| usage.len - usage.live)
             .sum()
     }
 
@@ -321,21 +358,13 @@ impl SegmentStore {
     /// compaction victim, so its garbage does not count).
     #[must_use]
     pub fn dead_ratio(&self) -> f64 {
-        let active_seg = self.active.lock().seg;
-        let index = self.index.read();
-        let mut live: HashMap<u64, u64> = HashMap::new();
-        for slot in index.slots.values() {
-            *live.entry(slot.seg).or_default() += slot.end - slot.start;
-        }
-        let (mut total, mut dead) = (0u64, 0u64);
-        for (&seg, buf) in index.buffers.iter() {
-            if seg == active_seg {
-                continue;
-            }
-            let len = buf.len() as u64;
-            total += len;
-            dead += len - live.get(&seg).copied().unwrap_or(0);
-        }
+        let (total, dead) = self
+            .index
+            .read()
+            .sealed()
+            .fold((0u64, 0u64), |(total, dead), (_, usage)| {
+                (total + usage.len, dead + usage.len - usage.live)
+            });
         if total == 0 {
             0.0
         } else {
@@ -349,157 +378,103 @@ impl SegmentStore {
     /// Corrupt records are dropped (they were unreadable anyway; replication
     /// and writer repair own redundancy).
     pub fn compact(&self) -> Result<(u64, u64)> {
-        let mut removed_segments = 0u64;
-        let mut reclaimed = 0u64;
         // Only segments sealed *before* this pass are victims. The rewrite
-        // below may roll the active segment, sealing fresh buffers full of
+        // below may roll the active segment, sealing fresh segments full of
         // survivors mid-flight; chasing those would copy the same records
         // forward forever.
-        let victims: Vec<u64> = {
-            let active_seg = self.active.lock().seg;
-            let mut sealed: Vec<u64> = self
-                .index
-                .read()
-                .buffers
-                .keys()
-                .copied()
-                .filter(|&seg| seg != active_seg)
-                .collect();
-            sealed.sort_unstable();
-            sealed
+        let Some((last, _)) = self.index.read().sealed().last() else {
+            return Ok((0, 0));
         };
-        for victim in victims {
-            if !self.index.read().buffers.contains_key(&victim) {
-                continue;
-            }
-            let (buf, survivors) = {
-                let index = self.index.read();
-                let buf = index.buffers[&victim].clone();
-                let survivors: Vec<(ChunkId, Slot)> = index
-                    .slots
-                    .iter()
-                    .filter(|(_, slot)| slot.seg == victim)
-                    .map(|(id, slot)| (*id, slot.clone()))
-                    .collect();
-                (buf, survivors)
-            };
-            let mut live_bytes = 0u64;
-            for (id, slot) in survivors {
-                live_bytes += slot.end - slot.start;
-                match self.mapped_envelope(&buf, &slot) {
-                    Ok(envelope) => {
-                        self.append_chunk(&id, &envelope)?;
-                    }
-                    Err(_) => {
-                        // Unreadable at rest: dropping it here converts a
-                        // permanent read error into a clean miss replicas
-                        // can answer.
-                        self.index.write().slots.remove(&id);
-                        self.bytes
-                            .fetch_sub(u64::from(slot.header.physical_len), Ordering::Relaxed);
-                    }
-                }
-            }
-            self.index.write().buffers.remove(&victim);
-            let path = segment_path(&self.dir, victim);
-            let file_len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-            std::fs::remove_file(&path)?;
-            removed_segments += 1;
-            reclaimed += file_len.saturating_sub(live_bytes);
+        let survivors: Vec<ChunkId> = self
+            .index
+            .read()
+            .slots
+            .iter()
+            .filter(|(_, slot)| slot.seg <= last)
+            .map(|(id, _)| *id)
+            .collect();
+        let mut rewritten = 0u64;
+        for id in &survivors {
+            rewritten += self.relocate(id, last)?;
         }
-        Ok((removed_segments, reclaimed))
-    }
-
-    /// Builds a zero-copy envelope out of a mapped record, re-verifying its
-    /// CRC against the buffer contents.
-    fn mapped_envelope(&self, buf: &Bytes, slot: &Slot) -> Result<ChunkEnvelope> {
-        let start = slot.start as usize;
-        let end = slot.end as usize;
-        if end > buf.len() {
-            return Err(BlobError::Internal(format!(
-                "segment record {start}..{end} is beyond the {}-byte buffer",
-                buf.len()
-            )));
-        }
-        let body = &buf[start + RECORD_HEADER_BYTES..end];
-        if record_crc(KIND_CHUNK, body) != slot.crc {
-            return Err(BlobError::Transport(format!(
-                "chunk record CRC mismatch at segment {} offset {start} (at-rest corruption)",
-                slot.seg
-            )));
-        }
-        let payload_start = start + RECORD_HEADER_BYTES + CHUNK_ID_BYTES + ENVELOPE_HEADER_BYTES;
-        slot.header.into_envelope(buf.slice(payload_start..end))
-    }
-
-    /// Appends one chunk record to the active segment and indexes it,
-    /// sealing the segment first if it is over budget. The caller has
-    /// already resolved immutability conflicts.
-    fn append_chunk(&self, id: &ChunkId, data: &ChunkEnvelope) -> Result<()> {
-        let record = chunk_record(id, data);
-        let slot = self.append_record(&record, |seg, start| Slot {
-            seg,
-            start,
-            end: start + record.len() as u64,
-            header: data.header(),
-            crc: record_crc(KIND_CHUNK, &record[RECORD_HEADER_BYTES..]),
-            resident: Some(data.clone()),
-        })?;
-        let replaced = self.index.write().slots.insert(*id, slot);
-        let mut delta = data.physical_len();
-        if let Some(old) = replaced {
-            delta = delta.saturating_sub(u64::from(old.header.physical_len));
-        }
-        self.bytes.fetch_add(delta, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Appends a framed record, rolling the active segment when over
-    /// budget, and returns the slot built by `make_slot` from the record's
-    /// location.
-    fn append_record(
-        &self,
-        record: &[u8],
-        make_slot: impl FnOnce(u64, u64) -> Slot,
-    ) -> Result<Slot> {
-        let mut active = self.active.lock();
-        if active.len >= self.opts.segment_bytes && active.len > 0 {
-            self.seal_active(&mut active)?;
-        }
-        let start = active.len;
-        active.file.write_all(record)?;
-        if self.opts.durability == Durability::Always {
-            active.file.sync_data()?;
-        }
-        active.len += record.len() as u64;
-        Ok(make_slot(active.seg, start))
-    }
-
-    /// Seals the active segment: its full contents become one refcounted
-    /// buffer (resident envelopes are dropped — reads map the buffer from
-    /// now on) and a fresh segment file becomes the append target.
-    fn seal_active(&self, active: &mut Active) -> Result<()> {
-        active.file.flush()?;
-        active.file.sync_data()?;
-        let sealed_path = segment_path(&self.dir, active.seg);
-        let buf = Bytes::from(std::fs::read(&sealed_path)?);
-        {
+        // The rewritten survivors must be on disk before the files holding
+        // their only other copy go.
+        self.sync()?;
+        let victims = {
             let mut index = self.index.write();
-            index.buffers.insert(active.seg, buf);
-            for slot in index.slots.values_mut() {
-                if slot.seg == active.seg {
-                    slot.resident = None;
-                }
-            }
+            let newer = index.segments.split_off(&(last + 1));
+            std::mem::replace(&mut index.segments, newer)
+        };
+        let mut victim_bytes = 0u64;
+        for (&seg, usage) in &victims {
+            std::fs::remove_file(segment_path(&self.dir, seg))?;
+            victim_bytes += usage.len;
         }
+        Ok((victims.len() as u64, victim_bytes.saturating_sub(rewritten)))
+    }
+
+    /// Rewrites `id`'s record into the active segment if it still lives in
+    /// a segment no newer than `last`, and returns the bytes written. A
+    /// record recovery found corrupt is dropped instead: that turns a
+    /// permanent read error into a clean miss replicas can answer.
+    fn relocate(&self, id: &ChunkId, last: u64) -> Result<u64> {
+        // Checked under the append lock, so a concurrent remove or rewrite
+        // of the chunk wins.
+        let mut active = self.active.lock();
+        let envelope = match self.index.read().slots.get(id) {
+            Some(slot) if slot.seg <= last => slot.envelope.clone(),
+            _ => return Ok(0),
+        };
+        let Some(envelope) = envelope else {
+            self.index.write().remove(id);
+            return Ok(0);
+        };
+        let record = chunk_record(id, &envelope);
+        let len = record.len() as u64;
+        self.append_locked(&mut active, &record, |index, seg| {
+            index.insert(*id, seg, len, Some(envelope));
+        })?;
+        Ok(len)
+    }
+
+    /// Appends a framed record to the active segment and applies `update`
+    /// to the index under the same lock, so the index always agrees with
+    /// the log's order.
+    fn append<T>(&self, record: &[u8], update: impl FnOnce(&mut Index, u64) -> T) -> Result<T> {
+        self.append_locked(&mut self.active.lock(), record, update)
+    }
+
+    fn append_locked<T>(
+        &self,
+        active: &mut Active,
+        record: &[u8],
+        update: impl FnOnce(&mut Index, u64) -> T,
+    ) -> Result<T> {
+        if active.tail.len() >= self.opts.segment_bytes && active.tail.len() > 0 {
+            self.roll(active)?;
+        }
+        active
+            .tail
+            .append(record, self.opts.durability == Durability::Always)?;
+        active.appended += record.len() as u64;
+        let mut index = self.index.write();
+        index.segments.entry(active.seg).or_default().len += record.len() as u64;
+        Ok(update(&mut index, active.seg))
+    }
+
+    /// Seals the active segment — one fsync, nothing read back — and makes
+    /// a fresh segment file the append target.
+    fn roll(&self, active: &mut Active) -> Result<()> {
+        active.tail.handle()?.sync_data()?;
+        self.synced.fetch_max(active.appended, Ordering::AcqRel);
         let next = active.seg + 1;
         let file = OpenOptions::new()
             .create_new(true)
             .append(true)
             .open(segment_path(&self.dir, next))?;
+        self.index.write().segments.insert(next, Usage::default());
         active.seg = next;
-        active.file = file;
-        active.len = 0;
+        active.tail = LogTail::new(file, 0);
         Ok(())
     }
 }
@@ -517,7 +492,10 @@ impl ChunkStore for SegmentStore {
             // repairing a failed read land here.
             Ok(None) | Err(_) => {}
         }
-        self.append_chunk(&id, &data)
+        // Framed (and checksummed) outside the append lock.
+        let record = chunk_record(&id, &data);
+        let len = record.len() as u64;
+        self.append(&record, |index, seg| index.insert(id, seg, len, Some(data)))
     }
 
     fn get(&self, id: &ChunkId) -> Result<Option<ChunkEnvelope>> {
@@ -525,16 +503,14 @@ impl ChunkStore for SegmentStore {
         let Some(slot) = index.slots.get(id) else {
             return Ok(None);
         };
-        if let Some(resident) = &slot.resident {
-            return Ok(Some(resident.clone()));
-        }
-        let Some(buf) = index.buffers.get(&slot.seg) else {
-            return Err(BlobError::Internal(format!(
-                "segment {} of {id} has no mapped buffer",
+        match &slot.envelope {
+            Some(envelope) => Ok(Some(envelope.clone())),
+            None => Err(BlobError::Transport(format!(
+                "chunk {id}: its record in segment {} failed its CRC at recovery \
+                 (at-rest corruption)",
                 slot.seg
-            )));
-        };
-        self.mapped_envelope(buf, slot).map(Some)
+            ))),
+        }
     }
 
     fn remove(&self, id: &ChunkId) -> Option<u64> {
@@ -545,23 +521,7 @@ impl ChunkStore for SegmentStore {
             return None;
         }
         let record = frame_record(KIND_TOMBSTONE, &encode(id));
-        self.append_record(&record, |seg, start| Slot {
-            seg,
-            start,
-            end: start + record.len() as u64,
-            header: EnvelopeHeader {
-                encoding: blobseer_types::ChunkEncoding::Verbatim,
-                logical_len: 0,
-                physical_len: 0,
-            },
-            crc: 0,
-            resident: None,
-        })
-        .ok()?;
-        let slot = self.index.write().slots.remove(id)?;
-        let freed = u64::from(slot.header.physical_len);
-        self.bytes.fetch_sub(freed, Ordering::Relaxed);
-        Some(freed)
+        self.append(&record, |index, _| index.remove(id)).ok()?
     }
 
     fn chunk_count(&self) -> usize {
@@ -569,14 +529,17 @@ impl ChunkStore for SegmentStore {
     }
 
     fn bytes_stored(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
+        self.index.read().physical
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::reference_crc32;
     use blobseer_types::BlobId;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -768,7 +731,7 @@ mod tests {
             store.put(cid(i), env(vec![i as u8; 300])).unwrap();
         }
         assert!(store.segment_count() >= 4);
-        // Sealed-segment reads still verify and return the right bytes.
+        // Sealed-segment reads still return the right bytes.
         for i in 0..8u64 {
             assert_eq!(
                 store.get(&cid(i)).unwrap().unwrap(),
@@ -786,5 +749,162 @@ mod tests {
         store.put(cid(0), env(vec![1u8; 16])).unwrap();
         assert!(store.put(cid(0), env(vec![2u8; 16])).is_err());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn records_keep_the_on_disk_format() {
+        let dir = temp_dir("golden");
+        // Long enough to fill several 16-byte CRC blocks with non-zero bytes.
+        let block = b"an lz block that spans four sixteen-byte slices of the CRC loop";
+        let sealed = ChunkEnvelope::compressed(4096, Bytes::from_static(block));
+        {
+            let store = SegmentStore::open(&dir, SegmentStoreOptions::default()).unwrap();
+            store.put(cid(9), sealed.clone()).unwrap();
+            assert_eq!(store.remove(&cid(9)), Some(block.len() as u64));
+        }
+        let id = encode(&cid(9)).to_vec();
+        let chunk_payload = [
+            id.clone(),
+            encode(&sealed.header()).to_vec(),
+            block.to_vec(),
+        ]
+        .concat();
+        let expected = [
+            frame_record(KIND_CHUNK, &chunk_payload),
+            frame_record(KIND_TOMBSTONE, &id),
+        ]
+        .concat();
+        assert_eq!(std::fs::read(segment_path(&dir, 1)).unwrap(), expected);
+        // The framing itself, built by hand with the bytewise reference
+        // CRC: what every earlier version of the store wrote, so existing
+        // segment directories still recover.
+        let by_hand = |kind: u8, payload: &[u8]| {
+            let crc = reference_crc32(&[&[kind][..], payload].concat());
+            [
+                &[crate::frame::RECORD_MAGIC, kind][..],
+                &(payload.len() as u32).to_le_bytes(),
+                &crc.to_le_bytes(),
+                payload,
+            ]
+            .concat()
+        };
+        assert_eq!(
+            expected,
+            [
+                by_hand(KIND_CHUNK, &chunk_payload),
+                by_hand(KIND_TOMBSTONE, &id)
+            ]
+            .concat()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The dead-record accounting recomputed from the files alone: replay
+    /// every segment in order, keep the last record of each chunk still
+    /// live, and count everything else in sealed segments (all but the
+    /// newest file) as dead. Returns `(dead, total)` sealed bytes.
+    fn dead_bytes_on_disk(dir: &Path, live: &HashMap<ChunkId, ChunkEnvelope>) -> (u64, u64) {
+        let mut segs: Vec<u64> = std::fs::read_dir(dir)
+            .unwrap()
+            .filter_map(|entry| segment_number(&entry.ok()?.path()))
+            .collect();
+        segs.sort_unstable();
+        let active = *segs.last().unwrap();
+        let mut latest: HashMap<ChunkId, (u64, u64)> = HashMap::new();
+        let mut total = 0u64;
+        for &seg in &segs {
+            let raw = std::fs::read(segment_path(dir, seg)).unwrap();
+            let outcome = scan(&raw);
+            assert_eq!(outcome.valid_len, raw.len(), "segment {seg} is torn");
+            for record in outcome.records {
+                let id: ChunkId = WireReader::new(&raw[record.payload.clone()]).get().unwrap();
+                if record.kind == KIND_CHUNK {
+                    latest.insert(id, (seg, record.span.len() as u64));
+                } else {
+                    latest.remove(&id);
+                }
+            }
+            if seg != active {
+                total += raw.len() as u64;
+            }
+        }
+        let mut on_disk: Vec<ChunkId> = latest.keys().copied().collect();
+        let mut in_model: Vec<ChunkId> = live.keys().copied().collect();
+        on_disk.sort_unstable_by_key(|id| id.slot);
+        in_model.sort_unstable_by_key(|id| id.slot);
+        assert_eq!(on_disk, in_model, "the files replay to the model's chunks");
+        let live_sealed: u64 = latest
+            .values()
+            .filter(|(seg, _)| *seg != active)
+            .map(|(_, len)| len)
+            .sum();
+        (total - live_sealed, total)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn store_matches_a_hashmap_model_across_seals_compaction_and_reopen(
+            ops in collection::vec((0u8..12, 0u64..10, 1usize..300), 1..80),
+        ) {
+            let dir = temp_dir("model");
+            // Tiny segments: most appends seal one.
+            let opts = SegmentStoreOptions {
+                segment_bytes: 512,
+                ..SegmentStoreOptions::default()
+            };
+            let mut store = SegmentStore::open(&dir, opts).unwrap();
+            let mut model: HashMap<ChunkId, ChunkEnvelope> = HashMap::new();
+            for (op, slot, len) in ops {
+                let id = cid(slot);
+                match op {
+                    0..=5 => {
+                        let payload = Bytes::from(vec![slot as u8 ^ len as u8; len]);
+                        let data = if len % 3 == 0 {
+                            ChunkEnvelope::compressed(4 * len as u64, payload)
+                        } else {
+                            ChunkEnvelope::verbatim(payload)
+                        };
+                        match model.get(&id) {
+                            Some(held) if *held != data => {
+                                prop_assert!(store.put(id, data).is_err(), "chunks are immutable");
+                            }
+                            _ => {
+                                store.put(id, data.clone()).unwrap();
+                                model.insert(id, data);
+                            }
+                        }
+                    }
+                    6..=8 => {
+                        let freed = model.remove(&id).map(|data| data.physical_len());
+                        prop_assert_eq!(store.remove(&id), freed);
+                    }
+                    9 => {
+                        store.compact().unwrap();
+                    }
+                    _ => {
+                        drop(store);
+                        store = SegmentStore::open(&dir, opts).unwrap();
+                        prop_assert_eq!(store.recovery().truncated_bytes, 0);
+                        prop_assert_eq!(store.recovery().corrupt_records, 0);
+                        prop_assert_eq!(store.recovery().recovered_chunks, model.len() as u64);
+                    }
+                }
+                for slot in 0..10 {
+                    prop_assert_eq!(store.get(&cid(slot)).unwrap(), model.get(&cid(slot)).cloned());
+                }
+                prop_assert_eq!(store.chunk_count(), model.len());
+                prop_assert_eq!(
+                    store.bytes_stored(),
+                    model.values().map(ChunkEnvelope::physical_len).sum::<u64>()
+                );
+                let (dead, total) = dead_bytes_on_disk(&dir, &model);
+                prop_assert_eq!(store.reclaimable_bytes(), dead);
+                let ratio = if total == 0 { 0.0 } else { dead as f64 / total as f64 };
+                prop_assert_eq!(store.dead_ratio(), ratio);
+            }
+            drop(store);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

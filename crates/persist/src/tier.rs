@@ -15,6 +15,7 @@
 //! under [`Durability::Commit`] it fsyncs every provider's segment store
 //! *before* appending (and fsyncing) the WAL commit record, so a commit
 //! record on disk proves the chunks and nodes it names are on disk too.
+//! A store no append touched since its last fsync skips the call.
 
 use crate::segment::{SegmentStore, SegmentStoreOptions};
 use crate::wal::{Journal, MetaWal, RecoveredMetadata, RecoveryStats};

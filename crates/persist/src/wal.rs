@@ -14,7 +14,7 @@
 //! (blobs, surviving nodes, commit prefix) via write-to-temp + fsync +
 //! rename, so the log does not grow with history forever.
 
-use crate::frame::{frame_record, scan};
+use crate::frame::{frame_record, scan, LogTail};
 use blobseer_meta::{MetadataStore, NodeBody, NodeKey, SnapshotDescriptor};
 use blobseer_types::wire::{WireReader, WireWriter};
 use blobseer_types::{BlobConfig, BlobError, BlobId, ChunkCodec, Durability, Result, Version};
@@ -159,15 +159,11 @@ impl Default for ReplayBlob {
     }
 }
 
-struct WalFile {
-    file: File,
-}
-
 /// The append-only metadata log.
 pub struct MetaWal {
     path: PathBuf,
     durability: Durability,
-    inner: Mutex<WalFile>,
+    inner: Mutex<LogTail>,
     records_since_checkpoint: AtomicU64,
     bytes_since_checkpoint: AtomicU64,
     checkpoints: AtomicU64,
@@ -230,7 +226,7 @@ impl MetaWal {
             MetaWal {
                 path,
                 durability,
-                inner: Mutex::new(WalFile { file }),
+                inner: Mutex::new(LogTail::new(file, cut as u64)),
                 records_since_checkpoint: AtomicU64::new(replayed),
                 // Seed with the surviving log length: a reopened WAL that is
                 // already huge is as checkpoint-due as one that grew huge.
@@ -380,7 +376,7 @@ impl MetaWal {
         let inner = self.inner.lock();
         self.sealed.store(true, Ordering::SeqCst);
         if self.durability != Durability::Buffered {
-            let _ = inner.file.sync_data();
+            let _ = inner.handle().map(|file| file.sync_data());
         }
     }
 
@@ -404,10 +400,7 @@ impl MetaWal {
                 "metadata WAL is sealed (shutting down)".into(),
             ));
         }
-        inner.file.write_all(&record)?;
-        if sync && self.durability != Durability::Buffered {
-            inner.file.sync_data()?;
-        }
+        inner.append(&record, sync && self.durability != Durability::Buffered)?;
         drop(inner);
         self.records_since_checkpoint
             .fetch_add(1, Ordering::Relaxed);
@@ -533,15 +526,21 @@ impl MetaWal {
                 "metadata WAL is sealed (shutting down)".into(),
             ));
         }
+        // A log a failed append left torn stays failed: no checkpoint
+        // quietly brings it back.
+        inner.handle()?;
         {
             let mut tmp = File::create(&tmp_path)?;
             tmp.write_all(&image)?;
             tmp.sync_all()?;
         }
         std::fs::rename(&tmp_path, &self.path)?;
-        inner.file = OpenOptions::new().append(true).open(&self.path)?;
+        *inner = LogTail::new(
+            OpenOptions::new().append(true).open(&self.path)?,
+            image.len() as u64,
+        );
         if self.durability != Durability::Buffered {
-            inner.file.sync_data()?;
+            inner.handle()?.sync_data()?;
         }
         drop(inner);
         self.records_since_checkpoint.store(0, Ordering::Relaxed);
