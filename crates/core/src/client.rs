@@ -16,10 +16,11 @@
 //!
 //! Both hot paths are *pipelined*: the data and metadata planes proceed in
 //! parallel. A read submits chunk fetches to the transfer scheduler level by
-//! level while the segment-tree descent is still batching deeper levels; a
-//! write submits each chunk store the moment its payload is assembled and
-//! weaves the write's metadata while those transfers are on the wire,
-//! joining the completions only right before publication.
+//! level — one request train per provider, shipped as one `get_chunks` —
+//! while the segment-tree descent is still batching deeper levels; a write
+//! submits each provider's chunk stores as one `put_chunks` group and weaves
+//! the write's metadata while those transfers are on the wire, joining the
+//! completions only right before publication.
 //!
 //! The data plane is *zero-copy* end to end: payloads enter as [`Bytes`]
 //! (`impl Into<Bytes>` on [`BlobClient::write`]/[`BlobClient::append`]), a
@@ -59,6 +60,13 @@ use std::sync::Arc;
 /// Pipeline depth clients default to when built directly through
 /// [`BlobClient::new`] (clusters pass their configured depth instead).
 const DEFAULT_PIPELINE_DEPTH: usize = 4;
+
+/// A chunk a read still has to fetch: its slot range, its leaf and the
+/// start of its rotated replica probe.
+type PlannedFetch = (ByteRange, LeafNode, usize);
+
+/// A chunk a read holds: its slot range, its leaf and the opened payload.
+type FetchedChunk = (ByteRange, LeafNode, Bytes);
 
 /// Per-client operation counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -383,11 +391,21 @@ impl BlobClient {
         len: u64,
     ) -> Result<BlobSlice> {
         let (snapshot, _pin) = self.pinned_snapshot(blob, version)?;
-        let range = ByteRange::new(offset, len);
+        self.read_pinned(blob, &snapshot, ByteRange::new(offset, len))
+    }
+
+    /// Reads `range` of an already pinned snapshot (the caller holds the
+    /// pin for the duration).
+    fn read_pinned(
+        &self,
+        blob: BlobId,
+        snapshot: &SnapshotDescriptor,
+        range: ByteRange,
+    ) -> Result<BlobSlice> {
         if range.is_empty() {
             return Ok(BlobSlice::empty());
         }
-        let fetched = self.fetch_chunks_pipelined(blob, &snapshot, range)?;
+        let fetched = self.fetch_chunks_pipelined(blob, snapshot, range)?;
         let mut segments = Vec::with_capacity(fetched.len());
         for (slot_range, leaf, data) in fetched {
             let valid = ByteRange::new(slot_range.offset, leaf.len.min(data.len() as u64));
@@ -406,16 +424,18 @@ impl BlobClient {
         // that reaches here; the clamp pins that invariant down so the
         // counter stays honest if short reads (POSIX-style clamping at EOF)
         // are ever allowed instead of rejected.
-        let served = len.min(snapshot.size.saturating_sub(offset));
-        debug_assert_eq!(served, len, "out-of-bounds reads are rejected");
+        let served = range.len.min(snapshot.size.saturating_sub(range.offset));
+        debug_assert_eq!(served, range.len, "out-of-bounds reads are rejected");
         self.stats.bytes_read.fetch_add(served, Ordering::Relaxed);
-        Ok(BlobSlice::new(len, segments))
+        Ok(BlobSlice::new(range.len, segments))
     }
 
-    /// Reads an entire snapshot as a scatter-gather [`BlobSlice`].
+    /// Reads an entire snapshot as a scatter-gather [`BlobSlice`]. The
+    /// version is resolved and pinned once, and the read covers exactly that
+    /// snapshot's size — a write published meanwhile cannot mix in.
     pub fn read_all_bytes(&self, blob: BlobId, version: Option<Version>) -> Result<BlobSlice> {
-        let size = self.size(blob, version)?;
-        self.read_bytes(blob, version, 0, size)
+        let (snapshot, _pin) = self.pinned_snapshot(blob, version)?;
+        self.read_pinned(blob, &snapshot, ByteRange::new(0, snapshot.size))
     }
 
     /// Reads `len` bytes starting at `offset` from the given snapshot
@@ -434,8 +454,7 @@ impl BlobClient {
 
     /// Reads an entire snapshot (`None` means the latest published one).
     pub fn read_all(&self, blob: BlobId, version: Option<Version>) -> Result<Vec<u8>> {
-        let size = self.size(blob, version)?;
-        self.read(blob, version, 0, size)
+        Ok(self.read_all_bytes(blob, version)?.to_vec())
     }
 
     /// Returns, for every chunk slot intersecting `range` in the given
@@ -970,87 +989,131 @@ impl BlobClient {
         Ok(data)
     }
 
-    /// Submits the fetch of one chunk to the transfer scheduler, tagged with
-    /// the replica the rotated probe order tries first.
-    ///
-    /// The chunk cache is consulted *before* anything reaches the scheduler:
-    /// a hit returns an already-fulfilled completion holding the cached
-    /// [`Bytes`] itself — no round-trip, no queueing, no copy. Misses fetch
-    /// on a pool worker and fill the cache on the way back.
-    fn submit_fetch(
+    /// Splits one tree level's leaves into request trains. The chunk cache
+    /// is consulted first: a hit lands straight in `hits` — no round-trip,
+    /// no queueing, no copy, no admission permit. Each miss takes the next
+    /// rotated replica-probe start from `next_start` (so rotation stays per
+    /// chunk) and joins the train of the replica that start tries first.
+    /// Trains keep first-seen order and hold at most `cap` chunks. A leaf
+    /// naming no replica at all cannot be fetched and fails the read
+    /// through `fetch_err`.
+    fn plan_trains(
         &self,
-        slot_range: ByteRange,
-        leaf: LeafNode,
-        start: usize,
-    ) -> Completion<Result<(ByteRange, LeafNode, Bytes)>> {
-        if let Some(cache) = &self.chunk_cache {
-            if let Some(data) = cache.get(&leaf.chunk) {
-                self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Completion::ready(Ok((slot_range, leaf, data)));
+        level: &[blobseer_meta::LeafMapping],
+        next_start: &mut usize,
+        cap: usize,
+        hits: &mut Vec<FetchedChunk>,
+        fetch_err: &mut Option<BlobError>,
+    ) -> Vec<(ProviderId, Vec<PlannedFetch>)> {
+        let mut trains: Vec<(ProviderId, Vec<PlannedFetch>)> = Vec::new();
+        for mapping in level {
+            let Some(leaf) = mapping.leaf.clone() else {
+                continue; // hole: reads back as zeros
+            };
+            if let Some(cache) = &self.chunk_cache {
+                if let Some(data) = cache.get(&leaf.chunk) {
+                    self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    hits.push((mapping.slot_range, leaf, data));
+                    continue;
+                }
+                self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
             }
-            self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
+            let start = *next_start;
+            *next_start = start.wrapping_add(1);
+            let Some(&first) = leaf.providers.get(start % leaf.providers.len().max(1)) else {
+                *fetch_err = fetch_err
+                    .take()
+                    .or(Some(BlobError::ChunkNotFound(leaf.chunk, ProviderId(0))));
+                continue;
+            };
+            let fetch = (mapping.slot_range, leaf, start);
+            match trains
+                .iter_mut()
+                .find(|(pid, train)| *pid == first && train.len() < cap)
+            {
+                Some((_, train)) => train.push(fetch),
+                None => trains.push((first, vec![fetch])),
+            }
         }
+        trains
+    }
+
+    /// Submits one request train — every chunk of a level whose rotated
+    /// probe tries `provider` first — as one transfer-scheduler task, with
+    /// one admission permit and one in-flight tag, exactly as
+    /// [`BlobClient::submit_store_group`] does per store group. The task
+    /// fetches the whole train with one `get_chunks` (one flush of frames on
+    /// a networked transport); a chunk the train could not deliver — the
+    /// provider failed, lacks it, or sent an envelope that will not open —
+    /// probes its remaining replicas alone, in the same rotated order a
+    /// lone fetch would. Fetched chunks fill the cache on the way back.
+    fn submit_train(
+        &self,
+        provider: ProviderId,
+        train: Vec<PlannedFetch>,
+    ) -> Completion<Result<Vec<FetchedChunk>>> {
         let service = Arc::clone(&self.chunks);
         let cache = self.chunk_cache.clone();
         let stats = Arc::clone(&self.stats);
-        let tagged =
-            (!leaf.providers.is_empty()).then(|| leaf.providers[start % leaf.providers.len()]);
-        // Cache hits above never consume admission budget — they touch no
-        // provider. Only a real fetch takes a permit (on this thread).
         let permit = self.admission.as_ref().map(|a| a.acquire(self.id));
-        self.transfers.submit_for(tagged, move || {
+        self.transfers.submit_for(Some(provider), move || {
             let _permit = permit;
-            let data = fetch_chunk_replica(service.as_ref(), &leaf, start)?;
-            stats.chunks_read.fetch_add(1, Ordering::Relaxed);
+            let (fetched, err) = fetch_train(service.as_ref(), provider, train);
+            // Chunks that arrived count and fill the cache even when a
+            // neighbour failed the read.
+            stats
+                .chunks_read
+                .fetch_add(fetched.len() as u64, Ordering::Relaxed);
             if let Some(cache) = &cache {
-                cache.insert(leaf.chunk, data.clone());
+                for (_, leaf, data) in &fetched {
+                    cache.insert(leaf.chunk, data.clone());
+                }
             }
-            Ok((slot_range, leaf, data))
+            err.map_or(Ok(fetched), Err)
         })
     }
 
     /// The pipelined read path: walks the snapshot's segment tree level by
-    /// level and submits the chunk fetches of each level to the transfer
-    /// scheduler while deeper levels are still being batched, so metadata
-    /// descent and data transfer overlap. At most `pipeline_depth` levels'
-    /// worth of fetches per pool worker stay in flight (older completions
-    /// are harvested first — that is the backpressure of the pipeline).
+    /// level and submits each level's chunk fetches to the transfer
+    /// scheduler — one request train per first-probed replica — while
+    /// deeper levels are still being batched, so metadata descent and data
+    /// transfer overlap. At most `pipeline_depth` levels' worth of chunks
+    /// per pool worker stay in flight (the oldest trains are harvested
+    /// first — that is the backpressure of the pipeline), and no train
+    /// carries more than that window.
     fn fetch_chunks_pipelined(
         &self,
         blob: BlobId,
         snapshot: &SnapshotDescriptor,
         range: ByteRange,
-    ) -> Result<Vec<(ByteRange, LeafNode, Bytes)>> {
-        let rotate: usize = self.rng.lock().gen();
+    ) -> Result<Vec<FetchedChunk>> {
+        // Seeded once per read; each fetched chunk takes the next value.
+        let mut next_start: usize = self.rng.lock().gen();
         let cap = self
             .pipeline_depth
             .saturating_mul(self.transfers.worker_count().max(1))
             .max(1);
-        let mut pending: VecDeque<Completion<Result<(ByteRange, LeafNode, Bytes)>>> =
-            VecDeque::new();
+        // In-flight trains, oldest first, with the chunk count of each.
+        let mut pending: VecDeque<(usize, Completion<Result<Vec<FetchedChunk>>>)> = VecDeque::new();
+        let mut in_flight = 0usize;
         let mut fetched = Vec::new();
         let mut fetch_err: Option<BlobError> = None;
-        let mut submitted = 0usize;
         let walk = collect_leaves_streaming(
             self.metadata.as_ref(),
             blob,
             snapshot,
             range,
             |level: &[blobseer_meta::LeafMapping]| {
-                for mapping in level {
-                    let Some(leaf) = mapping.leaf.clone() else {
-                        continue; // hole: reads back as zeros
-                    };
-                    pending.push_back(self.submit_fetch(
-                        mapping.slot_range,
-                        leaf,
-                        rotate.wrapping_add(submitted),
-                    ));
-                    submitted += 1;
-                    while pending.len() > cap {
-                        let oldest = pending.pop_front().expect("len > cap >= 1");
+                let trains =
+                    self.plan_trains(level, &mut next_start, cap, &mut fetched, &mut fetch_err);
+                for (provider, train) in trains {
+                    in_flight += train.len();
+                    pending.push_back((train.len(), self.submit_train(provider, train)));
+                    while in_flight > cap {
+                        let (chunks, oldest) = pending.pop_front().expect("in flight > cap >= 1");
+                        in_flight -= chunks;
                         match self.transfers.join_within(oldest) {
-                            Ok(Ok(item)) => fetched.push(item),
+                            Ok(Ok(items)) => fetched.extend(items),
                             Ok(Err(err)) | Err(err) => {
                                 fetch_err = fetch_err.take().or(Some(err));
                             }
@@ -1059,37 +1122,37 @@ impl BlobClient {
                 }
             },
         );
-        // Drain every in-flight fetch before propagating any error — a
+        // Drain every in-flight train before propagating any error — a
         // failing metadata shard mid-descent must never leave submissions
         // dangling on the shared pool (and must not deadlock this client).
         // A descent error still takes precedence over a fetch error.
-        let joined = self.join_fetches(pending, fetched, fetch_err);
+        let joined = self.join_fetches(pending.into_iter().map(|(_, c)| c), fetched, fetch_err);
         walk?;
         joined
     }
 
-    /// Joins submitted fetches into `out`, draining all of them even when
+    /// Joins submitted trains into `out`, draining all of them even when
     /// one fails (`first_err` carries an error from completions already
     /// harvested by the caller). Joins are bounded by the pool's
-    /// `io_timeout`-derived join timeout, so a fetch stuck on a hung
+    /// `io_timeout`-derived join timeout, so a train stuck on a hung
     /// endpoint fails the read instead of blocking it forever.
     fn join_fetches(
         &self,
-        completions: impl IntoIterator<Item = Completion<Result<(ByteRange, LeafNode, Bytes)>>>,
-        mut out: Vec<(ByteRange, LeafNode, Bytes)>,
+        completions: impl IntoIterator<Item = Completion<Result<Vec<FetchedChunk>>>>,
+        mut out: Vec<FetchedChunk>,
         mut first_err: Option<BlobError>,
-    ) -> Result<Vec<(ByteRange, LeafNode, Bytes)>> {
+    ) -> Result<Vec<FetchedChunk>> {
         for completion in completions {
             match self.transfers.join_within(completion) {
-                Ok(Ok(item)) => out.push(item),
+                Ok(Ok(items)) => out.extend(items),
                 Ok(Err(err)) | Err(err) => first_err = first_err.take().or(Some(err)),
             }
         }
         if let Some(err) = first_err {
             return Err(err);
         }
-        // `chunks_read` is accounted by the fetch tasks themselves: cache
-        // hits joined here never touched a provider and must not count.
+        // `chunks_read` is accounted by the train tasks themselves: cache
+        // hits already in `out` never touched a provider and must not count.
         Ok(out)
     }
 }
@@ -1175,12 +1238,67 @@ fn store_group_replicas(
 /// compressed block) is treated exactly like an unreachable one: the probe
 /// moves on to the next replica.
 fn fetch_chunk_replica(service: &dyn ChunkService, leaf: &LeafNode, start: usize) -> Result<Bytes> {
-    let mut last_err = BlobError::ChunkNotFound(
+    let not_found = BlobError::ChunkNotFound(
         leaf.chunk,
         leaf.providers.first().copied().unwrap_or(ProviderId(0)),
     );
+    probe_replicas(service, leaf, start, 0, not_found)
+}
+
+/// Fetches one request train — chunks whose rotated probe tries `provider`
+/// first — with one `get_chunks`, returning the chunks it delivered (opened,
+/// in train order) and the first error, if any chunk failed for good.
+///
+/// A chunk the train did not deliver probes its other replicas alone, from
+/// rotation step 1. A `get_chunks` may give up on its provider after one
+/// chunk's retries fail at the transport level (see
+/// [`ChunkService::get_chunks`]); the chunks after that one had no try of
+/// their own, so a chunk among them that has no other replica retries this
+/// one. Once a chunk has failed for good the read has failed, and the rest
+/// of the train probes no further.
+fn fetch_train(
+    service: &dyn ChunkService,
+    provider: ProviderId,
+    train: Vec<PlannedFetch>,
+) -> (Vec<FetchedChunk>, Option<BlobError>) {
+    let ids: Vec<ChunkId> = train.iter().map(|(_, leaf, _)| leaf.chunk).collect();
+    let envelopes = service.get_chunks(provider, &ids);
+    let mut fetched = Vec::with_capacity(train.len());
+    let mut first_err = None;
+    let mut provider_failed = false;
+    for ((slot_range, leaf, start), envelope) in train.into_iter().zip(envelopes) {
+        let data = envelope
+            .and_then(|envelope| blobseer_codec::open(&envelope))
+            .or_else(|err| {
+                if first_err.is_some() {
+                    return Err(err);
+                }
+                let transport = matches!(err, BlobError::Transport(_));
+                let retry_lone = transport && provider_failed && leaf.providers.len() == 1;
+                provider_failed |= transport;
+                probe_replicas(service, &leaf, start, usize::from(!retry_lone), err)
+            });
+        match data {
+            Ok(data) => fetched.push((slot_range, leaf, data)),
+            Err(err) => first_err = first_err.or(Some(err)),
+        }
+    }
+    (fetched, first_err)
+}
+
+/// The probe loop of [`fetch_chunk_replica`], entered at rotation step
+/// `from`: a chunk whose request train already tried replica step 0 probes
+/// the rest from step 1. `last_err` is what the caller reports when no
+/// replica is left to try.
+fn probe_replicas(
+    service: &dyn ChunkService,
+    leaf: &LeafNode,
+    start: usize,
+    from: usize,
+    mut last_err: BlobError,
+) -> Result<Bytes> {
     let replicas = leaf.providers.len();
-    for k in 0..replicas {
+    for k in from..replicas {
         let pid = leaf.providers[start.wrapping_add(k) % replicas];
         match service
             .get_chunk(pid, &leaf.chunk)
@@ -1541,6 +1659,197 @@ mod tests {
         cluster.fail_provider(ProviderId(2)).unwrap();
         fetch_chunk_replica(svc.as_ref(), &leaf, 1).unwrap();
         assert_eq!(cluster.provider(ProviderId(1)).unwrap().stats().reads, 2);
+    }
+
+    /// A chunk service whose every `get_chunks` has given up on its
+    /// provider at the transport level — as a networked one does once one
+    /// chunk's retries there have failed — while single fetches go through.
+    struct TrainsGiveUp(Arc<dyn ChunkService>);
+
+    impl ChunkService for TrainsGiveUp {
+        fn allocate(
+            &self,
+            request: blobseer_provider::PlacementRequest,
+        ) -> Result<Vec<Vec<ProviderId>>> {
+            self.0.allocate(request)
+        }
+        fn live_providers(&self) -> Vec<ProviderId> {
+            self.0.live_providers()
+        }
+        fn put_chunk(
+            &self,
+            provider: ProviderId,
+            chunk: ChunkId,
+            data: ChunkEnvelope,
+        ) -> Result<()> {
+            self.0.put_chunk(provider, chunk, data)
+        }
+        fn get_chunk(&self, provider: ProviderId, chunk: &ChunkId) -> Result<ChunkEnvelope> {
+            self.0.get_chunk(provider, chunk)
+        }
+        fn get_chunks(&self, _: ProviderId, chunks: &[ChunkId]) -> Vec<Result<ChunkEnvelope>> {
+            chunks
+                .iter()
+                .map(|_| Err(BlobError::Transport("provider gave up".into())))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn a_train_that_gave_up_retries_only_the_lone_replicas_it_never_tried() {
+        let cluster = cluster();
+        let svc = TrainsGiveUp(Arc::clone(cluster.chunk_service()) as Arc<dyn ChunkService>);
+        let reads = |id| cluster.provider(ProviderId(id)).unwrap().stats().reads;
+        let payload = bytes::Bytes::from_static(b"train");
+        let stored = |slot, providers: Vec<ProviderId>| {
+            let chunk = ChunkId {
+                blob: BlobId(9),
+                write_tag: 1,
+                slot,
+            };
+            for &pid in &providers {
+                svc.put_chunk(pid, chunk, payload.clone().into()).unwrap();
+            }
+            let leaf = LeafNode {
+                chunk,
+                providers,
+                len: payload.len() as u64,
+            };
+            (ByteRange::new(slot * CS, CS), leaf, 0)
+        };
+        let replicated = stored(0, vec![ProviderId(1), ProviderId(2)]);
+        let lone = stored(1, vec![ProviderId(1)]);
+
+        // The replicated chunk fails first — the one whose retries the
+        // provider failed — and moves on to its other replica; the lone one
+        // after it never had a try of its own, so it retries provider 1.
+        let (fetched, err) =
+            fetch_train(&svc, ProviderId(1), vec![replicated.clone(), lone.clone()]);
+        assert!(err.is_none());
+        assert_eq!(fetched.len(), 2);
+        assert!(fetched.iter().all(|(_, _, data)| *data == payload));
+        assert_eq!((reads(1), reads(2)), (1, 1));
+
+        // Led by the lone chunk, the train's first failure is that chunk's
+        // own: no replica is left, the read has failed, and nothing after
+        // it is probed.
+        let (fetched, err) = fetch_train(&svc, ProviderId(1), vec![lone, replicated]);
+        assert!(matches!(err, Some(BlobError::Transport(_))));
+        assert!(fetched.is_empty());
+        assert_eq!((reads(1), reads(2)), (1, 1));
+    }
+
+    /// A version service that publishes one overwrite right after its first
+    /// snapshot lookup has answered — the window between resolving a
+    /// version and reading it — and counts the lookups.
+    struct RacingVersions {
+        inner: Arc<crate::VersionManager>,
+        race: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+        lookups: AtomicU64,
+    }
+
+    impl RacingVersions {
+        fn looked_up<T>(&self, answer: Result<T>) -> Result<T> {
+            self.lookups.fetch_add(1, Ordering::Relaxed);
+            let race = self.race.lock().take();
+            if let Some(race) = race {
+                race();
+            }
+            answer
+        }
+    }
+
+    impl VersionService for RacingVersions {
+        fn create_blob(&self, config: BlobConfig) -> Result<BlobId> {
+            VersionService::create_blob(self.inner.as_ref(), config)
+        }
+        fn blob_config(&self, blob: BlobId) -> Result<BlobConfig> {
+            VersionService::blob_config(self.inner.as_ref(), blob)
+        }
+        fn latest_snapshot(&self, blob: BlobId) -> Result<SnapshotDescriptor> {
+            self.looked_up(VersionService::latest_snapshot(self.inner.as_ref(), blob))
+        }
+        fn snapshot(&self, blob: BlobId, version: Version) -> Result<SnapshotDescriptor> {
+            self.looked_up(VersionService::snapshot(self.inner.as_ref(), blob, version))
+        }
+        fn published_versions(&self, blob: BlobId) -> Result<Vec<Version>> {
+            VersionService::published_versions(self.inner.as_ref(), blob)
+        }
+        fn assign_ticket(&self, blob: BlobId, kind: WriteKind) -> Result<WriteTicket> {
+            VersionService::assign_ticket(self.inner.as_ref(), blob, kind)
+        }
+        fn complete_write(
+            &self,
+            blob: BlobId,
+            version: Version,
+            artifacts: Option<Vec<NodeArtifact>>,
+        ) -> Result<Version> {
+            VersionService::complete_write(self.inner.as_ref(), blob, version, artifacts)
+        }
+        fn abort_write(
+            &self,
+            blob: BlobId,
+            version: Version,
+            artifacts: Option<Vec<NodeArtifact>>,
+        ) -> Result<Version> {
+            VersionService::abort_write(self.inner.as_ref(), blob, version, artifacts)
+        }
+        fn pin(&self, blob: BlobId, version: Option<Version>) -> Result<(SnapshotDescriptor, u64)> {
+            self.looked_up(VersionService::pin(self.inner.as_ref(), blob, version))
+        }
+        fn unpin(&self, blob: BlobId, version: Version, token: u64) {
+            VersionService::unpin(self.inner.as_ref(), blob, version, token);
+        }
+    }
+
+    #[test]
+    fn read_all_returns_one_snapshot_even_when_a_write_publishes_mid_read() {
+        let cluster = cluster();
+        let writer = cluster.client();
+        let v1 = pattern(4 * CS as usize, 1);
+        // The overwrite rewrites every byte and grows the blob: any mix of
+        // v1's size with v2's bytes matches neither snapshot.
+        let v2 = pattern(5 * CS as usize, 2);
+        for read_all_bytes in [false, true] {
+            let blob = writer.create_blob(BlobConfig::new(CS, 1).unwrap()).unwrap();
+            writer.append(blob, &v1).unwrap();
+            let overwrite = v2.clone();
+            let racer = cluster.client();
+            let versions = Arc::new(RacingVersions {
+                inner: Arc::clone(cluster.version_manager()),
+                race: Mutex::new(Some(Box::new(move || {
+                    racer.write(blob, 0, overwrite).unwrap();
+                }))),
+                lookups: AtomicU64::new(0),
+            });
+            let reader = BlobClient::new(
+                ClientId(1000),
+                Arc::clone(&versions) as Arc<dyn VersionService>,
+                Arc::clone(cluster.chunk_service()) as Arc<dyn ChunkService>,
+                Arc::clone(cluster.metadata_service()),
+                Arc::clone(cluster.transfer_pool()),
+            );
+            let got = if read_all_bytes {
+                reader.read_all_bytes(blob, None).unwrap().to_vec()
+            } else {
+                reader.read_all(blob, None).unwrap()
+            };
+            assert_eq!(
+                writer.latest_version(blob).unwrap(),
+                Version(2),
+                "the race ran"
+            );
+            assert!(
+                got == v1 || got == v2,
+                "read_all returned {} bytes matching no snapshot",
+                got.len()
+            );
+            assert_eq!(
+                versions.lookups.load(Ordering::Relaxed),
+                1,
+                "a whole-snapshot read resolves its version once"
+            );
+        }
     }
 
     #[test]

@@ -98,32 +98,10 @@ impl Drop for InFlightGuard {
 /// still updates the in-flight gauge), its result is discarded.
 #[must_use = "a dropped completion silently discards the task's result"]
 pub struct Completion<T> {
-    inner: CompletionInner<T>,
-}
-
-enum CompletionInner<T> {
-    /// The result was available at submission time (chunk-cache hits): no
-    /// channel, no allocation — the hot hit path hands the value through.
-    Ready(T),
-    Pending(Receiver<T>),
+    rx: Receiver<T>,
 }
 
 impl<T> Completion<T> {
-    /// An already-fulfilled completion holding `value`. Used where a result
-    /// is available without any transfer at all (chunk-cache hits), so
-    /// submission-site code can treat cached and fetched chunks uniformly.
-    pub fn ready(value: T) -> Self {
-        Completion {
-            inner: CompletionInner::Ready(value),
-        }
-    }
-
-    fn pending(rx: Receiver<T>) -> Self {
-        Completion {
-            inner: CompletionInner::Pending(rx),
-        }
-    }
-
     /// Waits for the task to finish and returns its result.
     ///
     /// # Panics
@@ -131,10 +109,7 @@ impl<T> Completion<T> {
     /// If the task panicked on a worker (mirroring the `join().expect(...)`
     /// of the old per-operation scoped threads).
     pub fn join(self) -> T {
-        match self.inner {
-            CompletionInner::Ready(value) => value,
-            CompletionInner::Pending(rx) => rx.recv().expect("a transfer task panicked"),
-        }
+        self.rx.recv().expect("a transfer task panicked")
     }
 
     /// Waits at most `timeout` (forever when `None`) for the task to finish.
@@ -146,15 +121,12 @@ impl<T> Completion<T> {
     ///
     /// If the task panicked on a worker, exactly like [`Completion::join`].
     pub fn join_for(self, timeout: Option<Duration>) -> Option<T> {
-        match self.inner {
-            CompletionInner::Ready(value) => Some(value),
-            CompletionInner::Pending(rx) => match timeout {
-                None => Some(rx.recv().expect("a transfer task panicked")),
-                Some(timeout) => match rx.recv_timeout(timeout) {
-                    Ok(value) => Some(value),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => panic!("a transfer task panicked"),
-                },
+        match timeout {
+            None => Some(self.join()),
+            Some(timeout) => match self.rx.recv_timeout(timeout) {
+                Ok(value) => Some(value),
+                Err(RecvTimeoutError::Timeout) => None,
+                Err(RecvTimeoutError::Disconnected) => panic!("a transfer task panicked"),
             },
         }
     }
@@ -230,8 +202,9 @@ impl TransferPool {
     /// Joins one completion under the pool's configured timeout. A task that
     /// does not complete in time yields [`BlobError::Transport`] — the
     /// retryable error class — while the task itself keeps running on its
-    /// worker (its eventual result is discarded). Zero-worker pools and
-    /// cache-hit completions are always ready, so they never time out.
+    /// worker (its eventual result is discarded). Zero-worker pools run
+    /// every task inline, so their completions are always ready and never
+    /// time out.
     ///
     /// # Panics
     ///
@@ -336,8 +309,10 @@ impl TransferPool {
         match &self.sender {
             Some(sender) => {
                 let job: Job = Box::new(move || {
-                    let _guard = guard;
                     let result = task();
+                    // Release the in-flight slot before the waiter can see
+                    // the result: a joined transfer is never still counted.
+                    drop(guard);
                     // The receiver only disappears if the submitter dropped
                     // the handle (or panicked); discarding is the fallback.
                     let _ = tx.send(result);
@@ -346,11 +321,12 @@ impl TransferPool {
             }
             None => {
                 self.shared.tasks_inline.fetch_add(1, Ordering::Relaxed);
-                let _guard = guard;
-                let _ = tx.send(task());
+                let result = task();
+                drop(guard);
+                let _ = tx.send(result);
             }
         }
-        Completion::pending(rx)
+        Completion { rx }
     }
 
     /// Runs every task (in parallel on the pool workers) and returns their
@@ -623,11 +599,11 @@ mod tests {
             7u32
         });
         assert_eq!(pool.join_within(slow).unwrap(), 7);
-        // A ready completion (cache hit) is immune even on a pool with a
-        // tiny timeout.
+        // A ready completion (run inline by a zero-worker pool) is immune
+        // even to a tiny timeout.
         let strict =
             TransferPool::new(0).with_join_timeout(Some(std::time::Duration::from_nanos(1)));
-        assert_eq!(strict.join_within(Completion::ready(9u32)).unwrap(), 9);
+        assert_eq!(strict.join_within(strict.submit(|| 9u32)).unwrap(), 9);
     }
 
     #[test]

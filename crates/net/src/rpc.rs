@@ -436,6 +436,24 @@ impl RpcEndpoint {
     /// to [`RpcEndpoint::call`] individually with the full retry budget, so
     /// per-item outcomes are exactly what sequential calls would produce.
     pub fn call_many(&self, opcode: u8, requests: &[(Bytes, Bytes)]) -> Vec<Result<Frame>> {
+        self.call_many_once(opcode, requests)
+            .into_iter()
+            .zip(requests)
+            .map(|(outcome, (header, payload))| {
+                outcome.unwrap_or_else(|| self.call(opcode, header.clone(), payload.clone()))
+            })
+            .collect()
+    }
+
+    /// The single batched attempt behind [`RpcEndpoint::call_many`]: one
+    /// result per request (same order), `Some` when it is final — a
+    /// `RESP_OK` frame or an application error — and `None` when the item
+    /// failed at the transport level and is the caller's to retry.
+    pub(crate) fn call_many_once(
+        &self,
+        opcode: u8,
+        requests: &[(Bytes, Bytes)],
+    ) -> Vec<Option<Result<Frame>>> {
         let mut results: Vec<Option<Result<Frame>>> = requests.iter().map(|_| None).collect();
         if let Ok(outcomes) = self.try_call_many(opcode, requests) {
             for (slot, outcome) in results.iter_mut().zip(outcomes) {
@@ -444,8 +462,8 @@ impl RpcEndpoint {
                     Ok(frame) if frame.opcode == op::RESP_ERR => {
                         match decode::<BlobError>(&frame.header) {
                             // Transport-class errors (a frame mangled in
-                            // flight) retry below; application errors are
-                            // final.
+                            // flight) are the caller's to retry; application
+                            // errors are final.
                             Ok(BlobError::Transport(_)) | Err(_) => {}
                             Ok(err) => *slot = Some(Err(err)),
                         }
@@ -454,15 +472,7 @@ impl RpcEndpoint {
                 }
             }
         }
-        for (slot, (header, payload)) in results.iter_mut().zip(requests) {
-            if slot.is_none() {
-                *slot = Some(self.call(opcode, header.clone(), payload.clone()));
-            }
-        }
         results
-            .into_iter()
-            .map(|outcome| outcome.expect("every batch slot resolved"))
-            .collect()
     }
 
     /// Issues one request and returns the decoded-enough response frame

@@ -13,7 +13,11 @@
 //!   (`ClientStats::payload_bytes_copied` stays zero for aligned writes);
 //! * `get_chunk` returns the envelope's payload as a refcounted slice of
 //!   the one receive buffer the response frame landed in — the single
-//!   receive-side copy, counted in `TransportMetrics::chunk_payload_received`.
+//!   receive-side copy, counted in `TransportMetrics::chunk_payload_received`;
+//! * `put_chunks`/`get_chunks` ship a run of chunks for one provider as
+//!   one flush of frames, with the same per-chunk accounting and per-chunk
+//!   errors; a `get_chunks` run stops retrying a provider whose retries
+//!   have already failed once at the transport level.
 //!
 //! The chunk codec composes with this: frames carry [`ChunkEnvelope`]s
 //! verbatim (codec tag + logical length in the header, physical bytes as
@@ -91,6 +95,24 @@ impl NetChunkService {
             .get(&provider)
             .ok_or(BlobError::UnknownProvider(provider))
     }
+
+    /// Accounts one fetched envelope and hands it back. This is the single
+    /// receive-side materialisation of the chunk: the physical bytes the
+    /// frame carried. Decompression (if the envelope is compressed) happens
+    /// once, later, at the opening client.
+    fn received(&self, envelope: ChunkEnvelope) -> ChunkEnvelope {
+        self.metrics.chunk_payload_received(envelope.physical_len());
+        self.metrics
+            .chunk_on_wire(envelope.logical_len(), envelope.physical_len());
+        envelope
+    }
+}
+
+/// Rejoins a `GET_CHUNK` response into its envelope. Rejoining validates
+/// the declared physical length against the payload that actually arrived
+/// (and the logical length too, for verbatim envelopes).
+fn envelope_of(frame: &crate::frame::Frame) -> Result<ChunkEnvelope> {
+    decode::<EnvelopeHeader>(&frame.header)?.into_envelope(frame.payload.clone())
 }
 
 impl ChunkService for NetChunkService {
@@ -161,20 +183,52 @@ impl ChunkService for NetChunkService {
 
     fn get_chunk(&self, provider: ProviderId, chunk: &ChunkId) -> Result<ChunkEnvelope> {
         let endpoint = self.endpoint(provider)?;
-        let header = encode(chunk);
-        let envelope = call_decoded(endpoint, op::GET_CHUNK, &header, |frame| {
-            // Rejoining validates the declared physical length against the
-            // payload that actually arrived (and the logical length too,
-            // for verbatim envelopes).
-            decode::<EnvelopeHeader>(&frame.header)?.into_envelope(frame.payload.clone())
-        })?;
-        // The single receive-side materialisation of this chunk: the
-        // physical bytes the frame carried. Decompression (if the envelope
-        // is compressed) happens once, later, at the opening client.
-        self.metrics.chunk_payload_received(envelope.physical_len());
-        self.metrics
-            .chunk_on_wire(envelope.logical_len(), envelope.physical_len());
-        Ok(envelope)
+        let envelope = call_decoded(endpoint, op::GET_CHUNK, &encode(chunk), envelope_of)?;
+        Ok(self.received(envelope))
+    }
+
+    /// Ships the run as one flush of `GET_CHUNK` frames, exactly like
+    /// `put_chunks`; the responses stream back multiplexed on the same
+    /// connection. A chunk the batch did not deliver — a transport failure,
+    /// or a response that will not decode — retries alone with the full
+    /// per-call budget, until one such retry fails at the transport level:
+    /// the provider is then taken to be down, and every later chunk of the
+    /// run gets that error without another attempt, so a hung provider
+    /// costs the run one retry budget rather than one per chunk.
+    fn get_chunks(&self, provider: ProviderId, chunks: &[ChunkId]) -> Vec<Result<ChunkEnvelope>> {
+        let endpoint = match self.endpoint(provider) {
+            Ok(endpoint) => endpoint,
+            Err(err) => return chunks.iter().map(|_| Err(err.clone())).collect(),
+        };
+        let requests: Vec<(Bytes, Bytes)> = chunks
+            .iter()
+            .map(|chunk| (encode(chunk), Bytes::new()))
+            .collect();
+        let mut down: Option<BlobError> = None;
+        endpoint
+            .call_many_once(op::GET_CHUNK, &requests)
+            .into_iter()
+            .zip(chunks)
+            .map(|(outcome, chunk)| {
+                match outcome {
+                    Some(Ok(frame)) => {
+                        if let Ok(envelope) = envelope_of(&frame) {
+                            return Ok(self.received(envelope));
+                        }
+                    }
+                    Some(Err(err)) => return Err(err),
+                    None => {}
+                }
+                if let Some(err) = &down {
+                    return Err(err.clone());
+                }
+                let retried = self.get_chunk(provider, chunk);
+                if let Err(err @ BlobError::Transport(_)) = &retried {
+                    down = Some(err.clone());
+                }
+                retried
+            })
+            .collect()
     }
 
     fn remove_chunks(&self, provider: ProviderId, chunks: &[ChunkId]) -> Result<u64> {
@@ -607,6 +661,70 @@ mod tests {
             ),
             Err(BlobError::UnknownProvider(ProviderId(7)))
         ));
+    }
+
+    #[test]
+    fn batched_gets_leave_in_one_flush_and_answer_per_chunk() {
+        let metrics = Arc::new(TransportMetrics::new());
+        let provider = Arc::new(DataProvider::in_memory(ProviderId(0)));
+        let (mut server, provider_ep) =
+            endpoint_for(Arc::new(ChunkHost::new(Arc::clone(&provider))), &metrics);
+        let manager = Arc::new(ProviderManager::with_providers(
+            PlacementPolicy::RoundRobin,
+            1,
+        ));
+        let (_s2, manager_ep) = endpoint_for(Arc::new(ManagerHost::new(manager)), &metrics);
+        let svc = NetChunkService::new(
+            manager_ep,
+            [(ProviderId(0), provider_ep)].into_iter().collect(),
+            Arc::clone(&metrics),
+        );
+        for slot in [0, 2, 3] {
+            svc.put_chunk(
+                ProviderId(0),
+                chunk_id(slot),
+                Bytes::from(vec![slot as u8; 100]).into(),
+            )
+            .unwrap();
+        }
+        let before = metrics.snapshot();
+        let ids: Vec<ChunkId> = (0..4).map(chunk_id).collect();
+        let got = svc.get_chunks(ProviderId(0), &ids);
+        let after = metrics.snapshot();
+        // Four requests, one flush: three of them shared the first's write.
+        assert_eq!(after.frames_sent - before.frames_sent, 4);
+        assert_eq!(after.frames_coalesced - before.frames_coalesced, 3);
+        // A missing chunk fails alone; its neighbours arrive intact, each
+        // materialised exactly once on receive.
+        assert!(matches!(
+            got[1],
+            Err(BlobError::ChunkNotFound(_, ProviderId(0)))
+        ));
+        for slot in [0usize, 2, 3] {
+            assert_eq!(got[slot].as_ref().unwrap().payload()[..], [slot as u8; 100]);
+        }
+        assert_eq!(
+            after.chunk_rx_payload_bytes - before.chunk_rx_payload_bytes,
+            300
+        );
+        // An unknown provider fails every chunk of the run.
+        assert!(svc
+            .get_chunks(ProviderId(9), &ids)
+            .iter()
+            .all(|r| matches!(r, Err(BlobError::UnknownProvider(ProviderId(9))))));
+        // A dead provider costs the run one chunk's retry budget, not one
+        // per chunk: after the first chunk's retries fail, the rest of the
+        // run fails with the same error untried.
+        server.stop();
+        let before = metrics.snapshot();
+        let got = svc.get_chunks(ProviderId(0), &ids);
+        assert!(got
+            .iter()
+            .all(|r| matches!(r, Err(BlobError::Transport(_)))));
+        assert_eq!(
+            metrics.snapshot().retries - before.retries,
+            u64::from(crate::rpc::DEFAULT_RPC_RETRIES)
+        );
     }
 
     #[test]

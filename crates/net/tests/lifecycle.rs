@@ -369,9 +369,17 @@ fn requeued_deletes_drain_once_the_provider_returns() {
 /// every millisecond, an appender and an overwriter mutating the blob, and
 /// readers hammering the latest snapshot — every read must return a
 /// consistent prefix state, and the GC must demonstrably reclaim meanwhile.
+///
+/// A flatten can only start at a moment with no pending write, so both
+/// writers pause for a couple of lifecycle ticks every few writes, and the
+/// overwriter and readers keep going until the engine has flattened and
+/// reclaimed at least once (or a generous deadline passes and the asserts
+/// below report which one never happened).
 #[test]
 fn sweeper_never_blocks_concurrent_readers() {
     const APPENDS: u64 = 120;
+    const TICK: Duration = Duration::from_millis(1);
+    const PAUSE_EVERY: u64 = 4;
     let cluster = Arc::new(Cluster::new(lifecycle_config(false)).expect("cluster builds"));
     let client = cluster.client();
     let blob = client
@@ -396,7 +404,7 @@ fn sweeper_never_blocks_concurrent_readers() {
     };
     client.append(blob, &patch).expect("seed append succeeds");
 
-    cluster.lifecycle().start(Duration::from_millis(1));
+    cluster.lifecycle().start(TICK);
     let done = Arc::new(AtomicBool::new(false));
 
     let appender = {
@@ -406,6 +414,9 @@ fn sweeper_never_blocks_concurrent_readers() {
                 client
                     .append(blob, pattern(CS as usize, slot))
                     .expect("append succeeds under concurrent GC");
+                if slot % PAUSE_EVERY == 0 {
+                    std::thread::sleep(2 * TICK);
+                }
             }
         })
     };
@@ -422,6 +433,9 @@ fn sweeper_never_blocks_concurrent_readers() {
                     .write(blob, 0, &patch)
                     .expect("overwrite succeeds under concurrent GC");
                 strands += 1;
+                if strands % PAUSE_EVERY == 0 {
+                    std::thread::sleep(2 * TICK);
+                }
             }
             strands
         })
@@ -462,6 +476,16 @@ fn sweeper_never_blocks_concurrent_readers() {
         .collect();
 
     appender.join().expect("appender survives");
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let stats = cluster.lifecycle().stats();
+        if (stats.flattens > 0 && stats.reclaimed_chunks > 0)
+            || std::time::Instant::now() >= deadline
+        {
+            break;
+        }
+        std::thread::sleep(TICK);
+    }
     done.store(true, Ordering::Release);
     let strands = overwriter.join().expect("overwriter survives");
     let total_reads: u64 = readers

@@ -50,6 +50,23 @@ pub trait ChunkService: Send + Sync {
     /// back exactly as stored; opening it is the caller's job.
     fn get_chunk(&self, provider: ProviderId, chunk: &ChunkId) -> Result<ChunkEnvelope>;
 
+    /// Fetches several chunks from one provider, returning one result per
+    /// chunk (same order) — the read-side twin of
+    /// [`ChunkService::put_chunks`]. Readers hand each provider its whole
+    /// run of chunks in one call; transports that can pipeline override
+    /// this to ship the run as one send, while the default loops
+    /// [`ChunkService::get_chunk`], so a failure stays per chunk everywhere.
+    /// An override may stop trying the provider once one chunk's retries
+    /// there fail at the transport level, returning that same error for
+    /// every later chunk of the run, so that a hung provider costs one
+    /// retry budget rather than one per chunk.
+    fn get_chunks(&self, provider: ProviderId, chunks: &[ChunkId]) -> Vec<Result<ChunkEnvelope>> {
+        chunks
+            .iter()
+            .map(|chunk| self.get_chunk(provider, chunk))
+            .collect()
+    }
+
     /// Removes a batch of reclaimed chunks from one provider, returning the
     /// physical bytes freed. Only the lifecycle sweeper calls this, and only
     /// for chunks unreachable from every retained version. The default is a

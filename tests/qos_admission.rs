@@ -96,11 +96,16 @@ fn networked_clients_share_the_same_admission_gate() {
 
     let stats = cluster.inner().admission().unwrap().stats();
     assert!(stats.peak_in_flight <= 3, "{stats:?}");
-    // The store side admits per group, but the uncached read fetches each
-    // of the 24 chunks through its own permit.
-    assert!(
-        stats.admitted >= 24,
-        "transfers crossing the wire still take permits: {stats:?}"
+    // A permit covers one pool task on both paths. The append is one store
+    // group per provider (24 chunks striped over 4 providers: 4 groups);
+    // the uncached read is one request train per first-probed provider of
+    // its single leaf level (replication 1: the same 4 providers, 6 chunks
+    // each, well inside the 4 × 4 chunk window): 4 trains. Per-chunk
+    // permits would have counted 24 for the read alone.
+    assert_eq!(
+        stats.admitted,
+        4 + 4,
+        "transfers crossing the wire take one permit per task: {stats:?}"
     );
 }
 
