@@ -133,13 +133,13 @@ impl ChunkCache {
     /// refreshes its LRU position — immutability guarantees the payload is
     /// identical.
     ///
-    /// A payload that is a sub-view of a larger buffer is *compacted* (one
-    /// memcpy, bounded by the chunk size, counted in
-    /// [`ChunkCacheStats::bytes_compacted`]): caching the view verbatim
-    /// would keep its whole backing allocation alive, letting a megabyte
-    /// budget pin gigabytes. This is the one place the cached configuration
-    /// pays a copy — the same per-chunk copy the pre-zero-copy write path
-    /// always paid — and only for payloads that arrive as views.
+    /// A payload that is a sub-view of a larger buffer, or whose buffer has
+    /// spare capacity, is *compacted* (one memcpy, bounded by the chunk
+    /// size, counted in [`ChunkCacheStats::bytes_compacted`]): caching it
+    /// verbatim would keep its whole backing allocation alive, letting a
+    /// megabyte budget pin gigabytes. This is the one place the cached
+    /// configuration pays a copy — the same per-chunk copy the pre-zero-copy
+    /// write path always paid — and only for payloads that are not compact.
     pub fn insert(&self, id: ChunkId, data: Bytes) {
         let len = data.len() as u64;
         if len == 0 || len > self.shard_budget {

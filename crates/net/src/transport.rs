@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
@@ -229,7 +229,8 @@ impl FrameSource for TcpSource {
         }
         // Spanning frame (typically a chunk payload): the rest streams with
         // `read_exact` into one exact-size buffer — the single receive-side
-        // copy — and `decode_body` hands header/payload out as slices of it.
+        // copy, since `freeze` keeps that buffer — and `decode_body` hands
+        // header/payload out as slices of it.
         let mut body = BytesMut::zeroed(body_len);
         let have = self.tail.len() - 4;
         body[..have].copy_from_slice(&self.tail[4..]);
@@ -373,6 +374,7 @@ enum FaultAction {
 pub struct FaultState {
     plan: Mutex<FaultPlan>,
     rng: Mutex<StdRng>,
+    truncated: AtomicU64,
 }
 
 impl FaultState {
@@ -382,6 +384,7 @@ impl FaultState {
         FaultState {
             rng: Mutex::new(StdRng::seed_from_u64(plan.seed)),
             plan: Mutex::new(plan),
+            truncated: AtomicU64::new(0),
         }
     }
 
@@ -396,6 +399,12 @@ impl FaultState {
     /// the operation they are actually about.
     pub fn set_plan(&self, plan: FaultPlan) {
         *self.plan.lock() = plan;
+    }
+
+    /// How many frames the plan has cut short so far.
+    #[must_use]
+    pub fn truncated_frames(&self) -> u64 {
+        self.truncated.load(Ordering::Relaxed)
     }
 
     fn decide(&self) -> FaultAction {
@@ -417,13 +426,18 @@ impl FaultState {
         if rng.gen_bool(plan.drop) {
             return FaultAction::Drop;
         }
+        let delay_us = if rng.gen_bool(plan.delay) {
+            plan.delay_us
+        } else {
+            0
+        };
+        let truncate = rng.gen_bool(plan.truncate);
+        if truncate {
+            self.truncated.fetch_add(1, Ordering::Relaxed);
+        }
         FaultAction::Deliver {
-            delay_us: if rng.gen_bool(plan.delay) {
-                plan.delay_us
-            } else {
-                0
-            },
-            truncate: rng.gen_bool(plan.truncate),
+            delay_us,
+            truncate,
             duplicate: rng.gen_bool(plan.duplicate),
         }
     }

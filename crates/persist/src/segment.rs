@@ -221,6 +221,7 @@ impl SegmentStore {
                 }
             }
             recovery.truncated_bytes += (raw.len() - cut) as u64;
+            // The file's read buffer itself backs every recovered envelope.
             let buf = Bytes::from(raw).slice(0..cut);
             index.segments.insert(
                 seg,

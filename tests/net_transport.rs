@@ -11,7 +11,7 @@
 
 use blobseer::core::{BlobClient, Cluster};
 use blobseer::net::NetCluster;
-use blobseer::types::{BlobConfig, BlobError, ClusterConfig, FaultPlan, Version};
+use blobseer::types::{BlobConfig, BlobError, BlobId, ClusterConfig, FaultPlan, Version};
 use proptest::prelude::*;
 
 const CS: u64 = 256;
@@ -190,7 +190,12 @@ proptest! {
 /// rotation), every published version stays readable and byte-correct.
 fn converges_under(plan: FaultPlan) {
     let cluster = NetCluster::new_channel(lossy_config(0), plan).unwrap();
-    let client = cluster.client();
+    converges(&cluster.client());
+}
+
+/// The workload of [`converges_under`] on `client`; returns the blob and
+/// its latest contents.
+fn converges(client: &BlobClient) -> (BlobId, Vec<u8>) {
     let blob = client.create_blob(BlobConfig::new(CS, 2).unwrap()).unwrap();
     let base = fill(16 * CS, 1);
     client.append(blob, &base).unwrap();
@@ -205,6 +210,7 @@ fn converges_under(plan: FaultPlan) {
         vec![Version(0), Version(1), Version(2)],
         "no version may be torn or lost"
     );
+    (blob, expected)
 }
 
 #[test]
@@ -218,11 +224,31 @@ fn dropped_frames_are_masked_by_retries() {
 
 #[test]
 fn truncated_frames_are_detected_and_retried() {
-    converges_under(FaultPlan {
-        seed: 8,
-        truncate: 0.2,
-        ..FaultPlan::none()
-    });
+    // Every link and thread draws from one seeded generator, so the seed
+    // does not fix which frames get cut: the rate alone must make a failed
+    // run negligible. A call fails only when all 4 of its attempts
+    // (`DEFAULT_RPC_RETRIES` + 1) lose the request or the response. At a
+    // cut rate p one attempt fails with q = 1 - (1 - p)^2, a call with q^4.
+    // At p = 0.01: q = 0.0199, q^4 = 1.6e-7, and the ~1 900 calls below
+    // (~95 to converge, ~18 per 16-chunk read) fail a run with probability
+    // ~3e-4. They send ~3 800 frames counting responses, so ~38 get cut;
+    // fewer than 10 has probability below 1e-7.
+    let cluster = NetCluster::new_channel(
+        lossy_config(0),
+        FaultPlan {
+            seed: 8,
+            truncate: 0.01,
+            ..FaultPlan::none()
+        },
+    )
+    .unwrap();
+    let client = cluster.client();
+    let (blob, latest) = converges(&client);
+    for _ in 0..100 {
+        assert_eq!(client.read_all(blob, None).unwrap(), latest);
+    }
+    let cut = cluster.fault_state().unwrap().truncated_frames();
+    assert!(cut >= 10, "only {cut} frames were cut");
 }
 
 #[test]
