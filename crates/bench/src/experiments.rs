@@ -353,15 +353,19 @@ pub fn fig_n1_transport_overhead(clients: &[usize], op_mib: u64) -> Vec<SweepSer
             push(&mut in_process, n, point);
         }
         {
-            let tcp = NetCluster::new_tcp(config()).expect("tcp cluster");
+            let tcp =
+                NetCluster::tcp(Cluster::new(config()).expect("cluster")).expect("tcp cluster");
             let mut point =
                 run_transport_point(n, n, ops, op_bytes, chunk_size, 1, &|| tcp.client());
             point.meta_round_trips = tcp.inner().metadata_round_trips();
             push(&mut loopback, n, point);
         }
         {
-            let chan = NetCluster::new_channel(config(), blobseer_types::FaultPlan::none())
-                .expect("channel cluster");
+            let chan = NetCluster::channel(
+                Cluster::new(config()).expect("cluster"),
+                blobseer_types::FaultPlan::none(),
+            )
+            .expect("channel cluster");
             let mut point =
                 run_transport_point(n, n, ops, op_bytes, chunk_size, 1, &|| chan.client());
             point.meta_round_trips = chan.inner().metadata_round_trips();
@@ -513,7 +517,8 @@ pub fn fig_n2_connection_scaling(clients: usize, ops: usize, op_kib: u64) -> Sca
         let point = median_point(
             (0..BENCH_RUNS)
                 .map(|_| {
-                    let tcp = NetCluster::new_tcp(config()).expect("tcp cluster");
+                    let tcp = NetCluster::tcp(Cluster::new(config()).expect("cluster"))
+                        .expect("tcp cluster");
                     let mut point = run_transport_point(
                         clients,
                         CLIENT_HANDLES,
@@ -634,7 +639,7 @@ fn run_codec_arm(
         chunk_cache_bytes: 0,
         ..ClusterConfig::default()
     };
-    let tcp = NetCluster::new_tcp(config).expect("tcp cluster");
+    let tcp = NetCluster::tcp(Cluster::new(config).expect("cluster")).expect("tcp cluster");
     let handles: Vec<Arc<blobseer_core::BlobClient>> =
         (0..clients).map(|_| Arc::new(tcp.client())).collect();
     let blobs: Vec<BlobId> = handles

@@ -36,18 +36,19 @@
 
 use crate::admission::AdmissionController;
 use crate::chunk_cache::ChunkCache;
-use crate::services::{ChunkService, MetadataService};
+use crate::services::{ChunkService, ClientServices, MetadataService};
 use crate::transfer::{Completion, TransferPool};
 use crate::version_manager::{NodeArtifact, WriteKind, WriteTicket};
 use crate::version_service::{VersionPin, VersionService};
 use blobseer_meta::{
     build_repair_metadata, build_write_metadata_chained, collect_leaves, collect_leaves_streaming,
-    publish_metadata, LeafNode, SnapshotDescriptor, WriteMetadata, WriteSummary, WrittenChunk,
+    publish_metadata, CachedMetadataStore, LeafNode, SnapshotDescriptor, WriteMetadata,
+    WriteSummary, WrittenChunk,
 };
 use blobseer_provider::PlacementRequest;
 use blobseer_types::{
     chunk_span, BlobConfig, BlobError, BlobId, BlobSlice, ByteRange, ChunkCodec, ChunkEnvelope,
-    ChunkId, ChunkSlot, ClientId, ProviderId, Result, RetryPolicy, Version,
+    ChunkId, ChunkSlot, ClientId, ClusterConfig, ProviderId, Result, RetryPolicy, Version,
 };
 use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
@@ -240,6 +241,33 @@ impl BlobClient {
             stats: Arc::new(AtomicClientStats::default()),
             transport_metrics: None,
         }
+    }
+
+    /// Assembles a client the way `config` asks: the metadata plane behind
+    /// a private node cache when `client_metadata_cache` is set,
+    /// `shared_cache` or else a private chunk cache of `chunk_cache_bytes`
+    /// (none at zero), and the configured pipeline depth and chunk codec.
+    /// Every deployment's clients are built here.
+    pub fn configured(
+        id: ClientId,
+        services: ClientServices,
+        transfers: Arc<TransferPool>,
+        config: &ClusterConfig,
+        shared_cache: Option<Arc<ChunkCache>>,
+    ) -> Self {
+        let metadata: Arc<dyn MetadataService> = if config.client_metadata_cache {
+            Arc::new(CachedMetadataStore::new(services.metadata))
+        } else {
+            services.metadata
+        };
+        let chunk_cache = shared_cache.or_else(|| {
+            (config.chunk_cache_bytes > 0)
+                .then(|| Arc::new(ChunkCache::new(config.chunk_cache_bytes)))
+        });
+        BlobClient::new(id, services.versions, services.chunks, metadata, transfers)
+            .with_pipeline_depth(config.pipeline_depth)
+            .with_chunk_cache(chunk_cache)
+            .with_chunk_codec(config.chunk_codec)
     }
 
     /// Attaches a per-client admission controller (`None` disables

@@ -12,11 +12,11 @@ use crate::admission::AdmissionController;
 use crate::chunk_cache::ChunkCache;
 use crate::client::BlobClient;
 use crate::lifecycle::LifecycleEngine;
-use crate::services::{ChunkService, InProcessChunkService, MetadataService};
+use crate::services::{ChunkService, ClientServices, InProcessChunkService, MetadataService};
 use crate::transfer::TransferPool;
 use crate::version_manager::VersionManager;
 use blobseer_dht::Dht;
-use blobseer_meta::{CachedMetadataStore, MetadataStore, NodeBody, NodeKey};
+use blobseer_meta::{MetadataStore, NodeBody, NodeKey};
 use blobseer_persist::{
     DurableTier, DurableTierOptions, RecoveredMetadata, RecoveryStats, WalMetaStore,
 };
@@ -30,7 +30,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
 /// A complete in-process BlobSeer deployment.
@@ -59,10 +59,12 @@ pub struct Cluster {
     /// each client then gets its own private cache.
     shared_chunk_cache: Option<Arc<ChunkCache>>,
     /// The version lifecycle engine (snapshot flattening + GC), configured
-    /// from `ClusterConfig::{retained_versions, flatten_threshold}`. Always
-    /// constructed; with both knobs at zero it simply never flattens or
-    /// evicts, and sweeping finds nothing.
-    lifecycle: Arc<LifecycleEngine>,
+    /// from `ClusterConfig::{retained_versions, flatten_threshold}`. Built
+    /// on first use: over the in-process services by [`Cluster::lifecycle`],
+    /// or over a served deployment's wire services by
+    /// [`Cluster::build_lifecycle_over`]. With both knobs at zero it never
+    /// flattens or evicts, and sweeping finds nothing.
+    lifecycle: OnceLock<Arc<LifecycleEngine>>,
     /// The durable persistence tier, when the cluster was opened with
     /// [`Cluster::open_durable`]. `None` for RAM-resident clusters.
     durable: Option<Arc<DurableTier>>,
@@ -215,13 +217,6 @@ impl Cluster {
             }
         };
 
-        let lifecycle = Arc::new(LifecycleEngine::new(
-            Arc::clone(&version_manager),
-            Arc::clone(&meta_service),
-            Arc::clone(&chunk_service) as Arc<dyn ChunkService>,
-            config.retained_versions,
-            config.flatten_threshold,
-        ));
         let admission =
             (config.admission_limit > 0).then(|| AdmissionController::new(config.admission_limit));
         let qos = (config.effective_qos_states() >= 2).then(|| {
@@ -241,7 +236,7 @@ impl Cluster {
             transfers,
             client_ids: IdGenerator::starting_at(1),
             shared_chunk_cache,
-            lifecycle,
+            lifecycle: OnceLock::new(),
             durable: durable_tier,
             recovery,
             admission,
@@ -250,7 +245,6 @@ impl Cluster {
             shutdown_done: AtomicBool::new(false),
             config,
         };
-        cluster.install_durable_maintenance(&cluster.lifecycle);
         cluster.start_checkpointer();
         Ok(cluster)
     }
@@ -288,19 +282,12 @@ impl Cluster {
         }
     }
 
-    /// Hangs the cluster's periodic housekeeping onto `engine`'s
-    /// end-of-pass maintenance hook: one QoS control step (sample provider
-    /// windows, refit the behaviour model, push scores into placement and
-    /// admission pressure), then the durable tier's WAL checkpoint and
-    /// segment compaction when their triggers tripped. No-op when the
-    /// cluster has neither QoS nor a durable tier. The networked deployment
-    /// calls this for its own lifecycle engine (which replaces the
-    /// in-process one as the driven instance).
-    pub fn install_durable_maintenance(&self, engine: &LifecycleEngine) {
-        if self.durable.is_none() && self.qos.is_none() {
-            return;
-        }
-        // The closure captures its own Arcs — no cycle back to the engine.
+    /// The cluster's periodic housekeeping, as a closure owning its own
+    /// handles: one QoS control step (sample provider windows, refit the
+    /// behaviour model, push scores into placement and admission pressure),
+    /// then the durable tier's WAL checkpoint and segment compaction when
+    /// their triggers tripped.
+    fn maintenance(&self) -> impl Fn() + Send + Sync + 'static {
         let durable = self
             .durable
             .as_ref()
@@ -309,7 +296,7 @@ impl Cluster {
         let qos = self.qos.clone();
         let admission = self.admission.clone();
         let provider_count = self.config.data_providers.max(1);
-        engine.set_maintenance_hook(Box::new(move || {
+        move || {
             if let Some(qos) = &qos {
                 if let Ok(flagged) = qos.lock().step() {
                     if let Some(admission) = &admission {
@@ -325,7 +312,7 @@ impl Cluster {
             if let Some((tier, dht)) = &durable {
                 durable_maintenance(tier, &vm, dht);
             }
-        }));
+        }
     }
 
     /// Runs one maintenance pass inline — exactly what the lifecycle
@@ -333,18 +320,7 @@ impl Cluster {
     /// serving daemon drive QoS sampling and checkpointing without waiting
     /// for the background interval.
     pub fn run_maintenance(&self) {
-        if let Some(qos) = &self.qos {
-            if let Ok(flagged) = qos.lock().step() {
-                if let Some(admission) = &self.admission {
-                    let healthy =
-                        1.0 - flagged.len() as f64 / self.config.data_providers.max(1) as f64;
-                    admission.set_pressure(healthy);
-                }
-            }
-        }
-        if let Some(tier) = &self.durable {
-            durable_maintenance(tier, &self.version_manager, &self.metadata);
-        }
+        self.maintenance()();
     }
 
     /// Takes a WAL checkpoint right now (ignoring the due-ness triggers),
@@ -371,7 +347,9 @@ impl Cluster {
             return;
         }
         self.stop_checkpointer();
-        self.lifecycle.shutdown();
+        if let Some(engine) = self.lifecycle.get() {
+            engine.shutdown();
+        }
         if let Some(tier) = &self.durable {
             let _ = self.force_checkpoint();
             tier.wal().seal();
@@ -402,9 +380,51 @@ impl Cluster {
     /// The version lifecycle engine. Drive it manually
     /// ([`LifecycleEngine::run_once`]) or start its background thread
     /// ([`LifecycleEngine::start`]); it is inert until one of the two
-    /// lifecycle knobs in [`ClusterConfig`] is non-zero.
+    /// lifecycle knobs in [`ClusterConfig`] is non-zero. Built over the
+    /// in-process services unless [`Cluster::build_lifecycle_over`] came
+    /// first.
     pub fn lifecycle(&self) -> &Arc<LifecycleEngine> {
-        &self.lifecycle
+        self.lifecycle.get_or_init(|| {
+            self.new_lifecycle(
+                Arc::clone(&self.meta_service),
+                Arc::clone(&self.chunk_service) as Arc<dyn ChunkService>,
+            )
+        })
+    }
+
+    /// Builds the cluster's one lifecycle engine over `metadata` and
+    /// `chunks` instead of the in-process services. A served deployment
+    /// passes its wire services, so the sweeper's deletes cross the same
+    /// RPC boundary client traffic does. Fails if the engine already exists.
+    pub fn build_lifecycle_over(
+        &self,
+        metadata: Arc<dyn MetadataService>,
+        chunks: Arc<dyn ChunkService>,
+    ) -> Result<()> {
+        self.lifecycle
+            .set(self.new_lifecycle(metadata, chunks))
+            .map_err(|_| BlobError::InvalidConfig("the lifecycle engine is already built".into()))
+    }
+
+    /// A lifecycle engine over `metadata` and `chunks`, with the cluster's
+    /// housekeeping on its end-of-pass hook when there is any (QoS or a
+    /// durable tier).
+    fn new_lifecycle(
+        &self,
+        metadata: Arc<dyn MetadataService>,
+        chunks: Arc<dyn ChunkService>,
+    ) -> Arc<LifecycleEngine> {
+        let engine = LifecycleEngine::new(
+            Arc::clone(&self.version_manager),
+            metadata,
+            chunks,
+            self.config.retained_versions,
+            self.config.flatten_threshold,
+        );
+        if self.durable.is_some() || self.qos.is_some() {
+            engine.set_maintenance_hook(Box::new(self.maintenance()));
+        }
+        Arc::new(engine)
     }
 
     /// The configuration the cluster was started with.
@@ -456,35 +476,30 @@ impl Cluster {
         self.chunk_service.providers()
     }
 
-    /// Creates a new client of this cluster. The client gets its own
-    /// metadata cache when the cluster configuration enables client-side
-    /// caching, and a chunk cache when `chunk_cache_bytes` is non-zero —
-    /// the process-wide shared one if `shared_chunk_cache` is set,
-    /// otherwise a private one (chunks are immutable, so neither needs a
-    /// coherence protocol). The cluster's configured chunk codec is applied
-    /// on the client's write path.
+    /// Creates a new client of this cluster over the in-process services
+    /// (see [`Cluster::client_over`]).
     pub fn client(&self) -> BlobClient {
-        let meta_store: Arc<dyn MetadataService> = if self.config.client_metadata_cache {
-            Arc::new(CachedMetadataStore::new(Arc::clone(&self.meta_service)))
-        } else {
-            Arc::clone(&self.meta_service)
-        };
-        let chunk_cache = self.shared_chunk_cache.clone().or_else(|| {
-            (self.config.chunk_cache_bytes > 0)
-                .then(|| Arc::new(ChunkCache::new(self.config.chunk_cache_bytes)))
-        });
-        let vm = Arc::clone(&self.version_manager);
-        let version_service: Arc<dyn crate::VersionService> = vm;
-        BlobClient::new(
+        self.client_over(ClientServices {
+            versions: Arc::clone(&self.version_manager) as Arc<dyn crate::VersionService>,
+            chunks: Arc::clone(&self.chunk_service) as Arc<dyn ChunkService>,
+            metadata: Arc::clone(&self.meta_service),
+        })
+    }
+
+    /// Creates a new client of this deployment over `services` — the
+    /// in-process ones or a served deployment's wire stubs. The client gets
+    /// the next id, the shared transfer pool, the admission throttle and
+    /// the caches, depth and codec [`BlobClient::configured`] derives from
+    /// the configuration; the process-wide shared chunk cache, when
+    /// `shared_chunk_cache` is set, stands in for a private one.
+    pub fn client_over(&self, services: ClientServices) -> BlobClient {
+        BlobClient::configured(
             ClientId(self.client_ids.next_id()),
-            version_service,
-            Arc::clone(&self.chunk_service) as Arc<dyn ChunkService>,
-            meta_store,
+            services,
             Arc::clone(&self.transfers),
+            &self.config,
+            self.shared_chunk_cache.clone(),
         )
-        .with_pipeline_depth(self.config.pipeline_depth)
-        .with_chunk_cache(chunk_cache)
-        .with_chunk_codec(self.config.chunk_codec)
         .with_admission(self.admission.clone())
     }
 

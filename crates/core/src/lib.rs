@@ -49,7 +49,7 @@ pub use chunk_cache::{ChunkCache, ChunkCacheStats};
 pub use client::{BlobClient, ClientStats};
 pub use cluster::Cluster;
 pub use lifecycle::{LifecycleEngine, LifecycleStats};
-pub use services::{ChunkService, InProcessChunkService, MetadataService};
+pub use services::{ChunkService, ClientServices, InProcessChunkService, MetadataService};
 pub use transfer::{TransferPool, TransferPoolStats};
 pub use version_manager::{
     ArtifactKind, CollectableSet, FlattenTicket, NodeArtifact, VersionManager, VersionManagerStats,

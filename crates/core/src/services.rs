@@ -21,9 +21,22 @@
 //! changes *where* the services run (sharded metadata, async transports,
 //! remote providers) is a new trait implementation, not a client rewrite.
 
+use crate::version_service::VersionService;
 use blobseer_meta::{MetadataStore, NodeBody, NodeKey};
+use std::sync::Arc;
 
 pub use blobseer_provider::{ChunkService, InProcessChunkService};
+
+/// The three service handles one client is assembled from: the concrete
+/// services in process, their wire stubs on a networked deployment.
+pub struct ClientServices {
+    /// The version manager.
+    pub versions: Arc<dyn VersionService>,
+    /// The chunk plane.
+    pub chunks: Arc<dyn ChunkService>,
+    /// The metadata plane, uncached (client assembly adds the node cache).
+    pub metadata: Arc<dyn MetadataService>,
+}
 
 /// The metadata half of the service boundary.
 ///
@@ -62,7 +75,6 @@ mod tests {
     use super::*;
     use blobseer_meta::{ChildRef, InMemoryMetaStore, LeafNode};
     use blobseer_types::{BlobId, ByteRange, Version};
-    use std::sync::Arc;
 
     fn key(version: u64) -> NodeKey {
         NodeKey {

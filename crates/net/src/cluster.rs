@@ -1,38 +1,40 @@
-//! A BlobSeer deployment whose clients reach the chunk and metadata planes
+//! A served BlobSeer deployment: a [`Cluster`] whose services clients reach
 //! over the framed RPC protocol.
 //!
-//! [`NetCluster`] wraps the in-process [`Cluster`] (which keeps owning the
-//! version manager, the providers, the DHT and the shared transfer pool)
-//! and hosts its services behind RPC endpoints: one per data provider, one
-//! for the provider manager, one for the metadata plane, one for the
-//! version manager. Clients obtained from [`NetCluster::client`] hold
-//! `NetChunkService`/`NetMetadataService`/`NetVersionService` instead of
-//! the in-process implementations — every chunk, every metadata node and
-//! every version-manager decision they touch crosses the wire. A client in
-//! another *process* connects to the same endpoints with
-//! [`connect_remote`], given the addresses from [`NetCluster::endpoint_addrs`]
-//! (the daemon's endpoints file).
+//! [`NetCluster`] takes a [`Cluster`] by value. The cluster keeps owning the
+//! version manager, the providers, the DHT, the transfer pool and the one
+//! lifecycle engine; the serving layer owns only the server-side pieces:
+//! one RPC endpoint per data provider plus the provider manager, the
+//! metadata plane and the version manager, the worker pool, the reactor,
+//! the connectors and the serving-side traffic counters.
 //!
-//! The transport is picked by `ClusterConfig::transport`: real TCP loopback
-//! sockets, or the in-process channel transport with an optional seeded
-//! [`FaultPlan`] (the networked test double). The differential transport
-//! tests run the same operation histories over both — and over the plain
-//! in-process cluster — and assert byte-identical results.
+//! Clients from [`NetCluster::client`] hold `NetChunkService`/
+//! `NetMetadataService`/`NetVersionService` instead of the in-process
+//! implementations — every chunk, every metadata node and every
+//! version-manager decision they touch crosses the wire. So do the
+//! lifecycle sweeper's deletes: the cluster's engine is built over the same
+//! wire services. A client in another *process* connects to the same
+//! endpoints with [`connect_remote`], given the addresses from
+//! [`NetCluster::endpoint_addrs`] (the daemon's endpoints file).
+//!
+//! The transport is the constructor: [`NetCluster::tcp`] serves real TCP
+//! loopback sockets, [`NetCluster::channel`] the in-process channel
+//! transport with a seeded [`FaultPlan`] (the networked test double). The
+//! differential transport tests run the same operation histories over both
+//! — and over the plain in-process cluster — and assert byte-identical
+//! results.
 
 use crate::reactor::{default_rpc_workers, Reactor, WorkerPool};
 use crate::rpc::{
     ChunkHost, ManagerHost, MetaHost, RpcEndpoint, RpcHandler, RpcServer, VersionHost,
+    META_RPC_RETRIES, VM_RPC_RETRIES,
 };
 use crate::services::{NetChunkService, NetMetadataService, NetVersionService};
 use crate::transport::{channel_endpoint, tcp_listener, Connect, FaultState, TcpConnector};
-use blobseer_core::{
-    BlobClient, ChunkCache, ChunkService, Cluster, LifecycleEngine, MetadataService, TransferPool,
-    VersionService,
-};
-use blobseer_meta::{CachedMetadataStore, MetadataStore};
+use blobseer_core::{BlobClient, ClientServices, Cluster, TransferPool};
+use blobseer_meta::MetadataStore;
 use blobseer_types::{
-    BlobError, ClientId, ClusterConfig, FaultPlan, IdGenerator, ProviderId, Result, TransportKind,
-    TransportMetrics,
+    BlobError, ClientId, ClusterConfig, FaultPlan, ProviderId, Result, TransportMetrics,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -40,7 +42,77 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// A networked BlobSeer deployment (TCP loopback or channel transport).
+/// What a client dials: one connector per endpoint of a deployment.
+struct Connectors {
+    vm: Arc<dyn Connect>,
+    manager: Arc<dyn Connect>,
+    meta: Arc<dyn Connect>,
+    /// In provider-id order.
+    providers: Vec<(ProviderId, Arc<dyn Connect>)>,
+}
+
+impl Connectors {
+    /// TCP connectors to endpoints discovered out of band.
+    fn remote(endpoints: &RemoteEndpoints) -> Self {
+        let tcp = |addr| -> Arc<dyn Connect> { Arc::new(TcpConnector::new(addr)) };
+        Connectors {
+            vm: tcp(endpoints.vm),
+            manager: tcp(endpoints.manager),
+            meta: tcp(endpoints.meta),
+            providers: endpoints
+                .providers
+                .iter()
+                .map(|&(id, addr)| (id, tcp(addr)))
+                .collect(),
+        }
+    }
+
+    /// Wire stubs of the three services over fresh endpoints (no
+    /// connection is dialled until the first call), every frame counted in
+    /// `metrics`. Each endpoint opens `connections_per_endpoint`
+    /// multiplexed connections, used round robin, and bounds every call by
+    /// `io_timeout`.
+    fn services(&self, config: &ClusterConfig, metrics: &Arc<TransportMetrics>) -> ClientServices {
+        let endpoint = |connector: &Arc<dyn Connect>| {
+            RpcEndpoint::new(
+                Arc::clone(connector),
+                config.io_timeout(),
+                Arc::clone(metrics),
+            )
+            .with_connections(config.connections_per_endpoint)
+        };
+        let providers = self
+            .providers
+            .iter()
+            .map(|(id, connector)| (*id, endpoint(connector)))
+            .collect();
+        ClientServices {
+            chunks: Arc::new(NetChunkService::new(
+                endpoint(&self.manager),
+                providers,
+                Arc::clone(metrics),
+            )),
+            // The metadata endpoint gets a deeper retry budget: metadata
+            // frames are tiny and on every critical path, so extra masking
+            // of lossy links is cheap there (see `META_RPC_RETRIES`).
+            // Batches are split into one frame per metadata shard and
+            // flushed as a single vectored submission.
+            metadata: Arc::new(
+                NetMetadataService::new(endpoint(&self.meta).with_retries(META_RPC_RETRIES))
+                    .with_shards(config.metadata_providers),
+            ),
+            // The version-manager plane has the deepest budget of all: its
+            // frames are tiny, every operation serialises through it with
+            // no replica to rotate to, and the host deduplicates retries of
+            // the non-idempotent calls by nonce.
+            versions: Arc::new(NetVersionService::new(
+                endpoint(&self.vm).with_retries(VM_RPC_RETRIES),
+            )),
+        }
+    }
+}
+
+/// A served BlobSeer deployment (TCP loopback or channel transport).
 ///
 /// Serving is event-driven and bounded: all endpoints share one
 /// [`WorkerPool`] of [`default_rpc_workers`] threads, and on the TCP
@@ -49,33 +121,21 @@ use std::sync::Arc;
 /// connect.
 pub struct NetCluster {
     inner: Cluster,
-    manager_connector: Arc<dyn Connect>,
-    meta_connector: Arc<dyn Connect>,
-    vm_connector: Arc<dyn Connect>,
+    connectors: Connectors,
     /// The served version-manager host (kept for lease diagnostics).
     vm_host: Arc<VersionHost>,
-    provider_connectors: HashMap<ProviderId, Arc<dyn Connect>>,
     /// Serving-side traffic accounting, shared by every chunk host: the
     /// logical/physical bytes this deployment moved for its clients,
     /// independent of any one client's own metrics.
     server_metrics: Arc<TransportMetrics>,
-    /// Serving-side chunk cache behind the chunk hosts (the deployment's
-    /// shared cache, present when `shared_chunk_cache` is configured).
-    server_cache: Option<Arc<ChunkCache>>,
     /// Running server endpoints, keyed for targeted teardown ("manager",
-    /// "meta", "provider-N").
+    /// "meta", "vm", "provider-N").
     servers: Mutex<HashMap<String, RpcServer>>,
     /// The shared request-execution pool behind every endpoint.
     pool: WorkerPool,
     /// The shared connection reactor (TCP transport only; the channel
     /// transport's blocking sources keep per-connection reader threads).
     reactor: Option<Arc<Reactor>>,
-    /// The deployment's lifecycle engine, wired over the *networked*
-    /// services: flattening writes metadata and the sweeper's deletes reach
-    /// providers and the metadata plane as RPCs, exactly like client
-    /// traffic.
-    lifecycle: Arc<LifecycleEngine>,
-    client_ids: IdGenerator,
     /// The channel transport's fault decision source (`None` on TCP) —
     /// exposed so tests can swap the plan mid-run.
     faults: Option<Arc<FaultState>>,
@@ -84,52 +144,16 @@ pub struct NetCluster {
 }
 
 impl NetCluster {
-    /// Starts a networked deployment on the transport named by
-    /// `config.transport` (the channel transport runs fault-free; use
-    /// [`NetCluster::new_channel`] to inject faults).
-    pub fn new(config: ClusterConfig) -> Result<Self> {
-        match config.transport {
-            TransportKind::TcpLoopback => Self::new_tcp(config),
-            TransportKind::Channel => Self::new_channel(config, FaultPlan::none()),
-            TransportKind::InProcess => Err(BlobError::InvalidConfig(
-                "NetCluster needs a networked transport; use Cluster for in-process".into(),
-            )),
-        }
-    }
-
-    /// Opens (creating on first use) a *durable* networked deployment
-    /// rooted at `dir` — `Cluster::open_durable` hosted behind RPC
-    /// endpoints. Reopening the same directory recovers every blob's last
-    /// complete version; the recovered segment stores serve chunk reads
-    /// over the wire zero-copy, and every remote metadata mutation hits the
-    /// write-ahead log before the DHT.
-    pub fn open_durable(config: ClusterConfig, dir: impl AsRef<std::path::Path>) -> Result<Self> {
-        match config.transport {
-            TransportKind::TcpLoopback => Self::serve_tcp(Cluster::open_durable(config, dir)?),
-            TransportKind::Channel => {
-                Self::serve_channel(Cluster::open_durable(config, dir)?, FaultPlan::none())
-            }
-            TransportKind::InProcess => Err(BlobError::InvalidConfig(
-                "NetCluster needs a networked transport; use Cluster for in-process".into(),
-            )),
-        }
-    }
-
-    /// Starts a deployment whose endpoints are real TCP loopback sockets
-    /// bound to `config.net_listen`, served by one shared reactor thread
-    /// plus the bounded worker pool.
-    pub fn new_tcp(mut config: ClusterConfig) -> Result<Self> {
-        config.transport = TransportKind::TcpLoopback;
-        Self::serve_tcp(Cluster::new(config)?)
-    }
-
-    fn serve_tcp(inner: Cluster) -> Result<Self> {
-        let config = inner.config();
-        let listen = config.net_listen.clone();
+    /// Serves `cluster` on real TCP loopback sockets bound to its
+    /// `net_listen`, through one shared reactor thread plus the bounded
+    /// worker pool. A durable served deployment is
+    /// `NetCluster::tcp(Cluster::open_durable(config, dir)?)`.
+    pub fn tcp(cluster: Cluster) -> Result<Self> {
+        let listen = cluster.config().net_listen.clone();
         let pool = WorkerPool::new(default_rpc_workers());
-        let reactor = Reactor::new(pool.clone(), config.io_timeout());
+        let reactor = Reactor::new(pool.clone(), cluster.config().io_timeout());
         let serve_reactor = Arc::clone(&reactor);
-        Self::build(inner, pool, Some(reactor), move |handler| {
+        Self::serve(cluster, pool, Some(reactor), None, move |handler| {
             let (connector, listener) = tcp_listener(&listen)?;
             Ok((
                 connector,
@@ -138,137 +162,94 @@ impl NetCluster {
         })
     }
 
-    /// Starts a deployment on the in-process channel transport, injecting
+    /// Serves `cluster` on the in-process channel transport, injecting
     /// `faults` (seeded, deterministic) into every link of the network.
     /// Channel sources block (that is what makes their fault injection
     /// deterministic), so connections keep reader threads — but request
     /// execution still runs on the shared bounded pool.
-    pub fn new_channel(mut config: ClusterConfig, faults: FaultPlan) -> Result<Self> {
-        config.transport = TransportKind::Channel;
-        Self::serve_channel(Cluster::new(config)?, faults)
-    }
-
-    fn serve_channel(inner: Cluster, faults: FaultPlan) -> Result<Self> {
+    pub fn channel(cluster: Cluster, faults: FaultPlan) -> Result<Self> {
         faults.validate()?;
         let state = Arc::new(FaultState::new(faults));
-        let fault_state = Arc::clone(&state);
+        let serve_state = Arc::clone(&state);
         let pool = WorkerPool::new(default_rpc_workers());
         let serve_pool = pool.clone();
-        let mut cluster = Self::build(inner, pool, None, move |handler| {
-            let (connector, acceptor, stopper) = channel_endpoint(Arc::clone(&state));
+        Self::serve(cluster, pool, None, Some(state), move |handler| {
+            let (connector, acceptor, stopper) = channel_endpoint(Arc::clone(&serve_state));
             Ok((
                 connector,
                 RpcServer::spawn_pooled(acceptor, stopper, handler, serve_pool.clone()),
             ))
-        })?;
-        cluster.faults = Some(fault_state);
-        Ok(cluster)
+        })
     }
 
-    fn build(
+    fn serve(
         inner: Cluster,
         pool: WorkerPool,
         reactor: Option<Arc<Reactor>>,
+        faults: Option<Arc<FaultState>>,
         make_server: impl Fn(Arc<dyn RpcHandler>) -> Result<(Arc<dyn Connect>, RpcServer)>,
     ) -> Result<Self> {
         let mut servers = HashMap::new();
+        let mut serve = |name: String, handler: Arc<dyn RpcHandler>| {
+            let (connector, server) = make_server(handler)?;
+            servers.insert(name, server);
+            Ok::<_, BlobError>(connector)
+        };
         let server_metrics = Arc::new(TransportMetrics::new());
-        let server_cache = inner.shared_chunk_cache().cloned();
-
-        let (manager_connector, server) = make_server(Arc::new(ManagerHost::new(Arc::clone(
-            inner.provider_manager(),
-        ))))?;
-        servers.insert("manager".to_string(), server);
-
-        // Serve the cluster's *metadata service* (the WAL-wrapped store on
-        // durable deployments) rather than the raw DHT, so remote metadata
-        // mutations hit the write-ahead log before they land in memory.
-        let (meta_connector, server) = make_server(Arc::new(MetaHost::new(Arc::clone(
-            inner.metadata_service(),
-        )
-            as Arc<dyn MetadataStore>)))?;
-        servers.insert("meta".to_string(), server);
-
-        // The version manager — the deployment's serialisation point — goes
-        // on the wire like every other plane.
         let vm_host = Arc::new(VersionHost::new(Arc::clone(inner.version_manager())));
-        let (vm_connector, server) = make_server(Arc::clone(&vm_host) as Arc<dyn RpcHandler>)?;
-        servers.insert("vm".to_string(), server);
-
-        let mut provider_connectors = HashMap::new();
-        for provider in inner.providers() {
-            let id = provider.id();
-            let host = ChunkHost::new(provider)
-                .with_cache(server_cache.clone())
-                .with_metrics(Some(Arc::clone(&server_metrics)));
-            let (connector, server) = make_server(Arc::new(host))?;
-            servers.insert(format!("provider-{}", id.0), server);
-            provider_connectors.insert(id, connector);
-        }
-
-        // The lifecycle engine is itself a wire client of the deployment:
-        // it holds its own endpoints (one per provider, one for metadata),
-        // so reclamation crosses the same RPC boundary reads and writes do
-        // — a networked provider frees bytes because a REMOVE_CHUNKS frame
-        // reached it, not because the sweeper shares its address space.
-        let config = inner.config();
-        let io_timeout = config.io_timeout();
-        let metrics = Arc::new(TransportMetrics::new());
-        let manager_ep = RpcEndpoint::new(
-            Arc::clone(&manager_connector),
-            io_timeout,
-            Arc::clone(&metrics),
-        );
-        let provider_eps = provider_connectors
-            .iter()
-            .map(|(&id, connector)| {
-                (
-                    id,
-                    RpcEndpoint::new(Arc::clone(connector), io_timeout, Arc::clone(&metrics)),
-                )
-            })
-            .collect();
-        let lifecycle_chunks = Arc::new(NetChunkService::new(
-            manager_ep,
-            provider_eps,
-            Arc::clone(&metrics),
-        ));
-        let lifecycle_meta = Arc::new(
-            NetMetadataService::new(RpcEndpoint::new(
-                Arc::clone(&meta_connector),
-                io_timeout,
-                metrics,
-            ))
-            .with_shards(config.metadata_providers),
-        );
-        let lifecycle = Arc::new(LifecycleEngine::new(
-            Arc::clone(inner.version_manager()),
-            lifecycle_meta as Arc<dyn MetadataService>,
-            lifecycle_chunks as Arc<dyn ChunkService>,
-            config.retained_versions,
-            config.flatten_threshold,
-        ));
-        // On durable deployments the *networked* sweeper drives WAL
-        // checkpoints too, since it is the engine that actually runs.
-        inner.install_durable_maintenance(&lifecycle);
-
-        Ok(NetCluster {
+        let connectors = Connectors {
+            manager: serve(
+                "manager".into(),
+                Arc::new(ManagerHost::new(Arc::clone(inner.provider_manager()))),
+            )?,
+            // Serve the cluster's *metadata service* (the WAL-wrapped store
+            // on durable deployments) rather than the raw DHT, so remote
+            // metadata mutations hit the write-ahead log before they land
+            // in memory.
+            meta: serve(
+                "meta".into(),
+                Arc::new(MetaHost::new(
+                    Arc::clone(inner.metadata_service()) as Arc<dyn MetadataStore>
+                )),
+            )?,
+            // The version manager — the deployment's serialisation point —
+            // goes on the wire like every other plane.
+            vm: serve("vm".into(), Arc::clone(&vm_host) as Arc<dyn RpcHandler>)?,
+            providers: inner
+                .providers()
+                .into_iter()
+                .map(|provider| {
+                    let id = provider.id();
+                    let host = ChunkHost::new(provider)
+                        .with_cache(inner.shared_chunk_cache().cloned())
+                        .with_metrics(Some(Arc::clone(&server_metrics)));
+                    Ok((id, serve(format!("provider-{}", id.0), Arc::new(host))?))
+                })
+                .collect::<Result<_>>()?,
+        };
+        let cluster = NetCluster {
             inner,
-            manager_connector,
-            meta_connector,
-            vm_connector,
+            connectors,
             vm_host,
-            provider_connectors,
             server_metrics,
-            server_cache,
             servers: Mutex::new(servers),
             pool,
             reactor,
-            lifecycle,
-            client_ids: IdGenerator::starting_at(1),
-            faults: None,
+            faults,
             shutdown_done: AtomicBool::new(false),
-        })
+        };
+        // The lifecycle engine is itself a wire client of the deployment,
+        // so reclamation crosses the same RPC boundary reads and writes do
+        // — a served provider frees bytes because a REMOVE_CHUNKS frame
+        // reached it, not because the sweeper shares its address space.
+        // Its metadata service stays uncached, like the in-process engine's.
+        let wire = cluster
+            .connectors
+            .services(cluster.inner.config(), &Arc::new(TransportMetrics::new()));
+        cluster
+            .inner
+            .build_lifecycle_over(wire.metadata, wire.chunks)?;
+        Ok(cluster)
     }
 
     /// The channel transport's fault decision source, for swapping the
@@ -278,41 +259,16 @@ impl NetCluster {
         self.faults.as_ref()
     }
 
-    /// The wrapped in-process cluster (version manager, provider handles,
-    /// failure injection, statistics).
+    /// The served cluster: configuration, version manager, provider
+    /// handles, failure injection, the lifecycle engine and statistics.
     pub fn inner(&self) -> &Cluster {
         &self.inner
-    }
-
-    /// The configuration the deployment was started with.
-    pub fn config(&self) -> &ClusterConfig {
-        self.inner.config()
-    }
-
-    /// The deployment's version-lifecycle engine (snapshot flattening +
-    /// chunk/metadata GC), wired over the networked services: its deletes
-    /// reach providers and the metadata plane through the same RPC protocol
-    /// clients use.
-    #[must_use]
-    pub fn lifecycle(&self) -> &Arc<LifecycleEngine> {
-        &self.lifecycle
-    }
-
-    /// Marks a data provider failed (it keeps its endpoint but rejects
-    /// every request), exactly like `Cluster::fail_provider`.
-    pub fn fail_provider(&self, id: ProviderId) -> Result<()> {
-        self.inner.fail_provider(id)
-    }
-
-    /// Recovers a previously failed data provider.
-    pub fn recover_provider(&self, id: ProviderId) -> Result<()> {
-        self.inner.recover_provider(id)
     }
 
     /// Kills a data provider's server endpoint outright: live connections
     /// are torn down mid-request and new ones are refused — the networked
     /// equivalent of the provider *process* dying, which is harsher than
-    /// [`NetCluster::fail_provider`] (a polite "unavailable" response).
+    /// `Cluster::fail_provider` (a polite "unavailable" response).
     pub fn stop_provider_endpoint(&self, id: ProviderId) -> Result<()> {
         let mut servers = self.servers.lock();
         let server = servers
@@ -323,101 +279,24 @@ impl NetCluster {
     }
 
     /// The TCP address a data provider's endpoint listens on (`None` on
-    /// in-process transports or for unknown providers). Stress tests use it
+    /// the channel transport or for unknown providers). Stress tests use it
     /// to poke endpoints outside the framed protocol.
     #[must_use]
-    pub fn provider_endpoint_addr(&self, id: ProviderId) -> Option<std::net::SocketAddr> {
-        self.provider_connectors.get(&id).and_then(|c| c.addr())
+    pub fn provider_endpoint_addr(&self, id: ProviderId) -> Option<SocketAddr> {
+        let (_, connector) = self.connectors.providers.iter().find(|(p, _)| *p == id)?;
+        connector.addr()
     }
 
-    /// Creates a client whose chunk and metadata planes run over the wire.
-    /// Each client gets its own connection pool per endpoint
-    /// (`connections_per_endpoint` multiplexed connections, round robin)
-    /// and its own [`TransportMetrics`], surfaced through
-    /// `ClientStats::bytes_on_wire`/`frames_sent`/`frames_coalesced`.
+    /// Creates a client whose every service call runs over the wire. Each
+    /// client gets its own connection pool per endpoint and its own
+    /// [`TransportMetrics`], surfaced through
+    /// `ClientStats::bytes_on_wire`/`frames_sent`/`frames_coalesced`; the
+    /// rest comes from [`Cluster::client_over`].
     pub fn client(&self) -> BlobClient {
-        let config = self.inner.config();
-        let io_timeout = config.io_timeout();
-        let conns = config.connections_per_endpoint;
         let metrics = Arc::new(TransportMetrics::new());
-
-        let manager = RpcEndpoint::new(
-            Arc::clone(&self.manager_connector),
-            io_timeout,
-            Arc::clone(&metrics),
-        )
-        .with_connections(conns);
-        let providers = self
-            .provider_connectors
-            .iter()
-            .map(|(&id, connector)| {
-                (
-                    id,
-                    RpcEndpoint::new(Arc::clone(connector), io_timeout, Arc::clone(&metrics))
-                        .with_connections(conns),
-                )
-            })
-            .collect();
-        let chunks = Arc::new(NetChunkService::new(
-            manager,
-            providers,
-            Arc::clone(&metrics),
-        ));
-
-        // The metadata endpoint gets a deeper retry budget: metadata frames
-        // are tiny and on every critical path, so extra masking of lossy
-        // links is cheap there (see `META_RPC_RETRIES`). Batches are split
-        // into one frame per metadata shard and flushed as a single
-        // vectored submission — the metadata plane's frame coalescing.
-        let meta = NetMetadataService::new(
-            RpcEndpoint::new(
-                Arc::clone(&self.meta_connector),
-                io_timeout,
-                Arc::clone(&metrics),
-            )
-            .with_retries(crate::rpc::META_RPC_RETRIES)
-            .with_connections(conns),
-        )
-        .with_shards(config.metadata_providers);
-        let meta_service: Arc<dyn MetadataService> = if config.client_metadata_cache {
-            Arc::new(CachedMetadataStore::new(Arc::new(meta)))
-        } else {
-            Arc::new(meta)
-        };
-
-        // Prefer the cluster-wide shared chunk cache when configured, so
-        // every client of this process hits chunks any of them fetched.
-        let chunk_cache = self.inner.shared_chunk_cache().cloned().or_else(|| {
-            (config.chunk_cache_bytes > 0)
-                .then(|| Arc::new(blobseer_core::ChunkCache::new(config.chunk_cache_bytes)))
-        });
-
-        // The version-manager plane crosses the wire too, with the deepest
-        // retry budget of any plane: its frames are tiny, every operation
-        // serialises through it with no replica to rotate to, and the host
-        // deduplicates retries of the non-idempotent calls by nonce.
-        let version_service: Arc<dyn VersionService> = Arc::new(NetVersionService::new(
-            RpcEndpoint::new(
-                Arc::clone(&self.vm_connector),
-                io_timeout,
-                Arc::clone(&metrics),
-            )
-            .with_retries(crate::rpc::VM_RPC_RETRIES)
-            .with_connections(conns),
-        ));
-
-        BlobClient::new(
-            ClientId(self.client_ids.next_id()),
-            version_service,
-            chunks,
-            meta_service,
-            Arc::clone(self.inner.transfer_pool()),
-        )
-        .with_admission(self.inner.admission().cloned())
-        .with_pipeline_depth(config.pipeline_depth)
-        .with_chunk_cache(chunk_cache)
-        .with_chunk_codec(config.chunk_codec)
-        .with_transport_metrics(Some(metrics))
+        self.inner
+            .client_over(self.connectors.services(self.inner.config(), &metrics))
+            .with_transport_metrics(Some(metrics))
     }
 
     /// Every endpoint the deployment serves, as `(name, address)` pairs —
@@ -425,21 +304,18 @@ impl NetCluster {
     /// connectors have no socket addresses.
     #[must_use]
     pub fn endpoint_addrs(&self) -> Vec<(String, SocketAddr)> {
-        let mut out = Vec::new();
-        let mut push = |name: String, connector: &Arc<dyn Connect>| {
-            if let Some(addr) = connector.addr() {
-                out.push((name, addr));
-            }
-        };
-        push("vm".into(), &self.vm_connector);
-        push("manager".into(), &self.manager_connector);
-        push("meta".into(), &self.meta_connector);
-        let mut providers: Vec<_> = self.provider_connectors.iter().collect();
-        providers.sort_by_key(|(id, _)| id.0);
-        for (id, connector) in providers {
-            push(format!("provider-{}", id.0), connector);
-        }
-        out
+        let c = &self.connectors;
+        let planes = [("vm", &c.vm), ("manager", &c.manager), ("meta", &c.meta)]
+            .map(|(name, connector)| (name.to_string(), connector));
+        let providers = c
+            .providers
+            .iter()
+            .map(|(id, connector)| (format!("provider-{}", id.0), connector));
+        planes
+            .into_iter()
+            .chain(providers)
+            .filter_map(|(name, connector)| Some((name, connector.addr()?)))
+            .collect()
     }
 
     /// Serving-side traffic counters (the chunk bytes this deployment moved
@@ -447,12 +323,6 @@ impl NetCluster {
     #[must_use]
     pub fn server_metrics(&self) -> &Arc<TransportMetrics> {
         &self.server_metrics
-    }
-
-    /// The serving-side chunk cache, when configured (`shared_chunk_cache`).
-    #[must_use]
-    pub fn server_cache(&self) -> Option<&Arc<ChunkCache>> {
-        self.server_cache.as_ref()
     }
 
     /// Pin leases currently held on behalf of remote clients.
@@ -463,10 +333,11 @@ impl NetCluster {
 
     /// Coordinated graceful shutdown, in dependency order: stop accepting
     /// and tear down the server endpoints, stop the reactor and the RPC
-    /// worker pool, drain the transfer pool's submitted backlog, park the
-    /// lifecycle/GC worker, and finally checkpoint and seal the durable
-    /// tier (a no-op on in-memory deployments). Idempotent — `Drop` runs it
-    /// too, and a second call returns immediately.
+    /// worker pool, drain the transfer pool's submitted backlog, then the
+    /// cluster's own shutdown — park the lifecycle/GC worker, checkpoint
+    /// and seal the durable tier (a no-op on in-memory deployments).
+    /// Idempotent — `Drop` runs it too, and a second call returns
+    /// immediately.
     pub fn shutdown(&self) {
         if self.shutdown_done.swap(true, Ordering::SeqCst) {
             return;
@@ -483,10 +354,8 @@ impl NetCluster {
         self.pool.shutdown();
         // 2. Drain transfers already submitted by in-process clients.
         self.inner.transfer_pool().quiesce();
-        // 3. Quiesce the maintenance plane: no sweeper run can start after
-        //    this returns.
-        self.lifecycle.shutdown();
-        // 4. Final checkpoint + WAL seal (durable deployments).
+        // 3. Quiesce the maintenance plane, then the final checkpoint and
+        //    WAL seal (durable deployments).
         self.inner.shutdown();
     }
 }
@@ -500,8 +369,8 @@ impl Drop for NetCluster {
 impl std::fmt::Debug for NetCluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetCluster")
-            .field("transport", &self.inner.config().transport)
-            .field("data_providers", &self.provider_connectors.len())
+            .field("tcp", &self.reactor.is_some())
+            .field("data_providers", &self.connectors.providers.len())
             .finish()
     }
 }
@@ -522,27 +391,37 @@ pub struct RemoteEndpoints {
 
 impl RemoteEndpoints {
     /// Builds the set from `(name, address)` pairs (the output of
-    /// [`NetCluster::endpoint_addrs`]). Fails if a service plane is missing
-    /// or a name is malformed.
+    /// [`NetCluster::endpoint_addrs`]). Fails if a service plane is missing,
+    /// a name is malformed, or a plane or provider is named twice.
     pub fn from_pairs(pairs: &[(String, SocketAddr)]) -> Result<Self> {
         let mut vm = None;
         let mut manager = None;
         let mut meta = None;
-        let mut providers = Vec::new();
+        let mut providers: Vec<(ProviderId, SocketAddr)> = Vec::new();
+        let duplicate =
+            |name: &str| BlobError::InvalidConfig(format!("duplicate endpoint {name:?}"));
         for (name, addr) in pairs {
-            match name.as_str() {
-                "vm" => vm = Some(*addr),
-                "manager" => manager = Some(*addr),
-                "meta" => meta = Some(*addr),
+            let plane = match name.as_str() {
+                "vm" => &mut vm,
+                "manager" => &mut manager,
+                "meta" => &mut meta,
                 other => {
                     let id = other
                         .strip_prefix("provider-")
                         .and_then(|n| n.parse::<u32>().ok())
+                        .map(ProviderId)
                         .ok_or_else(|| {
                             BlobError::InvalidConfig(format!("unknown endpoint name {other:?}"))
                         })?;
-                    providers.push((ProviderId(id), *addr));
+                    if providers.iter().any(|&(p, _)| p == id) {
+                        return Err(duplicate(other));
+                    }
+                    providers.push((id, *addr));
+                    continue;
                 }
+            };
+            if plane.replace(*addr).is_some() {
+                return Err(duplicate(name));
             }
         }
         let require = |plane: &str, addr: Option<SocketAddr>| {
@@ -599,72 +478,26 @@ impl RemoteEndpoints {
 /// Connects a client to a serving deployment in *another process*, given
 /// its endpoint addresses. The returned client owns its transfer pool
 /// (there is no in-process cluster to share one with) and its own
-/// transport metrics; its chunk cache follows `config.chunk_cache_bytes`.
+/// transport metrics; its caches follow `config` as
+/// [`BlobClient::configured`] reads it, with no shared chunk cache.
 ///
 /// `config` should match the serving deployment where it matters on the
 /// client side: `metadata_providers` (shard-grouped frame batching),
 /// `chunk_codec`, timeouts and connection counts.
 pub fn connect_remote(config: &ClusterConfig, endpoints: &RemoteEndpoints) -> Result<BlobClient> {
     use rand::RngCore;
-    let io_timeout = config.io_timeout();
-    let conns = config.connections_per_endpoint;
     let metrics = Arc::new(TransportMetrics::new());
-    let connect = |addr: SocketAddr| -> Arc<dyn Connect> { Arc::new(TcpConnector::new(addr)) };
-
-    let manager = RpcEndpoint::new(connect(endpoints.manager), io_timeout, Arc::clone(&metrics))
-        .with_connections(conns);
-    let providers = endpoints
-        .providers
-        .iter()
-        .map(|&(id, addr)| {
-            (
-                id,
-                RpcEndpoint::new(connect(addr), io_timeout, Arc::clone(&metrics))
-                    .with_connections(conns),
-            )
-        })
-        .collect();
-    let chunks = Arc::new(NetChunkService::new(
-        manager,
-        providers,
-        Arc::clone(&metrics),
-    ));
-
-    let meta = NetMetadataService::new(
-        RpcEndpoint::new(connect(endpoints.meta), io_timeout, Arc::clone(&metrics))
-            .with_retries(crate::rpc::META_RPC_RETRIES)
-            .with_connections(conns),
-    )
-    .with_shards(config.metadata_providers);
-    let meta_service: Arc<dyn MetadataService> = if config.client_metadata_cache {
-        Arc::new(CachedMetadataStore::new(Arc::new(meta)))
-    } else {
-        Arc::new(meta)
-    };
-
-    let version_service: Arc<dyn VersionService> = Arc::new(NetVersionService::new(
-        RpcEndpoint::new(connect(endpoints.vm), io_timeout, Arc::clone(&metrics))
-            .with_retries(crate::rpc::VM_RPC_RETRIES)
-            .with_connections(conns),
-    ));
-
-    let chunk_cache =
-        (config.chunk_cache_bytes > 0).then(|| Arc::new(ChunkCache::new(config.chunk_cache_bytes)));
     let transfers = Arc::new(
         TransferPool::new(config.transfer_workers)
             .with_join_timeout(config.io_timeout().map(|t| t * 8)),
     );
-
-    Ok(BlobClient::new(
+    Ok(BlobClient::configured(
         ClientId(rand::thread_rng().next_u64()),
-        version_service,
-        chunks,
-        meta_service,
+        Connectors::remote(endpoints).services(config, &metrics),
         transfers,
+        config,
+        None,
     )
-    .with_pipeline_depth(config.pipeline_depth)
-    .with_chunk_cache(chunk_cache)
-    .with_chunk_codec(config.chunk_codec)
     .with_transport_metrics(Some(metrics)))
 }
 
@@ -681,6 +514,14 @@ mod tests {
             metadata_providers: 2,
             ..ClusterConfig::default()
         }
+    }
+
+    fn tcp(config: ClusterConfig) -> NetCluster {
+        NetCluster::tcp(Cluster::new(config).unwrap()).unwrap()
+    }
+
+    fn channel(config: ClusterConfig) -> NetCluster {
+        NetCluster::channel(Cluster::new(config).unwrap(), FaultPlan::none()).unwrap()
     }
 
     fn pattern(len: usize, seed: u8) -> Vec<u8> {
@@ -711,30 +552,49 @@ mod tests {
 
     #[test]
     fn channel_transport_roundtrips() {
-        let cluster = NetCluster::new_channel(config(), FaultPlan::none()).unwrap();
+        let cluster = channel(config());
         roundtrip_on(&cluster);
     }
 
     #[test]
     fn tcp_loopback_transport_roundtrips() {
-        let cluster = NetCluster::new_tcp(config()).unwrap();
+        let cluster = tcp(config());
         roundtrip_on(&cluster);
     }
 
     #[test]
-    fn dispatching_constructor_respects_the_config() {
-        let cluster = NetCluster::new(ClusterConfig {
-            transport: TransportKind::Channel,
-            ..config()
-        })
-        .unwrap();
-        assert_eq!(cluster.config().transport, TransportKind::Channel);
-        assert!(NetCluster::new(config()).is_err(), "InProcess is rejected");
+    fn a_cluster_whose_lifecycle_already_exists_is_not_served() {
+        let cluster = Cluster::new(config()).unwrap();
+        let _in_process = cluster.lifecycle();
+        let err = NetCluster::channel(cluster, FaultPlan::none()).unwrap_err();
+        assert!(matches!(err, BlobError::InvalidConfig(_)), "{err:?}");
+    }
+
+    #[test]
+    fn duplicate_plane_endpoints_are_rejected() {
+        let text = "vm = 127.0.0.1:1\nvm = 127.0.0.1:2\nmanager = 127.0.0.1:3\n\
+                    meta = 127.0.0.1:4\nprovider-0 = 127.0.0.1:5\n";
+        assert_eq!(
+            RemoteEndpoints::parse(text).unwrap_err(),
+            BlobError::InvalidConfig("duplicate endpoint \"vm\"".into())
+        );
+        let unique = RemoteEndpoints::parse(&text.replacen("vm = 127.0.0.1:1\n", "", 1)).unwrap();
+        assert_eq!(unique.vm, "127.0.0.1:2".parse().unwrap());
+    }
+
+    #[test]
+    fn duplicate_provider_endpoints_are_rejected() {
+        let text = "vm = 127.0.0.1:1\nmanager = 127.0.0.1:2\nmeta = 127.0.0.1:3\n\
+                    provider-1 = 127.0.0.1:4\nprovider-01 = 127.0.0.1:5\n";
+        assert_eq!(
+            RemoteEndpoints::parse(text).unwrap_err(),
+            BlobError::InvalidConfig("duplicate endpoint \"provider-01\"".into())
+        );
     }
 
     #[test]
     fn aligned_writes_stay_zero_copy_over_the_wire() {
-        let cluster = NetCluster::new_tcp(config()).unwrap();
+        let cluster = tcp(config());
         let client = cluster.client();
         let blob = client.create_blob(BlobConfig::new(CS, 1).unwrap()).unwrap();
         client.append(blob, pattern(4 * CS as usize, 2)).unwrap();
@@ -753,17 +613,17 @@ mod tests {
             chunk_cache_bytes: 0,
             ..config()
         };
-        let cluster = NetCluster::new_channel(cfg, FaultPlan::none()).unwrap();
+        let cluster = channel(cfg);
         let client = cluster.client();
         let blob = client.create_blob(BlobConfig::new(CS, 1).unwrap()).unwrap();
         let data = pattern(4 * CS as usize, 3);
         client.append(blob, &data).unwrap();
         for i in 0..4 {
-            cluster.fail_provider(ProviderId(i)).unwrap();
+            cluster.inner().fail_provider(ProviderId(i)).unwrap();
         }
         assert!(client.read_all(blob, None).is_err());
         for i in 0..4 {
-            cluster.recover_provider(ProviderId(i)).unwrap();
+            cluster.inner().recover_provider(ProviderId(i)).unwrap();
         }
         assert_eq!(client.read_all(blob, None).unwrap(), data);
     }
@@ -772,7 +632,7 @@ mod tests {
     fn killed_provider_endpoints_are_substituted_mid_write() {
         let mut cfg = config();
         cfg.io_timeout_ms = 300; // fail over quickly in the test
-        let cluster = NetCluster::new_channel(cfg, FaultPlan::none()).unwrap();
+        let cluster = channel(cfg);
         let client = cluster.client();
         let blob = client.create_blob(BlobConfig::new(CS, 1).unwrap()).unwrap();
         cluster.stop_provider_endpoint(ProviderId(0)).unwrap();

@@ -4,18 +4,21 @@
 //! talking to *remote* providers and metadata nodes. This crate closes the
 //! gap between the in-process reproduction and that deployment shape with a
 //! length-prefixed framed RPC protocol (request id, opcode, header,
-//! payload) and two interchangeable transports behind the existing
-//! `ChunkService`/`MetadataService` traits:
+//! payload) behind the existing `ChunkService`/`MetadataService`/
+//! `VersionService` traits. [`NetCluster`] serves a `Cluster` it is given;
+//! the transport is the constructor called:
 //!
-//! * **TCP loopback** ([`transport::tcp_endpoint`]): real `std::net`
-//!   sockets, one server endpoint per data provider plus the provider
-//!   manager and the metadata plane, clients multiplexing their in-flight
-//!   requests over one connection per endpoint (so the pipelined
-//!   scheduler's overlap survives the wire);
-//! * **channel** ([`transport::channel_endpoint`]): the same frames over
-//!   in-process channels with deterministic, seedable fault injection
-//!   (drop / delay / duplicate / truncate / disconnect / stall per frame) —
-//!   the workhorse of the fault-tolerance test matrix.
+//! * **TCP loopback** ([`NetCluster::tcp`]): real `std::net` sockets bound
+//!   by [`transport::tcp_listener`] and owned by one event-driven
+//!   [`Reactor`], one server endpoint per data provider plus the provider
+//!   manager, the metadata plane and the version manager, clients
+//!   multiplexing their in-flight requests over one connection per endpoint
+//!   (so the pipelined scheduler's overlap survives the wire);
+//! * **channel** ([`NetCluster::channel`]): the same frames over
+//!   in-process channels ([`transport::channel_endpoint`]) with
+//!   deterministic, seedable fault injection (drop / delay / duplicate /
+//!   truncate / disconnect / stall per frame) — the workhorse of the
+//!   fault-tolerance test matrix.
 //!
 //! Payloads stay [`bytes::Bytes`] end to end: senders scatter-write prefix,
 //! header and payload as separate `IoSlice`s (no flattening), receivers
@@ -41,6 +44,6 @@ pub use rpc::{
 };
 pub use services::{NetChunkService, NetMetadataService, NetVersionService};
 pub use transport::{
-    channel_endpoint, tcp_endpoint, tcp_listener, Accept, Accepted, Connect, Connection,
-    FaultState, FrameSink, FrameSource, KillHandle, TcpConnector,
+    channel_endpoint, tcp_listener, Connect, Connection, FaultState, FrameSink, FrameSource,
+    KillHandle, TcpConnector,
 };

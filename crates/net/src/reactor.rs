@@ -20,7 +20,7 @@
 //! Without a real `poll(2)` the scan itself must be cheap at high fan-in,
 //! so connections are split hot/cold: a connection that moved bytes
 //! recently is probed (one nonblocking `read`) every scan, while idle ones
-//! are probed by a rotating sweep of [`COLD_SWEEP_PER_SCAN`] connections
+//! are probed by a rotating sweep of `COLD_SWEEP_PER_SCAN` connections
 //! per scan. The scan's syscall overhead is therefore O(hot + constant)
 //! rather than O(connections) — a few scans of added first-byte latency on
 //! a cold connection buys a server whose probe cost no longer grows with

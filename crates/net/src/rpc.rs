@@ -19,10 +19,10 @@
 //!   are owned by a shared event-driven [`crate::reactor::Reactor`] and
 //!   requests execute on its bounded [`crate::reactor::WorkerPool`], so
 //!   serving threads scale with cores, not clients;
-//! * [`RpcServer::spawn_pooled`] — a blocking accept loop plus one reader
-//!   thread per connection, with request execution still bounded by a
-//!   worker pool (the shape used by the channel transport, whose fault
-//!   injection needs blocking sources).
+//! * [`RpcServer::spawn_pooled`] — the channel transport's shape: a
+//!   blocking accept loop plus one reader thread per connection (its fault
+//!   injection needs blocking sources), with request execution still
+//!   bounded by a worker pool.
 //!
 //! Every call is bounded by the deployment's `io_timeout` and retried a
 //! bounded number of times on *transport* errors (timeout, disconnect,
@@ -33,7 +33,7 @@
 
 use crate::frame::Frame;
 use crate::reactor::{Reactor, WorkerPool};
-use crate::transport::{Accept, Accepted, Connect, Connection, FrameSink, KillHandle};
+use crate::transport::{ChannelAcceptor, Connect, Connection, FrameSink, KillHandle};
 use blobseer_core::{ChunkCache, NodeArtifact, VersionManager, VersionPin, WriteKind};
 use blobseer_meta::{MetadataStore, NodeBody, NodeKey};
 use blobseer_provider::{DataProvider, PlacementRequest, ProviderManager};
@@ -589,13 +589,13 @@ pub struct RpcServer {
 }
 
 impl RpcServer {
-    /// Starts serving `handler` behind `acceptor`, executing requests on a
-    /// shared worker `pool` (not shut down by [`RpcServer::stop`] — several
-    /// endpoints of one deployment share it). `stopper` must unblock the
-    /// acceptor (see `tcp_endpoint` / `channel_endpoint`).
+    /// Starts serving `handler` behind a channel `acceptor`, executing
+    /// requests on a shared worker `pool` (not shut down by
+    /// [`RpcServer::stop`] — several endpoints of one deployment share it).
+    /// `stopper` must unblock the acceptor (see `channel_endpoint`).
     #[must_use]
     pub fn spawn_pooled(
-        mut acceptor: Box<dyn Accept>,
+        mut acceptor: ChannelAcceptor,
         stopper: KillHandle,
         handler: Arc<dyn RpcHandler>,
         pool: WorkerPool,
@@ -606,30 +606,24 @@ impl RpcServer {
             .name("blobseer-rpc-accept".into())
             .spawn(move || {
                 let mut next_conn_id = 0u64;
-                loop {
-                    match acceptor.accept() {
-                        Accepted::Conn(conn) => {
-                            let conn_id = next_conn_id;
-                            next_conn_id += 1;
-                            accept_conns.lock().insert(conn_id, Arc::clone(&conn.kill));
-                            let handler = Arc::clone(&handler);
-                            let registry = Arc::clone(&accept_conns);
-                            let pool = pool.clone();
-                            std::thread::Builder::new()
-                                .name("blobseer-rpc-conn".into())
-                                .spawn(move || {
-                                    Self::serve_connection(conn, &handler, &pool);
-                                    // The connection is gone: drop its kill
-                                    // handle (and, for TCP, the cloned
-                                    // stream it owns) so a server outliving
-                                    // many client reconnects does not
-                                    // accumulate dead handles and fds.
-                                    registry.lock().remove(&conn_id);
-                                })
-                                .expect("cannot spawn rpc connection thread");
-                        }
-                        Accepted::Closed => return,
-                    }
+                while let Some(conn) = acceptor.accept() {
+                    let conn_id = next_conn_id;
+                    next_conn_id += 1;
+                    accept_conns.lock().insert(conn_id, Arc::clone(&conn.kill));
+                    let handler = Arc::clone(&handler);
+                    let registry = Arc::clone(&accept_conns);
+                    let pool = pool.clone();
+                    std::thread::Builder::new()
+                        .name("blobseer-rpc-conn".into())
+                        .spawn(move || {
+                            Self::serve_connection(conn, &handler, &pool);
+                            // The connection is gone: drop its kill
+                            // handle so a server outliving many
+                            // client reconnects does not accumulate
+                            // dead handles.
+                            registry.lock().remove(&conn_id);
+                        })
+                        .expect("cannot spawn rpc connection thread");
                 }
             })
             .expect("cannot spawn rpc accept thread");
@@ -1098,7 +1092,7 @@ impl RpcHandler for MetaHost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{channel_endpoint, tcp_endpoint, FaultState};
+    use crate::transport::{channel_endpoint, tcp_listener, FaultState};
     use blobseer_types::{BlobId, FaultPlan};
 
     /// Echoes the request back; opcode 0x70 sleeps forever (a hung
@@ -1330,9 +1324,10 @@ mod tests {
 
     #[test]
     fn rpc_works_over_real_tcp_sockets() {
-        let (connector, acceptor, stopper) = tcp_endpoint("127.0.0.1:0").unwrap();
-        let mut server =
-            RpcServer::spawn_pooled(acceptor, stopper, Arc::new(EchoHandler), WorkerPool::new(4));
+        let (connector, listener) = tcp_listener("127.0.0.1:0").unwrap();
+        let pool = WorkerPool::new(4);
+        let reactor = Reactor::new(pool.clone(), None);
+        let mut server = RpcServer::spawn_reactor(&reactor, listener, Arc::new(EchoHandler));
         let endpoint = RpcEndpoint::new(
             connector,
             Some(Duration::from_secs(5)),
@@ -1346,10 +1341,12 @@ mod tests {
         let m = endpoint.metrics().snapshot();
         assert!(m.bytes_on_wire >= 2 * 100_000);
         server.stop();
+        reactor.stop();
         // After the server is gone, calls fail with a transport error
         // instead of hanging (connect refused or reset).
         let err = endpoint.call(0x20, Bytes::new(), Bytes::new());
         assert!(err.is_err());
+        pool.shutdown();
     }
 
     #[test]

@@ -52,11 +52,6 @@ pub trait FrameSource: Send {
 /// A kill switch tearing one connection down from outside (idempotent).
 pub type KillHandle = Arc<dyn Fn() + Send + Sync>;
 
-/// The three handles one endpoint builder returns: the connector clients
-/// dial, the acceptor the server loop blocks on, and a stop closure that
-/// unblocks the acceptor for shutdown.
-pub type EndpointParts = (Arc<dyn Connect>, Box<dyn Accept>, KillHandle);
-
 /// One established bidirectional frame connection.
 pub struct Connection {
     /// Send half.
@@ -78,20 +73,6 @@ pub trait Connect: Send + Sync {
     fn addr(&self) -> Option<SocketAddr> {
         None
     }
-}
-
-/// What an acceptor hands the server loop.
-pub enum Accepted {
-    /// A new inbound connection.
-    Conn(Connection),
-    /// The endpoint was stopped; no more connections will arrive.
-    Closed,
-}
-
-/// Accepts inbound connections at one endpoint.
-pub trait Accept: Send {
-    /// Blocks for the next inbound connection.
-    fn accept(&mut self) -> Accepted;
 }
 
 fn io_err(context: &str, err: &std::io::Error) -> BlobError {
@@ -284,61 +265,9 @@ impl Connect for TcpConnector {
     }
 }
 
-/// Accept side of one TCP endpoint.
-pub struct TcpAcceptor {
-    listener: TcpListener,
-    stop: Arc<AtomicBool>,
-}
-
-impl Accept for TcpAcceptor {
-    fn accept(&mut self) -> Accepted {
-        loop {
-            if self.stop.load(Ordering::Acquire) {
-                return Accepted::Closed;
-            }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if self.stop.load(Ordering::Acquire) {
-                        // The wake-up connection used to unblock us.
-                        return Accepted::Closed;
-                    }
-                    match tcp_connection(stream) {
-                        Ok(conn) => return Accepted::Conn(conn),
-                        Err(_) => continue,
-                    }
-                }
-                Err(_) => {
-                    if self.stop.load(Ordering::Acquire) {
-                        return Accepted::Closed;
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            }
-        }
-    }
-}
-
-/// Binds one TCP endpoint and returns its [`EndpointParts`].
-pub fn tcp_endpoint(listen: &str) -> Result<EndpointParts> {
-    let listener = TcpListener::bind(listen).map_err(|e| io_err("tcp bind", &e))?;
-    let addr = listener.local_addr().map_err(|e| io_err("tcp addr", &e))?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let acceptor = TcpAcceptor {
-        listener,
-        stop: Arc::clone(&stop),
-    };
-    let stopper: KillHandle = Arc::new(move || {
-        stop.store(true, Ordering::Release);
-        // Wake the acceptor blocked in accept().
-        let _ = TcpStream::connect(addr);
-    });
-    Ok((Arc::new(TcpConnector { addr }), Box::new(acceptor), stopper))
-}
-
-/// Binds one TCP endpoint for the event-driven server path: returns the
-/// connector clients dial plus the raw listener, which the caller hands to a
-/// [`crate::reactor::Reactor`] (the reactor owns readiness, accept and
-/// teardown itself, so no acceptor/stopper pair is needed).
+/// Binds one TCP endpoint: returns the connector clients dial plus the raw
+/// listener, which the caller hands to a [`crate::reactor::Reactor`] (the
+/// reactor owns readiness, accept and teardown itself).
 pub fn tcp_listener(listen: &str) -> Result<(Arc<dyn Connect>, TcpListener)> {
     let listener = TcpListener::bind(listen).map_err(|e| io_err("tcp bind", &e))?;
     let addr = listener.local_addr().map_err(|e| io_err("tcp addr", &e))?;
@@ -585,24 +514,29 @@ pub struct ChannelAcceptor {
     stop: Arc<AtomicBool>,
 }
 
-impl Accept for ChannelAcceptor {
-    fn accept(&mut self) -> Accepted {
+impl ChannelAcceptor {
+    /// Blocks for the next inbound connection; `None` once the endpoint was
+    /// stopped and no more connections will arrive.
+    pub fn accept(&mut self) -> Option<Connection> {
         loop {
             if self.stop.load(Ordering::Acquire) {
-                return Accepted::Closed;
+                return None;
             }
             match self.inbound.recv_timeout(CHANNEL_POLL) {
-                Ok(conn) => return Accepted::Conn(conn),
+                Ok(conn) => return Some(conn),
                 Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return Accepted::Closed,
+                Err(RecvTimeoutError::Disconnected) => return None,
             }
         }
     }
 }
 
-/// Builds one channel endpoint over the shared fault state and returns its
-/// [`EndpointParts`].
-pub fn channel_endpoint(faults: Arc<FaultState>) -> EndpointParts {
+/// Builds one channel endpoint over the shared fault state: the connector
+/// clients dial, the acceptor the server loop blocks on, and a stop closure
+/// that unblocks the acceptor for shutdown.
+pub fn channel_endpoint(
+    faults: Arc<FaultState>,
+) -> (Arc<dyn Connect>, ChannelAcceptor, KillHandle) {
     let (tx, rx) = channel::<Connection>();
     let stop = Arc::new(AtomicBool::new(false));
     let acceptor = ChannelAcceptor {
@@ -615,7 +549,7 @@ pub fn channel_endpoint(faults: Arc<FaultState>) -> EndpointParts {
             inbound: Mutex::new(tx),
             faults,
         }),
-        Box::new(acceptor),
+        acceptor,
         stopper,
     )
 }
@@ -638,9 +572,7 @@ mod tests {
         let faults = Arc::new(FaultState::new(FaultPlan::none()));
         let (connector, mut acceptor, _stop) = channel_endpoint(faults);
         let client = connector.connect().unwrap();
-        let Accepted::Conn(server) = acceptor.accept() else {
-            panic!("expected a connection");
-        };
+        let server = acceptor.accept().expect("a connection");
         (client, server)
     }
 
@@ -673,45 +605,48 @@ mod tests {
         let faults = Arc::new(FaultState::new(FaultPlan::none()));
         let (connector, mut acceptor, stop) = channel_endpoint(faults);
         stop();
-        assert!(matches!(acceptor.accept(), Accepted::Closed));
+        assert!(acceptor.accept().is_none());
         // The acceptor's receiver is gone once the acceptor is dropped.
         drop(acceptor);
         assert!(connector.connect().is_err());
     }
 
+    /// A connected TCP pair: the client dials through [`TcpConnector`], the
+    /// server side is a plainly accepted socket.
+    fn tcp_pair() -> (Connection, Connection) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpConnector::new(listener.local_addr().unwrap())
+            .connect()
+            .unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        (client, tcp_connection(stream).unwrap())
+    }
+
     #[test]
     fn tcp_frames_roundtrip_over_a_real_socket() {
-        let (connector, mut acceptor, stop) = tcp_endpoint("127.0.0.1:0").unwrap();
-        let server_thread = std::thread::spawn(move || match acceptor.accept() {
-            Accepted::Conn(mut conn) => {
-                let got = conn.source.recv().unwrap().unwrap();
-                conn.sink.send(&got).unwrap();
-                // Clean EOF once the client closes.
-                assert!(conn.source.recv().unwrap().is_none());
-            }
-            Accepted::Closed => panic!("acceptor closed early"),
+        let (mut client, mut server) = tcp_pair();
+        let server_thread = std::thread::spawn(move || {
+            let got = server.source.recv().unwrap().unwrap();
+            server.sink.send(&got).unwrap();
+            // Clean EOF once the client closes.
+            assert!(server.source.recv().unwrap().is_none());
         });
-        let mut client = connector.connect().unwrap();
         let sent = frame(9);
         client.sink.send(&sent).unwrap();
         let echoed = client.source.recv().unwrap().unwrap();
         assert_eq!(echoed, sent);
         drop(client);
         server_thread.join().unwrap();
-        stop();
     }
 
     #[test]
     fn tcp_kill_unblocks_a_waiting_reader() {
-        let (connector, mut acceptor, stop) = tcp_endpoint("127.0.0.1:0").unwrap();
+        let (client, server) = tcp_pair();
         let server_thread = std::thread::spawn(move || {
-            if let Accepted::Conn(conn) = acceptor.accept() {
-                // Hold the connection open until the client kills its side.
-                let mut source = conn.source;
-                let _ = source.recv();
-            }
+            // Hold the connection open until the client kills its side.
+            let mut source = server.source;
+            let _ = source.recv();
         });
-        let client = connector.connect().unwrap();
         let mut source = client.source;
         let kill = client.kill;
         let reader = std::thread::spawn(move || source.recv());
@@ -720,16 +655,7 @@ mod tests {
         // A shutdown socket yields EOF or an error — either way the reader
         // returns instead of blocking forever.
         let _ = reader.join().unwrap();
-        stop();
         server_thread.join().unwrap();
-    }
-
-    #[test]
-    fn stopped_tcp_endpoints_close_their_acceptor() {
-        let (_connector, mut acceptor, stop) = tcp_endpoint("127.0.0.1:0").unwrap();
-        let t = std::thread::spawn(move || matches!(acceptor.accept(), Accepted::Closed));
-        stop();
-        assert!(t.join().unwrap());
     }
 
     #[test]
@@ -773,9 +699,7 @@ mod tests {
         let faults = Arc::new(FaultState::new(plan));
         let (connector, mut acceptor, _stop) = channel_endpoint(faults);
         let mut client = connector.connect().unwrap();
-        let Accepted::Conn(mut server) = acceptor.accept() else {
-            panic!("expected a connection");
-        };
+        let mut server = acceptor.accept().expect("a connection");
         client.sink.send(&frame(1)).unwrap();
         // Nothing arrives: the frame was swallowed. Kill the link after a
         // grace period so the blocking recv returns instead of hanging.
@@ -794,9 +718,7 @@ mod tests {
         let faults = Arc::new(FaultState::new(plan));
         let (connector, mut acceptor, _stop) = channel_endpoint(faults);
         let mut client = connector.connect().unwrap();
-        let Accepted::Conn(mut server) = acceptor.accept() else {
-            panic!("expected a connection");
-        };
+        let mut server = acceptor.accept().expect("a connection");
         let sent = frame(1);
         client.sink.send(&sent).unwrap();
         let got = server.source.recv().unwrap().unwrap();
@@ -813,9 +735,7 @@ mod tests {
         let faults = Arc::new(FaultState::new(plan));
         let (connector, mut acceptor, _stop) = channel_endpoint(faults);
         let mut client = connector.connect().unwrap();
-        let Accepted::Conn(mut server) = acceptor.accept() else {
-            panic!("expected a connection");
-        };
+        let mut server = acceptor.accept().expect("a connection");
         client.sink.send(&frame(4)).unwrap();
         assert_eq!(server.source.recv().unwrap().unwrap().request_id, 4);
         assert_eq!(server.source.recv().unwrap().unwrap().request_id, 4);
@@ -831,9 +751,7 @@ mod tests {
         let faults = Arc::new(FaultState::new(plan));
         let (connector, mut acceptor, _stop) = channel_endpoint(faults);
         let mut client = connector.connect().unwrap();
-        let Accepted::Conn(mut server) = acceptor.accept() else {
-            panic!("expected a connection");
-        };
+        let mut server = acceptor.accept().expect("a connection");
         assert!(client.sink.send(&frame(1)).is_err());
         assert!(client.sink.send(&frame(2)).is_err(), "link stays down");
         assert!(server.source.recv().unwrap().is_none());

@@ -1,4 +1,5 @@
-//! Durable networked deployments: `NetCluster::open_durable` round trips.
+//! Durable served deployments: `Cluster::open_durable` behind `NetCluster`
+//! round trips.
 //!
 //! The persistence tier lives behind the store traits, so a networked
 //! deployment gets durability for free — chunks written over the wire land
@@ -10,10 +11,10 @@
 //! CI runs this file single-threaded (`--test-threads=1`): each test owns
 //! an on-disk directory and a whole deployment.
 
-use blobseer_core::BlobClient;
+use blobseer_core::{BlobClient, Cluster};
 use blobseer_net::NetCluster;
-use blobseer_types::{BlobConfig, BlobId, ClusterConfig, TransportKind};
-use std::path::PathBuf;
+use blobseer_types::{BlobConfig, BlobId, ClusterConfig, FaultPlan, Result};
+use std::path::{Path, PathBuf};
 
 const CS: u64 = 128;
 
@@ -34,14 +35,14 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn durable_config(transport: TransportKind) -> ClusterConfig {
-    ClusterConfig {
+fn open_durable(dir: &Path) -> Cluster {
+    let config = ClusterConfig {
         data_providers: 4,
         metadata_providers: 2,
-        transport,
         chunk_cache_bytes: 0,
         ..ClusterConfig::default()
-    }
+    };
+    Cluster::open_durable(config, dir).expect("durable cluster opens")
 }
 
 fn write_history(client: &BlobClient) -> (BlobId, Vec<u8>) {
@@ -62,11 +63,10 @@ fn write_history(client: &BlobClient) -> (BlobId, Vec<u8>) {
     (blob, model)
 }
 
-fn round_trip(transport: TransportKind, tag: &str) {
+fn round_trip(serve: fn(Cluster) -> Result<NetCluster>, tag: &str) {
     let dir = temp_dir(tag);
     let (blob, model) = {
-        let cluster = NetCluster::open_durable(durable_config(transport), &dir)
-            .expect("durable deployment opens");
+        let cluster = serve(open_durable(&dir)).expect("durable deployment serves");
         assert_eq!(cluster.inner().recovery_stats().recovered_blobs, 0);
         let out = write_history(&cluster.client());
         assert!(dir.join("meta.wal").exists(), "the WAL must exist on disk");
@@ -74,8 +74,7 @@ fn round_trip(transport: TransportKind, tag: &str) {
     };
     // "Restart": a fresh deployment over the same directory recovers the
     // blob and serves it over the wire.
-    let cluster = NetCluster::open_durable(durable_config(transport), &dir)
-        .expect("durable deployment reopens");
+    let cluster = serve(open_durable(&dir)).expect("durable deployment reopens");
     let stats = cluster.inner().recovery_stats();
     assert_eq!(stats.recovered_blobs, 1, "the blob must be recovered");
     assert!(
@@ -106,23 +105,13 @@ fn round_trip(transport: TransportKind, tag: &str) {
 
 #[test]
 fn channel_deployment_round_trips_through_restart() {
-    round_trip(TransportKind::Channel, "channel");
+    round_trip(
+        |cluster| NetCluster::channel(cluster, FaultPlan::none()),
+        "channel",
+    );
 }
 
 #[test]
 fn tcp_deployment_round_trips_through_restart() {
-    round_trip(TransportKind::TcpLoopback, "tcp");
-}
-
-/// The in-process transport has no wire; `open_durable` must reject it the
-/// same way `NetCluster::new` does.
-#[test]
-fn in_process_transport_is_rejected() {
-    let dir = temp_dir("rejected");
-    let err = NetCluster::open_durable(durable_config(TransportKind::InProcess), &dir);
-    assert!(err.is_err(), "InProcess must be rejected");
-    assert!(
-        !dir.exists(),
-        "no state may be created for a rejected config"
-    );
+    round_trip(NetCluster::tcp, "tcp");
 }

@@ -156,7 +156,9 @@ fn replay_net(cluster: &NetCluster, ops: &[Op]) -> Vec<u8> {
     let blob = client
         .create_blob(BlobConfig::new(CS, 1).expect("valid blob config"))
         .expect("blob creates");
-    replay(&client, blob, ops, &|| cluster.lifecycle().run_blob(blob))
+    replay(&client, blob, ops, &|| {
+        cluster.inner().lifecycle().run_blob(blob)
+    })
 }
 
 proptest! {
@@ -173,7 +175,7 @@ proptest! {
         cache in any::<bool>(),
     ) {
         let local = replay_local(cache, &ops);
-        let net = NetCluster::new_channel(lifecycle_config(cache), FaultPlan::none())
+        let net = NetCluster::channel(Cluster::new(lifecycle_config(cache)).expect("cluster builds"), FaultPlan::none())
             .expect("channel cluster builds");
         let networked = replay_net(&net, &ops);
         prop_assert_eq!(local, networked);
@@ -191,7 +193,7 @@ proptest! {
         cache in any::<bool>(),
     ) {
         let local = replay_local(cache, &ops);
-        let net = NetCluster::new_tcp(lifecycle_config(cache)).expect("tcp cluster builds");
+        let net = NetCluster::tcp(Cluster::new(lifecycle_config(cache)).expect("cluster builds")).expect("tcp cluster builds");
         let networked = replay_net(&net, &ops);
         prop_assert_eq!(local, networked);
     }
@@ -202,7 +204,8 @@ proptest! {
 /// version keeps serving.
 #[test]
 fn evicted_versions_answer_version_retired() {
-    let cluster = NetCluster::new_tcp(lifecycle_config(false)).expect("tcp cluster builds");
+    let cluster = NetCluster::tcp(Cluster::new(lifecycle_config(false)).expect("cluster builds"))
+        .expect("tcp cluster builds");
     let client = cluster.client();
     let blob = client
         .create_blob(BlobConfig::new(CS, 1).expect("valid blob config"))
@@ -213,7 +216,7 @@ fn evicted_versions_answer_version_retired() {
         client.append(blob, &data).expect("append succeeds");
         model.extend_from_slice(&data);
     }
-    cluster.lifecycle().run_blob(blob);
+    cluster.inner().lifecycle().run_blob(blob);
     let err = client
         .read_all(blob, Some(Version(1)))
         .expect_err("an evicted version must not serve");
@@ -242,7 +245,11 @@ fn killed_provider_mid_sweep_requeues_without_corrupting() {
         retained_versions: 1,
         ..lifecycle_config(false)
     };
-    let cluster = NetCluster::new_channel(config, FaultPlan::none()).expect("cluster builds");
+    let cluster = NetCluster::channel(
+        Cluster::new(config).expect("cluster builds"),
+        FaultPlan::none(),
+    )
+    .expect("cluster builds");
     let client = cluster.client();
     // Two replicas per chunk: reads survive a dead provider.
     let blob = client
@@ -264,8 +271,8 @@ fn killed_provider_mid_sweep_requeues_without_corrupting() {
     cluster
         .stop_provider_endpoint(ProviderId(0))
         .expect("endpoint stops");
-    cluster.lifecycle().run_blob(blob);
-    let stats = cluster.lifecycle().stats();
+    cluster.inner().lifecycle().run_blob(blob);
+    let stats = cluster.inner().lifecycle().stats();
     assert!(
         stats.sweep_errors > 0,
         "deletes aimed at the dead endpoint must be counted as sweep errors"
@@ -289,8 +296,8 @@ fn killed_provider_mid_sweep_requeues_without_corrupting() {
     // out of the requeue, fail again, and are requeued again — retried
     // forever (never double-freed, never silently leaked) rather than
     // wedging the sweeper.
-    cluster.lifecycle().run_blob(blob);
-    let later = cluster.lifecycle().stats();
+    cluster.inner().lifecycle().run_blob(blob);
+    let later = cluster.inner().lifecycle().stats();
     assert!(
         later.requeued_entries > stats.requeued_entries,
         "while the endpoint stays dead every pass must requeue, not drop"
@@ -309,7 +316,11 @@ fn requeued_deletes_drain_once_the_provider_returns() {
         retained_versions: 1,
         ..lifecycle_config(false)
     };
-    let cluster = NetCluster::new_channel(config, FaultPlan::none()).expect("cluster builds");
+    let cluster = NetCluster::channel(
+        Cluster::new(config).expect("cluster builds"),
+        FaultPlan::none(),
+    )
+    .expect("cluster builds");
     let client = cluster.client();
     // Two replicas per chunk: reads survive the unavailable provider.
     let blob = client
@@ -328,10 +339,11 @@ fn requeued_deletes_drain_once_the_provider_returns() {
         model[(i * CS) as usize..((i + 1) * CS) as usize].copy_from_slice(&patch);
     }
     cluster
+        .inner()
         .fail_provider(ProviderId(0))
         .expect("provider fails over a healthy wire");
-    cluster.lifecycle().run_blob(blob);
-    let mid = cluster.lifecycle().stats();
+    cluster.inner().lifecycle().run_blob(blob);
+    let mid = cluster.inner().lifecycle().stats();
     assert!(
         mid.sweep_errors > 0,
         "deletes aimed at the unavailable provider must fail"
@@ -342,10 +354,11 @@ fn requeued_deletes_drain_once_the_provider_returns() {
     );
 
     cluster
+        .inner()
         .recover_provider(ProviderId(0))
         .expect("provider recovers");
-    cluster.lifecycle().run_blob(blob);
-    let end = cluster.lifecycle().stats();
+    cluster.inner().lifecycle().run_blob(blob);
+    let end = cluster.inner().lifecycle().stats();
     assert!(
         end.reclaimed_chunks > mid.reclaimed_chunks,
         "the requeued replicas must be reclaimed once the provider returns"
@@ -522,7 +535,11 @@ fn per_blob_codec_overrides_the_cluster_default() {
             chunk_cache_bytes: 0,
             ..lifecycle_config(false)
         };
-        let cluster = NetCluster::new_channel(config, FaultPlan::none()).expect("cluster builds");
+        let cluster = NetCluster::channel(
+            Cluster::new(config).expect("cluster builds"),
+            FaultPlan::none(),
+        )
+        .expect("cluster builds");
 
         // One client per blob so the compression counters are attributable.
         let default_client = cluster.client();

@@ -17,10 +17,9 @@
 
 pub mod metrics;
 
+use blobseer_core::Cluster;
 use blobseer_net::{NetCluster, RemoteEndpoints};
-use blobseer_types::{
-    BlobError, ChunkCodec, ClusterConfig, Durability, PlacementPolicy, Result, TransportKind,
-};
+use blobseer_types::{BlobError, ChunkCodec, ClusterConfig, Durability, PlacementPolicy, Result};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -31,7 +30,7 @@ use std::time::Duration;
 /// file, maintenance cadence).
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
-    /// The deployment configuration. `transport` is forced to TCP at start.
+    /// The deployment configuration, served over TCP.
     pub cluster: ClusterConfig,
     /// Root directory of the durable tier. `None` runs RAM-resident (no
     /// WAL, no segment logs — everything is lost at exit).
@@ -52,7 +51,6 @@ impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
             cluster: ClusterConfig {
-                transport: TransportKind::TcpLoopback,
                 // The daemon serves many unrelated clients; a process-wide
                 // chunk cache (coherence-free thanks to chunk immutability)
                 // is the right default and feeds the `cache_*` metrics.
@@ -212,15 +210,14 @@ impl Daemon {
     /// carries the metrics address as a `# metrics = addr` comment, so one
     /// file is the whole discovery story.
     pub fn start(opts: ServerOptions) -> Result<Self> {
-        let mut config = opts.cluster.clone();
-        config.transport = TransportKind::TcpLoopback;
         let cluster = match &opts.durable_dir {
-            Some(dir) => NetCluster::open_durable(config, dir)?,
-            None => NetCluster::new_tcp(config)?,
+            Some(dir) => Cluster::open_durable(opts.cluster.clone(), dir)?,
+            None => Cluster::new(opts.cluster.clone())?,
         };
-        let cluster = Arc::new(cluster);
+        let cluster = Arc::new(NetCluster::tcp(cluster)?);
         if opts.maintenance_interval_ms > 0 {
             cluster
+                .inner()
                 .lifecycle()
                 .start(Duration::from_millis(opts.maintenance_interval_ms));
         }
@@ -384,7 +381,7 @@ mod tests {
     #[test]
     fn defaults_serve_tcp_with_a_shared_cache() {
         let opts = ServerOptions::default();
-        assert_eq!(opts.cluster.transport, TransportKind::TcpLoopback);
+        assert_eq!(opts.cluster.net_listen, "127.0.0.1:0");
         assert!(opts.cluster.shared_chunk_cache);
         assert!(opts.durable_dir.is_none());
     }

@@ -43,8 +43,9 @@ pub fn render_metrics(cluster: &NetCluster) -> String {
     put("bytes_on_wire_physical", wire.bytes_on_wire_physical);
 
     // The shared serving-side chunk cache (zeros when not configured).
-    let cache = cluster
-        .server_cache()
+    let inner = cluster.inner();
+    let cache = inner
+        .shared_chunk_cache()
         .map(|c| c.stats())
         .unwrap_or_default();
     put("cache_hits", cache.hits);
@@ -53,13 +54,12 @@ pub fn render_metrics(cluster: &NetCluster) -> String {
     put("cache_bytes", cache.bytes);
     put("cache_entries", cache.entries);
 
-    let inner = cluster.inner();
     put("meta_round_trips", inner.metadata_round_trips());
     put("stored_bytes", inner.total_stored_bytes());
     put("vm_pin_leases", cluster.vm_lease_count() as u64);
 
     // Version lifecycle: flattening and garbage collection.
-    let life = cluster.lifecycle().stats();
+    let life = inner.lifecycle().stats();
     put("flattens", life.flattens);
     put("flatten_failures", life.flatten_failures);
     put("reclaimed_bytes", life.reclaimed_bytes);
@@ -213,7 +213,19 @@ fn serve_one(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blobseer_core::Cluster;
     use blobseer_types::ClusterConfig;
+
+    fn served() -> Arc<NetCluster> {
+        let cluster = Cluster::new(ClusterConfig {
+            data_providers: 2,
+            metadata_providers: 1,
+            shared_chunk_cache: true,
+            ..ClusterConfig::default()
+        })
+        .unwrap();
+        Arc::new(NetCluster::tcp(cluster).unwrap())
+    }
 
     fn http_get(addr: SocketAddr, request: &str) -> String {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -225,16 +237,7 @@ mod tests {
 
     #[test]
     fn health_metrics_and_shutdown_routes_respond() {
-        let cluster = Arc::new(
-            NetCluster::new_tcp(ClusterConfig {
-                data_providers: 2,
-                metadata_providers: 1,
-                shared_chunk_cache: true,
-                ..ClusterConfig::default()
-            })
-            .unwrap(),
-        );
-        let server = MetricsServer::start("127.0.0.1:0", Arc::clone(&cluster)).unwrap();
+        let server = MetricsServer::start("127.0.0.1:0", served()).unwrap();
         let addr = server.addr();
 
         let health = http_get(addr, "GET /health HTTP/1.0\r\n\r\n");
@@ -254,5 +257,45 @@ mod tests {
         assert!(ack.contains("draining"), "{ack}");
         server.wait_for_shutdown(); // must already be tripped — no hang
         server.stop();
+    }
+
+    /// Scrapers (the benchmark harness among them) key on these names, in
+    /// this order; a rename or reorder must be a deliberate change here.
+    #[test]
+    fn metric_names_are_stable() {
+        let rendered = render_metrics(&served());
+        let names: Vec<&str> = rendered
+            .lines()
+            .map(|line| line.split_once(' ').expect("name value").0)
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "bytes_on_wire_logical",
+                "bytes_on_wire_physical",
+                "cache_hits",
+                "cache_misses",
+                "cache_evictions",
+                "cache_bytes",
+                "cache_entries",
+                "meta_round_trips",
+                "stored_bytes",
+                "vm_pin_leases",
+                "flattens",
+                "flatten_failures",
+                "reclaimed_bytes",
+                "reclaimed_chunks",
+                "reclaimed_nodes",
+                "sweep_errors",
+                "requeued_entries",
+                "wal_replayed_records",
+                "wal_truncated_bytes",
+                "recovered_blobs",
+                "recovered_nodes",
+                "recovered_chunks",
+                "segment_truncated_bytes",
+                "corrupt_chunk_records",
+            ]
+        );
     }
 }

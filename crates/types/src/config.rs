@@ -70,28 +70,6 @@ pub enum Durability {
     Always,
 }
 
-/// How clients of a deployment reach the chunk and metadata planes.
-///
-/// The protocol above the transport is identical in every case — the same
-/// `ChunkService`/`MetadataService` calls, the same framed requests — so the
-/// three transports are differentially testable against each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum TransportKind {
-    /// Shared-memory trait-object calls inside one process (the default, and
-    /// the reference semantics every other transport must match).
-    #[default]
-    InProcess,
-    /// Length-prefixed framed RPC over real `std::net` TCP loopback sockets:
-    /// one server endpoint per data provider plus one for the provider
-    /// manager and one for the metadata plane, each client multiplexing its
-    /// in-flight requests over one connection per endpoint.
-    TcpLoopback,
-    /// The same framed RPC over in-process channels, with deterministic,
-    /// seedable per-frame fault injection (drop / delay / duplicate /
-    /// truncate / disconnect / stall). Used by tests and the simulator.
-    Channel,
-}
-
 /// Deterministic, seedable per-frame fault injection for the channel
 /// transport (and the simulator's lossy network model).
 ///
@@ -349,10 +327,6 @@ pub struct ClusterConfig {
     /// cached, so size the budget to at least ~16 chunks of the blobs that
     /// should hit.
     pub chunk_cache_bytes: u64,
-    /// How clients reach the chunk and metadata planes. The in-process
-    /// `Cluster` ignores this (it *is* the in-process transport); the
-    /// networked `NetCluster` dispatches on it.
-    pub transport: TransportKind,
     /// Listen address for TCP-loopback server endpoints. Port 0 lets the OS
     /// pick an ephemeral port per endpoint, which keeps concurrent test
     /// clusters from colliding.
@@ -494,9 +468,9 @@ impl ClusterConfig {
                 self.metadata_providers
             )));
         }
-        if self.transport == TransportKind::TcpLoopback && self.net_listen.is_empty() {
+        if self.net_listen.is_empty() {
             return Err(BlobError::InvalidConfig(
-                "TCP transport needs a non-empty listen address".into(),
+                "net_listen must be a non-empty listen address".into(),
             ));
         }
         if self.pipeline_depth == 0 {
@@ -568,7 +542,6 @@ impl Default for ClusterConfig {
             // that need a cold client (differential baselines, cache-off
             // benchmark arms) set 0 explicitly.
             chunk_cache_bytes: 64 << 20,
-            transport: TransportKind::InProcess,
             net_listen: "127.0.0.1:0".into(),
             // 30 s: far above any healthy in-process or loopback operation,
             // low enough that a genuinely hung endpoint fails the op instead
@@ -737,16 +710,10 @@ mod tests {
     #[test]
     fn transport_config_is_validated() {
         let cfg = ClusterConfig {
-            transport: TransportKind::TcpLoopback,
             net_listen: String::new(),
             ..ClusterConfig::default()
         };
         assert!(cfg.validate().is_err());
-        let cfg = ClusterConfig {
-            transport: TransportKind::TcpLoopback,
-            ..ClusterConfig::default()
-        };
-        assert!(cfg.validate().is_ok());
         assert_eq!(
             ClusterConfig::default().io_timeout(),
             Some(std::time::Duration::from_secs(30))

@@ -22,7 +22,7 @@ pub mod wire;
 pub use buf::{zero_page, BlobSlice, ZERO_PAGE_BYTES};
 pub use config::{
     BlobConfig, ChunkCodec, ClusterConfig, Durability, FaultPlan, PlacementPolicy, RetryPolicy,
-    TransportKind, DHT_VIRTUAL_NODES, QOS_HORIZON,
+    DHT_VIRTUAL_NODES, QOS_HORIZON,
 };
 pub use error::{BlobError, Result};
 pub use id::{BlobId, ChunkId, ClientId, IdGenerator, MetaNodeId, ProviderId, Version};

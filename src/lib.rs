@@ -29,6 +29,4 @@ pub use blobseer_core::{
     BlobClient, ChunkService, Cluster, MetadataService, TransferPool, VersionManager,
 };
 pub use blobseer_net::NetCluster;
-pub use blobseer_types::{
-    BlobConfig, BlobId, ByteRange, ClusterConfig, FaultPlan, TransportKind, Version,
-};
+pub use blobseer_types::{BlobConfig, BlobId, ByteRange, ClusterConfig, FaultPlan, Version};

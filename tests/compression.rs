@@ -101,7 +101,7 @@ proptest! {
             };
             prop_assert_eq!(&reference, &fast, "in-process fast diverged (cache={})", cache);
             let fast_tcp = {
-                let cluster = NetCluster::new_tcp(config(ChunkCodec::Fast, cache)).unwrap();
+                let cluster = NetCluster::tcp(Cluster::new(config(ChunkCodec::Fast, cache)).unwrap()).unwrap();
                 replay(&cluster.client(), &ops)
             };
             prop_assert_eq!(&reference, &fast_tcp, "tcp fast diverged (cache={})", cache);
@@ -114,7 +114,7 @@ proptest! {
 /// re-coding it, so killing providers under `Fast` must not cost a byte.
 #[test]
 fn compressed_replicas_survive_provider_failures() {
-    let cluster = NetCluster::new_tcp(config(ChunkCodec::Fast, 0)).unwrap();
+    let cluster = NetCluster::tcp(Cluster::new(config(ChunkCodec::Fast, 0)).unwrap()).unwrap();
     let client = cluster.client();
     let blob = client.create_blob(BlobConfig::new(CS, 2).unwrap()).unwrap();
     let payload = fill(64 * CS, 2); // compressible: the codec must engage
@@ -132,14 +132,14 @@ fn compressed_replicas_survive_provider_failures() {
     // With replication 2 over 4 providers, any single failure leaves every
     // chunk a live compressed replica. Roll the failure across all four.
     for id in 0u32..4 {
-        cluster.fail_provider(ProviderId(id)).unwrap();
+        cluster.inner().fail_provider(ProviderId(id)).unwrap();
         let reader = cluster.client();
         assert_eq!(
             reader.read_all(blob, None).unwrap(),
             payload,
             "degraded read of compressed replicas diverged"
         );
-        cluster.recover_provider(ProviderId(id)).unwrap();
+        cluster.inner().recover_provider(ProviderId(id)).unwrap();
     }
 }
 
@@ -188,7 +188,7 @@ fn shared_chunk_cache_serves_across_clients() {
 /// `frames_coalesced` on real loopback TCP.
 #[test]
 fn metadata_descent_coalesces_frames_on_the_wire() {
-    let cluster = NetCluster::new_tcp(config(ChunkCodec::Off, 0)).unwrap();
+    let cluster = NetCluster::tcp(Cluster::new(config(ChunkCodec::Off, 0)).unwrap()).unwrap();
     let writer = cluster.client();
     let blob = writer.create_blob(BlobConfig::new(CS, 1).unwrap()).unwrap();
     let payload = fill(64 * CS, 6);

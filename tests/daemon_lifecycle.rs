@@ -5,7 +5,7 @@
 
 use blobseer::core::Cluster;
 use blobseer::net::NetCluster;
-use blobseer::types::{BlobConfig, ClusterConfig, Durability, TransportKind, Version};
+use blobseer::types::{BlobConfig, ClusterConfig, Durability, FaultPlan, Version};
 use std::path::{Path, PathBuf};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -123,18 +123,21 @@ fn checkpoints_bound_the_wal_with_the_lifecycle_off() {
 #[test]
 fn sweeper_racing_a_shutdown_tears_nothing() {
     let dir = temp_dir("shutrace");
-    let cluster = NetCluster::open_durable(
-        ClusterConfig {
-            transport: TransportKind::Channel,
-            data_providers: 3,
-            metadata_providers: 2,
-            // Retention keeps the sweeper busy: every overwrite below
-            // strands a version it will want to reclaim.
-            retained_versions: 2,
-            durability: Durability::Commit,
-            ..ClusterConfig::default()
-        },
-        &dir,
+    let cluster = NetCluster::channel(
+        Cluster::open_durable(
+            ClusterConfig {
+                data_providers: 3,
+                metadata_providers: 2,
+                // Retention keeps the sweeper busy: every overwrite below
+                // strands a version it will want to reclaim.
+                retained_versions: 2,
+                durability: Durability::Commit,
+                ..ClusterConfig::default()
+            },
+            &dir,
+        )
+        .unwrap(),
+        FaultPlan::none(),
     )
     .unwrap();
     let client = cluster.client();
@@ -147,7 +150,7 @@ fn sweeper_racing_a_shutdown_tears_nothing() {
     }
 
     std::thread::scope(|scope| {
-        let lifecycle = cluster.lifecycle().clone();
+        let lifecycle = cluster.inner().lifecycle().clone();
         scope.spawn(move || {
             // Sweep passes before, during and after the teardown: RPCs
             // against endpoints that just stopped must come back as errors

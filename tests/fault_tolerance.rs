@@ -100,13 +100,14 @@ fn networked_provider_killed_mid_write_is_substituted_without_data_loss() {
     // switch: its server endpoint disappears, tearing live connections down
     // under in-flight chunk stores. The writer must fail over to live
     // providers mid-operation and publish an intact version.
-    let cluster = NetCluster::new_channel(
-        ClusterConfig {
+    let cluster = NetCluster::channel(
+        Cluster::new(ClusterConfig {
             data_providers: 6,
             metadata_providers: 3,
             io_timeout_ms: 500, // fail over quickly once the endpoint is gone
             ..ClusterConfig::default()
-        },
+        })
+        .unwrap(),
         FaultPlan::none(),
     )
     .unwrap();

@@ -21,6 +21,7 @@
 //! double-count. CI additionally runs this binary with
 //! `--test-threads=1`.
 
+use blobseer::core::Cluster;
 use blobseer::net::{
     count_threads_with_prefix, default_rpc_workers, tcp_listener, NetCluster, Reactor, RpcEndpoint,
     RpcHandler, RpcServer, WorkerPool,
@@ -74,7 +75,7 @@ fn serving_threads_stay_bounded_under_concurrent_clients() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = config();
     let bound = default_rpc_workers();
-    let cluster = NetCluster::new_tcp(cfg).unwrap();
+    let cluster = NetCluster::tcp(Cluster::new(cfg).unwrap()).unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));
     let census = spawn_census(Arc::clone(&stop));
@@ -110,7 +111,7 @@ fn stalled_connection_cannot_starve_pool_or_peers() {
     let mut cfg = config();
     cfg.io_timeout_ms = 300; // prune quickly in the test
     let bound = default_rpc_workers();
-    let cluster = NetCluster::new_tcp(cfg).unwrap();
+    let cluster = NetCluster::tcp(Cluster::new(cfg).unwrap()).unwrap();
     let addr = cluster
         .provider_endpoint_addr(ProviderId(0))
         .expect("tcp deployments expose endpoint addresses");
@@ -162,7 +163,7 @@ fn reconnect_storm_leaks_no_serving_threads() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = config();
     let bound = default_rpc_workers();
-    let cluster = NetCluster::new_tcp(cfg).unwrap();
+    let cluster = NetCluster::tcp(Cluster::new(cfg).unwrap()).unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));
     let census = spawn_census(Arc::clone(&stop));

@@ -159,18 +159,18 @@ proptest! {
                 replay(&cluster.client(), &ops)
             };
             let tcp = {
-                let cluster = NetCluster::new_tcp(config(cache)).unwrap();
+                let cluster = NetCluster::tcp(Cluster::new(config(cache)).unwrap()).unwrap();
                 replay(&cluster.client(), &ops)
             };
             prop_assert_eq!(&reference, &tcp, "tcp loopback diverged (cache={})", cache);
             let channel = {
-                let cluster = NetCluster::new_channel(config(cache), FaultPlan::none()).unwrap();
+                let cluster = NetCluster::channel(Cluster::new(config(cache)).unwrap(), FaultPlan::none()).unwrap();
                 replay(&cluster.client(), &ops)
             };
             prop_assert_eq!(&reference, &channel, "channel diverged (cache={})", cache);
             let lossy = {
                 let cluster =
-                    NetCluster::new_channel(lossy_config(cache), mild_faults()).unwrap();
+                    NetCluster::channel(Cluster::new(lossy_config(cache)).unwrap(), mild_faults()).unwrap();
                 replay(&cluster.client(), &ops)
             };
             prop_assert_eq!(
@@ -189,7 +189,7 @@ proptest! {
 /// full convergence: every op succeeds (masked by retries and replica
 /// rotation), every published version stays readable and byte-correct.
 fn converges_under(plan: FaultPlan) {
-    let cluster = NetCluster::new_channel(lossy_config(0), plan).unwrap();
+    let cluster = NetCluster::channel(Cluster::new(lossy_config(0)).unwrap(), plan).unwrap();
     converges(&cluster.client());
 }
 
@@ -233,8 +233,8 @@ fn truncated_frames_are_detected_and_retried() {
     // (~95 to converge, ~18 per 16-chunk read) fail a run with probability
     // ~3e-4. They send ~3 800 frames counting responses, so ~38 get cut;
     // fewer than 10 has probability below 1e-7.
-    let cluster = NetCluster::new_channel(
-        lossy_config(0),
+    let cluster = NetCluster::channel(
+        Cluster::new(lossy_config(0)).unwrap(),
         FaultPlan {
             seed: 8,
             truncate: 0.01,
@@ -298,8 +298,8 @@ fn a_fully_hung_network_fails_operations_cleanly_within_bounded_time() {
     // total stall under the append.
     let mut cfg = config(0);
     cfg.io_timeout_ms = 100;
-    let cluster = NetCluster::new_channel(
-        cfg,
+    let cluster = NetCluster::channel(
+        Cluster::new(cfg).unwrap(),
         FaultPlan {
             seed: 13,
             ..FaultPlan::none()
@@ -364,7 +364,7 @@ fn aligned_writes_over_loopback_copy_nothing_and_chunks_materialise_once() {
     // Chunks big enough that frame/metadata overhead is noise next to the
     // payload, so the wire byte counts below isolate payload movement.
     const BIG: u64 = 64 * 1024;
-    let cluster = NetCluster::new_tcp(config(0)).unwrap();
+    let cluster = NetCluster::tcp(Cluster::new(config(0)).unwrap()).unwrap();
     let writer = cluster.client();
     let blob = writer
         .create_blob(BlobConfig::new(BIG, 1).unwrap())
@@ -415,7 +415,7 @@ fn aligned_writes_over_loopback_copy_nothing_and_chunks_materialise_once() {
         rx.bytes_on_wire
     );
     // Re-reading through the chunk cache adds no new materialisations.
-    let cached_cluster = NetCluster::new_tcp(config(4 << 20)).unwrap();
+    let cached_cluster = NetCluster::tcp(Cluster::new(config(4 << 20)).unwrap()).unwrap();
     let cached = cached_cluster.client();
     let blob2 = cached
         .create_blob(BlobConfig::new(BIG, 1).unwrap())

@@ -8,6 +8,7 @@
 //! deliver — its first replica lacks it, is dead, or hangs — still reads
 //! back byte-identical from its other replica.
 
+use blobseer::core::Cluster;
 use blobseer::meta::collect_leaves;
 use blobseer::net::{connect_remote, NetCluster, RemoteEndpoints};
 use blobseer::types::{BlobConfig, BlobId, ByteRange, ClusterConfig, ProviderId};
@@ -34,7 +35,7 @@ fn fill(len: u64, seed: u8) -> Vec<u8> {
 
 /// A cluster holding one blob of `chunks` whole chunks at `replication`.
 fn written(chunks: u64, replication: usize) -> (NetCluster, BlobId, Vec<u8>) {
-    let cluster = NetCluster::new_tcp(config()).unwrap();
+    let cluster = NetCluster::tcp(Cluster::new(config()).unwrap()).unwrap();
     let writer = cluster.client();
     let blob = writer
         .create_blob(BlobConfig::new(CHUNK, replication).unwrap())
@@ -135,7 +136,7 @@ fn a_hung_provider_fails_its_trains_over_within_the_join_bound() {
         io_timeout_ms,
         ..config()
     };
-    let cluster = NetCluster::new_tcp(config.clone()).unwrap();
+    let cluster = NetCluster::tcp(Cluster::new(config.clone()).unwrap()).unwrap();
     let writer = cluster.client();
     let blob = writer
         .create_blob(BlobConfig::new(CHUNK, 2).unwrap())
