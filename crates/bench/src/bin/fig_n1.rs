@@ -1,4 +1,4 @@
-//! Fig. N1 — the framed RPC transport (TCP loopback, channel) versus the
+//! Fig. N1 — the framed RPC transport over TCP loopback versus the
 //! in-process service boundary, wall-clock on real clusters.
 
 use blobseer_bench::fig_n1_transport_overhead;
@@ -18,9 +18,9 @@ fn main() {
         .map(|s| s.points.iter().map(|p| p.data_round_trips).sum())
         .collect();
     println!(
-        "\ndata_round_trips per transport: {trips:?} (identical by construction:\n\
+        "\ndata_round_trips per arm: {trips:?} (identical by construction:\n\
          the RPC boundary changes the cost of a transfer, never the number).\n\
-         Expected shape: loopback and channel stay within a constant factor of\n\
+         Expected shape: loopback stays within a constant factor of\n\
          in-process — the zero-copy framed protocol pays per-frame overhead,\n\
          visible in bytes_on_wire, not per-byte copies."
     );

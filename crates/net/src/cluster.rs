@@ -17,11 +17,13 @@
 //! endpoints with [`connect_remote`], given the addresses from
 //! [`NetCluster::endpoint_addrs`] (the daemon's endpoints file).
 //!
-//! The transport is the constructor: [`NetCluster::tcp`] serves real TCP
-//! loopback sockets, [`NetCluster::channel`] the in-process channel
-//! transport with a seeded [`FaultPlan`] (the networked test double). The
-//! differential transport tests run the same operation histories over both
-//! — and over the plain in-process cluster — and assert byte-identical
+//! Every endpoint is a TCP socket served by one reactor.
+//! [`NetCluster::tcp`] is the daemon's deployment;
+//! [`NetCluster::tcp_with_faults`] is the same deployment with every client
+//! connection dialled through a [`FaultyConnector`] that injects a seeded
+//! [`FaultPlan`], which is how the fault tests reach the production server.
+//! The differential transport tests run the same operation histories over
+//! both and over the plain in-process cluster, and assert byte-identical
 //! results.
 
 use crate::reactor::{default_rpc_workers, Reactor, WorkerPool};
@@ -30,7 +32,7 @@ use crate::rpc::{
     META_RPC_RETRIES, VM_RPC_RETRIES,
 };
 use crate::services::{NetChunkService, NetMetadataService, NetVersionService};
-use crate::transport::{channel_endpoint, tcp_listener, Connect, FaultState, TcpConnector};
+use crate::transport::{tcp_listener, Connect, FaultState, FaultyConnector, TcpConnector};
 use blobseer_core::{BlobClient, ClientServices, Cluster, TransferPool};
 use blobseer_meta::MetadataStore;
 use blobseer_types::{
@@ -112,13 +114,12 @@ impl Connectors {
     }
 }
 
-/// A served BlobSeer deployment (TCP loopback or channel transport).
+/// A served BlobSeer deployment on TCP loopback sockets.
 ///
 /// Serving is event-driven and bounded: all endpoints share one
-/// [`WorkerPool`] of [`default_rpc_workers`] threads, and on the TCP
-/// transport one [`Reactor`] thread owns every accepted socket — the
-/// deployment's serving threads are O(workers), however many clients
-/// connect.
+/// [`WorkerPool`] of [`default_rpc_workers`] threads, and one [`Reactor`]
+/// thread owns every accepted socket — the deployment's serving threads are
+/// O(workers), however many clients connect.
 pub struct NetCluster {
     inner: Cluster,
     connectors: Connectors,
@@ -131,13 +132,12 @@ pub struct NetCluster {
     /// Running server endpoints, keyed for targeted teardown ("manager",
     /// "meta", "vm", "provider-N").
     servers: Mutex<HashMap<String, RpcServer>>,
-    /// The shared request-execution pool behind every endpoint.
-    pool: WorkerPool,
-    /// The shared connection reactor (TCP transport only; the channel
-    /// transport's blocking sources keep per-connection reader threads).
-    reactor: Option<Arc<Reactor>>,
-    /// The channel transport's fault decision source (`None` on TCP) —
-    /// exposed so tests can swap the plan mid-run.
+    /// The shared connection reactor, and through it the request-execution
+    /// pool behind every endpoint.
+    reactor: Arc<Reactor>,
+    /// The fault decision source of [`NetCluster::tcp_with_faults`]
+    /// (`None` on [`NetCluster::tcp`]) — exposed so tests can swap the plan
+    /// mid-run.
     faults: Option<Arc<FaultState>>,
     /// Latched by [`NetCluster::shutdown`] so `Drop` does not re-run it.
     shutdown_done: AtomicBool,
@@ -149,51 +149,32 @@ impl NetCluster {
     /// worker pool. A durable served deployment is
     /// `NetCluster::tcp(Cluster::open_durable(config, dir)?)`.
     pub fn tcp(cluster: Cluster) -> Result<Self> {
-        let listen = cluster.config().net_listen.clone();
-        let pool = WorkerPool::new(default_rpc_workers());
-        let reactor = Reactor::new(pool.clone(), cluster.config().io_timeout());
-        let serve_reactor = Arc::clone(&reactor);
-        Self::serve(cluster, pool, Some(reactor), None, move |handler| {
-            let (connector, listener) = tcp_listener(&listen)?;
-            Ok((
-                connector,
-                RpcServer::spawn_reactor(&serve_reactor, listener, handler),
-            ))
-        })
+        Self::serve(cluster, None)
     }
 
-    /// Serves `cluster` on the in-process channel transport, injecting
-    /// `faults` (seeded, deterministic) into every link of the network.
-    /// Channel sources block (that is what makes their fault injection
-    /// deterministic), so connections keep reader threads — but request
-    /// execution still runs on the shared bounded pool.
-    pub fn channel(cluster: Cluster, faults: FaultPlan) -> Result<Self> {
+    /// [`NetCluster::tcp`], with every connection its clients dial —
+    /// the lifecycle sweeper's included — injecting `faults` (seeded,
+    /// deterministic): requests on their way out, responses on their way
+    /// in. The servers are the production reactor endpoints.
+    pub fn tcp_with_faults(cluster: Cluster, faults: FaultPlan) -> Result<Self> {
         faults.validate()?;
-        let state = Arc::new(FaultState::new(faults));
-        let serve_state = Arc::clone(&state);
-        let pool = WorkerPool::new(default_rpc_workers());
-        let serve_pool = pool.clone();
-        Self::serve(cluster, pool, None, Some(state), move |handler| {
-            let (connector, acceptor, stopper) = channel_endpoint(Arc::clone(&serve_state));
-            Ok((
-                connector,
-                RpcServer::spawn_pooled(acceptor, stopper, handler, serve_pool.clone()),
-            ))
-        })
+        Self::serve(cluster, Some(Arc::new(FaultState::new(faults))))
     }
 
-    fn serve(
-        inner: Cluster,
-        pool: WorkerPool,
-        reactor: Option<Arc<Reactor>>,
-        faults: Option<Arc<FaultState>>,
-        make_server: impl Fn(Arc<dyn RpcHandler>) -> Result<(Arc<dyn Connect>, RpcServer)>,
-    ) -> Result<Self> {
+    fn serve(inner: Cluster, faults: Option<Arc<FaultState>>) -> Result<Self> {
+        let listen = inner.config().net_listen.clone();
+        let reactor = Reactor::new(
+            WorkerPool::new(default_rpc_workers()),
+            inner.config().io_timeout(),
+        );
         let mut servers = HashMap::new();
         let mut serve = |name: String, handler: Arc<dyn RpcHandler>| {
-            let (connector, server) = make_server(handler)?;
-            servers.insert(name, server);
-            Ok::<_, BlobError>(connector)
+            let (connector, listener) = tcp_listener(&listen)?;
+            servers.insert(name, RpcServer::spawn_reactor(&reactor, listener, handler));
+            Ok::<Arc<dyn Connect>, BlobError>(match &faults {
+                Some(faults) => Arc::new(FaultyConnector::new(connector, Arc::clone(faults))),
+                None => connector,
+            })
         };
         let server_metrics = Arc::new(TransportMetrics::new());
         let vm_host = Arc::new(VersionHost::new(Arc::clone(inner.version_manager())));
@@ -233,7 +214,6 @@ impl NetCluster {
             vm_host,
             server_metrics,
             servers: Mutex::new(servers),
-            pool,
             reactor,
             faults,
             shutdown_done: AtomicBool::new(false),
@@ -252,8 +232,9 @@ impl NetCluster {
         Ok(cluster)
     }
 
-    /// The channel transport's fault decision source, for swapping the
-    /// fault plan mid-test (`None` on TCP deployments).
+    /// The fault decision source of a [`NetCluster::tcp_with_faults`]
+    /// deployment, for swapping the fault plan mid-test (`None` on
+    /// [`NetCluster::tcp`]).
     #[must_use]
     pub fn fault_state(&self) -> Option<&Arc<FaultState>> {
         self.faults.as_ref()
@@ -278,13 +259,13 @@ impl NetCluster {
         Ok(())
     }
 
-    /// The TCP address a data provider's endpoint listens on (`None` on
-    /// the channel transport or for unknown providers). Stress tests use it
-    /// to poke endpoints outside the framed protocol.
+    /// The TCP address a data provider's endpoint listens on (`None` for
+    /// unknown providers). Stress tests use it to poke endpoints outside the
+    /// framed protocol.
     #[must_use]
     pub fn provider_endpoint_addr(&self, id: ProviderId) -> Option<SocketAddr> {
         let (_, connector) = self.connectors.providers.iter().find(|(p, _)| *p == id)?;
-        connector.addr()
+        Some(connector.addr())
     }
 
     /// Creates a client whose every service call runs over the wire. Each
@@ -300,8 +281,7 @@ impl NetCluster {
     }
 
     /// Every endpoint the deployment serves, as `(name, address)` pairs —
-    /// the daemon's endpoints file. Empty on the channel transport, whose
-    /// connectors have no socket addresses.
+    /// the daemon's endpoints file.
     #[must_use]
     pub fn endpoint_addrs(&self) -> Vec<(String, SocketAddr)> {
         let c = &self.connectors;
@@ -314,7 +294,7 @@ impl NetCluster {
         planes
             .into_iter()
             .chain(providers)
-            .filter_map(|(name, connector)| Some((name, connector.addr()?)))
+            .map(|(name, connector)| (name, connector.addr()))
             .collect()
     }
 
@@ -342,16 +322,16 @@ impl NetCluster {
         if self.shutdown_done.swap(true, Ordering::SeqCst) {
             return;
         }
-        // 1. Stop accepting new work: endpoints down first. In-flight
-        //    handlers finish on their own; sweeper RPCs issued against the
-        //    dead endpoints from here on fail cleanly and requeue.
+        // 1. Stop accepting new work: stopping the reactor closes every
+        //    listener and connection at once, so the endpoint stops after
+        //    it return immediately. In-flight handlers finish on their own;
+        //    sweeper RPCs issued against the dead endpoints from here on
+        //    fail cleanly and requeue.
+        self.reactor.stop();
         for (_, mut server) in self.servers.lock().drain() {
             server.stop();
         }
-        if let Some(reactor) = &self.reactor {
-            reactor.stop();
-        }
-        self.pool.shutdown();
+        self.reactor.pool().shutdown();
         // 2. Drain transfers already submitted by in-process clients.
         self.inner.transfer_pool().quiesce();
         // 3. Quiesce the maintenance plane, then the final checkpoint and
@@ -369,7 +349,7 @@ impl Drop for NetCluster {
 impl std::fmt::Debug for NetCluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetCluster")
-            .field("tcp", &self.reactor.is_some())
+            .field("faults", &self.faults.is_some())
             .field("data_providers", &self.connectors.providers.len())
             .finish()
     }
@@ -520,10 +500,6 @@ mod tests {
         NetCluster::tcp(Cluster::new(config).unwrap()).unwrap()
     }
 
-    fn channel(config: ClusterConfig) -> NetCluster {
-        NetCluster::channel(Cluster::new(config).unwrap(), FaultPlan::none()).unwrap()
-    }
-
     fn pattern(len: usize, seed: u8) -> Vec<u8> {
         (0..len)
             .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed))
@@ -551,12 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn channel_transport_roundtrips() {
-        let cluster = channel(config());
-        roundtrip_on(&cluster);
-    }
-
-    #[test]
     fn tcp_loopback_transport_roundtrips() {
         let cluster = tcp(config());
         roundtrip_on(&cluster);
@@ -566,7 +536,7 @@ mod tests {
     fn a_cluster_whose_lifecycle_already_exists_is_not_served() {
         let cluster = Cluster::new(config()).unwrap();
         let _in_process = cluster.lifecycle();
-        let err = NetCluster::channel(cluster, FaultPlan::none()).unwrap_err();
+        let err = NetCluster::tcp(cluster).unwrap_err();
         assert!(matches!(err, BlobError::InvalidConfig(_)), "{err:?}");
     }
 
@@ -613,7 +583,7 @@ mod tests {
             chunk_cache_bytes: 0,
             ..config()
         };
-        let cluster = channel(cfg);
+        let cluster = tcp(cfg);
         let client = cluster.client();
         let blob = client.create_blob(BlobConfig::new(CS, 1).unwrap()).unwrap();
         let data = pattern(4 * CS as usize, 3);
@@ -632,7 +602,7 @@ mod tests {
     fn killed_provider_endpoints_are_substituted_mid_write() {
         let mut cfg = config();
         cfg.io_timeout_ms = 300; // fail over quickly in the test
-        let cluster = channel(cfg);
+        let cluster = tcp(cfg);
         let client = cluster.client();
         let blob = client.create_blob(BlobConfig::new(CS, 1).unwrap()).unwrap();
         cluster.stop_provider_endpoint(ProviderId(0)).unwrap();

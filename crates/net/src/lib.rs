@@ -5,20 +5,19 @@
 //! gap between the in-process reproduction and that deployment shape with a
 //! length-prefixed framed RPC protocol (request id, opcode, header,
 //! payload) behind the existing `ChunkService`/`MetadataService`/
-//! `VersionService` traits. [`NetCluster`] serves a `Cluster` it is given;
-//! the transport is the constructor called:
+//! `VersionService` traits. [`NetCluster`] serves a `Cluster` it is given
+//! on real TCP loopback sockets ([`NetCluster::tcp`]) bound by
+//! [`transport::tcp_listener`] and owned by one event-driven [`Reactor`]:
+//! one server endpoint per data provider plus the provider manager, the
+//! metadata plane and the version manager, with clients multiplexing their
+//! in-flight requests over one connection per endpoint (so the pipelined
+//! scheduler's overlap survives the wire).
 //!
-//! * **TCP loopback** ([`NetCluster::tcp`]): real `std::net` sockets bound
-//!   by [`transport::tcp_listener`] and owned by one event-driven
-//!   [`Reactor`], one server endpoint per data provider plus the provider
-//!   manager, the metadata plane and the version manager, clients
-//!   multiplexing their in-flight requests over one connection per endpoint
-//!   (so the pipelined scheduler's overlap survives the wire);
-//! * **channel** ([`NetCluster::channel`]): the same frames over
-//!   in-process channels ([`transport::channel_endpoint`]) with
-//!   deterministic, seedable fault injection (drop / delay / duplicate /
-//!   truncate / disconnect / stall per frame) — the workhorse of the
-//!   fault-tolerance test matrix.
+//! Fault injection rides the same sockets: [`NetCluster::tcp_with_faults`]
+//! dials every client connection through a [`FaultyConnector`], which
+//! drops, delays, duplicates, truncates, stalls or disconnects frames per a
+//! seeded plan. The fault-tolerance test matrix therefore runs against the
+//! server the daemon runs.
 //!
 //! Payloads stay [`bytes::Bytes`] end to end: senders scatter-write prefix,
 //! header and payload as separate `IoSlice`s (no flattening), receivers
@@ -44,6 +43,6 @@ pub use rpc::{
 };
 pub use services::{NetChunkService, NetMetadataService, NetVersionService};
 pub use transport::{
-    channel_endpoint, tcp_listener, Connect, Connection, FaultState, FrameSink, FrameSource,
+    tcp_listener, Connect, Connection, FaultState, FaultyConnector, FrameSink, FrameSource,
     KillHandle, TcpConnector,
 };

@@ -72,7 +72,7 @@ const IDLE_PARK: Duration = Duration::from_micros(500);
 /// request — `yield_now` hands it over and reschedules immediately, where
 /// a park would stall every in-flight client for [`IDLE_PARK`]. Past the
 /// window the server is genuinely quiet and parking keeps it at ~zero CPU.
-const ACTIVE_SPIN_WINDOW: Duration = Duration::from_millis(5);
+pub(crate) const ACTIVE_SPIN_WINDOW: Duration = Duration::from_millis(5);
 
 /// Scans without inbound bytes after which a connection turns cold and
 /// drops out of the every-scan probe set. A client mid-operation re-arms on
@@ -419,6 +419,9 @@ enum Command {
     },
     RemoveEndpoint {
         id: u64,
+        /// Signalled once the endpoint's listener and connections are
+        /// closed.
+        done: std::sync::mpsc::Sender<()>,
     },
 }
 
@@ -440,6 +443,9 @@ pub struct Reactor {
     shared: Arc<ReactorShared>,
     pool: WorkerPool,
     thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// The reactor thread, unparked to run a command without waiting out
+    /// an idle park.
+    waker: std::thread::Thread,
 }
 
 impl Reactor {
@@ -463,6 +469,7 @@ impl Reactor {
         Arc::new(Reactor {
             shared,
             pool,
+            waker: thread.thread().clone(),
             thread: Mutex::new(Some(thread)),
         })
     }
@@ -493,12 +500,22 @@ impl Reactor {
 
     /// Tears one endpoint down: its listener closes and every one of its
     /// connections is dropped (in-flight requests on them are abandoned,
-    /// exactly like a process death).
+    /// exactly like a process death). Returns once that is done, so a
+    /// connect made afterwards is refused; at once if the reactor has
+    /// stopped, since stopping closed everything it owned.
     pub fn remove_endpoint(&self, id: u64) {
-        self.shared
-            .commands
-            .lock()
-            .push(Command::RemoveEndpoint { id });
+        let (done, removed) = std::sync::mpsc::channel();
+        {
+            let mut commands = self.shared.commands.lock();
+            if self.shared.stop.load(Ordering::Acquire) {
+                return;
+            }
+            commands.push(Command::RemoveEndpoint { id, done });
+        }
+        self.waker.unpark();
+        // An error means the reactor stopped before reaching the command
+        // and dropped it after closing everything itself.
+        let _ = removed.recv();
     }
 
     /// Stops the reactor thread and closes everything it owns. Does not
@@ -562,7 +579,7 @@ fn reactor_loop(shared: &ReactorShared, pool: &WorkerPool, prune_timeout: Option
                     }
                     progress = true;
                 }
-                Command::RemoveEndpoint { id } => {
+                Command::RemoveEndpoint { id, done } => {
                     // Close connections while the endpoint (and its gauge)
                     // is still registered, then drop the listener.
                     for conn in conns.iter().filter(|c| c.endpoint_id == id) {
@@ -570,6 +587,7 @@ fn reactor_loop(shared: &ReactorShared, pool: &WorkerPool, prune_timeout: Option
                     }
                     conns.retain(|c| c.endpoint_id != id);
                     endpoints.remove(&id);
+                    let _ = done.send(());
                     progress = true;
                 }
             }
@@ -712,6 +730,11 @@ fn reactor_loop(shared: &ReactorShared, pool: &WorkerPool, prune_timeout: Option
     for conn in &conns {
         close_conn(conn, &endpoints);
     }
+    drop(conns);
+    drop(endpoints);
+    // Only now, with every socket closed, release the callers of
+    // `remove_endpoint` still waiting on a command this loop never ran.
+    shared.commands.lock().clear();
 }
 
 fn close_conn(conn: &ConnState, endpoints: &HashMap<u64, EndpointState>) {
@@ -887,7 +910,7 @@ fn pump_reads_inner(
 /// fast path: at most one burst's worth of small control-plane frames
 /// (placement, version, metadata lookups). Anything bigger carries chunk
 /// payloads and belongs on a worker.
-const INLINE_BATCH_BYTES: usize = BURST_READ;
+pub(crate) const INLINE_BATCH_BYTES: usize = BURST_READ;
 
 /// Hands one pump's worth of decoded requests to the worker pool as a
 /// single job. Batching is what keeps the handoff cost per *frame* low: a

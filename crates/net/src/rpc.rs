@@ -13,16 +13,11 @@
 //! small frames (metadata gets, allocations) ride one syscall; the
 //! `frames_coalesced` counter makes the batching observable.
 //!
-//! The server side is a facade over two serving modes:
-//!
-//! * [`RpcServer::spawn_reactor`] — the production TCP shape: connections
-//!   are owned by a shared event-driven [`crate::reactor::Reactor`] and
-//!   requests execute on its bounded [`crate::reactor::WorkerPool`], so
-//!   serving threads scale with cores, not clients;
-//! * [`RpcServer::spawn_pooled`] — the channel transport's shape: a
-//!   blocking accept loop plus one reader thread per connection (its fault
-//!   injection needs blocking sources), with request execution still
-//!   bounded by a worker pool.
+//! The server side is [`RpcServer`], one endpoint registered on a shared
+//! event-driven [`crate::reactor::Reactor`]: the reactor owns the
+//! connections and requests execute on its bounded
+//! [`crate::reactor::WorkerPool`], so serving threads scale with cores, not
+//! clients.
 //!
 //! Every call is bounded by the deployment's `io_timeout` and retried a
 //! bounded number of times on *transport* errors (timeout, disconnect,
@@ -32,8 +27,8 @@
 //! rotation, provider substitution, write repair).
 
 use crate::frame::Frame;
-use crate::reactor::{Reactor, WorkerPool};
-use crate::transport::{ChannelAcceptor, Connect, Connection, FrameSink, KillHandle};
+use crate::reactor::Reactor;
+use crate::transport::{Connect, Connection, FrameSink, KillHandle};
 use blobseer_core::{ChunkCache, NodeArtifact, VersionManager, VersionPin, WriteKind};
 use blobseer_meta::{MetadataStore, NodeBody, NodeKey};
 use blobseer_provider::{DataProvider, PlacementRequest, ProviderManager};
@@ -566,82 +561,21 @@ pub(crate) fn respond(handler: &dyn RpcHandler, request: Frame) -> Frame {
     }
 }
 
-enum ServerInner {
-    /// A blocking accept loop plus one reader thread per live connection.
-    Accepting {
-        stop: KillHandle,
-        conns: Arc<Mutex<HashMap<u64, KillHandle>>>,
-        accept_thread: Option<std::thread::JoinHandle<()>>,
-    },
-    /// An endpoint registered on a shared event-driven reactor.
-    Reactor {
-        reactor: Arc<Reactor>,
-        endpoint_id: u64,
-        conn_count: Arc<std::sync::atomic::AtomicUsize>,
-    },
-}
-
-/// One running server endpoint, behind either serving mode (reactor /
-/// pooled accept loop); torn down by [`RpcServer::stop`] (or drop).
+/// One serving endpoint registered on a shared [`Reactor`]; torn down by
+/// [`RpcServer::stop`] (or drop).
 pub struct RpcServer {
-    inner: ServerInner,
+    reactor: Arc<Reactor>,
+    endpoint_id: u64,
+    conn_count: Arc<std::sync::atomic::AtomicUsize>,
     stopped: bool,
 }
 
 impl RpcServer {
-    /// Starts serving `handler` behind a channel `acceptor`, executing
-    /// requests on a shared worker `pool` (not shut down by
-    /// [`RpcServer::stop`] — several endpoints of one deployment share it).
-    /// `stopper` must unblock the acceptor (see `channel_endpoint`).
-    #[must_use]
-    pub fn spawn_pooled(
-        mut acceptor: ChannelAcceptor,
-        stopper: KillHandle,
-        handler: Arc<dyn RpcHandler>,
-        pool: WorkerPool,
-    ) -> Self {
-        let conns: Arc<Mutex<HashMap<u64, KillHandle>>> = Arc::new(Mutex::new(HashMap::new()));
-        let accept_conns = Arc::clone(&conns);
-        let accept_thread = std::thread::Builder::new()
-            .name("blobseer-rpc-accept".into())
-            .spawn(move || {
-                let mut next_conn_id = 0u64;
-                while let Some(conn) = acceptor.accept() {
-                    let conn_id = next_conn_id;
-                    next_conn_id += 1;
-                    accept_conns.lock().insert(conn_id, Arc::clone(&conn.kill));
-                    let handler = Arc::clone(&handler);
-                    let registry = Arc::clone(&accept_conns);
-                    let pool = pool.clone();
-                    std::thread::Builder::new()
-                        .name("blobseer-rpc-conn".into())
-                        .spawn(move || {
-                            Self::serve_connection(conn, &handler, &pool);
-                            // The connection is gone: drop its kill
-                            // handle so a server outliving many
-                            // client reconnects does not accumulate
-                            // dead handles.
-                            registry.lock().remove(&conn_id);
-                        })
-                        .expect("cannot spawn rpc connection thread");
-                }
-            })
-            .expect("cannot spawn rpc accept thread");
-        RpcServer {
-            inner: ServerInner::Accepting {
-                stop: stopper,
-                conns,
-                accept_thread: Some(accept_thread),
-            },
-            stopped: false,
-        }
-    }
-
-    /// Registers `handler` as an endpoint on a shared event-driven
-    /// `reactor` serving `listener` — the production TCP shape: no
-    /// per-connection threads at all. [`RpcServer::stop`] deregisters the
-    /// endpoint (closing its listener and connections); the reactor itself
-    /// is owned, and stopped, by the deployment.
+    /// Registers `handler` as an endpoint on the event-driven `reactor`
+    /// serving `listener`: no per-connection threads at all.
+    /// [`RpcServer::stop`] deregisters the endpoint (closing its listener
+    /// and connections); the reactor itself is owned, and stopped, by the
+    /// deployment.
     #[must_use]
     pub fn spawn_reactor(
         reactor: &Arc<Reactor>,
@@ -650,33 +584,10 @@ impl RpcServer {
     ) -> Self {
         let (endpoint_id, conn_count) = reactor.add_endpoint(listener, handler);
         RpcServer {
-            inner: ServerInner::Reactor {
-                reactor: Arc::clone(reactor),
-                endpoint_id,
-                conn_count,
-            },
+            reactor: Arc::clone(reactor),
+            endpoint_id,
+            conn_count,
             stopped: false,
-        }
-    }
-
-    fn serve_connection(conn: Connection, handler: &Arc<dyn RpcHandler>, pool: &WorkerPool) {
-        let Connection {
-            sink, mut source, ..
-        } = conn;
-        // Requests of one connection are *dispatched* in arrival order but
-        // *served* concurrently, sharing the response sink — a slow chunk
-        // fetch never head-of-line-blocks the requests queued behind it
-        // into their callers' I/O timeouts. Concurrency is bounded by the
-        // pool's worker count.
-        let sink = Arc::new(Mutex::new(sink));
-        while let Ok(Some(request)) = source.recv() {
-            let handler = Arc::clone(handler);
-            let sink = Arc::clone(&sink);
-            pool.execute(move || {
-                let response = respond(handler.as_ref(), request);
-                // A dead sink means the client is gone; nothing to do.
-                let _ = sink.lock().send(&response);
-            });
         }
     }
 
@@ -684,42 +595,15 @@ impl RpcServer {
     /// diagnostics).
     #[must_use]
     pub fn connection_count(&self) -> usize {
-        match &self.inner {
-            ServerInner::Accepting { conns, .. } => conns.lock().len(),
-            ServerInner::Reactor { conn_count, .. } => conn_count.load(Ordering::Relaxed),
-        }
+        self.conn_count.load(Ordering::Relaxed)
     }
 
-    /// Stops this endpoint: an accept-loop server stops accepting, tears
-    /// every live connection down and joins the accept loop; a reactor
-    /// endpoint deregisters from the reactor, which closes its listener and
-    /// connections. Idempotent.
+    /// Stops this endpoint: once this returns, its listener and every one
+    /// of its connections are closed, so a new connect is refused.
+    /// Idempotent.
     pub fn stop(&mut self) {
-        if self.stopped {
-            return;
-        }
-        self.stopped = true;
-        match &mut self.inner {
-            ServerInner::Accepting {
-                stop,
-                conns,
-                accept_thread,
-            } => {
-                (stop)();
-                for (_, kill) in conns.lock().drain() {
-                    kill();
-                }
-                if let Some(handle) = accept_thread.take() {
-                    let _ = handle.join();
-                }
-            }
-            ServerInner::Reactor {
-                reactor,
-                endpoint_id,
-                ..
-            } => {
-                reactor.remove_endpoint(*endpoint_id);
-            }
+        if !std::mem::replace(&mut self.stopped, true) {
+            self.reactor.remove_endpoint(self.endpoint_id);
         }
     }
 }
@@ -1092,11 +976,12 @@ impl RpcHandler for MetaHost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{channel_endpoint, tcp_listener, FaultState};
+    use crate::reactor::{WorkerPool, ACTIVE_SPIN_WINDOW, INLINE_BATCH_BYTES};
+    use crate::transport::{tcp_listener, FaultState, FaultyConnector};
     use blobseer_types::{BlobId, FaultPlan};
 
     /// Echoes the request back; opcode 0x70 sleeps forever (a hung
-    /// endpoint), opcode 0x71 returns an application error, 0x73 panics.
+    /// endpoint), 0x71 returns an application error, 0x72 is slow.
     struct EchoHandler;
 
     impl RpcHandler for EchoHandler {
@@ -1115,28 +1000,52 @@ mod tests {
                     std::thread::sleep(Duration::from_millis(800));
                     Ok((Bytes::new(), Bytes::new()))
                 }
-                0x73 => panic!("handler bug"),
                 _ => Ok((Bytes::from(header.to_vec()), payload)),
             }
         }
     }
 
-    fn channel_rig(plan: FaultPlan, io_timeout: Duration) -> (RpcServer, RpcEndpoint) {
-        let faults = Arc::new(FaultState::new(plan));
-        let (connector, acceptor, stopper) = channel_endpoint(faults);
-        let server =
-            RpcServer::spawn_pooled(acceptor, stopper, Arc::new(EchoHandler), WorkerPool::new(4));
-        let endpoint = RpcEndpoint::new(
+    /// An echo endpoint on its own reactor, and the connector that dials it.
+    fn echo_server() -> (RpcServer, Arc<dyn Connect>) {
+        let (connector, listener) = tcp_listener("127.0.0.1:0").unwrap();
+        let reactor = Reactor::new(WorkerPool::new(4), None);
+        let server = RpcServer::spawn_reactor(&reactor, listener, Arc::new(EchoHandler));
+        (server, connector)
+    }
+
+    fn endpoint_over(connector: Arc<dyn Connect>, io_timeout: Duration) -> RpcEndpoint {
+        RpcEndpoint::new(
             connector,
             Some(io_timeout),
             Arc::new(TransportMetrics::new()),
-        );
-        (server, endpoint)
+        )
+    }
+
+    fn tcp_rig(io_timeout: Duration) -> (RpcServer, RpcEndpoint) {
+        let (server, connector) = echo_server();
+        (server, endpoint_over(connector, io_timeout))
+    }
+
+    /// [`tcp_rig`] with every connection dialled through a
+    /// [`FaultyConnector`] injecting `plan`.
+    fn faulty_rig(plan: FaultPlan, io_timeout: Duration) -> (RpcServer, RpcEndpoint) {
+        let (server, connector) = echo_server();
+        let faulty = FaultyConnector::new(connector, Arc::new(FaultState::new(plan)));
+        (server, endpoint_over(Arc::new(faulty), io_timeout))
+    }
+
+    /// A payload too large for the reactor's inline fast path. A batch of
+    /// at most `INLINE_BATCH_BYTES` runs on the reactor thread itself when
+    /// the pool has no backlog, so a slow handler reached by a small request
+    /// would stall every connection; a request carrying this payload runs
+    /// on a worker instead, like a chunk store.
+    fn pooled_payload() -> Bytes {
+        Bytes::from(vec![0u8; INLINE_BATCH_BYTES + 1])
     }
 
     #[test]
     fn calls_roundtrip_and_count_frames() {
-        let (_server, endpoint) = channel_rig(FaultPlan::none(), Duration::from_secs(5));
+        let (_server, endpoint) = tcp_rig(Duration::from_secs(5));
         let resp = endpoint
             .call(0x20, Bytes::from_static(b"hd"), Bytes::from_static(b"pl"))
             .unwrap();
@@ -1151,7 +1060,7 @@ mod tests {
 
     #[test]
     fn application_errors_pass_through_without_retries() {
-        let (_server, endpoint) = channel_rig(FaultPlan::none(), Duration::from_secs(5));
+        let (_server, endpoint) = tcp_rig(Duration::from_secs(5));
         let err = endpoint.call(0x71, Bytes::new(), Bytes::new()).unwrap_err();
         assert_eq!(err, BlobError::UnknownBlob(BlobId(9)));
         assert_eq!(endpoint.metrics().snapshot().retries, 0);
@@ -1159,7 +1068,7 @@ mod tests {
 
     #[test]
     fn concurrent_calls_multiplex_one_connection() {
-        let (_server, endpoint) = channel_rig(FaultPlan::none(), Duration::from_secs(5));
+        let (_server, endpoint) = tcp_rig(Duration::from_secs(5));
         let endpoint = Arc::new(endpoint);
         let mut handles = Vec::new();
         for i in 0..8u8 {
@@ -1188,7 +1097,7 @@ mod tests {
             stall: 1.0,
             ..FaultPlan::none()
         };
-        let (_server, endpoint) = channel_rig(plan, Duration::from_millis(60));
+        let (_server, endpoint) = faulty_rig(plan, Duration::from_millis(60));
         let start = std::time::Instant::now();
         let err = endpoint.call(0x20, Bytes::new(), Bytes::new()).unwrap_err();
         assert!(matches!(err, BlobError::Transport(_)));
@@ -1212,7 +1121,7 @@ mod tests {
             drop: 0.15,
             ..FaultPlan::none()
         };
-        let (_server, endpoint) = channel_rig(plan, Duration::from_millis(60));
+        let (_server, endpoint) = faulty_rig(plan, Duration::from_millis(60));
         let endpoint = endpoint.with_retries(6);
         for i in 0..10u8 {
             let body = Bytes::from(vec![i]);
@@ -1224,15 +1133,17 @@ mod tests {
 
     #[test]
     fn a_hung_request_times_out_and_the_endpoint_recovers_on_a_fresh_connection() {
-        let (_server, endpoint) = channel_rig(FaultPlan::none(), Duration::from_millis(100));
+        let (_server, endpoint) = tcp_rig(Duration::from_millis(100));
         // One retry is plenty: every attempt hits the same sleeping handler.
         let endpoint = endpoint.with_retries(1);
         let start = std::time::Instant::now();
-        let err = endpoint.call(0x70, Bytes::new(), Bytes::new()).unwrap_err();
+        let err = endpoint
+            .call(0x70, Bytes::new(), pooled_payload())
+            .unwrap_err();
         assert!(matches!(err, BlobError::Transport(_)));
         assert!(start.elapsed() < Duration::from_secs(5));
         // The wedged connection was dropped; the next call dials a fresh one
-        // (served by a fresh connection thread) and succeeds.
+        // and succeeds while the hung handler still holds its worker.
         let resp = endpoint
             .call(0x20, Bytes::from_static(b"after"), Bytes::new())
             .unwrap();
@@ -1240,40 +1151,18 @@ mod tests {
     }
 
     #[test]
-    fn handler_panics_become_typed_errors_on_the_pooled_path() {
-        let (_server, endpoint) = channel_rig(FaultPlan::none(), Duration::from_secs(20));
-        // More panics than the rig's pool has workers, answered promptly
-        // (not by the 20 s timeout) and without costing a worker.
-        for _ in 0..6 {
-            let err = endpoint.call(0x73, Bytes::new(), Bytes::new()).unwrap_err();
-            assert!(matches!(err, BlobError::Internal(_)), "{err:?}");
-        }
-        let resp = endpoint
-            .call(0x20, Bytes::from_static(b"alive"), Bytes::new())
-            .unwrap();
-        assert_eq!(resp.header.as_slice(), b"alive");
-    }
-
-    #[test]
     fn dead_connections_are_pruned_from_the_server_registry() {
-        let faults = Arc::new(FaultState::new(FaultPlan::none()));
-        let (connector, acceptor, stopper) = channel_endpoint(faults);
-        let server =
-            RpcServer::spawn_pooled(acceptor, stopper, Arc::new(EchoHandler), WorkerPool::new(4));
+        let (server, connector) = echo_server();
         // Churn: dial, use, drop — like a client failing over repeatedly.
         for round in 0..5u8 {
-            let endpoint = RpcEndpoint::new(
-                Arc::clone(&connector),
-                Some(Duration::from_secs(5)),
-                Arc::new(TransportMetrics::new()),
-            );
+            let endpoint = endpoint_over(Arc::clone(&connector), Duration::from_secs(5));
             endpoint
                 .call(0x20, Bytes::from(vec![round]), Bytes::new())
                 .unwrap();
             drop(endpoint); // kills the connection
         }
-        // Each dropped connection's kill handle leaves the registry once its
-        // server thread notices the teardown.
+        // Each dropped connection leaves the reactor's count once the
+        // reactor reads its end of stream.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while server.connection_count() > 0 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
@@ -1289,12 +1178,14 @@ mod tests {
     fn in_flight_requests_on_one_connection_are_served_concurrently() {
         // Two calls multiplexed on one connection, the first against a
         // handler that sleeps: the second must complete while the first is
-        // still pending (no head-of-line blocking into its timeout).
-        let (_server, endpoint) = channel_rig(FaultPlan::none(), Duration::from_secs(10));
+        // still pending (no head-of-line blocking into its timeout). The
+        // slow request carries a payload past the inline fast path, as a
+        // slow chunk store would; see `pooled_payload`.
+        let (_server, endpoint) = tcp_rig(Duration::from_secs(10));
         let endpoint = Arc::new(endpoint);
         let slow = {
             let endpoint = Arc::clone(&endpoint);
-            std::thread::spawn(move || endpoint.call(0x72, Bytes::new(), Bytes::new()))
+            std::thread::spawn(move || endpoint.call(0x72, Bytes::new(), pooled_payload()))
         };
         std::thread::sleep(Duration::from_millis(30)); // let the slow call land first
         let start = std::time::Instant::now();
@@ -1311,7 +1202,7 @@ mod tests {
 
     #[test]
     fn stopped_servers_fail_calls_fast_and_cleanly() {
-        let (mut server, endpoint) = channel_rig(FaultPlan::none(), Duration::from_millis(200));
+        let (mut server, endpoint) = tcp_rig(Duration::from_millis(200));
         endpoint
             .call(0x20, Bytes::from_static(b"a"), Bytes::new())
             .unwrap();
@@ -1320,6 +1211,30 @@ mod tests {
             .call(0x20, Bytes::from_static(b"b"), Bytes::new())
             .unwrap_err();
         assert!(matches!(err, BlobError::Transport(_)));
+    }
+
+    #[test]
+    fn stopped_endpoints_refuse_connections_once_stop_returns() {
+        let pool = WorkerPool::new(1);
+        let reactor = Reactor::new(pool.clone(), None);
+        let mut accepted = 0;
+        for _ in 0..200 {
+            let (connector, listener) = tcp_listener("127.0.0.1:0").unwrap();
+            let mut server = RpcServer::spawn_reactor(&reactor, listener, Arc::new(EchoHandler));
+            // Let the reactor go quiet and park, the state a daemon's
+            // endpoints are usually stopped in.
+            std::thread::sleep(ACTIVE_SPIN_WINDOW + Duration::from_millis(1));
+            server.stop();
+            if std::net::TcpStream::connect(connector.addr()).is_ok() {
+                accepted += 1;
+            }
+        }
+        reactor.stop();
+        pool.shutdown();
+        assert_eq!(
+            accepted, 0,
+            "{accepted} of 200 connects landed after stop returned"
+        );
     }
 
     #[test]

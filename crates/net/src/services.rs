@@ -580,21 +580,22 @@ impl VersionService for NetVersionService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reactor::WorkerPool;
+    use crate::reactor::{Reactor, WorkerPool};
     use crate::rpc::{ChunkHost, ManagerHost, MetaHost, RpcServer};
-    use crate::transport::{channel_endpoint, FaultState};
+    use crate::transport::tcp_listener;
     use blobseer_meta::{InMemoryMetaStore, LeafNode};
     use blobseer_provider::{DataProvider, ProviderManager};
-    use blobseer_types::{BlobId, ByteRange, FaultPlan, PlacementPolicy, Version};
+    use blobseer_types::{BlobId, ByteRange, PlacementPolicy, Version};
     use std::time::Duration;
 
+    /// Serves `handler` on its own reactor and dials it.
     fn endpoint_for(
         handler: Arc<dyn crate::rpc::RpcHandler>,
         metrics: &Arc<TransportMetrics>,
     ) -> (RpcServer, RpcEndpoint) {
-        let faults = Arc::new(FaultState::new(FaultPlan::none()));
-        let (connector, acceptor, stopper) = channel_endpoint(faults);
-        let server = RpcServer::spawn_pooled(acceptor, stopper, handler, WorkerPool::new(4));
+        let (connector, listener) = tcp_listener("127.0.0.1:0").unwrap();
+        let reactor = Reactor::new(WorkerPool::new(4), None);
+        let server = RpcServer::spawn_reactor(&reactor, listener, handler);
         let endpoint =
             RpcEndpoint::new(connector, Some(Duration::from_secs(5)), Arc::clone(metrics));
         (server, endpoint)

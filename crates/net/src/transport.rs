@@ -1,16 +1,19 @@
-//! The two frame transports: real TCP loopback sockets and an in-process
-//! channel pair with deterministic fault injection.
+//! The frame transport: TCP sockets, plus a decorator that injects
+//! faults into the connections it dials.
 //!
-//! Both sides of either transport speak in [`Frame`]s through the same two
-//! traits — [`FrameSink`] (send) and [`FrameSource`] (receive) — so the RPC
-//! layer above cannot tell them apart. The TCP transport is the "real
-//! network" proof: frames cross actual `std::net` sockets, sent as vectored
-//! writes (prefix, header, payload — the chunk payload is never flattened
-//! into another buffer) and received into a single `BytesMut` per frame.
-//! The channel transport moves the `Frame` values themselves through
-//! `mpsc` channels (sharing payloads by refcount) and is where the seeded
-//! [`FaultPlan`] injects drops, delays, duplicates, truncations, stalls and
-//! disconnects — deterministically, so every fault test is replayable.
+//! Both halves of a connection speak in [`Frame`]s through two traits —
+//! [`FrameSink`] (send) and [`FrameSource`] (receive) — so the RPC layer
+//! above never touches a socket. Frames cross real `std::net` sockets, sent
+//! as vectored writes (prefix, header, payload — the chunk payload is never
+//! flattened into another buffer) and received into a single `BytesMut` per
+//! frame.
+//!
+//! [`FaultyConnector`] wraps the connector of a client and applies a seeded
+//! [`FaultPlan`] to each connection it dials: its sink drops, delays,
+//! duplicates, truncates, stalls or disconnects requests, and its source
+//! does the same to responses. The server at the other end is the reactor
+//! the daemon runs, so every fault test exercises the production serving
+//! path.
 
 use crate::frame::{Frame, FRAME_PREFIX_BYTES, MAX_FRAME_BYTES};
 use blobseer_types::{BlobError, FaultPlan, Result};
@@ -18,10 +21,10 @@ use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -67,12 +70,9 @@ pub trait Connect: Send + Sync {
     /// Establishes a fresh connection.
     fn connect(&self) -> Result<Connection>;
 
-    /// The socket address this connector dials, when the endpoint is a real
-    /// socket (`None` for in-process transports). Lets stress tests and
+    /// The socket address this connector dials. Lets stress tests and
     /// operational tooling reach an endpoint outside the framed protocol.
-    fn addr(&self) -> Option<SocketAddr> {
-        None
-    }
+    fn addr(&self) -> SocketAddr;
 }
 
 fn io_err(context: &str, err: &std::io::Error) -> BlobError {
@@ -260,8 +260,8 @@ impl Connect for TcpConnector {
         tcp_connection(stream)
     }
 
-    fn addr(&self) -> Option<SocketAddr> {
-        Some(self.addr)
+    fn addr(&self) -> SocketAddr {
+        self.addr
     }
 }
 
@@ -275,7 +275,7 @@ pub fn tcp_listener(listen: &str) -> Result<(Arc<dyn Connect>, TcpListener)> {
 }
 
 // ---------------------------------------------------------------------------
-// In-process channel transport with fault injection
+// Fault injection
 // ---------------------------------------------------------------------------
 
 /// What the fault state decided for one frame.
@@ -297,9 +297,9 @@ enum FaultAction {
     Disconnect,
 }
 
-/// Shared, seeded fault decision source of one channel network. All links
-/// of a [`crate::cluster::NetCluster`] draw from the same generator, so a
-/// `(plan, seed)` pair replays the identical fault sequence.
+/// Shared, seeded fault decision source. Every connection dialled through
+/// the [`FaultyConnector`]s of one [`crate::cluster::NetCluster`] draws from
+/// the same generator, so one `(plan, seed)` pair drives the whole network.
 pub struct FaultState {
     plan: Mutex<FaultPlan>,
     rng: Mutex<StdRng>,
@@ -372,64 +372,6 @@ impl FaultState {
     }
 }
 
-/// How long a channel source sleeps between checks of its dead flag while
-/// no frame is arriving.
-const CHANNEL_POLL: Duration = Duration::from_millis(10);
-
-struct ChannelSink {
-    tx: Sender<Frame>,
-    dead: Arc<AtomicBool>,
-    faults: Arc<FaultState>,
-}
-
-impl ChannelSink {
-    fn deliver(&self, frame: Frame) -> Result<()> {
-        if self.tx.send(frame).is_err() {
-            self.dead.store(true, Ordering::Release);
-            return Err(BlobError::Transport("channel send: peer is gone".into()));
-        }
-        Ok(())
-    }
-}
-
-impl FrameSink for ChannelSink {
-    fn send(&mut self, frame: &Frame) -> Result<()> {
-        if self.dead.load(Ordering::Acquire) {
-            return Err(BlobError::Transport("channel send: link is down".into()));
-        }
-        match self.faults.decide() {
-            FaultAction::Disconnect => {
-                self.dead.store(true, Ordering::Release);
-                Err(BlobError::Transport(
-                    "channel send: injected disconnect".into(),
-                ))
-            }
-            // Dropped and stalled frames report success — exactly like a
-            // lost datagram, only the receiver's silence gives it away.
-            FaultAction::Drop | FaultAction::Stall => Ok(()),
-            FaultAction::Deliver {
-                delay_us,
-                truncate,
-                duplicate,
-            } => {
-                if delay_us > 0 {
-                    std::thread::sleep(Duration::from_micros(delay_us));
-                }
-                let out = if truncate {
-                    truncate_frame(frame)
-                } else {
-                    frame.clone()
-                };
-                self.deliver(out.clone())?;
-                if duplicate {
-                    self.deliver(out)?;
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
 /// Cuts a frame short the way a torn TCP segment would: half the payload
 /// disappears (or half the header, for payload-less frames). Zero-copy —
 /// truncation is just a shorter refcounted slice.
@@ -443,115 +385,121 @@ fn truncate_frame(frame: &Frame) -> Frame {
     out
 }
 
-struct ChannelSource {
-    rx: Receiver<Frame>,
-    dead: Arc<AtomicBool>,
-}
-
-impl FrameSource for ChannelSource {
-    fn recv(&mut self) -> Result<Option<Frame>> {
-        loop {
-            if self.dead.load(Ordering::Acquire) {
-                return Ok(None);
+/// What `faults` lets through of one frame: nothing (dropped or stalled),
+/// the frame (possibly delayed, possibly cut short), or two copies of it.
+/// An injected disconnect kills the link and fails the frame.
+fn inject(faults: &FaultState, kill: &KillHandle, frame: &Frame) -> Result<Vec<Frame>> {
+    match faults.decide() {
+        FaultAction::Disconnect => {
+            kill();
+            Err(BlobError::Transport("injected disconnect".into()))
+        }
+        // Dropped and stalled frames vanish without an error — like a lost
+        // datagram, only the peer's silence gives them away.
+        FaultAction::Drop | FaultAction::Stall => Ok(Vec::new()),
+        FaultAction::Deliver {
+            delay_us,
+            truncate,
+            duplicate,
+        } => {
+            if delay_us > 0 {
+                std::thread::sleep(Duration::from_micros(delay_us));
             }
-            match self.rx.recv_timeout(CHANNEL_POLL) {
-                Ok(frame) => return Ok(Some(frame)),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return Ok(None),
-            }
+            let out = if truncate {
+                truncate_frame(frame)
+            } else {
+                frame.clone()
+            };
+            Ok(if duplicate {
+                vec![out.clone(), out]
+            } else {
+                vec![out]
+            })
         }
     }
 }
 
-/// Dials one channel endpoint: each connect builds a fresh duplex pair of
-/// `mpsc` channels and hands the server half to the endpoint's acceptor.
-pub struct ChannelConnector {
-    inbound: Mutex<Sender<Connection>>,
+/// Sends the requests that [`inject`] lets through, still as one batch.
+struct FaultySink {
+    inner: Box<dyn FrameSink>,
+    faults: Arc<FaultState>,
+    kill: KillHandle,
+}
+
+impl FrameSink for FaultySink {
+    fn send(&mut self, frame: &Frame) -> Result<()> {
+        self.send_batch(std::slice::from_ref(frame))
+    }
+
+    fn send_batch(&mut self, frames: &[Frame]) -> Result<()> {
+        let mut out = Vec::with_capacity(frames.len());
+        for frame in frames {
+            out.extend(inject(&self.faults, &self.kill, frame)?);
+        }
+        self.inner.send_batch(&out)
+    }
+}
+
+/// Receives the responses that [`inject`] lets through.
+struct FaultySource {
+    inner: Box<dyn FrameSource>,
+    faults: Arc<FaultState>,
+    kill: KillHandle,
+    /// Frames let through but not yet handed out (a duplicate's copy).
+    ready: VecDeque<Frame>,
+}
+
+impl FrameSource for FaultySource {
+    fn recv(&mut self) -> Result<Option<Frame>> {
+        while self.ready.is_empty() {
+            let Some(frame) = self.inner.recv()? else {
+                return Ok(None);
+            };
+            self.ready.extend(inject(&self.faults, &self.kill, &frame)?);
+        }
+        Ok(self.ready.pop_front())
+    }
+}
+
+/// Dials through `inner` and injects `faults` into every connection it
+/// opens: requests on their way out, responses on their way in. Both
+/// directions draw from the same [`FaultState`] at the plan's per-frame
+/// rates.
+pub struct FaultyConnector {
+    inner: Arc<dyn Connect>,
     faults: Arc<FaultState>,
 }
 
-impl Connect for ChannelConnector {
+impl FaultyConnector {
+    /// Wraps `inner`, drawing fault decisions from `faults`.
+    #[must_use]
+    pub fn new(inner: Arc<dyn Connect>, faults: Arc<FaultState>) -> Self {
+        FaultyConnector { inner, faults }
+    }
+}
+
+impl Connect for FaultyConnector {
     fn connect(&self) -> Result<Connection> {
-        let (c2s_tx, c2s_rx) = channel::<Frame>();
-        let (s2c_tx, s2c_rx) = channel::<Frame>();
-        let dead = Arc::new(AtomicBool::new(false));
-        let kill: KillHandle = {
-            let dead = Arc::clone(&dead);
-            Arc::new(move || dead.store(true, Ordering::Release))
-        };
-        let server_side = Connection {
-            sink: Box::new(ChannelSink {
-                tx: s2c_tx,
-                dead: Arc::clone(&dead),
-                faults: Arc::clone(&self.faults),
-            }),
-            source: Box::new(ChannelSource {
-                rx: c2s_rx,
-                dead: Arc::clone(&dead),
-            }),
-            kill: Arc::clone(&kill),
-        };
-        if self.inbound.lock().send(server_side).is_err() {
-            return Err(BlobError::Transport(
-                "channel connect: endpoint is stopped".into(),
-            ));
-        }
+        let Connection { sink, source, kill } = self.inner.connect()?;
         Ok(Connection {
-            sink: Box::new(ChannelSink {
-                tx: c2s_tx,
-                dead: Arc::clone(&dead),
+            sink: Box::new(FaultySink {
+                inner: sink,
                 faults: Arc::clone(&self.faults),
+                kill: Arc::clone(&kill),
             }),
-            source: Box::new(ChannelSource { rx: s2c_rx, dead }),
+            source: Box::new(FaultySource {
+                inner: source,
+                faults: Arc::clone(&self.faults),
+                kill: Arc::clone(&kill),
+                ready: VecDeque::new(),
+            }),
             kill,
         })
     }
-}
 
-/// Accept side of one channel endpoint.
-pub struct ChannelAcceptor {
-    inbound: Receiver<Connection>,
-    stop: Arc<AtomicBool>,
-}
-
-impl ChannelAcceptor {
-    /// Blocks for the next inbound connection; `None` once the endpoint was
-    /// stopped and no more connections will arrive.
-    pub fn accept(&mut self) -> Option<Connection> {
-        loop {
-            if self.stop.load(Ordering::Acquire) {
-                return None;
-            }
-            match self.inbound.recv_timeout(CHANNEL_POLL) {
-                Ok(conn) => return Some(conn),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return None,
-            }
-        }
+    fn addr(&self) -> SocketAddr {
+        self.inner.addr()
     }
-}
-
-/// Builds one channel endpoint over the shared fault state: the connector
-/// clients dial, the acceptor the server loop blocks on, and a stop closure
-/// that unblocks the acceptor for shutdown.
-pub fn channel_endpoint(
-    faults: Arc<FaultState>,
-) -> (Arc<dyn Connect>, ChannelAcceptor, KillHandle) {
-    let (tx, rx) = channel::<Connection>();
-    let stop = Arc::new(AtomicBool::new(false));
-    let acceptor = ChannelAcceptor {
-        inbound: rx,
-        stop: Arc::clone(&stop),
-    };
-    let stopper: KillHandle = Arc::new(move || stop.store(true, Ordering::Release));
-    (
-        Arc::new(ChannelConnector {
-            inbound: Mutex::new(tx),
-            faults,
-        }),
-        acceptor,
-        stopper,
-    )
 }
 
 #[cfg(test)]
@@ -568,58 +516,31 @@ mod tests {
         )
     }
 
-    fn clean_pair() -> (Connection, Connection) {
-        let faults = Arc::new(FaultState::new(FaultPlan::none()));
-        let (connector, mut acceptor, _stop) = channel_endpoint(faults);
-        let client = connector.connect().unwrap();
-        let server = acceptor.accept().expect("a connection");
-        (client, server)
-    }
-
-    #[test]
-    fn channel_frames_roundtrip_without_copying_the_payload() {
-        let (mut client, mut server) = clean_pair();
-        let sent = frame(1);
-        client.sink.send(&sent).unwrap();
-        let got = server.source.recv().unwrap().unwrap();
-        assert_eq!(got, sent);
-        // Refcount sharing: the channel moved the Bytes handle, not bytes.
-        assert_eq!(
-            got.payload.as_slice().as_ptr(),
-            sent.payload.as_slice().as_ptr()
-        );
-        server.sink.send(&frame(2)).unwrap();
-        assert_eq!(client.source.recv().unwrap().unwrap().request_id, 2);
-    }
-
-    #[test]
-    fn killed_channel_links_unblock_both_halves() {
-        let (mut client, mut server) = clean_pair();
-        (client.kill)();
-        assert!(client.sink.send(&frame(1)).is_err());
-        assert!(server.source.recv().unwrap().is_none());
-    }
-
-    #[test]
-    fn stopped_channel_endpoints_refuse_new_connections() {
-        let faults = Arc::new(FaultState::new(FaultPlan::none()));
-        let (connector, mut acceptor, stop) = channel_endpoint(faults);
-        stop();
-        assert!(acceptor.accept().is_none());
-        // The acceptor's receiver is gone once the acceptor is dropped.
-        drop(acceptor);
-        assert!(connector.connect().is_err());
-    }
-
     /// A connected TCP pair: the client dials through [`TcpConnector`], the
     /// server side is a plainly accepted socket.
     fn tcp_pair() -> (Connection, Connection) {
+        pair_through(|addr| Arc::new(TcpConnector::new(addr)))
+    }
+
+    /// A TCP pair whose client end injects faults drawn from `faults`.
+    fn faulty_pair(faults: &Arc<FaultState>) -> (Connection, Connection) {
+        pair_through(|addr| {
+            Arc::new(FaultyConnector::new(
+                Arc::new(TcpConnector::new(addr)),
+                Arc::clone(faults),
+            ))
+        })
+    }
+
+    fn pair_through(dial: impl FnOnce(SocketAddr) -> Arc<dyn Connect>) -> (Connection, Connection) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let client = TcpConnector::new(listener.local_addr().unwrap())
-            .connect()
-            .unwrap();
+        let client = dial(listener.local_addr().unwrap()).connect().unwrap();
         let (stream, _) = listener.accept().unwrap();
         (client, tcp_connection(stream).unwrap())
+    }
+
+    fn faults(plan: FaultPlan) -> Arc<FaultState> {
+        Arc::new(FaultState::new(plan))
     }
 
     #[test]
@@ -691,68 +612,63 @@ mod tests {
 
     #[test]
     fn dropped_frames_vanish_and_later_frames_still_flow() {
-        let plan = FaultPlan {
+        let faults = faults(FaultPlan {
             seed: 7,
             drop: 1.0,
             ..FaultPlan::none()
-        };
-        let faults = Arc::new(FaultState::new(plan));
-        let (connector, mut acceptor, _stop) = channel_endpoint(faults);
-        let mut client = connector.connect().unwrap();
-        let mut server = acceptor.accept().expect("a connection");
+        });
+        let (mut client, mut server) = faulty_pair(&faults);
         client.sink.send(&frame(1)).unwrap();
-        // Nothing arrives: the frame was swallowed. Kill the link after a
-        // grace period so the blocking recv returns instead of hanging.
-        std::thread::sleep(Duration::from_millis(30));
-        (server.kill)();
-        assert!(server.source.recv().unwrap().is_none());
+        faults.set_plan(FaultPlan::none());
+        client.sink.send(&frame(2)).unwrap();
+        // Frame 1 never reached the socket: the server's first frame is 2.
+        assert_eq!(server.source.recv().unwrap().unwrap().request_id, 2);
     }
 
     #[test]
     fn truncated_frames_arrive_short_and_shared() {
-        let plan = FaultPlan {
+        let faults = faults(FaultPlan {
             seed: 3,
             truncate: 1.0,
             ..FaultPlan::none()
-        };
-        let faults = Arc::new(FaultState::new(plan));
-        let (connector, mut acceptor, _stop) = channel_endpoint(faults);
-        let mut client = connector.connect().unwrap();
-        let mut server = acceptor.accept().expect("a connection");
+        });
+        let (mut client, mut server) = faulty_pair(&faults);
         let sent = frame(1);
         client.sink.send(&sent).unwrap();
         let got = server.source.recv().unwrap().unwrap();
         assert_eq!(got.payload.len(), sent.payload.len() / 2);
+        server.sink.send(&sent).unwrap();
+        let got = client.source.recv().unwrap().unwrap();
+        assert_eq!(got.payload.len(), sent.payload.len() / 2);
+        assert_eq!(faults.truncated_frames(), 2);
     }
 
     #[test]
     fn duplicated_frames_arrive_twice() {
-        let plan = FaultPlan {
+        let faults = faults(FaultPlan {
             seed: 5,
             duplicate: 1.0,
             ..FaultPlan::none()
-        };
-        let faults = Arc::new(FaultState::new(plan));
-        let (connector, mut acceptor, _stop) = channel_endpoint(faults);
-        let mut client = connector.connect().unwrap();
-        let mut server = acceptor.accept().expect("a connection");
+        });
+        let (mut client, mut server) = faulty_pair(&faults);
         client.sink.send(&frame(4)).unwrap();
         assert_eq!(server.source.recv().unwrap().unwrap().request_id, 4);
         assert_eq!(server.source.recv().unwrap().unwrap().request_id, 4);
+        server.sink.send(&frame(6)).unwrap();
+        assert_eq!(client.source.recv().unwrap().unwrap().request_id, 6);
+        assert_eq!(client.source.recv().unwrap().unwrap().request_id, 6);
     }
 
     #[test]
     fn injected_disconnects_poison_the_link() {
-        let plan = FaultPlan {
+        let faults = faults(FaultPlan {
             seed: 11,
             disconnect: 1.0,
             ..FaultPlan::none()
-        };
-        let faults = Arc::new(FaultState::new(plan));
-        let (connector, mut acceptor, _stop) = channel_endpoint(faults);
-        let mut client = connector.connect().unwrap();
-        let mut server = acceptor.accept().expect("a connection");
+        });
+        let (mut client, mut server) = faulty_pair(&faults);
         assert!(client.sink.send(&frame(1)).is_err());
+        faults.set_plan(FaultPlan::none());
         assert!(client.sink.send(&frame(2)).is_err(), "link stays down");
         assert!(server.source.recv().unwrap().is_none());
     }

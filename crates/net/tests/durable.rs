@@ -13,7 +13,7 @@
 
 use blobseer_core::{BlobClient, Cluster};
 use blobseer_net::NetCluster;
-use blobseer_types::{BlobConfig, BlobId, ClusterConfig, FaultPlan, Result};
+use blobseer_types::{BlobConfig, BlobId, ClusterConfig, Result};
 use std::path::{Path, PathBuf};
 
 const CS: u64 = 128;
@@ -101,14 +101,6 @@ fn round_trip(serve: fn(Cluster) -> Result<NetCluster>, tag: &str) {
     assert_ne!(fresh, blob);
     drop(cluster);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn channel_deployment_round_trips_through_restart() {
-    round_trip(
-        |cluster| NetCluster::channel(cluster, FaultPlan::none()),
-        "channel",
-    );
 }
 
 #[test]

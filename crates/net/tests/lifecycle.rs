@@ -18,7 +18,7 @@
 use blobseer_core::{BlobClient, Cluster};
 use blobseer_net::NetCluster;
 use blobseer_types::{
-    BlobConfig, BlobError, BlobId, ChunkCodec, ClusterConfig, FaultPlan, ProviderId, Version,
+    BlobConfig, BlobError, BlobId, ChunkCodec, ClusterConfig, ProviderId, Version,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -161,12 +161,18 @@ fn replay_net(cluster: &NetCluster, ops: &[Op]) -> Vec<u8> {
     })
 }
 
+fn replay_tcp(cache: bool, ops: &[Op]) -> Vec<u8> {
+    let net = NetCluster::tcp(Cluster::new(lifecycle_config(cache)).expect("cluster builds"))
+        .expect("tcp cluster builds");
+    replay_net(&net, ops)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The differential heart of the tier: the same random history replayed
-    /// on the in-process cluster and on the channel-transport networked
-    /// deployment (whose GC crosses the wire), caches on and off, must end
+    /// on the in-process cluster and on a networked deployment over TCP
+    /// loopback (whose GC crosses the wire), caches on and off, must end
     /// with byte-identical content — and every intermediate lifecycle pass
     /// must leave the newest retained version's bytes untouched.
     #[test]
@@ -175,9 +181,7 @@ proptest! {
         cache in any::<bool>(),
     ) {
         let local = replay_local(cache, &ops);
-        let net = NetCluster::channel(Cluster::new(lifecycle_config(cache)).expect("cluster builds"), FaultPlan::none())
-            .expect("channel cluster builds");
-        let networked = replay_net(&net, &ops);
+        let networked = replay_tcp(cache, &ops);
         prop_assert_eq!(local, networked);
     }
 }
@@ -186,16 +190,14 @@ proptest! {
     // TCP deployments are slow to stand up; keep the sample small.
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// The same differential over real TCP loopback sockets.
+    /// The same history over TCP with the client caches on and with them
+    /// off: a cached metadata node or chunk must never outlive the flatten
+    /// + GC pass that retired it, so both deployments end byte-identical.
     #[test]
-    fn lifecycle_reads_are_differential_over_tcp(
-        ops in OpsStrategy,
-        cache in any::<bool>(),
-    ) {
-        let local = replay_local(cache, &ops);
-        let net = NetCluster::tcp(Cluster::new(lifecycle_config(cache)).expect("cluster builds")).expect("tcp cluster builds");
-        let networked = replay_net(&net, &ops);
-        prop_assert_eq!(local, networked);
+    fn lifecycle_reads_are_differential_over_tcp(ops in OpsStrategy) {
+        let cached = replay_tcp(true, &ops);
+        let uncached = replay_tcp(false, &ops);
+        prop_assert_eq!(cached, uncached);
     }
 }
 
@@ -245,11 +247,8 @@ fn killed_provider_mid_sweep_requeues_without_corrupting() {
         retained_versions: 1,
         ..lifecycle_config(false)
     };
-    let cluster = NetCluster::channel(
-        Cluster::new(config).expect("cluster builds"),
-        FaultPlan::none(),
-    )
-    .expect("cluster builds");
+    let cluster =
+        NetCluster::tcp(Cluster::new(config).expect("cluster builds")).expect("cluster builds");
     let client = cluster.client();
     // Two replicas per chunk: reads survive a dead provider.
     let blob = client
@@ -316,11 +315,8 @@ fn requeued_deletes_drain_once_the_provider_returns() {
         retained_versions: 1,
         ..lifecycle_config(false)
     };
-    let cluster = NetCluster::channel(
-        Cluster::new(config).expect("cluster builds"),
-        FaultPlan::none(),
-    )
-    .expect("cluster builds");
+    let cluster =
+        NetCluster::tcp(Cluster::new(config).expect("cluster builds")).expect("cluster builds");
     let client = cluster.client();
     // Two replicas per chunk: reads survive the unavailable provider.
     let blob = client
@@ -535,11 +531,8 @@ fn per_blob_codec_overrides_the_cluster_default() {
             chunk_cache_bytes: 0,
             ..lifecycle_config(false)
         };
-        let cluster = NetCluster::channel(
-            Cluster::new(config).expect("cluster builds"),
-            FaultPlan::none(),
-        )
-        .expect("cluster builds");
+        let cluster =
+            NetCluster::tcp(Cluster::new(config).expect("cluster builds")).expect("cluster builds");
 
         // One client per blob so the compression counters are attributable.
         let default_client = cluster.client();

@@ -479,8 +479,8 @@ pub struct SimulatedCluster {
     fsyncs: u64,
     wal_bytes: u64,
     /// Lossy network model: every data-plane transfer is routed through the
-    /// same seeded per-frame fault decisions the channel transport injects
-    /// (`None` = clean network, the default).
+    /// same seeded per-frame fault decisions the networked fault injector
+    /// draws (`None` = clean network, the default).
     net_faults: Option<(FaultPlan, StdRng)>,
 }
 
@@ -544,9 +544,9 @@ impl SimulatedCluster {
     /// Routes every data-plane transfer through a lossy network model
     /// driven by `plan` (seeded, deterministic): swallowed frames cost the
     /// sender its `io_timeout` and a retry, delayed frames add latency.
-    /// Mirrors the channel transport's fault injector at flow level, so the
-    /// `readers_during_writers`/`rescan_reads` workloads can be run over an
-    /// unreliable network.
+    /// Mirrors the networked fault injector (`FaultyConnector`) at flow
+    /// level, so the `readers_during_writers`/`rescan_reads` workloads can be
+    /// run over an unreliable network.
     pub fn set_network_faults(&mut self, plan: FaultPlan) -> Result<()> {
         plan.validate()?;
         self.net_faults = if plan.is_clean() {
@@ -597,7 +597,7 @@ impl SimulatedCluster {
         let io_timeout_ns = self.config.io_timeout_ms.saturating_mul(1_000_000).max(1);
         // Stalls, drops and disconnects all look the same at flow level —
         // silence until the sender's I/O timeout fires. Compose them the way
-        // the channel transport's injector samples them (sequentially, each
+        // the networked fault injector samples them (sequentially, each
         // on the frames the previous kind let through), so a plan means the
         // same loss rate in the simulator as on the real test transport.
         let p_lost = 1.0 - (1.0 - plan.disconnect) * (1.0 - plan.stall) * (1.0 - plan.drop);

@@ -70,8 +70,9 @@ pub enum Durability {
     Always,
 }
 
-/// Deterministic, seedable per-frame fault injection for the channel
-/// transport (and the simulator's lossy network model).
+/// Deterministic, seedable per-frame fault injection for the network
+/// (`blobseer_net::FaultyConnector`, which wraps the client end of real TCP
+/// connections) and the simulator's lossy network model.
 ///
 /// Every probability is evaluated independently per frame from a generator
 /// seeded with [`FaultPlan::seed`], so a given plan produces the same fault

@@ -5,8 +5,8 @@
 //! [`blobseer_core`] (client API, version manager, in-process cluster),
 //! [`blobseer_meta`] (versioned segment trees), [`blobseer_dht`] (metadata
 //! DHT), [`blobseer_provider`] (data providers and placement),
-//! [`blobseer_net`] (framed zero-copy RPC transport: TCP loopback and the
-//! fault-injecting channel transport), [`blobseer_persist`] (durable
+//! [`blobseer_net`] (framed zero-copy RPC over TCP loopback, with a
+//! fault-injecting connector for tests), [`blobseer_persist`] (durable
 //! persistence tier: chunk segment logs + metadata WAL), [`blobseer_bsfs`]
 //! (file system layer), [`blobseer_hdfs`] (HDFS-like baseline), [`blobseer_mapreduce`]
 //! (MapReduce engine), [`blobseer_qos`] (monitoring and behaviour

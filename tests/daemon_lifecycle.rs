@@ -5,7 +5,7 @@
 
 use blobseer::core::Cluster;
 use blobseer::net::NetCluster;
-use blobseer::types::{BlobConfig, ClusterConfig, Durability, FaultPlan, Version};
+use blobseer::types::{BlobConfig, ClusterConfig, Durability, Version};
 use std::path::{Path, PathBuf};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -123,7 +123,7 @@ fn checkpoints_bound_the_wal_with_the_lifecycle_off() {
 #[test]
 fn sweeper_racing_a_shutdown_tears_nothing() {
     let dir = temp_dir("shutrace");
-    let cluster = NetCluster::channel(
+    let cluster = NetCluster::tcp(
         Cluster::open_durable(
             ClusterConfig {
                 data_providers: 3,
@@ -137,7 +137,6 @@ fn sweeper_racing_a_shutdown_tears_nothing() {
             &dir,
         )
         .unwrap(),
-        FaultPlan::none(),
     )
     .unwrap();
     let client = cluster.client();

@@ -8,7 +8,7 @@ use blobseer::net::NetCluster;
 use blobseer::persist::scan;
 use blobseer::qos::{MonitoringCollector, QosController};
 use blobseer::types::{
-    BlobConfig, ClusterConfig, Durability, FaultPlan, PlacementPolicy, ProviderId, Version,
+    BlobConfig, ClusterConfig, Durability, PlacementPolicy, ProviderId, Version,
 };
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -100,7 +100,7 @@ fn networked_provider_killed_mid_write_is_substituted_without_data_loss() {
     // switch: its server endpoint disappears, tearing live connections down
     // under in-flight chunk stores. The writer must fail over to live
     // providers mid-operation and publish an intact version.
-    let cluster = NetCluster::channel(
+    let cluster = NetCluster::tcp(
         Cluster::new(ClusterConfig {
             data_providers: 6,
             metadata_providers: 3,
@@ -108,7 +108,6 @@ fn networked_provider_killed_mid_write_is_substituted_without_data_loss() {
             ..ClusterConfig::default()
         })
         .unwrap(),
-        FaultPlan::none(),
     )
     .unwrap();
     let client = cluster.client();

@@ -58,6 +58,21 @@ fn serving_threads() -> usize {
     count_threads_with_prefix("net-reactor") + count_threads_with_prefix("net-worker-")
 }
 
+/// Waits for the serving threads of earlier deployments to exit. Pools
+/// shut down without joining their workers, so a census taken right after
+/// another test's deployment went away could count its stragglers.
+fn quiesce_serving_threads() {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while serving_threads() > 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        serving_threads(),
+        0,
+        "a shut-down deployment's serving threads must exit"
+    );
+}
+
 /// Samples the serving-thread census until told to stop; returns the peak.
 fn spawn_census(stop: Arc<AtomicBool>) -> std::thread::JoinHandle<usize> {
     std::thread::spawn(move || {
@@ -73,6 +88,7 @@ fn spawn_census(stop: Arc<AtomicBool>) -> std::thread::JoinHandle<usize> {
 #[test]
 fn serving_threads_stay_bounded_under_concurrent_clients() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    quiesce_serving_threads();
     let cfg = config();
     let bound = default_rpc_workers();
     let cluster = NetCluster::tcp(Cluster::new(cfg).unwrap()).unwrap();
@@ -161,6 +177,7 @@ fn stalled_connection_cannot_starve_pool_or_peers() {
 #[test]
 fn reconnect_storm_leaks_no_serving_threads() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    quiesce_serving_threads();
     let cfg = config();
     let bound = default_rpc_workers();
     let cluster = NetCluster::tcp(Cluster::new(cfg).unwrap()).unwrap();
@@ -220,12 +237,8 @@ impl RpcHandler for PanickyHandler {
 #[test]
 fn panicking_handler_fails_one_request_and_keeps_every_worker() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // Pools shut down without joining: let an earlier test's workers exit
-    // so the exact census below counts only this test's pool.
-    let quiesce = Instant::now() + Duration::from_secs(10);
-    while serving_threads() > 0 && Instant::now() < quiesce {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    // The exact census below counts only this test's pool.
+    quiesce_serving_threads();
     let workers = 3;
     let pool = WorkerPool::new(workers);
     let io_timeout = Duration::from_secs(20);

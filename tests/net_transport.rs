@@ -2,12 +2,13 @@
 //!
 //! The framed RPC protocol must be *observationally identical* to the
 //! in-process service boundary: for any operation history, the in-process
-//! cluster, the TCP loopback transport and the channel transport (clean and
-//! lossy-with-retries) publish the same versions, serve byte-identical
-//! reads and account the same `bytes_read` — with the client chunk cache on
-//! or off. On top of the differential property, a fault matrix drives every
-//! fault kind the channel transport can inject and a zero-copy regression
-//! pins the no-flatten contract at the RPC boundary.
+//! cluster and the TCP loopback deployment (clean, and lossy with retries)
+//! publish the same versions, serve byte-identical reads and account the
+//! same `bytes_read` — with the client chunk cache on or off. On top of the
+//! differential property, a fault matrix drives every fault kind
+//! `NetCluster::tcp_with_faults` can inject against the production reactor,
+//! and a zero-copy regression pins the no-flatten contract at the RPC
+//! boundary.
 
 use blobseer::core::{BlobClient, Cluster};
 use blobseer::net::NetCluster;
@@ -163,19 +164,14 @@ proptest! {
                 replay(&cluster.client(), &ops)
             };
             prop_assert_eq!(&reference, &tcp, "tcp loopback diverged (cache={})", cache);
-            let channel = {
-                let cluster = NetCluster::channel(Cluster::new(config(cache)).unwrap(), FaultPlan::none()).unwrap();
-                replay(&cluster.client(), &ops)
-            };
-            prop_assert_eq!(&reference, &channel, "channel diverged (cache={})", cache);
             let lossy = {
                 let cluster =
-                    NetCluster::channel(Cluster::new(lossy_config(cache)).unwrap(), mild_faults()).unwrap();
+                    NetCluster::tcp_with_faults(Cluster::new(lossy_config(cache)).unwrap(), mild_faults()).unwrap();
                 replay(&cluster.client(), &ops)
             };
             prop_assert_eq!(
                 &reference, &lossy,
-                "lossy channel with retries diverged (cache={})", cache
+                "lossy tcp with retries diverged (cache={})", cache
             );
         }
     }
@@ -189,7 +185,8 @@ proptest! {
 /// full convergence: every op succeeds (masked by retries and replica
 /// rotation), every published version stays readable and byte-correct.
 fn converges_under(plan: FaultPlan) {
-    let cluster = NetCluster::channel(Cluster::new(lossy_config(0)).unwrap(), plan).unwrap();
+    let cluster =
+        NetCluster::tcp_with_faults(Cluster::new(lossy_config(0)).unwrap(), plan).unwrap();
     converges(&cluster.client());
 }
 
@@ -233,7 +230,7 @@ fn truncated_frames_are_detected_and_retried() {
     // (~95 to converge, ~18 per 16-chunk read) fail a run with probability
     // ~3e-4. They send ~3 800 frames counting responses, so ~38 get cut;
     // fewer than 10 has probability below 1e-7.
-    let cluster = NetCluster::channel(
+    let cluster = NetCluster::tcp_with_faults(
         Cluster::new(lossy_config(0)).unwrap(),
         FaultPlan {
             seed: 8,
@@ -298,7 +295,7 @@ fn a_fully_hung_network_fails_operations_cleanly_within_bounded_time() {
     // total stall under the append.
     let mut cfg = config(0);
     cfg.io_timeout_ms = 100;
-    let cluster = NetCluster::channel(
+    let cluster = NetCluster::tcp_with_faults(
         Cluster::new(cfg).unwrap(),
         FaultPlan {
             seed: 13,

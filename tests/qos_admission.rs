@@ -9,7 +9,7 @@
 
 use blobseer::core::Cluster;
 use blobseer::net::NetCluster;
-use blobseer::types::{BlobConfig, ClusterConfig, FaultPlan, PlacementPolicy, Version};
+use blobseer::types::{BlobConfig, ClusterConfig, PlacementPolicy, Version};
 
 const CS: u64 = 4 << 10;
 
@@ -87,7 +87,7 @@ fn greedy_tenants_queue_behind_themselves_never_past_the_cap() {
 
 #[test]
 fn networked_clients_share_the_same_admission_gate() {
-    let cluster = NetCluster::channel(Cluster::new(config(3)).unwrap(), FaultPlan::none()).unwrap();
+    let cluster = NetCluster::tcp(Cluster::new(config(3)).unwrap()).unwrap();
     let client = cluster.client();
     let blob = client.create_blob(BlobConfig::new(CS, 1).unwrap()).unwrap();
     let data = pattern(24 * CS as usize, 5);
