@@ -5,8 +5,8 @@
 //!
 //! * **recovery time** — wall-clock cost of `Cluster::open_durable` over
 //!   the populated directory (WAL replay + segment scan + rebuild);
-//! * **post-restart read throughput** — whole-blob read served from the
-//!   recovered, refcounted segment buffers;
+//! * **post-restart read throughput** — whole-blob read served by
+//!   positioned reads of the recovered segment files;
 //! * the recovery counters the CI gate greps for (`recovered_chunks`,
 //!   `wal_replayed_records`).
 //!
@@ -17,8 +17,9 @@
 //!   record counts that grow with the history;
 //! * the recovered blob reads byte-identically to the pre-restart model;
 //! * an aligned post-restart read is genuinely zero-copy
-//!   (`payload_bytes_copied == 0`): chunks are served as refcounted views
-//!   of the recovered segment buffers, never re-materialised.
+//!   (`payload_bytes_copied == 0`): each chunk's positioned read fills an
+//!   exact-size buffer that becomes its refcounted payload, never copied
+//!   again on its way to the reader.
 
 use blobseer_bench::{emit, Clock, Json};
 use blobseer_core::Cluster;
@@ -99,8 +100,8 @@ fn run_arm(appends: u64) -> Arm {
     let recovery_ms = t0.elapsed().as_secs_f64() * 1_000.0;
     let stats = cluster.recovery_stats();
 
-    // Post-restart read path: aligned whole-blob read, zero-copy from the
-    // recovered segment buffers, byte-identical to the pre-crash model.
+    // Post-restart read path: aligned whole-blob read, one positioned read
+    // per chunk and no copy after it, byte-identical to the pre-crash model.
     let client = cluster.client();
     let t1 = Instant::now();
     let slice = client

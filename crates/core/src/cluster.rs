@@ -123,10 +123,12 @@ impl Cluster {
     /// pre-commit records dropped. The fsync policy is
     /// `ClusterConfig::durability`.
     ///
-    /// The RAM stores this replaces become cache tiers: clients keep their
-    /// chunk caches, and recovered segment buffers serve aligned reads
-    /// zero-copy, so the read path's `payload_bytes_copied == 0` discipline
-    /// survives a restart.
+    /// The segment files are the store: providers keep only an index of
+    /// record positions and serve each chunk with one positioned read into
+    /// the buffer that becomes its payload, so the read path's
+    /// `payload_bytes_copied == 0` discipline survives a restart. The
+    /// bounded chunk caches (clients', and a served deployment's shared
+    /// one) are the only RAM tier above the segments.
     pub fn open_durable(config: ClusterConfig, dir: impl AsRef<Path>) -> Result<Self> {
         config.validate()?;
         let (tier, recovered) = DurableTier::open(

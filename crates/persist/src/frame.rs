@@ -16,10 +16,11 @@
 //! and recovery physically truncates. [`LogTail`] is the other end: it
 //! appends records so that a failed write never leaves one behind.
 
-use blobseer_types::{BlobError, Result};
+use blobseer_types::{BlobError, Durability, Result};
 use std::fs::File;
 use std::io::{self, Write};
 use std::ops::Range;
+use std::path::Path;
 use std::sync::Arc;
 
 /// First byte of every record; anything else marks the start of a torn tail.
@@ -225,9 +226,28 @@ impl<F: LogFile> LogTail<F> {
     }
 }
 
+/// Makes a name change in `dir` — a file created, renamed over or removed —
+/// survive a power cut. Recovery finds logs by name, so a synced file is
+/// only durable once its directory entry is. A no-op under
+/// [`Durability::Buffered`], which promises no machine-crash safety.
+pub(crate) fn sync_dir(dir: &Path, durability: Durability) -> Result<()> {
+    if durability != Durability::Buffered {
+        File::open(dir)?.sync_all()?;
+    }
+    Ok(())
+}
+
+/// The directory holding `path` (`.` for a bare file name).
+pub(crate) fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    }
+}
+
 /// One complete record found by [`scan`], as byte ranges into the scanned
-/// buffer (no payload copies — the segment store slices its refcounted
-/// buffer through these).
+/// buffer (no payload copies — the segment store indexes records by these
+/// offsets).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordView {
     /// The record's kind byte.

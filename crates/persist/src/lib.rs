@@ -9,10 +9,12 @@
 //! - **Chunk segment files** ([`SegmentStore`]): each provider appends
 //!   sealed [`ChunkEnvelope`](blobseer_types::wire::ChunkEnvelope)s
 //!   verbatim (compressed chunks stay compressed) into per-record
-//!   CRC-framed segment files. Recovery re-maps each sealed segment as one
-//!   refcounted buffer, so post-restart reads are zero-copy slices of the
-//!   recovered file image — the same `payload_bytes_copied == 0` discipline
-//!   the RAM tier keeps. Deletes are tombstone records folded by
+//!   CRC-framed segment files. The log is the store: the index holds each
+//!   record's position, never its payload, and every read is one positioned
+//!   read into the buffer that becomes the chunk's payload — the same
+//!   `payload_bytes_copied == 0` discipline the RAM tier keeps. The
+//!   serving side's bounded chunk cache is the only RAM tier above the
+//!   segments. Deletes are tombstone records folded by
 //!   [`SegmentStore::compact`].
 //! - **Metadata WAL** ([`MetaWal`]): every blob creation, node batch,
 //!   commit, delete, retire and flatten is a framed record. Publication is
@@ -25,7 +27,7 @@
 //! - **[`DurableTier`]**: one directory holding the WAL plus per-provider
 //!   segment stores; implements [`Journal`], the version manager's
 //!   durability hook, and takes periodic WAL checkpoints (compacted
-//!   rewrite via temp-file + fsync + rename).
+//!   rewrite via temp-file + fsync + rename + directory fsync).
 //!
 //! The crate sits below `blobseer-core` (which wires the tier into cluster
 //! construction and lifecycle maintenance) and beside `blobseer-provider`

@@ -8,28 +8,38 @@
 //! — and [`SegmentStore::compact`] folds tombstoned and superseded bytes
 //! away by rewriting survivors into the active segment.
 //!
+//! The log is the store. A slot holds where its record lies (segment,
+//! offset, length) and the envelope header, never the payload, and the
+//! index keeps one shared read handle per segment file. A read is one
+//! positioned read of the payload into an exact-size buffer, and that
+//! buffer becomes the envelope's payload with no further copy, so aligned
+//! reads keep the client's `payload_bytes_copied == 0`. The only RAM above
+//! the segments is the serving side's bounded chunk cache, so a store's
+//! memory does not grow with the bytes it holds.
+//!
 //! A record's CRC is computed once, when it is appended, and checked once,
-//! when recovery scans it; reads never re-check it. Every slot owns its
-//! envelope: the one it arrived as for records appended this run, and for
-//! recovered records a zero-copy slice of the segment's recovered buffer
-//! (in the spirit of the `OwnedArchivedVersionChanges` pattern), so aligned
-//! reads keep the client's `payload_bytes_copied == 0` even after a cold
-//! restart. A record whose CRC failed at recovery stays addressable, and
-//! every read of it fails with the retryable [`BlobError::Transport`] so
-//! readers rotate to another replica instead of consuming silent
-//! corruption. Sealing a segment is an fsync and a roll to the next file:
-//! nothing is read back.
+//! when recovery scans it; reads never re-check it. Recovery reads one
+//! segment file at a time and keeps only the index. A record whose CRC
+//! failed at recovery stays addressable, and every read of it fails with
+//! the retryable [`BlobError::Transport`] — as does a positioned read that
+//! fails or comes up short — so readers rotate to another replica instead
+//! of consuming silent corruption. Sealing a segment is an fsync and a roll
+//! to the next file: nothing is read back.
 
-use crate::frame::{frame_parts, frame_record, scan, LogTail, RECORD_HEADER_BYTES};
+use crate::frame::{
+    frame_parts, frame_record, parent_dir, scan, sync_dir, LogTail, RECORD_HEADER_BYTES,
+};
 use blobseer_provider::ChunkStore;
 use blobseer_types::wire::{encode, WireReader};
 use blobseer_types::{BlobError, ChunkEnvelope, ChunkId, Durability, EnvelopeHeader, Result};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
-use std::fs::OpenOptions;
+use std::fs::{File, OpenOptions};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Record kinds of the chunk segment log.
 const KIND_CHUNK: u8 = 1;
@@ -78,15 +88,18 @@ pub struct SegmentRecovery {
     pub segments: u64,
 }
 
-/// One indexed chunk.
+/// One indexed chunk: where its record lies, and no payload.
+#[derive(Clone, Copy)]
 struct Slot {
     /// Segment holding the record.
     seg: u64,
+    /// Offset of the record in its segment file.
+    offset: u64,
     /// Record length on disk, framing included.
     len: u64,
-    /// The chunk as appended this run, or a slice of its recovered segment;
-    /// `None` when recovery found the record's CRC failing.
-    envelope: Option<ChunkEnvelope>,
+    /// The chunk's envelope header; `None` when recovery found the record's
+    /// CRC failing.
+    header: Option<EnvelopeHeader>,
 }
 
 impl Slot {
@@ -95,28 +108,43 @@ impl Slot {
     }
 }
 
-/// One segment file's length and the bytes of it live slots cover.
-#[derive(Debug, Clone, Copy, Default)]
-struct Usage {
+/// One segment file: its length, the bytes of it live slots cover, and the
+/// handle every positioned read of it goes through.
+struct Segment {
     len: u64,
     live: u64,
+    /// Readers clone the handle and read outside the index lock, so one
+    /// that races the compaction deleting this file finishes on the
+    /// unlinked inode.
+    file: Arc<File>,
+}
+
+impl Segment {
+    fn new(file: File, len: u64) -> Self {
+        Segment {
+            len,
+            live: 0,
+            file: Arc::new(file),
+        }
+    }
 }
 
 #[derive(Default)]
 struct Index {
     slots: HashMap<ChunkId, Slot>,
     /// Every segment file, oldest first; the last is the active one.
-    segments: BTreeMap<u64, Usage>,
+    segments: BTreeMap<u64, Segment>,
     /// Physical payload bytes of every indexed chunk.
     physical: u64,
 }
 
 impl Index {
-    /// Indexes `id` at a `len`-byte record in `seg`, replacing (and
-    /// un-counting) any earlier slot of the same chunk.
-    fn insert(&mut self, id: ChunkId, seg: u64, len: u64, envelope: Option<ChunkEnvelope>) {
-        let slot = Slot { seg, len, envelope };
-        self.segments.entry(seg).or_default().live += len;
+    /// Indexes `id` at `slot`, replacing (and un-counting) any earlier slot
+    /// of the same chunk.
+    fn insert(&mut self, id: ChunkId, slot: Slot) {
+        if let Some(segment) = self.segments.get_mut(&slot.seg) {
+            segment.live += slot.len;
+        }
         self.physical += slot.physical_len();
         if let Some(old) = self.slots.insert(id, slot) {
             self.forget(&old);
@@ -131,18 +159,26 @@ impl Index {
     }
 
     fn forget(&mut self, slot: &Slot) {
-        if let Some(usage) = self.segments.get_mut(&slot.seg) {
-            usage.live -= slot.len;
+        if let Some(segment) = self.segments.get_mut(&slot.seg) {
+            segment.live -= slot.len;
         }
         self.physical -= slot.physical_len();
     }
 
+    /// The read handle of segment `seg`.
+    fn reader(&self, seg: u64) -> Result<Arc<File>> {
+        self.segments
+            .get(&seg)
+            .map(|segment| Arc::clone(&segment.file))
+            .ok_or_else(|| BlobError::Transport(format!("segment {seg} is not open")))
+    }
+
     /// Every segment but the active one, which is always the newest.
-    fn sealed(&self) -> impl Iterator<Item = (u64, Usage)> + '_ {
+    fn sealed(&self) -> impl Iterator<Item = (u64, &Segment)> + '_ {
         let active = self.segments.keys().next_back().copied().unwrap_or(0);
         self.segments
             .range(..active)
-            .map(|(&seg, &usage)| (seg, usage))
+            .map(|(&seg, segment)| (seg, segment))
     }
 }
 
@@ -183,10 +219,25 @@ fn chunk_record(id: &ChunkId, data: &ChunkEnvelope) -> Vec<u8> {
     )
 }
 
+/// One positioned read of `len` bytes at `at` in segment `seg`, into an
+/// exact-size buffer. A failed or short read is the retryable
+/// [`BlobError::Transport`]: the bytes are unreachable here, not absent.
+fn read_at(file: &File, seg: u64, at: u64, len: usize) -> Result<Vec<u8>> {
+    let mut buf = vec![0; len];
+    file.read_exact_at(&mut buf, at).map_err(|err| {
+        BlobError::Transport(format!(
+            "segment {seg}: reading {len} bytes at offset {at}: {err}"
+        ))
+    })?;
+    Ok(buf)
+}
+
 impl SegmentStore {
     /// Opens (or creates) the segment directory, replaying every segment
     /// file: torn tails are physically truncated, tombstones are folded into
     /// the index, and the last segment becomes the active append target.
+    /// Files are scanned one at a time and only their index survives, so
+    /// opening peaks at one segment file of memory.
     pub fn open(dir: impl AsRef<Path>, opts: SegmentStoreOptions) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
@@ -196,17 +247,18 @@ impl SegmentStore {
         seg_numbers.sort_unstable();
         if seg_numbers.is_empty() {
             seg_numbers.push(1);
+            File::create(segment_path(&dir, 1))?;
+            // The new file's name, and the directory's own, must outlive a
+            // power cut before anything is appended to the file.
+            sync_dir(&dir, opts.durability)?;
+            sync_dir(parent_dir(&dir), opts.durability)?;
         }
 
         let mut index = Index::default();
         let mut recovery = SegmentRecovery::default();
         for &seg in &seg_numbers {
             let path = segment_path(&dir, seg);
-            let raw = match std::fs::read(&path) {
-                Ok(raw) => raw,
-                Err(err) if err.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-                Err(err) => return Err(err.into()),
-            };
+            let raw = std::fs::read(&path)?;
             let outcome = scan(&raw);
             let mut cut = outcome.valid_len;
             let mut records = outcome.records;
@@ -221,17 +273,16 @@ impl SegmentStore {
                 }
             }
             recovery.truncated_bytes += (raw.len() - cut) as u64;
-            // The file's read buffer itself backs every recovered envelope.
-            let buf = Bytes::from(raw).slice(0..cut);
-            index.segments.insert(
-                seg,
-                Usage {
-                    len: cut as u64,
-                    live: 0,
-                },
-            );
+            // Physically drop the torn tail so future appends extend a
+            // well-framed file.
+            let file = OpenOptions::new().read(true).write(true).open(&path)?;
+            if raw.len() > cut {
+                file.set_len(cut as u64)?;
+                file.sync_data()?;
+            }
+            index.segments.insert(seg, Segment::new(file, cut as u64));
             for record in records {
-                let payload = &buf[record.payload.clone()];
+                let payload = &raw[record.payload.clone()];
                 match record.kind {
                     KIND_CHUNK => {
                         let mut reader = WireReader::new(payload);
@@ -244,15 +295,16 @@ impl SegmentStore {
                                     == record.span.len() =>
                             {
                                 // The one CRC check this record ever gets.
-                                let body = record.span.start + CHUNK_RECORD_OVERHEAD;
-                                let envelope = record
-                                    .crc_ok
-                                    .then(|| header.into_envelope(buf.slice(body..record.span.end)))
-                                    .and_then(Result::ok);
-                                if envelope.is_none() {
+                                if !record.crc_ok {
                                     recovery.corrupt_records += 1;
                                 }
-                                index.insert(id, seg, record.span.len() as u64, envelope);
+                                let slot = Slot {
+                                    seg,
+                                    offset: record.span.start as u64,
+                                    len: record.span.len() as u64,
+                                    header: record.crc_ok.then_some(header),
+                                };
+                                index.insert(id, slot);
                             }
                             // Undecodable chunk record: unreachable with a
                             // passing CRC, droppable garbage without one.
@@ -274,20 +326,11 @@ impl SegmentStore {
                     _ => recovery.corrupt_records += 1,
                 }
             }
-            // Physically drop the torn tail so future appends extend a
-            // well-framed file.
-            let file_len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-            if file_len > cut as u64 {
-                let file = OpenOptions::new().write(true).open(&path)?;
-                file.set_len(cut as u64)?;
-                file.sync_data()?;
-            }
             recovery.segments += 1;
         }
 
         let last_seg = *seg_numbers.last().unwrap();
         let file = OpenOptions::new()
-            .create(true)
             .append(true)
             .open(segment_path(&dir, last_seg))?;
         let len = file.metadata()?.len();
@@ -349,7 +392,7 @@ impl SegmentStore {
         self.index
             .read()
             .sealed()
-            .map(|(_, usage)| usage.len - usage.live)
+            .map(|(_, segment)| segment.len - segment.live)
             .sum()
     }
 
@@ -363,8 +406,8 @@ impl SegmentStore {
             .index
             .read()
             .sealed()
-            .fold((0u64, 0u64), |(total, dead), (_, usage)| {
-                (total + usage.len, dead + usage.len - usage.live)
+            .fold((0u64, 0u64), |(total, dead), (_, segment)| {
+                (total + segment.len, dead + segment.len - segment.live)
             });
         if total == 0 {
             0.0
@@ -401,16 +444,29 @@ impl SegmentStore {
         // The rewritten survivors must be on disk before the files holding
         // their only other copy go.
         self.sync()?;
-        let victims = {
+        let victims: Vec<(u64, u64)> = self
+            .index
+            .read()
+            .segments
+            .range(..=last)
+            .map(|(&seg, segment)| (seg, segment.len))
+            .collect();
+        for &(seg, _) in &victims {
+            match std::fs::remove_file(segment_path(&self.dir, seg)) {
+                // A concurrent pass already deleted it.
+                Err(err) if err.kind() == std::io::ErrorKind::NotFound => {}
+                other => other?,
+            }
+        }
+        sync_dir(&self.dir, self.opts.durability)?;
+        // Only now do the victims' read handles leave the index; a reader
+        // that cloned one finishes on the unlinked file.
+        {
             let mut index = self.index.write();
             let newer = index.segments.split_off(&(last + 1));
-            std::mem::replace(&mut index.segments, newer)
-        };
-        let mut victim_bytes = 0u64;
-        for (&seg, usage) in &victims {
-            std::fs::remove_file(segment_path(&self.dir, seg))?;
-            victim_bytes += usage.len;
+            index.segments = newer;
         }
+        let victim_bytes: u64 = victims.iter().map(|&(_, len)| len).sum();
         Ok((victims.len() as u64, victim_bytes.saturating_sub(rewritten)))
     }
 
@@ -422,26 +478,42 @@ impl SegmentStore {
         // Checked under the append lock, so a concurrent remove or rewrite
         // of the chunk wins.
         let mut active = self.active.lock();
-        let envelope = match self.index.read().slots.get(id) {
-            Some(slot) if slot.seg <= last => slot.envelope.clone(),
-            _ => return Ok(0),
+        let (slot, file) = {
+            let index = self.index.read();
+            match index.slots.get(id) {
+                Some(&slot) if slot.seg <= last => (slot, index.reader(slot.seg)?),
+                _ => return Ok(0),
+            }
         };
-        let Some(envelope) = envelope else {
+        if slot.header.is_none() {
             self.index.write().remove(id);
             return Ok(0);
-        };
-        let record = chunk_record(id, &envelope);
-        let len = record.len() as u64;
-        self.append_locked(&mut active, &record, |index, seg| {
-            index.insert(*id, seg, len, Some(envelope));
+        }
+        // The record moves byte for byte, CRC included, so damage done to
+        // it since it was written is still caught by the next recovery
+        // instead of being re-framed as valid.
+        let record = read_at(&file, slot.seg, slot.offset, slot.len as usize)?;
+        self.append_locked(&mut active, &record, |index, seg, offset| {
+            index.insert(
+                *id,
+                Slot {
+                    seg,
+                    offset,
+                    ..slot
+                },
+            );
         })?;
-        Ok(len)
+        Ok(slot.len)
     }
 
     /// Appends a framed record to the active segment and applies `update`
-    /// to the index under the same lock, so the index always agrees with
-    /// the log's order.
-    fn append<T>(&self, record: &[u8], update: impl FnOnce(&mut Index, u64) -> T) -> Result<T> {
+    /// (given the segment and the record's offset in it) to the index under
+    /// the same lock, so the index always agrees with the log's order.
+    fn append<T>(
+        &self,
+        record: &[u8],
+        update: impl FnOnce(&mut Index, u64, u64) -> T,
+    ) -> Result<T> {
         self.append_locked(&mut self.active.lock(), record, update)
     }
 
@@ -449,18 +521,21 @@ impl SegmentStore {
         &self,
         active: &mut Active,
         record: &[u8],
-        update: impl FnOnce(&mut Index, u64) -> T,
+        update: impl FnOnce(&mut Index, u64, u64) -> T,
     ) -> Result<T> {
         if active.tail.len() >= self.opts.segment_bytes && active.tail.len() > 0 {
             self.roll(active)?;
         }
+        let offset = active.tail.len();
         active
             .tail
             .append(record, self.opts.durability == Durability::Always)?;
         active.appended += record.len() as u64;
         let mut index = self.index.write();
-        index.segments.entry(active.seg).or_default().len += record.len() as u64;
-        Ok(update(&mut index, active.seg))
+        if let Some(segment) = index.segments.get_mut(&active.seg) {
+            segment.len += record.len() as u64;
+        }
+        Ok(update(&mut index, active.seg, offset))
     }
 
     /// Seals the active segment — one fsync, nothing read back — and makes
@@ -469,11 +544,17 @@ impl SegmentStore {
         active.tail.handle()?.sync_data()?;
         self.synced.fetch_max(active.appended, Ordering::AcqRel);
         let next = active.seg + 1;
+        let path = segment_path(&self.dir, next);
         let file = OpenOptions::new()
             .create_new(true)
             .append(true)
-            .open(segment_path(&self.dir, next))?;
-        self.index.write().segments.insert(next, Usage::default());
+            .open(&path)?;
+        let reader = File::open(&path)?;
+        sync_dir(&self.dir, self.opts.durability)?;
+        self.index
+            .write()
+            .segments
+            .insert(next, Segment::new(reader, 0));
         active.seg = next;
         active.tail = LogTail::new(file, 0);
         Ok(())
@@ -489,40 +570,66 @@ impl ChunkStore for SegmentStore {
                     "conflicting immutable chunk write for {id}"
                 )))
             }
-            // A corrupt at-rest copy is superseded by the rewrite: writers
-            // repairing a failed read land here.
+            // A corrupt or unreadable at-rest copy is superseded by the
+            // rewrite: writers repairing a failed read land here.
             Ok(None) | Err(_) => {}
         }
-        // Framed (and checksummed) outside the append lock.
+        // Framed (and checksummed) outside the append lock. The arrived
+        // envelope is dropped once its record is in the log.
         let record = chunk_record(&id, &data);
+        let header = Some(data.header());
         let len = record.len() as u64;
-        self.append(&record, |index, seg| index.insert(id, seg, len, Some(data)))
+        self.append(&record, |index, seg, offset| {
+            index.insert(
+                id,
+                Slot {
+                    seg,
+                    offset,
+                    len,
+                    header,
+                },
+            );
+        })
     }
 
     fn get(&self, id: &ChunkId) -> Result<Option<ChunkEnvelope>> {
-        let index = self.index.read();
-        let Some(slot) = index.slots.get(id) else {
-            return Ok(None);
+        let (slot, header, file) = {
+            let index = self.index.read();
+            let Some(&slot) = index.slots.get(id) else {
+                return Ok(None);
+            };
+            let Some(header) = slot.header else {
+                return Err(BlobError::Transport(format!(
+                    "chunk {id}: its record in segment {} failed its CRC at recovery \
+                     (at-rest corruption)",
+                    slot.seg
+                )));
+            };
+            (slot, header, index.reader(slot.seg)?)
         };
-        match &slot.envelope {
-            Some(envelope) => Ok(Some(envelope.clone())),
-            None => Err(BlobError::Transport(format!(
-                "chunk {id}: its record in segment {} failed its CRC at recovery \
-                 (at-rest corruption)",
-                slot.seg
-            ))),
-        }
+        // Read outside the index lock: appends and other reads go on.
+        let payload = read_at(
+            &file,
+            slot.seg,
+            slot.offset + CHUNK_RECORD_OVERHEAD as u64,
+            header.physical_len as usize,
+        )?;
+        header.into_envelope(Bytes::from(payload)).map(Some)
+    }
+
+    fn contains(&self, id: &ChunkId) -> bool {
+        self.index.read().slots.contains_key(id)
     }
 
     fn remove(&self, id: &ChunkId) -> Option<u64> {
         // Check membership first so removing an absent chunk appends
         // nothing; the tombstone lands before the index forgets the chunk,
         // mirroring recovery's replay order.
-        if !self.index.read().slots.contains_key(id) {
+        if !self.contains(id) {
             return None;
         }
         let record = frame_record(KIND_TOMBSTONE, &encode(id));
-        self.append(&record, |index, _| index.remove(id)).ok()?
+        self.append(&record, |index, _, _| index.remove(id)).ok()?
     }
 
     fn chunk_count(&self) -> usize {
@@ -587,19 +694,163 @@ mod tests {
     }
 
     #[test]
-    fn recovered_reads_share_the_segment_buffer() {
-        let dir = temp_dir("zerocopy");
+    fn reopened_store_serves_every_envelope_from_the_log() {
+        // A slot records where its record lies and never the payload.
+        assert!(std::mem::size_of::<Slot>() <= 64);
+        let dir = temp_dir("reopen");
+        let opts = SegmentStoreOptions {
+            segment_bytes: 4096,
+            ..SegmentStoreOptions::default()
+        };
+        let model: Vec<(ChunkId, ChunkEnvelope)> = (0..24u64)
+            .map(|i| {
+                let payload = Bytes::from(vec![i as u8 ^ 0x5A; 300 + 97 * i as usize]);
+                let data = if i % 3 == 0 {
+                    ChunkEnvelope::compressed(8192, payload)
+                } else {
+                    ChunkEnvelope::verbatim(payload)
+                };
+                (cid(i), data)
+            })
+            .collect();
         {
-            let store = SegmentStore::open(&dir, SegmentStoreOptions::default()).unwrap();
-            store.put(cid(0), env(vec![42u8; 4096])).unwrap();
+            let store = SegmentStore::open(&dir, opts).unwrap();
+            for (id, data) in &model {
+                store.put(*id, data.clone()).unwrap();
+            }
+            assert!(store.segment_count() > 2);
         }
-        let store = SegmentStore::open(&dir, SegmentStoreOptions::default()).unwrap();
-        let a = store.get(&cid(0)).unwrap().unwrap();
-        let b = store.get(&cid(0)).unwrap().unwrap();
-        // Both reads are slices of the same recovered buffer: identical
-        // payload addresses prove no copy was made.
-        assert_eq!(a.payload().as_ptr(), b.payload().as_ptr());
-        assert_eq!(a.payload().len(), 4096);
+        let store = SegmentStore::open(&dir, opts).unwrap();
+        assert_eq!(store.recovery().recovered_chunks, model.len() as u64);
+        for (id, data) in &model {
+            let back = store.get(id).unwrap().unwrap();
+            assert_eq!(&back, data);
+            assert_eq!(back.payload().len() as u64, data.physical_len());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn damaged_segment_file_fails_reads_retryably() {
+        let dir = temp_dir("damaged");
+        let opts = SegmentStoreOptions {
+            segment_bytes: 1024,
+            ..SegmentStoreOptions::default()
+        };
+        let store = SegmentStore::open(&dir, opts).unwrap();
+        for i in 0..12u64 {
+            store.put(cid(i), env(vec![i as u8; 300])).unwrap();
+        }
+        assert!(store.segment_count() > 2);
+        let in_first: Vec<ChunkId> = {
+            let index = store.index.read();
+            (0..12)
+                .map(cid)
+                .filter(|id| index.slots[id].seg == 1)
+                .collect()
+        };
+        assert!(
+            in_first.len() > 1,
+            "the first segment is sealed with records"
+        );
+        let path = segment_path(&dir, 1);
+        let len = std::fs::metadata(&path).unwrap().len();
+
+        // Truncated behind the open store: the records past the cut are
+        // unreachable, and every read of them is the retryable error.
+        OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(len / 2)
+            .unwrap();
+        let mut failed = 0;
+        for id in &in_first {
+            match store.get(id) {
+                Ok(Some(data)) => assert_eq!(data, env(vec![id.slot as u8; 300])),
+                Err(BlobError::Transport(_)) => failed += 1,
+                other => panic!("chunk {id}: {other:?}"),
+            }
+        }
+        assert!(failed >= 1);
+
+        // Replaced in place by a short file: the same, for every record.
+        std::fs::write(&path, b"not a segment").unwrap();
+        for id in &in_first {
+            assert!(matches!(store.get(id), Err(BlobError::Transport(_))));
+            assert!(store.contains(id), "an unreadable chunk is still held");
+        }
+        // Chunks in other segments are untouched, and a writer repairing a
+        // damaged chunk supersedes its record.
+        assert_eq!(store.get(&cid(11)).unwrap().unwrap(), env(vec![11; 300]));
+        store
+            .put(in_first[0], env(vec![in_first[0].slot as u8; 300]))
+            .unwrap();
+        assert_eq!(
+            store.get(&in_first[0]).unwrap().unwrap(),
+            env(vec![in_first[0].slot as u8; 300])
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reads_racing_compaction_return_the_model_bytes() {
+        let dir = temp_dir("race");
+        let opts = SegmentStoreOptions {
+            segment_bytes: 2048,
+            ..SegmentStoreOptions::default()
+        };
+        let store = SegmentStore::open(&dir, opts).unwrap();
+        let mut model: HashMap<ChunkId, ChunkEnvelope> = HashMap::new();
+        for i in 0..48u64 {
+            let data = env(vec![i as u8; 200 + 13 * i as usize]);
+            store.put(cid(i), data.clone()).unwrap();
+            model.insert(cid(i), data);
+        }
+        for i in (0..48u64).step_by(3) {
+            store.remove(&cid(i)).unwrap();
+            model.remove(&cid(i));
+        }
+        // A reader that cloned a segment's handle just before a compaction
+        // deleted the file, frozen at that point.
+        let (held_slot, held_file) = {
+            let index = store.index.read();
+            let slot = index.slots[&cid(1)];
+            (slot, index.reader(slot.seg).unwrap())
+        };
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                // Every pass moves each survivor out of the segment it was
+                // in and deletes that file under the reader's feet.
+                for _ in 0..40 {
+                    store.compact().unwrap();
+                }
+                done.store(true, Ordering::Release);
+            });
+            let mut rounds = 0;
+            while !done.load(Ordering::Acquire) || rounds < 2 {
+                for (id, data) in &model {
+                    assert_eq!(store.get(id).unwrap().as_ref(), Some(data), "{id}");
+                }
+                rounds += 1;
+            }
+        });
+        assert!(!segment_path(&dir, held_slot.seg).exists());
+        let payload = read_at(
+            &held_file,
+            held_slot.seg,
+            held_slot.offset + CHUNK_RECORD_OVERHEAD as u64,
+            held_slot.physical_len() as usize,
+        )
+        .unwrap();
+        assert_eq!(payload, model[&cid(1)].payload().as_ref());
+        drop(store);
+        let store = SegmentStore::open(&dir, opts).unwrap();
+        assert_eq!(store.chunk_count(), model.len());
+        for (id, data) in &model {
+            assert_eq!(store.get(id).unwrap().as_ref(), Some(data));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -14,7 +14,7 @@
 //! (blobs, surviving nodes, commit prefix) via write-to-temp + fsync +
 //! rename, so the log does not grow with history forever.
 
-use crate::frame::{frame_record, scan, LogTail};
+use crate::frame::{frame_record, parent_dir, scan, sync_dir, LogTail};
 use blobseer_meta::{MetadataStore, NodeBody, NodeKey, SnapshotDescriptor};
 use blobseer_types::wire::{WireReader, WireWriter};
 use blobseer_types::{BlobConfig, BlobError, BlobId, ChunkCodec, Durability, Result, Version};
@@ -187,7 +187,11 @@ impl MetaWal {
         }
         let raw = match std::fs::read(&path) {
             Ok(raw) => raw,
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(err) if err.kind() == std::io::ErrorKind::NotFound => {
+                File::create(&path)?;
+                sync_dir(parent_dir(&path), durability)?;
+                Vec::new()
+            }
             Err(err) => return Err(err.into()),
         };
         let outcome = scan(&raw);
@@ -535,6 +539,9 @@ impl MetaWal {
             tmp.sync_all()?;
         }
         std::fs::rename(&tmp_path, &self.path)?;
+        // Commit records appended from here on land in the new inode: its
+        // name must not be lost to a power cut while they are not.
+        sync_dir(parent_dir(&self.path), self.durability)?;
         *inner = LogTail::new(
             OpenOptions::new().append(true).open(&self.path)?,
             image.len() as u64,

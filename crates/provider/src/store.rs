@@ -7,8 +7,8 @@
 //! CRC-framed segment files with crash recovery) implements the same trait
 //! from its own crate, mirroring Section IV.B ("persistent data and metadata
 //! storage while keeping our initial RAM-based storage scheme as an
-//! underlying caching mechanism") — the RAM store is exactly that caching
-//! tier.
+//! underlying caching mechanism"). There the segment files are the store
+//! and a bounded chunk cache on the serving side is that caching tier.
 //!
 //! Every backend stores [`ChunkEnvelope`]s — the chunk codec's unit of
 //! at-rest storage. A compressed chunk stays compressed on the provider

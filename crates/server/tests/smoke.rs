@@ -174,6 +174,86 @@ fn daemon_serves_tcp_clients_drains_cleanly_and_survives_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Peak resident set size (`VmHWM`) of a live process, in bytes.
+fn peak_rss_bytes(child: &Child) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{}/status", child.id())).unwrap();
+    let kib: u64 = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|rest| rest.trim().strip_suffix("kB")?.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no VmHWM in:\n{status}"));
+    kib << 10
+}
+
+/// A durable daemon serves chunks from its segment files, so neither the
+/// bytes it is sent nor the bytes it recovers stay in its memory: only the
+/// bounded serving cache sits above the log.
+#[test]
+fn durable_daemon_memory_stays_flat_while_stored_bytes_grow() {
+    const MIB: u64 = 1 << 20;
+    const STORED: u64 = 128 * MIB;
+    const APPEND: u64 = 2 * MIB;
+    const BOUND: u64 = 48 * MIB;
+    let dir = temp_dir("flat");
+    let endpoints_path = dir.join("endpoints");
+    let config_path = dir.join("server.conf");
+    std::fs::write(
+        &config_path,
+        format!(
+            "data_providers = 2\n\
+             metadata_providers = 1\n\
+             durable_dir = {data}\n\
+             chunk_cache_bytes = {cache}\n\
+             segment_bytes = {segment}\n\
+             endpoints_file = {endpoints}\n\
+             metrics_listen = 127.0.0.1:0\n\
+             io_timeout_ms = 30000\n",
+            data = dir.join("data").display(),
+            cache = 8 * MIB,
+            segment = 16 * MIB,
+            endpoints = endpoints_path.display(),
+        ),
+    )
+    .unwrap();
+
+    let mut child = spawn_daemon(&config_path);
+    let (endpoints, metrics_addr) = await_ready(&mut child, &endpoints_path);
+    let client = blobseer_net::connect_remote(&client_config(), &endpoints).unwrap();
+    let blob = client
+        .create_blob(BlobConfig::new(64 << 10, 1).unwrap())
+        .unwrap();
+    let fresh = peak_rss_bytes(&child);
+    let data: Vec<u8> = (0..APPEND).map(|i| (i % 253) as u8).collect();
+    for _ in 0..STORED / APPEND {
+        client.append(blob, &data).unwrap();
+    }
+    let appended = peak_rss_bytes(&child) - fresh;
+    drain(child, metrics_addr);
+
+    let mut child = spawn_daemon(&config_path);
+    let (endpoints, metrics_addr) = await_ready(&mut child, &endpoints_path);
+    let recovered = peak_rss_bytes(&child).saturating_sub(fresh);
+    let client = blobseer_net::connect_remote(&client_config(), &endpoints).unwrap();
+    let tail = client.read(blob, None, STORED - APPEND, APPEND).unwrap();
+    assert_eq!(tail, data, "the last append reads back after restart");
+    drain(child, metrics_addr);
+    println!(
+        "daemon VmHWM growth: {} MiB over {} MiB of appends, {} MiB at recovery",
+        appended / MIB,
+        STORED / MIB,
+        recovered / MIB
+    );
+    assert!(
+        appended < BOUND,
+        "appends grew the daemon's peak by {appended} bytes"
+    );
+    assert!(
+        recovered < BOUND,
+        "recovery peaked {recovered} bytes above a fresh daemon"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn daemon_rejects_a_bad_config_file_with_a_diagnostic() {
     let dir = temp_dir("badconf");

@@ -7,8 +7,9 @@ use blobseer::core::Cluster;
 use blobseer::net::NetCluster;
 use blobseer::persist::scan;
 use blobseer::qos::{MonitoringCollector, QosController};
+use blobseer::types::wire::WireReader;
 use blobseer::types::{
-    BlobConfig, ClusterConfig, Durability, PlacementPolicy, ProviderId, Version,
+    BlobConfig, BlobError, ChunkId, ClusterConfig, Durability, PlacementPolicy, ProviderId, Version,
 };
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -378,6 +379,68 @@ fn flipped_segment_byte_fails_over_to_the_intact_replica() {
         payload,
         "a flipped byte must never reach the reader"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sealed segment file truncated behind a running durable cluster: the
+/// positioned reads of its records come up short, which is the retryable
+/// transport error, so the client fails over to the intact replica and the
+/// answer is byte-identical.
+#[test]
+fn truncated_segment_behind_a_live_cluster_fails_over_to_the_intact_replica() {
+    let dir = durable_dir("truncated");
+    let payload = ft_pattern(32 * DUR_CS as usize, 7);
+    let cluster = Cluster::open_durable(
+        ClusterConfig {
+            // Every few records seal a segment.
+            segment_bytes: 512,
+            ..durable_config()
+        },
+        &dir,
+    )
+    .unwrap();
+    let client = cluster.client();
+    let blob = client
+        .create_blob(BlobConfig::new(DUR_CS, 2).unwrap())
+        .unwrap();
+    client.append(blob, &payload).unwrap();
+    let (provider, sealed) = (0..4u32)
+        .map(|p| {
+            let seg = dir.join(format!("provider-{p:04}")).join("seg-000001.log");
+            (p, seg)
+        })
+        .find(|(_, seg)| seg.with_file_name("seg-000002.log").exists())
+        .expect("some provider sealed its first segment");
+    let raw = std::fs::read(&sealed).unwrap();
+    let damaged: Vec<ChunkId> = scan(&raw)
+        .records
+        .iter()
+        .map(|record| WireReader::new(&raw[record.payload.clone()]).get().unwrap())
+        .collect();
+    assert!(!damaged.is_empty());
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&sealed)
+        .unwrap()
+        .set_len(0)
+        .unwrap();
+    let provider = cluster.provider(ProviderId(provider)).unwrap();
+    for id in &damaged {
+        assert!(
+            matches!(provider.get_chunk(id), Err(BlobError::Transport(_))),
+            "{id}: a short positioned read is the retryable error"
+        );
+    }
+    // Replicas are probed in a random order: several reads make sure the
+    // damaged one is tried first for some chunk.
+    for _ in 0..8 {
+        assert_eq!(
+            client.read_all(blob, None).unwrap(),
+            payload,
+            "a damaged replica must never shorten or fail the read"
+        );
+    }
+    drop((client, cluster));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
