@@ -31,7 +31,6 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
 
 /// A complete in-process BlobSeer deployment.
 ///
@@ -49,7 +48,7 @@ pub struct Cluster {
     /// The metadata service clients and the lifecycle engine mutate
     /// through: the DHT itself for RAM-resident clusters, a
     /// [`WalMetaStore`] wrapping it for durable ones (every node put and
-    /// delete hits the write-ahead log first).
+    /// delete is journaled in the write-ahead log).
     meta_service: Arc<dyn MetadataService>,
     transfers: Arc<TransferPool>,
     client_ids: IdGenerator,
@@ -75,37 +74,11 @@ pub struct Cluster {
     /// cluster, when `ClusterConfig::admission_limit` is non-zero.
     admission: Option<Arc<AdmissionController>>,
     /// The QoS feedback controller, when QoS-aware serving is configured
-    /// (`ClusterConfig::effective_qos_states() >= 2`). Stepped on the
-    /// lifecycle maintenance tick; `step` needs `&mut self`, hence the lock.
+    /// (`ClusterConfig::effective_qos_states() >= 2`). Stepped by
+    /// [`Cluster::run_maintenance`]; `step` needs `&mut self`, hence the lock.
     qos: Option<Arc<Mutex<QosController>>>,
-    /// Background WAL-checkpoint thread: the independent trigger that keeps
-    /// replay cost bounded even when the lifecycle engine never runs.
-    checkpointer: Mutex<Option<CheckpointerHandle>>,
     /// Set once [`Cluster::shutdown`] has run (it is idempotent).
     shutdown_done: AtomicBool,
-}
-
-struct CheckpointerHandle {
-    stop: Arc<AtomicBool>,
-    handle: JoinHandle<()>,
-}
-
-/// One durable maintenance pass: a WAL checkpoint when either the record or
-/// the byte trigger tripped, then policy-driven segment compaction. Shared
-/// by the lifecycle maintenance hook and the background checkpointer.
-fn durable_maintenance(tier: &DurableTier, vm: &VersionManager, dht: &Dht<NodeKey, NodeBody>) {
-    if tier.checkpoint_due() {
-        // Capture order matters under concurrent writes: the blob export
-        // first, the node snapshot second. A version is only published once
-        // its nodes are in the DHT, so the later node snapshot is always a
-        // superset of what the exported publication state references — the
-        // image can carry extra nodes, never dangling versions.
-        let blobs = vm.export_blobs();
-        if let Ok(nodes) = dht.snapshot_nodes() {
-            let _ = tier.checkpoint(&blobs, nodes);
-        }
-    }
-    let _ = tier.compact_stores();
 }
 
 impl Cluster {
@@ -230,7 +203,7 @@ impl Cluster {
                 QOS_HORIZON,
             )))
         });
-        let cluster = Cluster {
+        Ok(Cluster {
             version_manager,
             chunk_service,
             metadata,
@@ -243,114 +216,75 @@ impl Cluster {
             recovery,
             admission,
             qos,
-            checkpointer: Mutex::new(None),
             shutdown_done: AtomicBool::new(false),
             config,
-        };
-        cluster.start_checkpointer();
-        Ok(cluster)
+        })
     }
 
-    /// Starts the background checkpoint thread when the cluster is durable
-    /// and `ClusterConfig::checkpoint_interval_ms` is non-zero. This trigger
-    /// is deliberately independent of the lifecycle engine: a deployment
-    /// that never flattens or GCs (both lifecycle knobs at zero, engine
-    /// never started) still checkpoints its WAL, so replay cost on restart
-    /// stays bounded instead of growing with the whole write history.
-    fn start_checkpointer(&self) {
-        let (Some(tier), Some(interval)) = (&self.durable, self.config.checkpoint_interval())
-        else {
-            return;
-        };
-        let tier = Arc::clone(tier);
-        let vm = Arc::clone(&self.version_manager);
-        let dht = Arc::clone(&self.metadata);
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            while !thread_stop.load(Ordering::Acquire) {
-                durable_maintenance(&tier, &vm, &dht);
-                std::thread::park_timeout(interval);
-            }
-        });
-        *self.checkpointer.lock() = Some(CheckpointerHandle { stop, handle });
-    }
-
-    fn stop_checkpointer(&self) {
-        if let Some(worker) = self.checkpointer.lock().take() {
-            worker.stop.store(true, Ordering::Release);
-            worker.handle.thread().unpark();
-            let _ = worker.handle.join();
-        }
-    }
-
-    /// The cluster's periodic housekeeping, as a closure owning its own
-    /// handles: one QoS control step (sample provider windows, refit the
-    /// behaviour model, push scores into placement and admission pressure),
-    /// then the durable tier's WAL checkpoint and segment compaction when
-    /// their triggers tripped.
-    fn maintenance(&self) -> impl Fn() + Send + Sync + 'static {
-        let durable = self
-            .durable
-            .as_ref()
-            .map(|tier| (Arc::clone(tier), Arc::clone(&self.metadata)));
-        let vm = Arc::clone(&self.version_manager);
-        let qos = self.qos.clone();
-        let admission = self.admission.clone();
-        let provider_count = self.config.data_providers.max(1);
-        move || {
-            if let Some(qos) = &qos {
-                if let Ok(flagged) = qos.lock().step() {
-                    if let Some(admission) = &admission {
-                        // Shrink every client's in-flight budget in
-                        // proportion to the fraction of providers currently
-                        // behaving dangerously: fewer healthy providers can
-                        // absorb less concurrent load.
-                        let healthy = 1.0 - flagged.len() as f64 / provider_count as f64;
-                        admission.set_pressure(healthy);
-                    }
+    /// One housekeeping pass — the whole of it; the serving daemon's
+    /// maintenance loop runs exactly this on every tick:
+    ///
+    /// 1. a lifecycle pass ([`LifecycleEngine::run_once`]: flatten, evict,
+    ///    sweep — nothing while both lifecycle knobs are zero);
+    /// 2. one QoS control step, when QoS is on: sample provider windows,
+    ///    refit the behaviour model, push scores into placement and
+    ///    admission pressure;
+    /// 3. for a durable cluster, a WAL checkpoint when its record or byte
+    ///    trigger tripped, then segment compaction by dead ratio.
+    ///
+    /// The cluster runs no housekeeping thread of its own: an embedded
+    /// durable cluster checkpoints here, in [`Cluster::force_checkpoint`]
+    /// and at shutdown.
+    pub fn run_maintenance(&self) {
+        self.lifecycle().run_once();
+        if let Some(qos) = &self.qos {
+            if let Ok(flagged) = qos.lock().step() {
+                if let Some(admission) = &self.admission {
+                    // Shrink every client's in-flight budget in proportion
+                    // to the fraction of providers currently behaving
+                    // dangerously: fewer healthy providers can absorb less
+                    // concurrent load.
+                    let providers = self.config.data_providers.max(1);
+                    admission.set_pressure(1.0 - flagged.len() as f64 / providers as f64);
                 }
             }
-            if let Some((tier, dht)) = &durable {
-                durable_maintenance(tier, &vm, dht);
-            }
         }
-    }
-
-    /// Runs one maintenance pass inline — exactly what the lifecycle
-    /// engine's hook runs at the end of each pass. Lets tests and the
-    /// serving daemon drive QoS sampling and checkpointing without waiting
-    /// for the background interval.
-    pub fn run_maintenance(&self) {
-        self.maintenance()();
+        if let Some(tier) = &self.durable {
+            if tier.checkpoint_due() {
+                let _ = self.force_checkpoint();
+            }
+            let _ = tier.compact_stores();
+        }
     }
 
     /// Takes a WAL checkpoint right now (ignoring the due-ness triggers),
-    /// when the cluster is durable. Used by the ordered shutdown and by
-    /// tests that want a deterministic compaction point.
+    /// when the cluster is durable: the one checkpoint path, shared by the
+    /// maintenance pass, the ordered shutdown and tests that want a
+    /// deterministic compaction point.
     pub fn force_checkpoint(&self) -> Result<()> {
         let Some(tier) = &self.durable else {
             return Ok(());
         };
-        // Blob export before node snapshot — same superset argument as in
-        // `durable_maintenance`.
-        let blobs = self.version_manager.export_blobs();
-        let nodes = self.metadata.snapshot_nodes()?;
-        tier.checkpoint(&blobs, nodes)
+        tier.wal().checkpoint(|| {
+            // Capture order matters under concurrent writes: the blob export
+            // first, the node snapshot second. A version is only published
+            // once its nodes are in the DHT, so the later node snapshot is
+            // always a superset of what the exported publication state
+            // references — the image can carry extra nodes, never dangling
+            // versions. Whatever lands after the export is in the log tail
+            // the checkpoint carries over.
+            let blobs = self.version_manager.export_blobs();
+            Ok((blobs, self.metadata.snapshot_nodes()?))
+        })
     }
 
-    /// Coordinated shutdown of the in-process deployment, in dependency
-    /// order: stop the background checkpointer, quiesce the lifecycle
-    /// engine (its current pass completes), then — for durable clusters —
-    /// take a final checkpoint and seal the WAL so nothing can append to a
-    /// closing log. Idempotent; also run by `Drop`.
+    /// Coordinated shutdown of the in-process deployment: for durable
+    /// clusters, take a final checkpoint and seal the WAL so nothing can
+    /// append to a closing log. Whoever drives [`Cluster::run_maintenance`]
+    /// on a cadence stops doing so first. Idempotent; also run by `Drop`.
     pub fn shutdown(&self) {
         if self.shutdown_done.swap(true, Ordering::AcqRel) {
             return;
-        }
-        self.stop_checkpointer();
-        if let Some(engine) = self.lifecycle.get() {
-            engine.shutdown();
         }
         if let Some(tier) = &self.durable {
             let _ = self.force_checkpoint();
@@ -379,12 +313,11 @@ impl Cluster {
         self.recovery
     }
 
-    /// The version lifecycle engine. Drive it manually
-    /// ([`LifecycleEngine::run_once`]) or start its background thread
-    /// ([`LifecycleEngine::start`]); it is inert until one of the two
-    /// lifecycle knobs in [`ClusterConfig`] is non-zero. Built over the
-    /// in-process services unless [`Cluster::build_lifecycle_over`] came
-    /// first.
+    /// The version lifecycle engine, run by [`Cluster::run_maintenance`]
+    /// or directly ([`LifecycleEngine::run_once`]); it is inert until one of
+    /// the two lifecycle knobs in [`ClusterConfig`] is non-zero. Built over
+    /// the in-process services unless [`Cluster::build_lifecycle_over`]
+    /// came first.
     pub fn lifecycle(&self) -> &Arc<LifecycleEngine> {
         self.lifecycle.get_or_init(|| {
             self.new_lifecycle(
@@ -408,25 +341,19 @@ impl Cluster {
             .map_err(|_| BlobError::InvalidConfig("the lifecycle engine is already built".into()))
     }
 
-    /// A lifecycle engine over `metadata` and `chunks`, with the cluster's
-    /// housekeeping on its end-of-pass hook when there is any (QoS or a
-    /// durable tier).
+    /// A lifecycle engine over `metadata` and `chunks`.
     fn new_lifecycle(
         &self,
         metadata: Arc<dyn MetadataService>,
         chunks: Arc<dyn ChunkService>,
     ) -> Arc<LifecycleEngine> {
-        let engine = LifecycleEngine::new(
+        Arc::new(LifecycleEngine::new(
             Arc::clone(&self.version_manager),
             metadata,
             chunks,
             self.config.retained_versions,
             self.config.flatten_threshold,
-        );
-        if self.durable.is_some() || self.qos.is_some() {
-            engine.set_maintenance_hook(Box::new(self.maintenance()));
-        }
-        Arc::new(engine)
+        ))
     }
 
     /// The configuration the cluster was started with.

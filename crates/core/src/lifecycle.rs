@@ -28,6 +28,11 @@
 //! and [`MetadataService`] trait objects the clients use, so the in-process
 //! cluster and the networked deployment reclaim through the exact same code
 //! path (the networked one via the `REMOVE_CHUNKS`/`META_DELETE` RPCs).
+//!
+//! The engine owns no thread. A pass is one call to
+//! [`LifecycleEngine::run_once`]; a deployment that wants a cadence calls
+//! it from its housekeeping tick (`Cluster::run_maintenance`, which the
+//! serving daemon's maintenance loop runs).
 
 use crate::services::{ChunkService, MetadataService};
 use crate::version_manager::{CollectableSet, FlattenTicket, NodeArtifact, VersionManager};
@@ -36,9 +41,8 @@ use blobseer_meta::{
 };
 use blobseer_types::{chunk_span, BlobId, ByteRange, ChunkId, ProviderId, Result};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Counters accumulated by one lifecycle engine since creation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -64,9 +68,9 @@ pub struct LifecycleStats {
     pub requeued_entries: u64,
 }
 
-/// The lifecycle engine. One per deployment; drive it manually with
-/// [`LifecycleEngine::run_once`] (benchmarks, tests) or let it run on a
-/// background thread via [`LifecycleEngine::start`].
+/// The lifecycle engine. One per deployment, driven one pass at a time by
+/// [`LifecycleEngine::run_once`] — from the cluster's maintenance tick, or
+/// directly by benchmarks and tests.
 pub struct LifecycleEngine {
     vm: Arc<VersionManager>,
     metadata: Arc<dyn MetadataService>,
@@ -83,12 +87,6 @@ pub struct LifecycleEngine {
     reclaimed_bytes: AtomicU64,
     sweep_errors: AtomicU64,
     requeued_entries: AtomicU64,
-    stop: AtomicBool,
-    worker: parking_lot::Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Deployment-supplied housekeeping run at the end of every lifecycle
-    /// pass. The durable cluster hangs its WAL-checkpoint trigger here, so
-    /// checkpointing rides the same cadence as flattening and sweeping.
-    maintenance: parking_lot::Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
 }
 
 impl LifecycleEngine {
@@ -114,31 +112,7 @@ impl LifecycleEngine {
             reclaimed_bytes: AtomicU64::new(0),
             sweep_errors: AtomicU64::new(0),
             requeued_entries: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-            worker: parking_lot::Mutex::new(None),
-            maintenance: parking_lot::Mutex::new(None),
         }
-    }
-
-    /// Installs the deployment's end-of-pass housekeeping hook (replacing
-    /// any previous one). Runs after every [`LifecycleEngine::run_once`].
-    pub fn set_maintenance_hook(&self, hook: Box<dyn Fn() + Send + Sync>) {
-        *self.maintenance.lock() = Some(hook);
-    }
-
-    /// The configured retention depth (0 = keep everything).
-    pub fn retained_versions(&self) -> usize {
-        self.retained_versions
-    }
-
-    /// The configured flatten trigger (0 = never flatten automatically).
-    pub fn flatten_threshold(&self) -> usize {
-        self.flatten_threshold
-    }
-
-    /// Whether any lifecycle policy is active.
-    pub fn is_active(&self) -> bool {
-        self.retained_versions > 0 || self.flatten_threshold > 0
     }
 
     /// Runs one full lifecycle pass over every blob: flatten where due,
@@ -148,9 +122,6 @@ impl LifecycleEngine {
     pub fn run_once(&self) {
         for blob in self.vm.blob_ids() {
             self.run_blob(blob);
-        }
-        if let Some(hook) = self.maintenance.lock().as_ref() {
-            hook();
         }
     }
 
@@ -233,12 +204,6 @@ impl LifecycleEngine {
         Ok(artifacts)
     }
 
-    /// Applies the configured retention policy to one blob (no-op when
-    /// retention is off). Returns the oldest retained version.
-    pub fn evict_now(&self, blob: BlobId) -> Result<blobseer_types::Version> {
-        self.vm.evict_versions(blob, self.retained_versions)
-    }
-
     /// Sweeps everything currently collectable for one blob: takes the
     /// unreachable node keys and chunks from the version manager (a short
     /// lock), then deletes them through the services with no lock held.
@@ -306,32 +271,6 @@ impl LifecycleEngine {
         Ok((nodes, chunks))
     }
 
-    /// Starts a background thread running [`LifecycleEngine::run_once`]
-    /// every `interval` until [`LifecycleEngine::shutdown`] (or drop).
-    pub fn start(self: &Arc<Self>, interval: Duration) {
-        let mut worker = self.worker.lock();
-        if worker.is_some() {
-            return;
-        }
-        self.stop.store(false, Ordering::Release);
-        let engine = Arc::clone(self);
-        *worker = Some(std::thread::spawn(move || {
-            while !engine.stop.load(Ordering::Acquire) {
-                engine.run_once();
-                std::thread::park_timeout(interval);
-            }
-        }));
-    }
-
-    /// Stops the background thread, if one is running, and joins it.
-    pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.worker.lock().take() {
-            handle.thread().unpark();
-            let _ = handle.join();
-        }
-    }
-
     /// Counters accumulated since the engine was built.
     pub fn stats(&self) -> LifecycleStats {
         LifecycleStats {
@@ -342,16 +281,6 @@ impl LifecycleEngine {
             reclaimed_bytes: self.reclaimed_bytes.load(Ordering::Relaxed),
             sweep_errors: self.sweep_errors.load(Ordering::Relaxed),
             requeued_entries: self.requeued_entries.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl Drop for LifecycleEngine {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.worker.lock().take() {
-            handle.thread().unpark();
-            let _ = handle.join();
         }
     }
 }

@@ -481,14 +481,20 @@ impl VersionManager {
     pub fn create_blob(&self, config: BlobConfig) -> Result<BlobId> {
         config.validate()?;
         let id = BlobId(self.blob_ids.next_id());
-        // Journal before the id becomes visible: a restart that forgot a
-        // handed-out blob id would mint it twice.
-        if let Some(journal) = self.journal.read().as_ref() {
-            journal.record_create_blob(id, &config)?;
-        }
+        // Registered before it is journaled: a WAL checkpoint captures the
+        // blob map without holding the log and carries only the records
+        // appended after it began, so a create record must never precede
+        // the blob it names. The id is still handed out only once the record
+        // is in: a restart that forgot a handed-out id would mint it twice.
         self.shard(id)
             .write()
             .insert(id, Arc::new(Mutex::new(BlobState::new(config))));
+        if let Some(journal) = self.journal.read().as_ref() {
+            if let Err(err) = journal.record_create_blob(id, &config) {
+                self.shard(id).write().remove(&id);
+                return Err(err);
+            }
+        }
         self.stat_blobs.fetch_add(1, Ordering::Relaxed);
         Ok(id)
     }
@@ -1623,5 +1629,74 @@ mod tests {
         assert_eq!(set.nodes.len(), 2);
         assert_eq!(set.chunks.len(), 1);
         assert_eq!(set.chunks[0].0, old_chunk);
+    }
+
+    /// A journal over a real WAL that checkpoints the version manager right
+    /// after logging each blob creation — the tightest a capture can race a
+    /// create — or refuses every creation when `fail` is set.
+    struct CheckpointingJournal {
+        wal: blobseer_persist::MetaWal,
+        vm: std::sync::Weak<VersionManager>,
+        fail: bool,
+    }
+
+    impl Journal for CheckpointingJournal {
+        fn record_create_blob(&self, blob: BlobId, config: &BlobConfig) -> Result<()> {
+            if self.fail {
+                return Err(BlobError::Storage("the journal refuses".into()));
+            }
+            self.wal.log_create_blob(blob, config)?;
+            let vm = self.vm.upgrade().expect("the version manager is alive");
+            self.wal.checkpoint(|| Ok((vm.export_blobs(), Vec::new())))
+        }
+
+        fn record_commit(&self, blob: BlobId, descriptor: &SnapshotDescriptor) -> Result<()> {
+            self.wal.log_commit(blob, descriptor)
+        }
+
+        fn record_retire(&self, blob: BlobId, first_retained: Version) -> Result<()> {
+            self.wal.log_retire(blob, first_retained)
+        }
+    }
+
+    fn journaled_vm(tag: &str, fail: bool) -> (Arc<VersionManager>, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("blobseer-vm-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("meta.wal");
+        let (wal, _) =
+            blobseer_persist::MetaWal::open(&path, blobseer_types::Durability::Commit).unwrap();
+        let vm = Arc::new(VersionManager::new());
+        vm.set_journal(Arc::new(CheckpointingJournal {
+            wal,
+            vm: Arc::downgrade(&vm),
+            fail,
+        }));
+        (vm, path)
+    }
+
+    /// A blob is registered before its create record is logged, so a
+    /// checkpoint that marks the log after the record still captures it.
+    #[test]
+    fn a_blob_create_racing_a_checkpoint_survives_it() {
+        let (vm, path) = journaled_vm("create", false);
+        let blob = vm.create_blob(BlobConfig::new(CS, 1).unwrap()).unwrap();
+        drop(vm);
+        let (_, recovered) =
+            blobseer_persist::MetaWal::open(&path, blobseer_types::Durability::Commit).unwrap();
+        assert_eq!(recovered.blobs.len(), 1, "the created blob survives");
+        assert_eq!(recovered.blobs[0].id, blob);
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// A creation the journal refuses is undone: no id is handed out and
+    /// no blob stays registered.
+    #[test]
+    fn a_create_the_journal_refuses_leaves_no_blob() {
+        let (vm, path) = journaled_vm("refused", true);
+        assert!(vm.create_blob(BlobConfig::new(CS, 1).unwrap()).is_err());
+        assert!(vm.blob_ids().is_empty());
+        assert_eq!(vm.export_blobs().len(), 0);
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 }

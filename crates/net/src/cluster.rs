@@ -314,8 +314,9 @@ impl NetCluster {
     /// Coordinated graceful shutdown, in dependency order: stop accepting
     /// and tear down the server endpoints, stop the reactor and the RPC
     /// worker pool, drain the transfer pool's submitted backlog, then the
-    /// cluster's own shutdown — park the lifecycle/GC worker, checkpoint
-    /// and seal the durable tier (a no-op on in-memory deployments).
+    /// cluster's own shutdown — checkpoint and seal the durable tier (a
+    /// no-op on in-memory deployments). A caller that runs the maintenance
+    /// tick on a cadence stops it first, as `Daemon::shutdown` does.
     /// Idempotent — `Drop` runs it too, and a second call returns
     /// immediately.
     pub fn shutdown(&self) {
@@ -334,8 +335,7 @@ impl NetCluster {
         self.reactor.pool().shutdown();
         // 2. Drain transfers already submitted by in-process clients.
         self.inner.transfer_pool().quiesce();
-        // 3. Quiesce the maintenance plane, then the final checkpoint and
-        //    WAL seal (durable deployments).
+        // 3. The final checkpoint and WAL seal (durable deployments).
         self.inner.shutdown();
     }
 }

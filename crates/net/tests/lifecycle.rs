@@ -12,8 +12,8 @@
 //! with readers, so a GC storm cannot stall them.
 //!
 //! CI runs this file single-threaded (`--test-threads=1`): several tests
-//! spin up whole deployments with background lifecycle threads, and serial
-//! execution keeps their timing assertions honest.
+//! spin up whole deployments with a maintenance loop beside their clients,
+//! and serial execution keeps their timing assertions honest.
 
 use blobseer_core::{BlobClient, Cluster};
 use blobseer_net::NetCluster;
@@ -374,8 +374,8 @@ fn requeued_deletes_drain_once_the_provider_returns() {
     );
 }
 
-/// The no-blocking story under load: a background lifecycle thread sweeping
-/// every millisecond, an appender and an overwriter mutating the blob, and
+/// The no-blocking story under load: a maintenance loop sweeping every
+/// millisecond, an appender and an overwriter mutating the blob, and
 /// readers hammering the latest snapshot — every read must return a
 /// consistent prefix state, and the GC must demonstrably reclaim meanwhile.
 ///
@@ -413,8 +413,20 @@ fn sweeper_never_blocks_concurrent_readers() {
     };
     client.append(blob, &patch).expect("seed append succeeds");
 
-    cluster.lifecycle().start(TICK);
     let done = Arc::new(AtomicBool::new(false));
+    // The maintenance loop, as the daemon runs it. A plain thread rather
+    // than a scoped one: a failing assert below must not wait on it.
+    let ticking = Arc::new(AtomicBool::new(true));
+    let maintenance = {
+        let cluster = Arc::clone(&cluster);
+        let ticking = Arc::clone(&ticking);
+        std::thread::spawn(move || {
+            while ticking.load(Ordering::Acquire) {
+                cluster.run_maintenance();
+                std::thread::sleep(TICK);
+            }
+        })
+    };
 
     let appender = {
         let client = cluster.client();
@@ -501,7 +513,8 @@ fn sweeper_never_blocks_concurrent_readers() {
         .into_iter()
         .map(|r| r.join().expect("reader survives"))
         .sum();
-    cluster.lifecycle().shutdown();
+    ticking.store(false, Ordering::Release);
+    maintenance.join().expect("the maintenance loop survives");
 
     assert!(total_reads > 0, "readers must have made progress");
     assert!(strands > 0, "the overwriter must have stranded chunks");

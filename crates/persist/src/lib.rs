@@ -17,7 +17,7 @@
 //!   segments. Deletes are tombstone records folded by
 //!   [`SegmentStore::compact`].
 //! - **Metadata WAL** ([`MetaWal`]): every blob creation, node batch,
-//!   commit, delete, retire and flatten is a framed record. Publication is
+//!   commit, delete and retire is a framed record. Publication is
 //!   write-ahead: chunks and nodes land (and under
 //!   [`Durability::Commit`](blobseer_types::Durability) are fsynced) before
 //!   the commit record, so recovery can replay the log, truncate the torn
@@ -26,8 +26,10 @@
 //!   complete version, never a torn snapshot.
 //! - **[`DurableTier`]**: one directory holding the WAL plus per-provider
 //!   segment stores; implements [`Journal`], the version manager's
-//!   durability hook, and takes periodic WAL checkpoints (compacted
-//!   rewrite via temp-file + fsync + rename + directory fsync).
+//!   durability hook. WAL checkpoints are fuzzy: the live state is
+//!   captured without holding the log, and the records appended since the
+//!   checkpoint began are carried behind the compacted image (temp-file +
+//!   fsync + rename + directory fsync).
 //!
 //! The crate sits below `blobseer-core` (which wires the tier into cluster
 //! construction and lifecycle maintenance) and beside `blobseer-provider`
@@ -45,4 +47,7 @@ pub use frame::{
 };
 pub use segment::{SegmentRecovery, SegmentStore, SegmentStoreOptions};
 pub use tier::{DurableTier, DurableTierOptions};
-pub use wal::{Journal, MetaWal, RecoveredBlob, RecoveredMetadata, RecoveryStats, WalMetaStore};
+pub use wal::{
+    CheckpointImage, Journal, MetaWal, RecoveredBlob, RecoveredMetadata, RecoveryStats,
+    WalMetaStore,
+};

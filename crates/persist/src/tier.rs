@@ -18,7 +18,7 @@
 //! A store no append touched since its last fsync skips the call.
 
 use crate::segment::{SegmentStore, SegmentStoreOptions};
-use crate::wal::{Journal, MetaWal, RecoveredMetadata, RecoveryStats};
+use crate::wal::{Journal, MetaWal, RecoveredMetadata};
 use blobseer_meta::SnapshotDescriptor;
 use blobseer_types::{BlobConfig, BlobId, Durability, Result, Version};
 use std::path::{Path, PathBuf};
@@ -32,8 +32,8 @@ pub struct DurableTierOptions {
     /// Segment roll size per provider store.
     pub segment_bytes: u64,
     /// WAL records between automatic checkpoints (see
-    /// [`MetaWal::records_since_checkpoint`]); the maintenance passes
-    /// compare against this.
+    /// [`MetaWal::records_since_checkpoint`]); the maintenance pass
+    /// compares against this.
     pub checkpoint_every: u64,
     /// WAL bytes appended since the last checkpoint that also make one due
     /// (whichever threshold trips first). Zero disables the byte trigger.
@@ -125,9 +125,8 @@ impl DurableTier {
     }
 
     /// Whether the WAL has accumulated enough records — or enough bytes —
-    /// since the last checkpoint for a maintenance pass to take one. The
-    /// record and byte triggers are independent so a durable cluster with
-    /// the lifecycle engine disabled still bounds its replay cost.
+    /// since the last checkpoint for a maintenance pass to take one
+    /// (whichever trigger trips first).
     #[must_use]
     pub fn checkpoint_due(&self) -> bool {
         if self.wal.records_since_checkpoint() >= self.options.checkpoint_every {
@@ -135,18 +134,6 @@ impl DurableTier {
         }
         self.options.checkpoint_bytes > 0
             && self.wal.bytes_since_checkpoint() >= self.options.checkpoint_bytes
-    }
-
-    /// Takes a WAL checkpoint from the given live image (blobs from the
-    /// version manager, nodes from the metadata store). Segment compaction
-    /// is policy-driven and separate — see
-    /// [`DurableTier::compact_stores`].
-    pub fn checkpoint(
-        &self,
-        blobs: &[(BlobId, BlobConfig, Vec<SnapshotDescriptor>, Version)],
-        nodes: Vec<(blobseer_meta::NodeKey, blobseer_meta::NodeBody)>,
-    ) -> Result<()> {
-        self.wal.checkpoint(blobs, nodes)
     }
 
     /// Compacts every segment store whose dead-record ratio has crossed
@@ -165,14 +152,6 @@ impl DurableTier {
             }
         }
         Ok((removed, reclaimed))
-    }
-
-    /// Merged recovery stats snapshot (WAL replay + chunk segments) — what
-    /// the cold-restart figure and cluster stats report. Computed at open;
-    /// the copy returned here is from the recovered image.
-    #[must_use]
-    pub fn recovery_stats_of(recovered: &RecoveredMetadata) -> RecoveryStats {
-        recovered.stats
     }
 
     fn sync_stores(&self) -> Result<()> {
@@ -201,10 +180,6 @@ impl Journal for DurableTier {
 
     fn record_retire(&self, blob: BlobId, first_retained: Version) -> Result<()> {
         self.wal.log_retire(blob, first_retained)
-    }
-
-    fn record_flatten(&self, blob: BlobId, version: Version) -> Result<()> {
-        self.wal.log_flatten(blob, version)
     }
 }
 

@@ -12,16 +12,21 @@
 //!
 //! A checkpoint rewrites the log as a compacted image of the live state
 //! (blobs, surviving nodes, commit prefix) via write-to-temp + fsync +
-//! rename, so the log does not grow with history forever.
+//! rename, so the log does not grow with history forever. It is *fuzzy*:
+//! the live state is captured without holding the log, and every record
+//! appended after the checkpoint's begin mark is carried over behind the
+//! image, so no acknowledged mutation falls between capture and swap.
 
 use crate::frame::{frame_record, parent_dir, scan, sync_dir, LogTail};
 use blobseer_meta::{MetadataStore, NodeBody, NodeKey, SnapshotDescriptor};
 use blobseer_types::wire::{WireReader, WireWriter};
 use blobseer_types::{BlobConfig, BlobError, BlobId, ChunkCodec, Durability, Result, Version};
+use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,7 +37,8 @@ const KIND_PUT_NODES: u8 = 2;
 const KIND_COMMIT: u8 = 3;
 const KIND_DELETE_NODES: u8 = 4;
 const KIND_RETIRE: u8 = 5;
-const KIND_FLATTEN: u8 = 6;
+// Kind 6 is reserved: it was a flatten record that nothing ever wrote.
+// Flatness is journaled by the commit descriptor's `flat` byte.
 
 fn put_blob_config(w: &mut WireWriter, config: &BlobConfig) {
     w.put_u64(config.chunk_size);
@@ -78,6 +84,16 @@ fn put_descriptor(w: &mut WireWriter, descriptor: &SnapshotDescriptor) {
     w.put_u64(descriptor.size);
     w.put_u64(descriptor.chunk_size);
     w.put_u8(u8::from(descriptor.flat));
+}
+
+fn put_nodes_payload(nodes: &[(NodeKey, NodeBody)]) -> Bytes {
+    let mut w = WireWriter::new();
+    w.put_u32(nodes.len() as u32);
+    for (key, body) in nodes {
+        w.put(key);
+        w.put(body);
+    }
+    w.finish()
 }
 
 fn get_descriptor(r: &mut WireReader<'_>) -> Result<SnapshotDescriptor> {
@@ -144,7 +160,6 @@ pub struct RecoveredMetadata {
 struct ReplayBlob {
     config: Option<BlobConfig>,
     commits: BTreeMap<u64, SnapshotDescriptor>,
-    flattened: Vec<Version>,
     first_retained: Version,
 }
 
@@ -153,11 +168,18 @@ impl Default for ReplayBlob {
         ReplayBlob {
             config: None,
             commits: BTreeMap::new(),
-            flattened: Vec::new(),
             first_retained: Version(0),
         }
     }
 }
+
+/// The live state a checkpoint compacts the log to: every blob's id,
+/// creation config, published prefix and retention floor, plus every
+/// metadata node.
+pub type CheckpointImage = (
+    Vec<(BlobId, BlobConfig, Vec<SnapshotDescriptor>, Version)>,
+    Vec<(NodeKey, NodeBody)>,
+);
 
 /// The append-only metadata log.
 pub struct MetaWal {
@@ -287,12 +309,6 @@ impl MetaWal {
                 let entry = blobs.entry(id).or_default();
                 entry.first_retained = entry.first_retained.max(first_retained);
             }
-            KIND_FLATTEN => {
-                let id: BlobId = r.get()?;
-                let version: Version = r.get()?;
-                r.expect_end()?;
-                blobs.entry(id).or_default().flattened.push(version);
-            }
             tag => {
                 return Err(BlobError::Transport(format!(
                     "wal: unknown record kind {tag}"
@@ -322,11 +338,6 @@ impl MetaWal {
                 next += 1;
             }
             out.stats.torn_commits_dropped += replay.commits.range(next..).count() as u64;
-            for flattened in &replay.flattened {
-                if let Some(descriptor) = published.get_mut(flattened.0 as usize) {
-                    descriptor.flat = true;
-                }
-            }
             last_version.insert(id, next - 1);
             out.blobs.push(RecoveredBlob {
                 id,
@@ -399,18 +410,27 @@ impl MetaWal {
     fn append(&self, kind: u8, payload: &[u8], sync: bool) -> Result<()> {
         let record = frame_record(kind, payload);
         let mut inner = self.inner.lock();
-        if self.sealed.load(Ordering::SeqCst) {
-            return Err(BlobError::Internal(
-                "metadata WAL is sealed (shutting down)".into(),
-            ));
-        }
+        self.writable(&inner)?;
         inner.append(&record, sync && self.durability != Durability::Buffered)?;
-        drop(inner);
+        // Counted under the lock, so a checkpoint's mark and swap see the
+        // counters agree with the log length.
         self.records_since_checkpoint
             .fetch_add(1, Ordering::Relaxed);
         self.bytes_since_checkpoint
             .fetch_add(record.len() as u64, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Fails once the log is sealed or torn; called under the file lock. A
+    /// log a failed append left torn stays failed: no checkpoint quietly
+    /// brings it back.
+    fn writable(&self, inner: &LogTail) -> Result<()> {
+        if self.sealed.load(Ordering::SeqCst) {
+            return Err(BlobError::Internal(
+                "metadata WAL is sealed (shutting down)".into(),
+            ));
+        }
+        inner.handle().map(drop)
     }
 
     fn sync_every_record(&self) -> bool {
@@ -433,13 +453,11 @@ impl MetaWal {
         if nodes.is_empty() {
             return Ok(());
         }
-        let mut w = WireWriter::new();
-        w.put_u32(nodes.len() as u32);
-        for (key, body) in nodes {
-            w.put(key);
-            w.put(body);
-        }
-        self.append(KIND_PUT_NODES, &w.finish(), self.sync_every_record())
+        self.append(
+            KIND_PUT_NODES,
+            &put_nodes_payload(nodes),
+            self.sync_every_record(),
+        )
     }
 
     /// Journals a version-manager commit: the publication point. Synced
@@ -472,39 +490,38 @@ impl MetaWal {
         self.append(KIND_RETIRE, &w.finish(), self.sync_every_record())
     }
 
-    /// Journals a completed flatten so recovery restores the flat flag (and
-    /// with it the one-batch read path) of the materialised version.
-    pub fn log_flatten(&self, blob: BlobId, version: Version) -> Result<()> {
-        let mut w = WireWriter::new();
-        w.put(&blob);
-        w.put(&version);
-        self.append(KIND_FLATTEN, &w.finish(), self.sync_every_record())
-    }
-
     /// Rewrites the log as a compacted image of the live state: temp file,
-    /// fsync, atomic rename. Callers gather `blobs` from the version
-    /// manager and `nodes` from the metadata store.
-    pub fn checkpoint(
-        &self,
-        blobs: &[(BlobId, BlobConfig, Vec<SnapshotDescriptor>, Version)],
-        nodes: Vec<(NodeKey, NodeBody)>,
-    ) -> Result<()> {
-        let tmp_path = self.path.with_extension("ckpt");
+    /// fsync, atomic rename. `capture` gathers the state — blobs from the
+    /// version manager, nodes from the metadata store — with the log *not*
+    /// held, so appends keep flowing while it runs.
+    ///
+    /// The checkpoint is fuzzy: it marks the log length before `capture`
+    /// and, at the swap, carries every record appended past that mark
+    /// behind the image, so a mutation that raced the capture survives in
+    /// its record. Replaying a record whose effect the image already holds
+    /// is idempotent. What the capture needs from its callers: a mutation
+    /// must reach the captured state no later than its record reaches the
+    /// log. A capture that another checkpoint overtook is dropped.
+    pub fn checkpoint(&self, capture: impl FnOnce() -> Result<CheckpointImage>) -> Result<()> {
+        let (generation, mark, records_at_mark) = {
+            let inner = self.inner.lock();
+            self.writable(&inner)?;
+            (
+                self.checkpoints.load(Ordering::Relaxed),
+                inner.len(),
+                self.records_since_checkpoint.load(Ordering::Relaxed),
+            )
+        };
+        let (blobs, nodes) = capture()?;
         let mut image: Vec<u8> = Vec::new();
         // Nodes land in the image *before* the publication records, for the
         // same reason live appends log metadata before the commit that
         // references it: recovery of any record-boundary prefix of the image
         // must never see a published version whose tree nodes are missing.
         if !nodes.is_empty() {
-            let mut w = WireWriter::new();
-            w.put_u32(nodes.len() as u32);
-            for (key, body) in &nodes {
-                w.put(key);
-                w.put(body);
-            }
-            image.extend_from_slice(&frame_record(KIND_PUT_NODES, &w.finish()));
+            image.extend_from_slice(&frame_record(KIND_PUT_NODES, &put_nodes_payload(&nodes)));
         }
-        for (id, config, published, first_retained) in blobs {
+        for (id, config, published, first_retained) in &blobs {
             let mut w = WireWriter::new();
             w.put(id);
             put_blob_config(&mut w, config);
@@ -523,16 +540,17 @@ impl MetaWal {
             }
         }
         // Hold the file lock across the swap so no append lands in the old
-        // file between rename and handle switch.
+        // file between reading its tail and switching the handle.
         let mut inner = self.inner.lock();
-        if self.sealed.load(Ordering::SeqCst) {
-            return Err(BlobError::Internal(
-                "metadata WAL is sealed (shutting down)".into(),
-            ));
+        self.writable(&inner)?;
+        if self.checkpoints.load(Ordering::Relaxed) != generation {
+            return Ok(());
         }
-        // A log a failed append left torn stays failed: no checkpoint
-        // quietly brings it back.
-        inner.handle()?;
+        let tail_len = inner.len() - mark;
+        let image_len = image.len();
+        image.resize(image_len + tail_len as usize, 0);
+        File::open(&self.path)?.read_exact_at(&mut image[image_len..], mark)?;
+        let tmp_path = self.path.with_extension("ckpt");
         {
             let mut tmp = File::create(&tmp_path)?;
             tmp.write_all(&image)?;
@@ -549,12 +567,13 @@ impl MetaWal {
         if self.durability != Durability::Buffered {
             inner.handle()?.sync_data()?;
         }
-        drop(inner);
-        self.records_since_checkpoint.store(0, Ordering::Relaxed);
-        // Bytes count *appends* since the checkpoint — the compacted image
+        // Both triggers count the carried tail only — the compacted image
         // itself is the floor another checkpoint cannot shrink, so counting
         // it would loop the trigger forever on a large live state.
-        self.bytes_since_checkpoint.store(0, Ordering::Relaxed);
+        self.records_since_checkpoint
+            .fetch_sub(records_at_mark, Ordering::Relaxed);
+        self.bytes_since_checkpoint
+            .store(tail_len, Ordering::Relaxed);
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -573,19 +592,25 @@ pub trait Journal: Send + Sync {
     fn record_commit(&self, blob: BlobId, descriptor: &SnapshotDescriptor) -> Result<()>;
     /// The retention floor moved.
     fn record_retire(&self, blob: BlobId, first_retained: Version) -> Result<()>;
-    /// A version was materialised flat.
-    fn record_flatten(&self, blob: BlobId, version: Version) -> Result<()>;
 }
 
-/// A [`MetadataStore`] that write-ahead-logs every mutation before handing
-/// it to the wrapped store. Reads pass straight through.
+/// A [`MetadataStore`] that journals every mutation in the WAL. Reads pass
+/// straight through.
+///
+/// Node puts reach the wrapped store *before* their record reaches the
+/// log: a fuzzy checkpoint carries only records past its mark, so a put
+/// logged before the mark must already be in the state it captures. That
+/// is still write-ahead where it matters — a node is unreachable until the
+/// commit that publishes it, and the commit is logged after the put.
+/// Deletes log first: the worst a raced delete can do is leave its node in
+/// the image, where it is a leak, never a loss.
 pub struct WalMetaStore {
     inner: Arc<dyn MetadataStore>,
     wal: Arc<MetaWal>,
 }
 
 impl WalMetaStore {
-    /// Wraps `inner` so every mutation hits `wal` first.
+    /// Wraps `inner` so every mutation is also journaled in `wal`.
     pub fn new(inner: Arc<dyn MetadataStore>, wal: Arc<MetaWal>) -> Self {
         WalMetaStore { inner, wal }
     }
@@ -599,9 +624,8 @@ impl WalMetaStore {
 
 impl MetadataStore for WalMetaStore {
     fn put_node(&self, key: NodeKey, body: NodeBody) -> Result<()> {
-        self.wal
-            .log_put_nodes(std::slice::from_ref(&(key, body.clone())))?;
-        self.inner.put_node(key, body)
+        self.inner.put_node(key, body.clone())?;
+        self.wal.log_put_nodes(&[(key, body)])
     }
 
     fn get_node(&self, key: &NodeKey) -> Result<Option<NodeBody>> {
@@ -613,8 +637,14 @@ impl MetadataStore for WalMetaStore {
     }
 
     fn put_nodes(&self, nodes: Vec<(NodeKey, NodeBody)>) -> Result<()> {
-        self.wal.log_put_nodes(&nodes)?;
-        self.inner.put_nodes(nodes)
+        if nodes.is_empty() {
+            return self.inner.put_nodes(nodes);
+        }
+        // Encoded before the store takes the batch, so it moves in uncopied.
+        let payload = put_nodes_payload(&nodes);
+        self.inner.put_nodes(nodes)?;
+        let wal = &self.wal;
+        wal.append(KIND_PUT_NODES, &payload, wal.sync_every_record())
     }
 
     fn delete_nodes(&self, keys: &[NodeKey]) -> Result<usize> {
@@ -764,7 +794,6 @@ mod tests {
             wal.log_commit(BlobId(1), &descriptor(2, 128)).unwrap();
             wal.log_delete_nodes(&[node(1, 1, 1).0]).unwrap();
             wal.log_retire(BlobId(1), Version(2)).unwrap();
-            wal.log_flatten(BlobId(1), Version(2)).unwrap();
         }
         let (_, recovered) = MetaWal::open(&path, Durability::Commit).unwrap();
         assert_eq!(
@@ -772,7 +801,6 @@ mod tests {
             "deleted node stays dead"
         );
         assert_eq!(recovered.blobs[0].first_retained, Version(2));
-        assert!(recovered.blobs[0].published[2].flat, "flatten replayed");
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
@@ -794,7 +822,7 @@ mod tests {
                     .chain((1..=5u64).map(|v| descriptor(v, v * 64)))
                     .collect();
             let nodes: Vec<(NodeKey, NodeBody)> = (1..=5u64).map(|v| node(1, v, 0)).collect();
-            wal.checkpoint(&[(BlobId(1), config, published, Version(0))], nodes)
+            wal.checkpoint(|| Ok((vec![(BlobId(1), config, published, Version(0))], nodes)))
                 .unwrap();
             assert_eq!(wal.records_since_checkpoint(), 0);
             assert_eq!(wal.checkpoints(), 1);
@@ -819,18 +847,20 @@ mod tests {
         wal.log_commit(BlobId(1), &descriptor(1, 64)).unwrap();
         let grown = wal.bytes_since_checkpoint();
         assert!(grown > 0, "appends must advance the byte counter");
-        wal.checkpoint(
-            &[(
-                BlobId(1),
-                BlobConfig::default(),
-                vec![
-                    SnapshotDescriptor::initial(BlobConfig::default().chunk_size),
-                    descriptor(1, 64),
-                ],
-                Version(0),
-            )],
-            Vec::new(),
-        )
+        wal.checkpoint(|| {
+            Ok((
+                vec![(
+                    BlobId(1),
+                    BlobConfig::default(),
+                    vec![
+                        SnapshotDescriptor::initial(BlobConfig::default().chunk_size),
+                        descriptor(1, 64),
+                    ],
+                    Version(0),
+                )],
+                Vec::new(),
+            ))
+        })
         .unwrap();
         assert_eq!(
             wal.bytes_since_checkpoint(),
@@ -857,11 +887,152 @@ mod tests {
             .log_commit(BlobId(1), &descriptor(1, 64))
             .expect_err("append after seal must fail");
         assert!(matches!(err, BlobError::Internal(_)));
-        assert!(wal.checkpoint(&[], Vec::new()).is_err());
+        assert!(wal.checkpoint(|| Ok((Vec::new(), Vec::new()))).is_err());
         // The records before the seal survive untorn.
         let (_, recovered) = MetaWal::open(&path, Durability::Commit).unwrap();
         assert_eq!(recovered.blobs.len(), 1);
         assert_eq!(recovered.stats.wal_truncated_bytes, 0);
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// A commit appended after the checkpoint captured its image — the
+    /// window where the capture runs without the log — must survive the
+    /// swap: the checkpoint carries it behind the image.
+    #[test]
+    fn records_appended_during_the_capture_survive_the_checkpoint() {
+        let path = temp_wal("fuzzy");
+        let config = BlobConfig::default();
+        {
+            let (wal, _) = MetaWal::open(&path, Durability::Commit).unwrap();
+            wal.log_create_blob(BlobId(1), &config).unwrap();
+            wal.log_put_nodes(&[node(1, 1, 0)]).unwrap();
+            wal.log_commit(BlobId(1), &descriptor(1, 64)).unwrap();
+            wal.checkpoint(|| {
+                let image = (
+                    vec![(
+                        BlobId(1),
+                        config,
+                        vec![SnapshotDescriptor::initial(64), descriptor(1, 64)],
+                        Version(0),
+                    )],
+                    vec![node(1, 1, 0)],
+                );
+                // Version 2 publishes after the capture, before the swap.
+                wal.log_put_nodes(&[node(1, 2, 0)]).unwrap();
+                wal.log_commit(BlobId(1), &descriptor(2, 128)).unwrap();
+                Ok(image)
+            })
+            .unwrap();
+            assert_eq!(wal.checkpoints(), 1);
+            assert_eq!(
+                wal.records_since_checkpoint(),
+                2,
+                "the carried tail counts towards the next checkpoint"
+            );
+            assert!(wal.bytes_since_checkpoint() > 0);
+        }
+        let (_, recovered) = MetaWal::open(&path, Durability::Commit).unwrap();
+        assert_eq!(
+            recovered.blobs[0].published.len(),
+            3,
+            "the acknowledged version 2 must survive the checkpoint"
+        );
+        assert_eq!(recovered.stats.recovered_nodes, 2);
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// Of two checkpoints whose captures overlap, the one that swaps second
+    /// captured an older log and is dropped instead of undoing the first.
+    #[test]
+    fn an_overtaken_checkpoint_is_dropped() {
+        let path = temp_wal("overtaken");
+        let config = BlobConfig::default();
+        let (wal, _) = MetaWal::open(&path, Durability::Commit).unwrap();
+        wal.log_create_blob(BlobId(1), &config).unwrap();
+        let image = || {
+            Ok((
+                vec![(
+                    BlobId(1),
+                    config,
+                    vec![SnapshotDescriptor::initial(64)],
+                    Version(0),
+                )],
+                Vec::new(),
+            ))
+        };
+        wal.checkpoint(|| {
+            wal.checkpoint(image).unwrap();
+            image()
+        })
+        .unwrap();
+        assert_eq!(wal.checkpoints(), 1, "the overtaken checkpoint is dropped");
+        drop(wal);
+        let (_, recovered) = MetaWal::open(&path, Durability::Commit).unwrap();
+        assert_eq!(recovered.blobs.len(), 1);
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// A store that checkpoints the WAL over its current contents right
+    /// before it takes a batch: the tightest a capture can race a put.
+    struct CheckpointingStore {
+        nodes: Mutex<Vec<(NodeKey, NodeBody)>>,
+        wal: Arc<MetaWal>,
+    }
+
+    impl MetadataStore for CheckpointingStore {
+        fn put_node(&self, key: NodeKey, body: NodeBody) -> Result<()> {
+            self.put_nodes(vec![(key, body)])
+        }
+
+        fn get_node(&self, _key: &NodeKey) -> Result<Option<NodeBody>> {
+            Ok(None)
+        }
+
+        fn put_nodes(&self, nodes: Vec<(NodeKey, NodeBody)>) -> Result<()> {
+            let blobs = vec![(
+                BlobId(1),
+                BlobConfig::default(),
+                vec![SnapshotDescriptor::initial(64)],
+                Version(0),
+            )];
+            let image = self.nodes.lock().clone();
+            self.wal.checkpoint(|| Ok((blobs, image)))?;
+            self.nodes.lock().extend(nodes);
+            Ok(())
+        }
+
+        fn node_count(&self) -> usize {
+            self.nodes.lock().len()
+        }
+    }
+
+    /// A node put must reach the store before its record reaches the log:
+    /// a checkpoint whose capture misses the node then still carries the
+    /// record. Logged first, the record would fall before the mark and the
+    /// node would be in neither the image nor the tail.
+    #[test]
+    fn a_node_put_racing_a_checkpoint_survives_it() {
+        let path = temp_wal("putrace");
+        {
+            let (wal, _) = MetaWal::open(&path, Durability::Commit).unwrap();
+            let wal = Arc::new(wal);
+            wal.log_create_blob(BlobId(1), &BlobConfig::default())
+                .unwrap();
+            let inner = CheckpointingStore {
+                nodes: Mutex::new(Vec::new()),
+                wal: Arc::clone(&wal),
+            };
+            let store = WalMetaStore::new(Arc::new(inner), Arc::clone(&wal));
+            store.put_nodes(vec![node(1, 1, 0)]).unwrap();
+            wal.log_commit(BlobId(1), &descriptor(1, 64)).unwrap();
+            assert_eq!(wal.checkpoints(), 1);
+        }
+        let (_, recovered) = MetaWal::open(&path, Durability::Commit).unwrap();
+        assert_eq!(recovered.blobs[0].published.len(), 2);
+        assert_eq!(
+            recovered.stats.recovered_nodes, 1,
+            "the published version's node must survive the checkpoint"
+        );
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 }

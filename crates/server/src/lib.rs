@@ -11,18 +11,25 @@
 //! There is deliberately no signal-handling dependency: the SIGTERM
 //! equivalent is `POST /shutdown` on the metrics endpoint, which triggers
 //! the same coordinated drain ([`NetCluster::shutdown`]) an embedding
-//! process gets by calling [`Daemon::shutdown`] directly — stop accepting,
-//! finish in-flight RPCs, quiesce the transfer pool and the lifecycle/GC
-//! thread, checkpoint and seal the WAL.
+//! process gets by calling [`Daemon::shutdown`] directly — stop the
+//! maintenance loop, stop accepting, finish in-flight RPCs, quiesce the
+//! transfer pool, checkpoint and seal the WAL.
+//!
+//! The daemon runs the deployment's one housekeeping loop: a named thread
+//! calling [`Cluster::run_maintenance`] every `maintenance_interval_ms`.
+//! Neither the cluster nor its lifecycle engine spawns a thread of its own.
 
 pub mod metrics;
 
 use blobseer_core::Cluster;
 use blobseer_net::{NetCluster, RemoteEndpoints};
 use blobseer_types::{BlobError, ChunkCodec, ClusterConfig, Durability, PlacementPolicy, Result};
+use parking_lot::Mutex;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Everything a daemon instance needs to start: the cluster configuration
@@ -41,9 +48,11 @@ pub struct ServerOptions {
     /// Where to write the endpoint-discovery file. `None` skips it (the
     /// embedding process reads [`Daemon::endpoints`] directly).
     pub endpoints_file: Option<PathBuf>,
-    /// Period of the background lifecycle/maintenance tick in milliseconds
-    /// (flattening, GC sweeps, WAL checkpoints, segment compaction).
-    /// Zero disables the thread.
+    /// Period of the maintenance loop in milliseconds. Each tick runs
+    /// [`Cluster::run_maintenance`] once: a lifecycle pass (flattening, GC
+    /// sweeps), the QoS step, then a WAL checkpoint when due and segment
+    /// compaction. Zero disables the loop — and with it every checkpoint
+    /// but the one taken at shutdown.
     pub maintenance_interval_ms: u64,
 }
 
@@ -181,7 +190,6 @@ impl ServerOptions {
             }
             "checkpoint_records" => c.checkpoint_records = parse_u64(key, value)?,
             "checkpoint_bytes" => c.checkpoint_bytes = parse_u64(key, value)?,
-            "checkpoint_interval_ms" => c.checkpoint_interval_ms = parse_u64(key, value)?,
             "compact_dead_ratio" => c.compact_dead_ratio = parse_f64(key, value)?,
             "segment_bytes" => c.segment_bytes = parse_u64(key, value)?,
             // ---- admission ----
@@ -197,11 +205,31 @@ impl ServerOptions {
 }
 
 /// A running daemon: the served cluster, its discovered endpoint addresses,
-/// and the metrics/health endpoint.
+/// the metrics/health endpoint and the maintenance loop.
 pub struct Daemon {
     cluster: Arc<NetCluster>,
     endpoints: RemoteEndpoints,
     metrics: metrics::MetricsServer,
+    /// The maintenance loop, while it runs: dropping the sender stops it.
+    maintenance: Mutex<Option<(Sender<()>, JoinHandle<()>)>>,
+}
+
+/// Starts the maintenance loop: one named thread running
+/// [`Cluster::run_maintenance`] every `interval` until its sender drops.
+fn start_maintenance(
+    cluster: &Arc<NetCluster>,
+    interval: Duration,
+) -> Result<(Sender<()>, JoinHandle<()>)> {
+    let (stop, stopped) = mpsc::channel::<()>();
+    let cluster = Arc::clone(cluster);
+    let handle = std::thread::Builder::new()
+        .name("blobseer-maintenance".into())
+        .spawn(move || {
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                cluster.inner().run_maintenance();
+            }
+        })?;
+    Ok((stop, handle))
 }
 
 impl Daemon {
@@ -215,12 +243,10 @@ impl Daemon {
             None => Cluster::new(opts.cluster.clone())?,
         };
         let cluster = Arc::new(NetCluster::tcp(cluster)?);
-        if opts.maintenance_interval_ms > 0 {
-            cluster
-                .inner()
-                .lifecycle()
-                .start(Duration::from_millis(opts.maintenance_interval_ms));
-        }
+        let maintenance = match opts.maintenance_interval_ms {
+            0 => None,
+            ms => Some(start_maintenance(&cluster, Duration::from_millis(ms))?),
+        };
         let endpoints = RemoteEndpoints::from_pairs(&cluster.endpoint_addrs())?;
         let metrics = metrics::MetricsServer::start(&opts.metrics_listen, Arc::clone(&cluster))?;
         if let Some(path) = &opts.endpoints_file {
@@ -240,6 +266,7 @@ impl Daemon {
             cluster,
             endpoints,
             metrics,
+            maintenance: Mutex::new(maintenance),
         })
     }
 
@@ -267,12 +294,16 @@ impl Daemon {
         self.metrics.wait_for_shutdown();
     }
 
-    /// Coordinated graceful drain: the full [`NetCluster::shutdown`]
+    /// Coordinated graceful drain: stop and join the maintenance loop (its
+    /// current tick completes), then the full [`NetCluster::shutdown`]
     /// sequence (stop accepting → drain in-flight RPCs and the transfer
-    /// pool → quiesce lifecycle/GC → final checkpoint + WAL seal), then the
-    /// metrics endpoint goes down last so health stays observable through
-    /// the drain. Idempotent.
+    /// pool → final checkpoint + WAL seal), then the metrics endpoint goes
+    /// down last so health stays observable through the drain. Idempotent.
     pub fn shutdown(&self) {
+        if let Some((stop, handle)) = self.maintenance.lock().take() {
+            drop(stop);
+            let _ = handle.join();
+        }
         self.cluster.shutdown();
         self.metrics.stop();
     }
@@ -339,6 +370,7 @@ mod tests {
             "rpc_workers",
             "qos_states",
             "qos_horizon",
+            "checkpoint_interval_ms",
         ] {
             let err = ServerOptions::parse(&format!("{key} = 4\n")).unwrap_err();
             assert_eq!(

@@ -4,8 +4,8 @@
 //! drain it through `POST /shutdown`, and prove the durable state survives
 //! a restart.
 
-use blobseer_server::metrics_addr_of;
-use blobseer_types::{BlobConfig, ClusterConfig, Version};
+use blobseer_server::{metrics_addr_of, Daemon, ServerOptions};
+use blobseer_types::{BlobConfig, ClusterConfig, Durability, Version};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
@@ -266,5 +266,52 @@ fn daemon_rejects_a_bad_config_file_with_a_diagnostic() {
     assert_eq!(output.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("data_provders"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The daemon's maintenance loop is the only thing that checkpoints a
+/// running durable deployment: with both lifecycle knobs off it must still
+/// keep the WAL bounded on the record trigger alone.
+#[test]
+fn the_maintenance_loop_bounds_the_wal_with_the_lifecycle_off() {
+    let dir = temp_dir("walloop");
+    let daemon = Daemon::start(ServerOptions {
+        cluster: ClusterConfig {
+            data_providers: 2,
+            metadata_providers: 2,
+            retained_versions: 0,
+            flatten_threshold: 0,
+            checkpoint_records: 16,
+            durability: Durability::Commit,
+            ..ServerOptions::default().cluster
+        },
+        durable_dir: Some(dir.join("data")),
+        maintenance_interval_ms: 20,
+        ..ServerOptions::default()
+    })
+    .unwrap();
+    let client = daemon.cluster().client();
+    let blob = client
+        .create_blob(BlobConfig::new(1024, 1).unwrap())
+        .unwrap();
+    for i in 0..64u8 {
+        client.append(blob, vec![i; 1024]).unwrap();
+    }
+    let wal = daemon
+        .cluster()
+        .inner()
+        .durable_tier()
+        .unwrap()
+        .wal()
+        .clone();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while wal.checkpoints() == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(
+        wal.checkpoints() > 0,
+        "the maintenance loop must checkpoint a WAL past its record trigger"
+    );
+    drop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -375,9 +375,9 @@ pub struct ClusterConfig {
     #[serde(default)]
     pub durability: Durability,
     /// WAL records appended since the last checkpoint after which a durable
-    /// deployment takes the next one. Checkpoints fire from the background
-    /// checkpointer (and the lifecycle maintenance pass when enabled), so a
-    /// cluster that never turns lifecycle on still bounds its replay time.
+    /// deployment takes the next one. The maintenance pass checks both
+    /// triggers whether or not the lifecycle knobs are on, so a cluster that
+    /// never turns lifecycle on still bounds its replay time.
     #[serde(default = "default_checkpoint_records")]
     pub checkpoint_records: u64,
     /// WAL bytes appended since the last checkpoint after which the next one
@@ -385,11 +385,6 @@ pub struct ClusterConfig {
     /// the byte trigger (records alone decide).
     #[serde(default = "default_checkpoint_bytes")]
     pub checkpoint_bytes: u64,
-    /// Poll interval of the background checkpointer thread in milliseconds.
-    /// Zero disables the thread entirely — checkpoints then only ride the
-    /// lifecycle maintenance tick (the pre-daemon behaviour).
-    #[serde(default = "default_checkpoint_interval_ms")]
-    pub checkpoint_interval_ms: u64,
     /// Dead-record ratio (reclaimable bytes over sealed bytes) above which a
     /// provider's segment store is compacted by the maintenance pass. Must be
     /// in `(0, 1]`; 1.0 effectively turns policy-driven compaction off.
@@ -415,10 +410,6 @@ fn default_checkpoint_records() -> u64 {
 
 fn default_checkpoint_bytes() -> u64 {
     16 << 20
-}
-
-fn default_checkpoint_interval_ms() -> u64 {
-    200
 }
 
 fn default_compact_dead_ratio() -> f64 {
@@ -514,13 +505,6 @@ impl ClusterConfig {
         }
     }
 
-    /// The background checkpointer poll interval (`None` when disabled).
-    #[must_use]
-    pub fn checkpoint_interval(&self) -> Option<std::time::Duration> {
-        (self.checkpoint_interval_ms > 0)
-            .then(|| std::time::Duration::from_millis(self.checkpoint_interval_ms))
-    }
-
     /// The configured I/O timeout as a duration (`None` when disabled).
     #[must_use]
     pub fn io_timeout(&self) -> Option<std::time::Duration> {
@@ -556,7 +540,6 @@ impl Default for ClusterConfig {
             durability: Durability::default(),
             checkpoint_records: default_checkpoint_records(),
             checkpoint_bytes: default_checkpoint_bytes(),
-            checkpoint_interval_ms: default_checkpoint_interval_ms(),
             compact_dead_ratio: default_compact_dead_ratio(),
             segment_bytes: default_segment_bytes(),
             admission_limit: 0,
@@ -754,15 +737,6 @@ mod tests {
             ..ClusterConfig::default()
         };
         assert_eq!(cfg.effective_qos_states(), 3);
-        assert_eq!(
-            ClusterConfig::default().checkpoint_interval(),
-            Some(std::time::Duration::from_millis(200))
-        );
-        let off = ClusterConfig {
-            checkpoint_interval_ms: 0,
-            ..ClusterConfig::default()
-        };
-        assert_eq!(off.checkpoint_interval(), None);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Durability and lifecycle bugfix sweep: the WAL stays bounded without
-//! lifecycle help, the sweeper racing a shutdown tears nothing, and the
+//! lifecycle help, the sweeper racing a shutdown tears nothing, the
 //! maintenance tick compacts segment stores once enough of their records
-//! are dead. Each test pins one fix end-to-end on a real durable cluster.
+//! are dead, appends racing a checkpoint survive it, and a flatten survives
+//! a crash. Each test pins one fix end-to-end on a real durable cluster.
 
 use blobseer::core::Cluster;
 use blobseer::net::NetCluster;
 use blobseer::types::{BlobConfig, ClusterConfig, Durability, Version};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("blobseer-lifecycle-{}-{tag}", std::process::id()));
@@ -52,21 +54,19 @@ fn segment_log_bytes(dir: &Path) -> u64 {
 }
 
 /// The WAL must checkpoint on its own record-count trigger even when the
-/// lifecycle engine never runs — a long lifecycle-off history used to grow
-/// the log (and with it recovery replay) without bound.
+/// lifecycle knobs are off — a long lifecycle-off history used to grow the
+/// log (and with it recovery replay) without bound.
 #[test]
 fn checkpoints_bound_the_wal_with_the_lifecycle_off() {
     let dir = temp_dir("walbound");
     let config = || ClusterConfig {
         data_providers: 3,
         metadata_providers: 2,
-        // Lifecycle fully off: both knobs zero, engine never started.
+        // Lifecycle fully off: both knobs zero. The record-count trigger
+        // alone, driven from the maintenance pass, must do the bounding.
         retained_versions: 0,
         flatten_threshold: 0,
         checkpoint_records: 16,
-        // No background checkpointer either — the record-count trigger
-        // alone, driven from the maintenance pass, must do the bounding.
-        checkpoint_interval_ms: 0,
         durability: Durability::Commit,
         ..ClusterConfig::default()
     };
@@ -206,7 +206,6 @@ fn maintenance_tick_compacts_dead_segments_without_changing_reads() {
             metadata_providers: 2,
             retained_versions: 1,
             compact_dead_ratio: 0.3,
-            checkpoint_interval_ms: 0,
             durability: Durability::Commit,
             // Small segments so the overwrites below seal several of them:
             // only sealed segments are compaction victims.
@@ -230,18 +229,17 @@ fn maintenance_tick_compacts_dead_segments_without_changing_reads() {
     let before = segment_log_bytes(&dir);
     assert!(before as usize >= latest.len(), "all six versions on disk");
 
-    // Drive eviction and sweeping until GC has reclaimed the dead chunks;
-    // each pass ends in the maintenance hook — the same tick the daemon's
-    // lifecycle thread fires — whose dead-ratio policy triggers compaction.
+    // Drive the maintenance tick — exactly what the daemon's loop runs —
+    // until GC has reclaimed the dead chunks: each tick's lifecycle pass
+    // evicts and sweeps, and its durable pass compacts by dead ratio.
     for _ in 0..8 {
-        cluster.lifecycle().run_once();
+        cluster.run_maintenance();
     }
     assert!(
         cluster.lifecycle().stats().reclaimed_chunks > 0,
         "retention must have swept the overwritten versions: {:?}",
         cluster.lifecycle().stats()
     );
-    cluster.run_maintenance(); // one more inline tick, as the daemon runs it
     let after = segment_log_bytes(&dir);
     assert!(
         after * 2 < before,
@@ -272,4 +270,100 @@ fn maintenance_tick_compacts_dead_segments_without_changing_reads() {
     assert_eq!(reopened.client().read_all(blob, None).unwrap(), latest);
     drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint captures the live state without holding the WAL, so
+/// appends keep committing while it runs. Every one of them must survive:
+/// a crash image taken after a storm of checkpoints racing 400 appends
+/// reopens at version 400 with every byte in place.
+#[test]
+fn appends_racing_checkpoints_survive_a_crash_image() {
+    const APPENDS: usize = 400;
+    const LEN: usize = 1024;
+    let dir = temp_dir("ckptrace");
+    let config = || ClusterConfig {
+        data_providers: 2,
+        metadata_providers: 2,
+        durability: Durability::Commit,
+        ..ClusterConfig::default()
+    };
+    let cluster = Cluster::open_durable(config(), &dir).unwrap();
+    let client = cluster.client();
+    let blob = client
+        .create_blob(BlobConfig::new(LEN as u64, 1).unwrap())
+        .unwrap();
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !done.load(Ordering::Acquire) {
+                cluster.force_checkpoint().unwrap();
+            }
+        });
+        for i in 0..APPENDS {
+            client.append(blob, pattern(LEN, i as u8)).unwrap();
+        }
+        done.store(true, Ordering::Release);
+    });
+    let checkpoints = cluster.durable_tier().unwrap().wal().checkpoints();
+    assert!(
+        checkpoints > 1,
+        "the checkpoints must have raced the appends"
+    );
+
+    let crash = temp_dir("ckptrace-crash");
+    copy_dir(&dir, &crash);
+    let reopened = Cluster::open_durable(config(), &crash).unwrap();
+    let latest = reopened.version_manager().latest_snapshot(blob).unwrap();
+    assert_eq!(
+        latest.version,
+        Version(APPENDS as u64),
+        "every acknowledged append must survive {checkpoints} racing checkpoints"
+    );
+    let expected: Vec<u8> = (0..APPENDS).flat_map(|i| pattern(LEN, i as u8)).collect();
+    assert_eq!(reopened.client().read_all(blob, None).unwrap(), expected);
+
+    drop(reopened);
+    drop(cluster);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&crash);
+}
+
+/// Flatness is journaled by the commit descriptor the flatten publishes:
+/// after a crash the flat version is still flat and reads the same bytes.
+#[test]
+fn a_flattened_version_survives_a_crash_image() {
+    let dir = temp_dir("flatten");
+    let config = || ClusterConfig {
+        data_providers: 2,
+        metadata_providers: 2,
+        durability: Durability::Commit,
+        ..ClusterConfig::default()
+    };
+    let cluster = Cluster::open_durable(config(), &dir).unwrap();
+    let client = cluster.client();
+    let blob = client
+        .create_blob(BlobConfig::new(1024, 1).unwrap())
+        .unwrap();
+    for i in 0..6u8 {
+        client.append(blob, pattern(3000, i)).unwrap();
+    }
+    assert!(cluster.lifecycle().flatten_now(blob).unwrap());
+    let flat = cluster.version_manager().latest_snapshot(blob).unwrap();
+    assert!(flat.flat, "the flatten publishes a flat version");
+    let bytes = client.read_all(blob, None).unwrap();
+
+    let crash = temp_dir("flatten-crash");
+    copy_dir(&dir, &crash);
+    let reopened = Cluster::open_durable(config(), &crash).unwrap();
+    assert_eq!(
+        reopened.version_manager().latest_snapshot(blob).unwrap(),
+        flat,
+        "the recovered latest descriptor is the flat one"
+    );
+    assert_eq!(reopened.client().read_all(blob, None).unwrap(), bytes);
+
+    drop(reopened);
+    drop(cluster);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&crash);
 }
