@@ -19,8 +19,9 @@ use std::sync::Arc;
 ///
 /// Besides per-key access, the trait carries the *batched* operations the
 /// hot paths are built on: a level-order read descent fetches one whole tree
-/// level per [`MetadataStore::get_nodes`] call, and publication uploads a
-/// whole write's nodes per [`MetadataStore::put_nodes`] call. Distributed
+/// level per [`MetadataStore::get_nodes_prefetching`] call, naming the
+/// same-version subtree below that level as hints, and publication uploads
+/// a whole write's nodes per [`MetadataStore::put_nodes`] call. Distributed
 /// stores group a batch by owning node, turning O(nodes) round-trips into
 /// O(owning nodes); the trivial defaults keep single-map stores correct.
 pub trait MetadataStore: Send + Sync {
@@ -42,6 +43,21 @@ pub trait MetadataStore: Send + Sync {
     /// absent-versus-unreachable contract as [`MetadataStore::get_node`].
     fn get_nodes(&self, keys: &[NodeKey]) -> Result<Vec<Option<NodeBody>>> {
         keys.iter().map(|key| self.get_node(key)).collect()
+    }
+
+    /// [`MetadataStore::get_nodes`] for a caller that can name the nodes it
+    /// will most likely ask for next. `prefetch` lists them on demand; a
+    /// caching store calls it once on a cache miss and fetches the listed
+    /// keys in the same batch as the misses, so the next request hits.
+    /// The default ignores the hints: a store that keeps nothing has
+    /// nowhere to put them.
+    fn get_nodes_prefetching(
+        &self,
+        keys: &[NodeKey],
+        prefetch: &mut dyn FnMut() -> Vec<NodeKey>,
+    ) -> Result<Vec<Option<NodeBody>>> {
+        let _ = prefetch;
+        self.get_nodes(keys)
     }
 
     /// Stores a batch of nodes with per-entry write-once semantics, routing
@@ -198,7 +214,11 @@ impl MetadataStore for InMemoryMetaStore {
 /// Because tree nodes are immutable, cached entries can never become stale;
 /// the cache therefore needs no invalidation protocol at all — one of the
 /// pay-offs of versioning-based concurrency control highlighted by the
-/// paper.
+/// paper. For the same reason it can fetch ahead: on a miss,
+/// [`MetadataStore::get_nodes_prefetching`] fetches the caller's hints in
+/// the same inner batch as the misses and caches every node that exists.
+/// Only nodes are cached, never absences: a reader waiting for a
+/// concurrent writer's node to appear must see it once it is stored.
 pub struct CachedMetadataStore<S: ?Sized> {
     inner: Arc<S>,
     cache: RwLock<HashMap<NodeKey, NodeBody>>,
@@ -254,9 +274,17 @@ impl<S: MetadataStore + ?Sized> MetadataStore for CachedMetadataStore<S> {
     }
 
     fn get_nodes(&self, keys: &[NodeKey]) -> Result<Vec<Option<NodeBody>>> {
+        self.get_nodes_prefetching(keys, &mut Vec::new)
+    }
+
+    fn get_nodes_prefetching(
+        &self,
+        keys: &[NodeKey],
+        prefetch: &mut dyn FnMut() -> Vec<NodeKey>,
+    ) -> Result<Vec<Option<NodeBody>>> {
         // Serve what the cache holds, then fetch every miss in one inner
         // batch so the round-trip grouping of the wrapped store is preserved.
-        let mut out: Vec<Option<NodeBody>> = keys.iter().map(|_| None).collect();
+        let mut out: Vec<Option<NodeBody>> = vec![None; keys.len()];
         let mut missing: Vec<usize> = Vec::new();
         {
             let cache = self.cache.read();
@@ -274,16 +302,23 @@ impl<S: MetadataStore + ?Sized> MetadataStore for CachedMetadataStore<S> {
         }
         self.misses
             .fetch_add(missing.len() as u64, Ordering::Relaxed);
-        let wanted: Vec<NodeKey> = missing.iter().map(|&i| keys[i]).collect();
+        // The hints ride in the same batch, minus those already cached.
+        let mut wanted: Vec<NodeKey> = missing.iter().map(|&i| keys[i]).collect();
+        let hints = prefetch();
+        if !hints.is_empty() {
+            let cache = self.cache.read();
+            wanted.extend(hints.into_iter().filter(|key| !cache.contains_key(key)));
+        }
         // An unreachable inner store propagates without poisoning the cache:
         // nothing was learned about any key, so nothing is inserted.
         let fetched = self.inner.get_nodes(&wanted)?;
         let mut cache = self.cache.write();
-        for (&index, body) in missing.iter().zip(fetched) {
-            if let Some(body) = body {
-                cache.insert(keys[index], body.clone());
-                out[index] = Some(body);
+        for (position, (key, body)) in wanted.iter().zip(fetched).enumerate() {
+            let Some(body) = body else { continue };
+            if let Some(&index) = missing.get(position) {
+                out[index] = Some(body.clone());
             }
+            cache.insert(*key, body);
         }
         Ok(out)
     }
@@ -502,6 +537,129 @@ mod tests {
             "reading {node_count} nodes took {read_trips} trips (> depth×shards = {bound})"
         );
         assert!(read_trips < node_count / 2);
+
+        // Through a node cache the root's miss prefetches the whole
+        // one-version tree: one batch, at most one trip per shard.
+        let dht = Arc::new(dht);
+        let cached = CachedMetadataStore::new(Arc::clone(&dht));
+        let before = dht.round_trips();
+        let cached_leaves = collect_leaves(
+            &cached,
+            BlobId(1),
+            &descriptor,
+            blobseer_types::ByteRange::new(0, chunks * chunk_size),
+        )
+        .unwrap();
+        assert_eq!(cached_leaves, leaves);
+        let cached_trips = dht.round_trips() - before;
+        assert!(
+            cached_trips <= shards,
+            "a cold cached read took {cached_trips} trips (> {shards} shards)"
+        );
+    }
+
+    /// An inner store that counts the batches it serves and keeps the keys
+    /// of the last one.
+    #[derive(Default)]
+    struct CountingStore {
+        nodes: InMemoryMetaStore,
+        batches: AtomicU64,
+        last_batch: RwLock<Vec<NodeKey>>,
+    }
+
+    impl MetadataStore for CountingStore {
+        fn put_node(&self, key: NodeKey, body: NodeBody) -> Result<()> {
+            self.nodes.put_node(key, body)
+        }
+
+        fn get_node(&self, key: &NodeKey) -> Result<Option<NodeBody>> {
+            self.get_nodes(std::slice::from_ref(key))
+                .map(|mut bodies| bodies.remove(0))
+        }
+
+        fn get_nodes(&self, keys: &[NodeKey]) -> Result<Vec<Option<NodeBody>>> {
+            self.batches.fetch_add(1, Ordering::Relaxed);
+            *self.last_batch.write() = keys.to_vec();
+            self.nodes.get_nodes(keys)
+        }
+
+        fn node_count(&self) -> usize {
+            self.nodes.node_count()
+        }
+    }
+
+    #[test]
+    fn prefetch_is_not_listed_when_every_key_hits() {
+        let inner = Arc::new(CountingStore::default());
+        let cached = CachedMetadataStore::new(Arc::clone(&inner));
+        cached
+            .put_nodes(vec![(key(1, 0, 64), leaf(0)), (key(1, 64, 64), leaf(1))])
+            .unwrap();
+        let mut listed = 0;
+        let got = cached
+            .get_nodes_prefetching(&[key(1, 0, 64), key(1, 64, 64)], &mut || {
+                listed += 1;
+                vec![key(1, 128, 64)]
+            })
+            .unwrap();
+        assert_eq!(got, vec![Some(leaf(0)), Some(leaf(1))]);
+        assert_eq!(listed, 0, "a full hit must not build the hint list");
+        assert_eq!(inner.batches.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_miss_fetches_the_uncached_hints_in_the_same_batch() {
+        let inner = Arc::new(CountingStore::default());
+        for slot in 0..4 {
+            inner.put_node(key(1, slot * 64, 64), leaf(slot)).unwrap();
+        }
+        let cached = CachedMetadataStore::new(Arc::clone(&inner));
+        // Slot 0 is cached; slot 1 misses; slots 2 and 3 are hints, of
+        // which 2 is already cached; slot 4 is a hint that does not exist.
+        cached.get_nodes(&[key(1, 0, 64), key(1, 128, 64)]).unwrap();
+        assert_eq!(inner.batches.load(Ordering::Relaxed), 1);
+
+        let mut listed = 0;
+        let got = cached
+            .get_nodes_prefetching(&[key(1, 0, 64), key(1, 64, 64)], &mut || {
+                listed += 1;
+                vec![key(1, 128, 64), key(1, 192, 64), key(1, 256, 64)]
+            })
+            .unwrap();
+        assert_eq!(got, vec![Some(leaf(0)), Some(leaf(1))]);
+        assert_eq!(listed, 1);
+        assert_eq!(inner.batches.load(Ordering::Relaxed), 2);
+        assert_eq!(
+            *inner.last_batch.read(),
+            vec![key(1, 64, 64), key(1, 192, 64), key(1, 256, 64)],
+            "one batch: the miss, then the hints not already cached"
+        );
+        // Hints are not requests: only the one requested miss counts.
+        assert_eq!((cached.hits(), cached.misses()), (1, 3));
+
+        // The prefetched hint is now served from the cache.
+        assert_eq!(
+            cached.get_nodes(&[key(1, 192, 64)]).unwrap(),
+            vec![Some(leaf(3))]
+        );
+        assert_eq!(inner.batches.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn an_absent_hint_is_not_cached() {
+        let inner = Arc::new(CountingStore::default());
+        inner.put_node(key(1, 0, 64), leaf(0)).unwrap();
+        let cached = CachedMetadataStore::new(Arc::clone(&inner));
+        cached
+            .get_nodes_prefetching(&[key(1, 0, 64)], &mut || vec![key(2, 0, 64)])
+            .unwrap();
+        assert_eq!(*inner.last_batch.read(), vec![key(1, 0, 64), key(2, 0, 64)]);
+        // A writer stores the hinted key after the prefetch missed it.
+        inner.put_node(key(2, 0, 64), leaf(7)).unwrap();
+        assert_eq!(
+            cached.get_nodes(&[key(2, 0, 64)]).unwrap(),
+            vec![Some(leaf(7))]
+        );
     }
 
     #[test]

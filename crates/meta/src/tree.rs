@@ -663,10 +663,18 @@ pub struct LeafMapping {
 /// offset order. Holes are reported explicitly so the caller can zero-fill.
 ///
 /// The descent is *frontier based*: the tree is walked level by level, and
-/// every node of a level is fetched through one [`MetadataStore::get_nodes`]
-/// batch. Against the metadata DHT a batch costs one round-trip per owning
-/// metadata node, so reading an N-leaf subtree issues O(tree-depth × shards)
-/// round-trips instead of the O(N) a node-at-a-time walk pays.
+/// every node of a level is fetched through one
+/// [`MetadataStore::get_nodes_prefetching`] batch. Against the metadata DHT
+/// a batch costs one round-trip per owning metadata node. Node keys are
+/// `(version, range)` over power-of-two ranges, so each batch also names,
+/// as prefetch hints, every key the frontier nodes' own versions could have
+/// written below them inside the read range. A caching store fetches those
+/// with its misses, and the levels below then hit the cache until the path
+/// reaches an older version. Through the client's node cache a cold read
+/// therefore costs one batch per *change of version* along its paths, not
+/// one per level; a bare store ignores the hints and pays
+/// O(tree-depth × shards) round-trips, still not the O(N) a node-at-a-time
+/// walk pays.
 pub fn collect_leaves(
     store: &dyn MetadataStore,
     blob: BlobId,
@@ -708,7 +716,15 @@ pub fn collect_leaves_streaming(
     while !frontier.is_empty() {
         let level_start = out.len();
         let keys: Vec<NodeKey> = frontier.iter().map(|node| node.key(blob)).collect();
-        let bodies = store.get_nodes(&keys)?;
+        // Built only when the store misses: a warm read lists nothing.
+        let mut same_version_below = || {
+            let mut hints = Vec::new();
+            for node in &frontier {
+                same_version_subtree(blob, *node, range, snapshot.chunk_size, &mut hints);
+            }
+            hints
+        };
+        let bodies = store.get_nodes_prefetching(&keys, &mut same_version_below)?;
         let mut next = Vec::with_capacity(frontier.len() * 2);
         for (node, body) in frontier.iter().zip(bodies) {
             let body = body.ok_or(BlobError::MissingMetadata {
@@ -940,6 +956,35 @@ fn expand_half(
     }
 }
 
+/// Pushes every key `node.version` could have written strictly below
+/// `node` that overlaps `read`: the aligned halves, recursively, down to
+/// single chunk slots. A version that wrote such a key also wrote each
+/// ancestor of it below `node`, each pointing to it, so every key that
+/// exists lies on the read's own path. (A repaired version's aliases are
+/// the exception; a hinted key below one only costs a cache entry.)
+fn same_version_subtree(
+    blob: BlobId,
+    node: ChildRef,
+    read: ByteRange,
+    chunk_size: u64,
+    out: &mut Vec<NodeKey>,
+) {
+    if node.range.len <= chunk_size {
+        return;
+    }
+    let (left, right) = node.range.split();
+    for half in [left, right] {
+        if half.overlaps(&read) {
+            let child = ChildRef {
+                version: node.version,
+                range: half,
+            };
+            out.push(child.key(blob));
+            same_version_subtree(blob, child, read, chunk_size, out);
+        }
+    }
+}
+
 /// Validates a read request and returns the root to descend from, `None`
 /// for the trivial empty read.
 fn check_read(
@@ -1071,8 +1116,9 @@ fn visit_half(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::InMemoryMetaStore;
+    use crate::store::{CachedMetadataStore, InMemoryMetaStore};
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     const CS: u64 = 64; // chunk size used throughout the tests
 
@@ -1868,17 +1914,24 @@ mod tests {
         .unwrap();
         publish_metadata(&store, repair.clone()).unwrap();
 
+        // One node cache across every read: the first read is cold, later
+        // ones are partly warm, and the prefetch hints run through aliases.
+        let store = Arc::new(store);
+        let cached = CachedMetadataStore::new(Arc::clone(&store));
         for snapshot in [v1, repair.descriptor, b_meta.descriptor] {
             for (offset, len) in [(0, snapshot.size), (CS + 7, 3 * CS), (5 * CS, 4 * CS)] {
                 let len = len.min(snapshot.size - offset);
                 let range = ByteRange::new(offset, len);
-                let batched = collect_leaves(&store, blob(), &snapshot, range).unwrap();
-                let recursive = collect_leaves_unbatched(&store, blob(), &snapshot, range).unwrap();
-                assert_eq!(
-                    batched, recursive,
-                    "divergence at v{} {range}",
-                    snapshot.version
-                );
+                let recursive =
+                    collect_leaves_unbatched(&*store, blob(), &snapshot, range).unwrap();
+                for descent_store in [&*store as &dyn MetadataStore, &cached] {
+                    let batched = collect_leaves(descent_store, blob(), &snapshot, range).unwrap();
+                    assert_eq!(
+                        batched, recursive,
+                        "divergence at v{} {range}",
+                        snapshot.version
+                    );
+                }
             }
         }
     }
@@ -1937,26 +1990,43 @@ mod tests {
             ops in proptest::collection::vec((0u64..32, 1u64..8), 1..12),
             read in (0u64..28, 1u64..12),
         ) {
-            let store = InMemoryMetaStore::new();
+            let store = Arc::new(InMemoryMetaStore::new());
+            // Writes bypass the node cache, so every read through it starts
+            // cold on the newest version and warm on what earlier reads saw.
+            let cached = CachedMetadataStore::new(Arc::clone(&store));
+            // Clip the read into bounds: the equivalence is about descent,
+            // not the (shared) bounds check.
+            let clip = |snapshot: &SnapshotDescriptor| {
+                let (start_slot, slot_count) = read;
+                let offset = (start_slot * CS).min(snapshot.size - 1);
+                let len = (slot_count * CS).min(snapshot.size - offset);
+                ByteRange::new(offset, len)
+            };
+            let mut snapshots = Vec::new();
             let mut snapshot = SnapshotDescriptor::initial(CS);
             for (tag0, (start_slot, slot_count)) in ops.iter().enumerate() {
                 snapshot = apply_write(
-                    &store,
+                    &*store,
                     &snapshot,
                     tag0 as u64 + 1,
                     start_slot * CS,
                     slot_count * CS,
                 );
+                snapshots.push(snapshot);
+                let range = clip(&snapshot);
+                let recursive =
+                    collect_leaves_unbatched(&*store, blob(), &snapshot, range).unwrap();
+                let batched = collect_leaves(&*store, blob(), &snapshot, range).unwrap();
+                prop_assert_eq!(&batched, &recursive);
+                let cached_read = collect_leaves(&cached, blob(), &snapshot, range).unwrap();
+                prop_assert_eq!(cached_read, recursive);
             }
-            // Clip the read into bounds: the equivalence is about descent,
-            // not the (shared) bounds check.
-            let (start_slot, slot_count) = read;
-            let offset = (start_slot * CS).min(snapshot.size - 1);
-            let len = (slot_count * CS).min(snapshot.size - offset);
-            let range = ByteRange::new(offset, len);
-            let batched = collect_leaves(&store, blob(), &snapshot, range).unwrap();
-            let recursive = collect_leaves_unbatched(&store, blob(), &snapshot, range).unwrap();
-            prop_assert_eq!(batched, recursive);
+            for snapshot in &snapshots {
+                let range = ByteRange::new(0, snapshot.size);
+                let recursive = collect_leaves_unbatched(&*store, blob(), snapshot, range).unwrap();
+                let cached_read = collect_leaves(&cached, blob(), snapshot, range).unwrap();
+                prop_assert_eq!(cached_read, recursive);
+            }
         }
 
         #[test]
