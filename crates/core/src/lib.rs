@@ -56,3 +56,6 @@ pub use version_manager::{
     WriteKind, WriteTicket,
 };
 pub use version_service::{VersionPin, VersionService};
+
+/// The durability hook [`VersionManager::set_journal`] installs.
+pub use blobseer_persist::Journal;

@@ -7,6 +7,11 @@
 //! their metadata is complete. Reads only ever observe published versions,
 //! which is what makes the whole protocol linearizable while keeping readers
 //! and writers fully decoupled.
+//!
+//! With a durability [`Journal`] installed, readers see only the *durable*
+//! prefix: a version becomes visible once its commit record is synced, and
+//! a commit returns only once its own version is. The blob lock is never
+//! held across an fsync (see [`Journal`] for the three commit steps).
 
 use crate::version_service::{VersionPin, VersionService};
 use blobseer_meta::{
@@ -17,10 +22,11 @@ use blobseer_types::{
     chunk_span, BlobConfig, BlobError, BlobId, ByteRange, ChunkId, IdGenerator, ProviderId, Result,
     Version,
 };
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// The kind of mutation a client asks a ticket for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,8 +221,15 @@ struct PendingWrite {
 #[derive(Debug)]
 struct BlobState {
     config: BlobConfig,
-    /// Published snapshot descriptors, indexed by version number.
+    /// Published snapshot descriptors, indexed by version number. Writers
+    /// link against all of them; readers see only `..=durable`.
     published: Vec<SnapshotDescriptor>,
+    /// Newest version whose commit record is durable. Without a journal it
+    /// moves at publication.
+    durable: u64,
+    /// Set once the journal failed a commit of this blob (fail-stop): every
+    /// later commit, and every committer still waiting, gets this error.
+    failed: Option<BlobError>,
     /// Assigned but not yet published writes, keyed by version number.
     pending: BTreeMap<u64, PendingWrite>,
     /// Next version to assign.
@@ -248,6 +261,8 @@ impl BlobState {
     fn new(config: BlobConfig) -> Self {
         BlobState {
             published: vec![SnapshotDescriptor::initial(config.chunk_size)],
+            durable: 0,
+            failed: None,
             pending: BTreeMap::new(),
             next_version: 1,
             assigned_size: 0,
@@ -265,6 +280,16 @@ impl BlobState {
             .published
             .last()
             .expect("a blob always has at least the empty snapshot")
+    }
+
+    /// The published versions readers may see: the durable prefix.
+    fn visible(&self) -> &[SnapshotDescriptor] {
+        &self.published[..=self.durable as usize]
+    }
+
+    /// The newest snapshot readers may see.
+    fn latest_visible(&self) -> SnapshotDescriptor {
+        self.published[self.durable as usize]
     }
 
     /// The chain a new writer links against: the latest published snapshot
@@ -370,7 +395,7 @@ impl BlobState {
         }
     }
 
-    /// Looks up a published snapshot descriptor, honouring the retention
+    /// Looks up a visible snapshot descriptor, honouring the retention
     /// gate.
     fn lookup(&self, blob: BlobId, version: Version) -> Result<SnapshotDescriptor> {
         if version.0 < self.first_retained {
@@ -380,7 +405,7 @@ impl BlobState {
                 first_retained: Version(self.first_retained),
             });
         }
-        self.published
+        self.visible()
             .get(version.0 as usize)
             .copied()
             .ok_or(BlobError::UnknownVersion(blob, version))
@@ -409,6 +434,72 @@ impl BlobState {
     }
 }
 
+/// One blob's state, and the condition its committers wait on for their
+/// version to become durable.
+struct BlobSlot {
+    state: Mutex<BlobState>,
+    /// Signalled whenever `durable` moves or the blob fails.
+    durable: Condvar,
+}
+
+impl BlobSlot {
+    fn new(state: BlobState) -> Arc<Self> {
+        Arc::new(BlobSlot {
+            state: Mutex::new(state),
+            durable: Condvar::new(),
+        })
+    }
+
+    fn lock(&self) -> MutexGuard<'_, BlobState> {
+        self.state.lock()
+    }
+
+    /// Fails the blob (fail-stop) with `err`, waking every waiting
+    /// committer; returns the error for the caller to report too.
+    fn fail(&self, state: &mut BlobState, err: BlobError) -> BlobError {
+        state.failed.get_or_insert_with(|| err.clone());
+        self.durable.notify_all();
+        err
+    }
+
+    /// Blocks until `version` is durable and returns the newest durable
+    /// version, or the error that failed the blob first. With `wait` set,
+    /// gives up after that long with the retryable
+    /// [`BlobError::Transport`]: the version waits on an earlier write of
+    /// the blob that has not settled.
+    fn await_durable(
+        &self,
+        blob: BlobId,
+        version: Version,
+        wait: Option<Duration>,
+    ) -> Result<Version> {
+        let deadline = wait.map(|wait| Instant::now() + wait);
+        let mut state = self.lock();
+        loop {
+            if state.durable >= version.0 {
+                return Ok(Version(state.durable));
+            }
+            if let Some(err) = &state.failed {
+                return Err(err.clone());
+            }
+            match deadline {
+                None => self.durable.wait(&mut state),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Err(BlobError::Transport(format!(
+                            "version {version} of {blob} is not durable after {:?}: \
+                             it waits on the commit of an earlier write",
+                            wait.unwrap_or_default()
+                        )));
+                    }
+                    self.durable.wait_for(&mut state, left);
+                }
+            }
+        }
+    }
+}
+
 /// Number of shards the blob map is split into. A power of two so the shard
 /// index is a mask; 32 shards keep the map-level critical sections invisible
 /// even with hundreds of client threads creating blobs.
@@ -425,15 +516,16 @@ const VM_SHARDS: usize = 32;
 /// maps are only write-locked by blob creation — and the global counters are
 /// plain atomics.
 pub struct VersionManager {
-    shards: Vec<RwLock<HashMap<BlobId, Arc<Mutex<BlobState>>>>>,
+    shards: Vec<RwLock<HashMap<BlobId, Arc<BlobSlot>>>>,
     blob_ids: IdGenerator,
     stat_blobs: AtomicU64,
     stat_tickets: AtomicU64,
     stat_published: AtomicU64,
     stat_aborted: AtomicU64,
     /// Durability hook: when set (durable deployments), blob creations,
-    /// publications and retention moves are journaled through it. `None`
-    /// for the RAM-resident deployments tests and benchmarks run.
+    /// publications and retention moves are journaled through it, and
+    /// readers see only what it made durable. `None` for the RAM-resident
+    /// deployments tests and benchmarks run.
     journal: RwLock<Option<Arc<dyn Journal>>>,
 }
 
@@ -461,14 +553,21 @@ impl VersionManager {
         *self.journal.write() = Some(journal);
     }
 
-    fn shard(&self, blob: BlobId) -> &RwLock<HashMap<BlobId, Arc<Mutex<BlobState>>>> {
+    /// Whether a durability journal is installed: then commits and blob
+    /// creations wait on the disk.
+    #[must_use]
+    pub fn is_journaled(&self) -> bool {
+        self.journal.read().is_some()
+    }
+
+    fn shard(&self, blob: BlobId) -> &RwLock<HashMap<BlobId, Arc<BlobSlot>>> {
         &self.shards[(blob.0 as usize) & (VM_SHARDS - 1)]
     }
 
     /// The state handle of one blob: cloned out of the shard map under a
     /// read lock, so holding the returned per-blob mutex never blocks
     /// operations on other blobs.
-    fn state(&self, blob: BlobId) -> Result<Arc<Mutex<BlobState>>> {
+    fn state(&self, blob: BlobId) -> Result<Arc<BlobSlot>> {
         self.shard(blob)
             .read()
             .get(&blob)
@@ -488,7 +587,7 @@ impl VersionManager {
         // is in: a restart that forgot a handed-out id would mint it twice.
         self.shard(id)
             .write()
-            .insert(id, Arc::new(Mutex::new(BlobState::new(config))));
+            .insert(id, BlobSlot::new(BlobState::new(config)));
         if let Some(journal) = self.journal.read().as_ref() {
             if let Err(err) = journal.record_create_blob(id, &config) {
                 self.shard(id).write().remove(&id);
@@ -532,10 +631,9 @@ impl VersionManager {
             .rev()
             .take_while(|d| !d.flat && d.version.0 > 0)
             .count() as u64;
+        state.durable = published.len() as u64 - 1;
         state.published = published;
-        self.shard(id)
-            .write()
-            .insert(id, Arc::new(Mutex::new(state)));
+        self.shard(id).write().insert(id, BlobSlot::new(state));
         self.blob_ids.advance_past(id.0);
         self.stat_blobs.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -618,7 +716,9 @@ impl VersionManager {
 
     /// Reports that the metadata of `version` is fully woven. The version
     /// manager publishes it (and any directly following complete versions)
-    /// in order; returns the latest published version after the call.
+    /// in order; returns the latest visible version after the call. With a
+    /// journal it returns only once `version` itself is durable, which may
+    /// mean waiting for an earlier writer of the blob to settle.
     ///
     /// Versions completed through this entry point report no node
     /// artifacts, so the lifecycle tracker never considers their nodes (or
@@ -637,22 +737,7 @@ impl VersionManager {
         version: Version,
         artifacts: Option<Vec<NodeArtifact>>,
     ) -> Result<Version> {
-        let state = self.state(blob)?;
-        let mut state = state.lock();
-        let pending = state
-            .pending
-            .get_mut(&version.0)
-            .ok_or(BlobError::UnknownVersion(blob, version))?;
-        pending.complete = true;
-        pending.artifacts = artifacts;
-        if let Some(base) = pending.base_pin.take() {
-            state.unpin(base);
-        }
-        let published = state.advance_publication();
-        self.journal_commits(blob, &published)?;
-        self.stat_published
-            .fetch_add(published.len() as u64, Ordering::Relaxed);
-        Ok(state.latest_published().version)
+        self.settle_write(blob, version, artifacts, false, None)
     }
 
     /// Reports that the writer of `version` failed and will never weave its
@@ -677,39 +762,107 @@ impl VersionManager {
         version: Version,
         artifacts: Option<Vec<NodeArtifact>>,
     ) -> Result<Version> {
-        let state = self.state(blob)?;
-        let mut state = state.lock();
+        self.settle_write(blob, version, artifacts, true, None)
+    }
+
+    /// Completes (or, with `abort`, aborts) one pending write and publishes
+    /// whatever now directly follows the published prefix. With a journal,
+    /// the commit takes the journal's three steps so that no fsync runs
+    /// under the blob lock: prepare before it, append (in publication
+    /// order) under it, and the group fsync after it, which moves `durable`
+    /// and wakes the waiting committers. Any journal failure fails the
+    /// blob.
+    ///
+    /// Returns once `version` is durable. A version that waits on an
+    /// earlier, unsettled write of the blob waits at most `wait` (`None`:
+    /// for ever) and then answers the retryable [`BlobError::Transport`];
+    /// its completion stands, and a retry ([`VersionManager::await_durable`]
+    /// once it is published) picks the wait up again. The RPC host bounds
+    /// the wait below its clients' I/O timeout, so a writer that died
+    /// holding an earlier version holds no server thread for longer than
+    /// one attempt of each later committer.
+    pub fn settle_write(
+        &self,
+        blob: BlobId,
+        version: Version,
+        artifacts: Option<Vec<NodeArtifact>>,
+        abort: bool,
+        wait: Option<Duration>,
+    ) -> Result<Version> {
+        let slot = self.state(blob)?;
+        let journal = self.journal.read().clone();
+        if let Some(journal) = &journal {
+            if let Err(err) = journal.prepare_commit() {
+                return Err(slot.fail(&mut slot.lock(), err));
+            }
+        }
+        let mut state = slot.lock();
+        if let Some(err) = &state.failed {
+            return Err(err.clone());
+        }
         let pending = state
             .pending
             .get_mut(&version.0)
             .ok_or(BlobError::UnknownVersion(blob, version))?;
-        pending.aborted = true;
+        if abort {
+            pending.aborted = true;
+        } else {
+            pending.complete = true;
+        }
         pending.artifacts = artifacts;
         if let Some(base) = pending.base_pin.take() {
             state.unpin(base);
         }
         let published = state.advance_publication();
-        self.journal_commits(blob, &published)?;
-        self.stat_aborted.fetch_add(1, Ordering::Relaxed);
+        if abort {
+            self.stat_aborted.fetch_add(1, Ordering::Relaxed);
+        }
         self.stat_published
             .fetch_add(published.len() as u64, Ordering::Relaxed);
-        Ok(state.latest_published().version)
-    }
-
-    /// Journals newly published descriptors, in version order, while the
-    /// caller still holds the blob lock — commit records must hit the WAL in
-    /// the order they published, or recovery's contiguous-prefix rule would
-    /// drop them as torn.
-    fn journal_commits(&self, blob: BlobId, published: &[SnapshotDescriptor]) -> Result<()> {
-        if published.is_empty() {
-            return Ok(());
-        }
-        if let Some(journal) = self.journal.read().as_ref() {
-            for descriptor in published {
-                journal.record_commit(blob, descriptor)?;
+        let Some(journal) = journal else {
+            state.durable = state.latest_published().version.0;
+            return Ok(Version(state.durable));
+        };
+        // Commit records must hit the log in the order they published, or
+        // recovery's contiguous-prefix rule would drop them as torn.
+        let mut newest = None;
+        for descriptor in &published {
+            match journal.append_commit(blob, descriptor) {
+                Ok(seq) => newest = Some((seq, descriptor.version.0)),
+                Err(err) => return Err(slot.fail(&mut state, err)),
             }
         }
-        Ok(())
+        drop(state);
+        if let Some((seq, appended_through)) = newest {
+            let synced = journal.sync_commits(seq);
+            let mut state = slot.lock();
+            match synced {
+                Ok(()) => {
+                    state.durable = state.durable.max(appended_through);
+                    slot.durable.notify_all();
+                }
+                Err(err) => return Err(slot.fail(&mut state, err)),
+            }
+        }
+        slot.await_durable(blob, version, wait)
+    }
+
+    /// Waits until `version`, already published, is durable, and returns
+    /// the latest visible version; a version not published yet answers
+    /// [`BlobError::UnknownVersion`]. A completion retried while the first
+    /// attempt is still syncing learns that attempt's outcome here. `wait`
+    /// bounds the wait as in [`VersionManager::settle_write`].
+    pub fn await_durable(
+        &self,
+        blob: BlobId,
+        version: Version,
+        wait: Option<Duration>,
+    ) -> Result<Version> {
+        let slot = self.state(blob)?;
+        if version.0 >= slot.lock().published.len() as u64 {
+            return Err(BlobError::UnknownVersion(blob, version));
+        }
+        slot.await_durable(blob, version, wait)
     }
 
     /// Summaries of the writes assigned after the latest published snapshot
@@ -725,9 +878,9 @@ impl VersionManager {
             .collect())
     }
 
-    /// Descriptor of the latest published snapshot.
+    /// Descriptor of the latest published snapshot that is durable.
     pub fn latest_snapshot(&self, blob: BlobId) -> Result<SnapshotDescriptor> {
-        Ok(self.state(blob)?.lock().latest_published())
+        Ok(self.state(blob)?.lock().latest_visible())
     }
 
     /// Descriptor of an arbitrary published snapshot. Versions evicted by
@@ -741,7 +894,7 @@ impl VersionManager {
     /// metadata tree: while any pin on a version is held, the lifecycle
     /// sweeper will not collect a single node or chunk that version can
     /// reach, so a concurrent sweep can never tear an in-flight read.
-    /// `version: None` pins the latest published snapshot.
+    /// `version: None` pins the latest durable published snapshot.
     pub fn pin_snapshot(
         self: &Arc<Self>,
         blob: BlobId,
@@ -751,7 +904,7 @@ impl VersionManager {
         let mut state = state.lock();
         let descriptor = match version {
             Some(v) => state.lookup(blob, v)?,
-            None => state.latest_published(),
+            None => state.latest_visible(),
         };
         state.pin(descriptor.version.0);
         let me: Arc<VersionManager> = Arc::clone(self);
@@ -842,7 +995,9 @@ impl VersionManager {
         let state = self.state(blob)?;
         let mut state = state.lock();
         if retained > 0 {
-            let target = state.published.len().saturating_sub(retained) as u64;
+            // Only visible versions count: a version still syncing must not
+            // push the floor past the newest one readers can see.
+            let target = (state.durable + 1).saturating_sub(retained as u64);
             if target > state.first_retained {
                 state.first_retained = target;
                 // Journal the new floor so a restart does not resurrect
@@ -931,7 +1086,9 @@ impl VersionManager {
     }
 
     /// Exports every blob's durable image — id, creation config, published
-    /// prefix and retention floor — for a WAL checkpoint.
+    /// prefix and retention floor — for a WAL checkpoint. The prefix is the
+    /// in-memory one, durable or not: a commit record appended before the
+    /// checkpoint's mark is carried only by this capture.
     pub fn export_blobs(&self) -> Vec<(BlobId, BlobConfig, Vec<SnapshotDescriptor>, Version)> {
         let mut out = Vec::new();
         for id in self.blob_ids() {
@@ -948,11 +1105,11 @@ impl VersionManager {
         out
     }
 
-    /// Every published version of the blob, oldest first.
+    /// Every published version of the blob that is durable, oldest first.
     pub fn published_versions(&self, blob: BlobId) -> Result<Vec<Version>> {
         let state = self.state(blob)?;
         let state = state.lock();
-        Ok(state.published.iter().map(|d| d.version).collect())
+        Ok(state.visible().iter().map(|d| d.version).collect())
     }
 
     /// Number of writes assigned but not yet published for the blob.
@@ -1027,7 +1184,7 @@ impl VersionService for VersionManager {
         let mut state = state.lock();
         let descriptor = match version {
             Some(v) => state.lookup(blob, v)?,
-            None => state.latest_published(),
+            None => state.latest_visible(),
         };
         state.pin(descriptor.version.0);
         Ok((descriptor, 0))
@@ -1650,8 +1807,16 @@ mod tests {
             self.wal.checkpoint(|| Ok((vm.export_blobs(), Vec::new())))
         }
 
-        fn record_commit(&self, blob: BlobId, descriptor: &SnapshotDescriptor) -> Result<()> {
-            self.wal.log_commit(blob, descriptor)
+        fn prepare_commit(&self) -> Result<()> {
+            Ok(())
+        }
+
+        fn append_commit(&self, blob: BlobId, descriptor: &SnapshotDescriptor) -> Result<u64> {
+            self.wal.append_commit(blob, descriptor)
+        }
+
+        fn sync_commits(&self, seq: u64) -> Result<()> {
+            self.wal.sync_through(seq)
         }
 
         fn record_retire(&self, blob: BlobId, first_retained: Version) -> Result<()> {
@@ -1687,6 +1852,316 @@ mod tests {
         assert_eq!(recovered.blobs.len(), 1, "the created blob survives");
         assert_eq!(recovered.blobs[0].id, blob);
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// A log file whose writes or fsyncs fail while the matching flag is
+    /// set.
+    struct FlakyLog {
+        file: std::fs::File,
+        fail_write: Arc<std::sync::atomic::AtomicBool>,
+        fail_sync: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl blobseer_persist::LogFile for FlakyLog {
+        fn append(&self, buf: &[u8]) -> std::io::Result<()> {
+            if self.fail_write.load(Ordering::SeqCst) {
+                return Err(std::io::Error::other("injected write failure"));
+            }
+            self.file.append(buf)
+        }
+
+        fn truncate(&self, len: u64) -> std::io::Result<()> {
+            self.file.truncate(len)
+        }
+
+        fn sync(&self) -> std::io::Result<()> {
+            if self.fail_sync.load(Ordering::SeqCst) {
+                return Err(std::io::Error::other("injected fsync failure"));
+            }
+            self.file.sync()
+        }
+    }
+
+    /// A commit whose WAL append or fsync fails is never visible: the
+    /// writer gets a typed error, no reader ever sees the version, later
+    /// commits of the blob fail too, and a reopen recovers exactly the
+    /// committed prefix. (Publishing before journaling let readers see a
+    /// version the disk did not hold.)
+    #[test]
+    fn a_commit_the_wal_fails_is_never_visible() {
+        use std::sync::atomic::AtomicBool;
+        for fail_sync in [false, true] {
+            let dir = std::env::temp_dir().join(format!(
+                "blobseer-vm-{}-failed-commit-{fail_sync}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let path = dir.join("meta.wal");
+            let (fail_write, fail_fsync) = (
+                Arc::new(AtomicBool::new(false)),
+                Arc::new(AtomicBool::new(false)),
+            );
+            let (write_flag, sync_flag) = (Arc::clone(&fail_write), Arc::clone(&fail_fsync));
+            let (wal, _) = blobseer_persist::MetaWal::open_over(
+                &path,
+                blobseer_types::Durability::Commit,
+                move |file| {
+                    Box::new(FlakyLog {
+                        file,
+                        fail_write: Arc::clone(&write_flag),
+                        fail_sync: Arc::clone(&sync_flag),
+                    })
+                },
+            )
+            .unwrap();
+            let vm = Arc::new(VersionManager::new());
+            let journal = Arc::new(CheckpointingJournal {
+                wal,
+                vm: Arc::downgrade(&vm),
+                fail: false,
+            });
+            vm.set_journal(Arc::clone(&journal) as Arc<dyn Journal>);
+            let blob = vm.create_blob(BlobConfig::new(CS, 1).unwrap()).unwrap();
+            publish_leaf(&vm, blob, None);
+
+            let t2 = vm
+                .assign_ticket(blob, WriteKind::Append { len: CS })
+                .unwrap();
+            if fail_sync {
+                fail_fsync.store(true, Ordering::SeqCst);
+            } else {
+                fail_write.store(true, Ordering::SeqCst);
+            }
+            let err = vm.complete_write(blob, t2.version).unwrap_err();
+            assert!(matches!(err, BlobError::Storage(_)), "{err:?}");
+            assert!(
+                journal.wal.failure().is_some(),
+                "the WAL stops at the failure"
+            );
+
+            assert_eq!(vm.latest_snapshot(blob).unwrap().version, Version(1));
+            assert_eq!(vm.pin_snapshot(blob, None).unwrap().0.version, Version(1));
+            assert_eq!(
+                VersionService::pin(vm.as_ref(), blob, None)
+                    .unwrap()
+                    .0
+                    .version,
+                Version(1)
+            );
+            assert!(matches!(
+                vm.snapshot(blob, t2.version),
+                Err(BlobError::UnknownVersion(..))
+            ));
+            assert!(vm.pin_snapshot(blob, Some(t2.version)).is_err());
+            assert_eq!(
+                vm.published_versions(blob).unwrap(),
+                vec![Version(0), Version(1)]
+            );
+
+            // The disk is healthy again, but the log stays failed.
+            fail_write.store(false, Ordering::SeqCst);
+            fail_fsync.store(false, Ordering::SeqCst);
+            let t3 = vm
+                .assign_ticket(blob, WriteKind::Append { len: CS })
+                .unwrap();
+            assert!(vm.complete_write(blob, t3.version).is_err());
+            assert_eq!(vm.latest_snapshot(blob).unwrap().version, Version(1));
+
+            drop((vm, journal));
+            let (_, recovered) =
+                blobseer_persist::MetaWal::open(&path, blobseer_types::Durability::Commit).unwrap();
+            let versions: Vec<Version> = recovered.blobs[0]
+                .published
+                .iter()
+                .map(|d| d.version)
+                .collect();
+            assert_eq!(
+                versions,
+                vec![Version(0), Version(1)],
+                "fsync failed: {fail_sync}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A journal whose `sync_commits` parks, once armed, until the test
+    /// releases it: the first barrier wait says it is parked, the second
+    /// lets it go.
+    struct ParkingJournal {
+        seq: AtomicU64,
+        armed: std::sync::atomic::AtomicBool,
+        gate: std::sync::Barrier,
+    }
+
+    impl ParkingJournal {
+        fn new() -> Arc<Self> {
+            Arc::new(ParkingJournal {
+                seq: AtomicU64::new(0),
+                armed: std::sync::atomic::AtomicBool::new(false),
+                gate: std::sync::Barrier::new(2),
+            })
+        }
+    }
+
+    impl Journal for ParkingJournal {
+        fn record_create_blob(&self, _blob: BlobId, _config: &BlobConfig) -> Result<()> {
+            Ok(())
+        }
+
+        fn prepare_commit(&self) -> Result<()> {
+            Ok(())
+        }
+
+        fn append_commit(&self, _blob: BlobId, _descriptor: &SnapshotDescriptor) -> Result<u64> {
+            Ok(self.seq.fetch_add(1, Ordering::SeqCst) + 1)
+        }
+
+        fn sync_commits(&self, _seq: u64) -> Result<()> {
+            if self.armed.load(Ordering::SeqCst) {
+                self.gate.wait();
+                self.gate.wait();
+            }
+            Ok(())
+        }
+
+        fn record_retire(&self, _blob: BlobId, _first_retained: Version) -> Result<()> {
+            Ok(())
+        }
+    }
+
+    fn parked_vm() -> (Arc<VersionManager>, Arc<ParkingJournal>, BlobId) {
+        let vm = Arc::new(VersionManager::new());
+        let journal = ParkingJournal::new();
+        vm.set_journal(Arc::clone(&journal) as Arc<dyn Journal>);
+        let blob = vm.create_blob(BlobConfig::new(CS, 1).unwrap()).unwrap();
+        (vm, journal, blob)
+    }
+
+    /// While a commit's fsync is in flight its version is invisible to
+    /// every reader, and the blob lock is free: another writer gets a
+    /// ticket. Once the fsync returns, every reader sees the version.
+    #[test]
+    fn readers_see_only_durable_versions_and_the_fsync_holds_no_lock() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let (vm, journal, blob) = parked_vm();
+        publish_leaf(&vm, blob, None);
+        journal.armed.store(true, Ordering::SeqCst);
+        let t2 = vm
+            .assign_ticket(blob, WriteKind::Append { len: CS })
+            .unwrap();
+        let writer = {
+            let vm = Arc::clone(&vm);
+            std::thread::spawn(move || vm.complete_write(blob, t2.version))
+        };
+        journal.gate.wait(); // the commit of version 2 is parked in its fsync
+        assert_eq!(vm.latest_snapshot(blob).unwrap().version, Version(1));
+        assert_eq!(vm.pin_snapshot(blob, None).unwrap().0.version, Version(1));
+        assert!(vm.snapshot(blob, Version(1)).is_ok());
+        assert!(matches!(
+            vm.snapshot(blob, t2.version),
+            Err(BlobError::UnknownVersion(..))
+        ));
+        assert_eq!(
+            vm.published_versions(blob).unwrap(),
+            vec![Version(0), Version(1)]
+        );
+        let (tx, rx) = mpsc::channel();
+        let second = {
+            let vm = Arc::clone(&vm);
+            std::thread::spawn(move || {
+                let _ = tx.send(vm.assign_ticket(blob, WriteKind::Append { len: CS }));
+            })
+        };
+        let ticket = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("assign_ticket waited for a commit's fsync: the blob lock was held")
+            .unwrap();
+        assert_eq!(ticket.version, Version(3));
+        second.join().unwrap();
+        journal.gate.wait(); // release the fsync
+        assert_eq!(writer.join().unwrap().unwrap(), t2.version);
+        assert_eq!(vm.latest_snapshot(blob).unwrap().version, t2.version);
+        assert_eq!(vm.pin_snapshot(blob, None).unwrap().0.version, t2.version);
+        assert_eq!(vm.snapshot(blob, t2.version).unwrap().size, 2 * CS);
+        assert_eq!(
+            vm.published_versions(blob).unwrap(),
+            vec![Version(0), Version(1), Version(2)]
+        );
+    }
+
+    /// B completes version 2 before A completes version 1. B's ack must
+    /// mean durable, so B returns only after A's commit published both
+    /// versions and their fsync returned.
+    #[test]
+    fn an_out_of_order_commit_returns_only_once_its_version_is_durable() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let (vm, journal, blob) = parked_vm();
+        journal.armed.store(true, Ordering::SeqCst);
+        let a = vm
+            .assign_ticket(blob, WriteKind::Append { len: CS })
+            .unwrap();
+        let b = vm
+            .assign_ticket(blob, WriteKind::Append { len: CS })
+            .unwrap();
+        let released = Arc::new(AtomicBool::new(false));
+        let (b_done, b_result) = mpsc::channel();
+        let b_writer = {
+            let vm = Arc::clone(&vm);
+            let released = Arc::clone(&released);
+            std::thread::spawn(move || {
+                let outcome = vm.complete_write(blob, b.version);
+                let _ = b_done.send((outcome, released.load(Ordering::SeqCst)));
+            })
+        };
+        assert!(
+            b_result.recv_timeout(Duration::from_millis(100)).is_err(),
+            "B acknowledged a version that is not even published"
+        );
+        let a_writer = {
+            let vm = Arc::clone(&vm);
+            std::thread::spawn(move || vm.complete_write(blob, a.version))
+        };
+        journal.gate.wait(); // A's commit of versions 1 and 2 is in its fsync
+        assert_eq!(vm.latest_snapshot(blob).unwrap().version, Version::ZERO);
+        assert!(
+            b_result.recv_timeout(Duration::from_millis(100)).is_err(),
+            "B acknowledged a version whose fsync is still running"
+        );
+        released.store(true, Ordering::SeqCst);
+        journal.gate.wait();
+        let (outcome, after_release) = b_result.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert!(after_release);
+        assert_eq!(outcome.unwrap(), b.version);
+        assert_eq!(a_writer.join().unwrap().unwrap(), b.version);
+        b_writer.join().unwrap();
+        assert_eq!(vm.latest_snapshot(blob).unwrap().version, b.version);
+    }
+
+    /// A commit waiting on an earlier write that never settles gives up
+    /// after its bounded wait with a retryable error, and its completion
+    /// stands: once the earlier write settles both publish, and the retry
+    /// gets the outcome.
+    #[test]
+    fn a_bounded_commit_wait_gives_up_retryably() {
+        let (vm, _journal, blob) = parked_vm();
+        let append = WriteKind::Append { len: CS };
+        let a = vm.assign_ticket(blob, append).unwrap();
+        let b = vm.assign_ticket(blob, append).unwrap();
+        let wait = Some(Duration::from_millis(50));
+        let err = vm
+            .settle_write(blob, b.version, None, false, wait)
+            .unwrap_err();
+        assert!(matches!(err, BlobError::Transport(_)), "{err:?}");
+        assert_eq!(vm.latest_snapshot(blob).unwrap().version, Version(0));
+        assert_eq!(vm.complete_write(blob, a.version).unwrap(), b.version);
+        assert!(matches!(
+            vm.settle_write(blob, b.version, None, false, wait),
+            Err(BlobError::UnknownVersion(..))
+        ));
+        assert_eq!(vm.await_durable(blob, b.version, wait).unwrap(), b.version);
     }
 
     /// A creation the journal refuses is undone: no id is handed out and

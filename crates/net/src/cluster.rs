@@ -177,7 +177,13 @@ impl NetCluster {
             })
         };
         let server_metrics = Arc::new(TransportMetrics::new());
-        let vm_host = Arc::new(VersionHost::new(Arc::clone(inner.version_manager())));
+        // A commit waiting on an earlier writer gives up at half the
+        // clients' I/O timeout, so it answers before their attempt expires
+        // and each retry re-parks no more than one server thread.
+        let vm_host = Arc::new(
+            VersionHost::new(Arc::clone(inner.version_manager()))
+                .with_commit_wait(inner.config().io_timeout().map(|t| t / 2)),
+        );
         let connectors = Connectors {
             manager: serve(
                 "manager".into(),
@@ -484,7 +490,7 @@ pub fn connect_remote(config: &ClusterConfig, endpoints: &RemoteEndpoints) -> Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blobseer_types::{BlobConfig, Version};
+    use blobseer_types::{BlobConfig, BlobId, Version};
 
     const CS: u64 = 256;
 
@@ -524,6 +530,150 @@ mod tests {
         let stats = client.stats();
         assert!(stats.frames_sent > 0);
         assert!(stats.bytes_on_wire as usize > data.len());
+    }
+
+    /// Only a journaled version manager blocks its handlers: a RAM-resident
+    /// deployment keeps every version-manager request on the reactor's
+    /// inline path.
+    #[test]
+    fn only_a_durable_version_host_may_block() {
+        let ram = tcp(config());
+        assert!((0..=u8::MAX).all(|opcode| !ram.vm_host.may_block(opcode)));
+        let dir =
+            std::env::temp_dir().join(format!("blobseer-net-may-block-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durable = NetCluster::tcp(Cluster::open_durable(config(), &dir).unwrap()).unwrap();
+        let blocking: Vec<u8> = (0..=u8::MAX)
+            .filter(|&opcode| durable.vm_host.may_block(opcode))
+            .collect();
+        assert_eq!(
+            blocking,
+            [
+                crate::rpc::op::VM_CREATE_BLOB,
+                crate::rpc::op::VM_COMPLETE,
+                crate::rpc::op::VM_ABORT
+            ]
+        );
+        drop(durable);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A durable served deployment in a fresh directory, with `io_timeout`.
+    fn durable(name: &str, io_timeout_ms: u64) -> (NetCluster, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("blobseer-net-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ClusterConfig {
+            io_timeout_ms,
+            ..config()
+        };
+        let cluster = NetCluster::tcp(Cluster::open_durable(config, &dir).unwrap()).unwrap();
+        (cluster, dir)
+    }
+
+    /// The header of a `VM_COMPLETE` of `version`, reporting no artifacts.
+    fn completion(blob: BlobId, version: Version) -> (bytes::Bytes, bytes::Bytes) {
+        let header = blobseer_types::wire::encode(&(
+            blob,
+            version,
+            None::<Vec<blobseer_core::NodeArtifact>>,
+        ));
+        (header, bytes::Bytes::new())
+    }
+
+    /// Two completions of one blob pipelined on one connection, the later
+    /// version first: the commit of v+1 waits for v to be durable, so it
+    /// must not hold up v's completion queued behind it. Both are acked in
+    /// the time of a commit, far inside the commit wait.
+    #[test]
+    fn completions_pipelined_out_of_order_on_one_connection_are_both_acked() {
+        use std::time::{Duration, Instant};
+        let (cluster, dir) = durable("pipelined-commits", 8_000);
+        let vm = cluster.inner().version_manager();
+        let blob = vm.create_blob(BlobConfig::new(CS, 1).unwrap()).unwrap();
+        let append = blobseer_core::WriteKind::Append { len: CS };
+        let first = vm.assign_ticket(blob, append).unwrap().version;
+        let second = vm.assign_ticket(blob, append).unwrap().version;
+        let endpoint = RpcEndpoint::new(
+            Arc::clone(&cluster.connectors.vm),
+            Some(Duration::from_secs(8)),
+            Arc::new(TransportMetrics::new()),
+        )
+        .with_retries(0);
+        let started = Instant::now();
+        // One flush: both frames leave in one write, on one connection.
+        let acks = endpoint.call_many(
+            crate::rpc::op::VM_COMPLETE,
+            &[completion(blob, second), completion(blob, first)],
+        );
+        let waited = started.elapsed();
+        // Each ack names the newest durable version, its own or later:
+        // the completion of v may run before v+1 is complete.
+        for (ack, version) in acks.into_iter().zip([second, first]) {
+            let latest: Version = blobseer_types::wire::decode(&ack.unwrap().header).unwrap();
+            assert!(latest >= version, "{version} acked at {latest}");
+        }
+        assert!(
+            waited < Duration::from_secs(2),
+            "the completions took {waited:?}: v+1 held up v behind it"
+        );
+        assert_eq!(vm.latest_snapshot(blob).unwrap().version, second);
+        drop(cluster);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A writer holds version 1 and never settles it. The committer of
+    /// version 2 retries its whole budget, but each attempt gives up at the
+    /// commit wait, before the client's I/O timeout, so the server never
+    /// parks more than one thread for it and lends no stand-in worker.
+    /// Once version 1 settles, both publish.
+    #[test]
+    fn a_commit_behind_a_held_ticket_parks_at_most_one_server_thread() {
+        use std::time::{Duration, Instant};
+        let (cluster, dir) = durable("held-ticket", 300);
+        let vm = cluster.inner().version_manager();
+        let blob = vm.create_blob(BlobConfig::new(CS, 1).unwrap()).unwrap();
+        let append = blobseer_core::WriteKind::Append { len: CS };
+        let held = vm.assign_ticket(blob, append).unwrap().version;
+        let later = vm.assign_ticket(blob, append).unwrap().version;
+        let endpoint = RpcEndpoint::new(
+            Arc::clone(&cluster.connectors.vm),
+            cluster.inner().config().io_timeout(),
+            Arc::new(TransportMetrics::new()),
+        )
+        .with_retries(VM_RPC_RETRIES);
+        let committer = std::thread::spawn(move || {
+            let (header, payload) = completion(blob, later);
+            endpoint.call(crate::rpc::op::VM_COMPLETE, header, payload)
+        });
+        let pool = cluster.reactor.pool();
+        let (mut most_blocking, mut most_threads) = (0, 0);
+        let started = Instant::now();
+        while !committer.is_finished() {
+            assert!(
+                started.elapsed() < Duration::from_secs(30),
+                "the committer never gave up"
+            );
+            most_blocking = most_blocking.max(pool.blocking_jobs());
+            most_threads = most_threads.max(pool.threads());
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let err = committer.join().unwrap().unwrap_err();
+        assert!(matches!(err, BlobError::Transport(_)), "{err:?}");
+        // A retry may start just before the attempt it replaces has left
+        // its job: two at once, never a pile.
+        assert!(
+            most_blocking <= 2,
+            "{most_blocking} commit jobs parked at once"
+        );
+        assert!(
+            most_threads <= default_rpc_workers(),
+            "the pool grew to {most_threads} threads"
+        );
+        assert_eq!(vm.latest_snapshot(blob).unwrap().version, Version(0));
+        assert_eq!(vm.complete_write(blob, held).unwrap(), later);
+        assert_eq!(vm.latest_snapshot(blob).unwrap().version, later);
+        drop(cluster);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

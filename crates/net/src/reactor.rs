@@ -131,13 +131,93 @@ struct PoolShared {
     /// Jobs pushed but not yet picked up by a worker — a lock-free mirror
     /// of the queue length, read by the reactor's inline fast path.
     backlog: AtomicUsize,
+    /// Jobs of [`WorkerPool::execute_blocking`] running right now.
+    blocking: AtomicUsize,
+    /// Stand-in workers alive (see [`WorkerPool::execute_blocking`]).
+    standins: AtomicUsize,
+}
+
+impl PoolShared {
+    /// Stand-ins needed so that at least one thread is outside a blocking
+    /// job: one per blocking job past `workers - 1`.
+    fn standins_needed(&self) -> usize {
+        (self.blocking.load(Ordering::Acquire) + 1).saturating_sub(self.workers)
+    }
+
+    /// Runs queued jobs until the pool shuts down. A stand-in also leaves
+    /// once, between jobs, the pool no longer needs it.
+    fn work(&self, standin: bool) {
+        loop {
+            let job = {
+                let mut queue = self.queue.lock();
+                loop {
+                    if standin && self.retire_standin() {
+                        return;
+                    }
+                    match queue.as_mut() {
+                        Some(jobs) => match jobs.pop_front() {
+                            Some(job) => {
+                                self.backlog.fetch_sub(1, Ordering::Relaxed);
+                                break job;
+                            }
+                            None => self.available.wait(&mut queue),
+                        },
+                        None => {
+                            if standin {
+                                self.standins.fetch_sub(1, Ordering::AcqRel);
+                            }
+                            return;
+                        }
+                    }
+                }
+            };
+            // A panicking job must not cost the pool a worker: the serving
+            // capacity is this fixed thread set. (Request jobs already turn
+            // handler panics into `RESP_ERR`.)
+            let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
+        }
+    }
+
+    /// Whether this stand-in is surplus and has been counted out.
+    fn retire_standin(&self) -> bool {
+        let alive = self.standins.load(Ordering::Acquire);
+        alive > self.standins_needed()
+            && self
+                .standins
+                .compare_exchange(alive, alive - 1, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+    }
+}
+
+fn spawn_worker(shared: &Arc<PoolShared>, name: String, standin: bool) -> std::io::Result<()> {
+    let shared = Arc::clone(shared);
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || shared.work(standin))
+        .map(drop)
+}
+
+/// Counts one [`WorkerPool::execute_blocking`] job as running until drop,
+/// panics included.
+struct BlockingGuard(Arc<PoolShared>);
+
+impl Drop for BlockingGuard {
+    fn drop(&mut self) {
+        self.0.blocking.fetch_sub(1, Ordering::AcqRel);
+        if self.0.standins.load(Ordering::Acquire) > 0 {
+            // Idle stand-ins wait on the queue: wake them to retire.
+            self.0.available.notify_all();
+        }
+    }
 }
 
 /// A bounded pool of `net-worker-N` threads draining one MPMC job queue.
 ///
 /// The pool is the server-side concurrency bound: however many clients
 /// connect, at most `workers` requests execute at once and at most
-/// `workers` threads exist for handling them. Cloning shares the pool;
+/// `workers` threads exist for handling them — plus, only while more
+/// blocking jobs run than there are workers, one stand-in per extra job
+/// ([`WorkerPool::execute_blocking`]). Cloning shares the pool;
 /// [`WorkerPool::shutdown`] stops it (workers finish the job they are on
 /// and exit — deliberately not joined, so a hung handler delays nothing
 /// but itself).
@@ -163,32 +243,11 @@ impl WorkerPool {
             available: Condvar::new(),
             workers,
             backlog: AtomicUsize::new(0),
+            blocking: AtomicUsize::new(0),
+            standins: AtomicUsize::new(0),
         });
         for n in 0..workers {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("net-worker-{n}"))
-                .spawn(move || loop {
-                    let job = {
-                        let mut queue = shared.queue.lock();
-                        loop {
-                            match queue.as_mut() {
-                                Some(jobs) => match jobs.pop_front() {
-                                    Some(job) => {
-                                        shared.backlog.fetch_sub(1, Ordering::Relaxed);
-                                        break job;
-                                    }
-                                    None => shared.available.wait(&mut queue),
-                                },
-                                None => return,
-                            }
-                        }
-                    };
-                    // A panicking job must not cost the pool a worker: the
-                    // serving capacity is this fixed thread set. (Request
-                    // jobs already turn handler panics into `RESP_ERR`.)
-                    let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
-                })
+            spawn_worker(&shared, format!("net-worker-{n}"), false)
                 .expect("cannot spawn rpc worker thread");
         }
         WorkerPool { shared }
@@ -220,6 +279,45 @@ impl WorkerPool {
             drop(queue);
             self.shared.available.notify_one();
         }
+    }
+
+    /// Enqueues a job that may block until *another* request has run — a
+    /// durable commit waits for the commit of its blob's earlier version.
+    /// Were every worker inside such a job, the request they wait on could
+    /// never run, so whenever the running blocking jobs reach the worker
+    /// count the pool lends a stand-in worker (`net-worker-standin`) for
+    /// each one past it. Stand-ins retire between jobs once not needed.
+    /// How many blocking jobs pile up is the handler's to bound: the
+    /// version-manager host caps how long a commit waits.
+    pub fn execute_blocking(&self, job: impl FnOnce() + Send + 'static) {
+        let shared = Arc::clone(&self.shared);
+        self.execute(move || {
+            shared.blocking.fetch_add(1, Ordering::AcqRel);
+            let guard = BlockingGuard(Arc::clone(&shared));
+            if shared.standins.load(Ordering::Acquire) < shared.standins_needed() {
+                shared.standins.fetch_add(1, Ordering::AcqRel);
+                if spawn_worker(&shared, "net-worker-standin".into(), true).is_err() {
+                    // No thread to lend now: count it back out, so the
+                    // next blocking job tries again.
+                    shared.standins.fetch_sub(1, Ordering::AcqRel);
+                }
+            }
+            job();
+            drop(guard);
+        });
+    }
+
+    /// Threads serving the pool right now: its workers plus the live
+    /// stand-ins.
+    #[cfg(test)]
+    pub(crate) fn threads(&self) -> usize {
+        self.shared.workers + self.shared.standins.load(Ordering::Acquire)
+    }
+
+    /// Jobs of [`WorkerPool::execute_blocking`] running right now.
+    #[cfg(test)]
+    pub(crate) fn blocking_jobs(&self) -> usize {
+        self.shared.blocking.load(Ordering::Acquire)
     }
 
     /// Whether any job is queued but not yet picked up by a worker. Used by
@@ -909,7 +1007,8 @@ fn pump_reads_inner(
 /// Requests up to this many wire bytes per batch qualify for the inline
 /// fast path: at most one burst's worth of small control-plane frames
 /// (placement, version, metadata lookups). Anything bigger carries chunk
-/// payloads and belongs on a worker.
+/// payloads and belongs on a worker, and so does a batch whose handler
+/// may block ([`RpcHandler::may_block`]) however small it is.
 pub(crate) const INLINE_BATCH_BYTES: usize = BURST_READ;
 
 /// Hands one pump's worth of decoded requests to the worker pool as a
@@ -929,16 +1028,49 @@ pub(crate) const INLINE_BATCH_BYTES: usize = BURST_READ;
 /// backlog exists, everything is handed off, preserving rough arrival
 /// order and keeping the reactor scanning; payload-carrying batches always
 /// go to a worker so a large store can never stall the event loop.
+///
+/// A request its handler reports as [`RpcHandler::may_block`] (a durable
+/// commit waits on an fsync, and on the commit of an earlier version) never
+/// runs inline, and never shares a job: each goes to the pool alone
+/// through [`WorkerPool::execute_blocking`], so the reactor, every other
+/// connection and the rest of its own batch keep moving while it waits.
+/// Alone matters: a commit of version v+1 waits for the commit of v, which
+/// may sit behind it in the same batch. Responses carry request ids, so
+/// their order does not matter.
 fn dispatch_batch(
     requests: Vec<Frame>,
     handler: &Arc<dyn RpcHandler>,
     outbound: &OutboundHandle,
     pool: &WorkerPool,
 ) {
+    let (blocking, requests): (Vec<Frame>, Vec<Frame>) = requests
+        .into_iter()
+        .partition(|request| handler.may_block(request.opcode));
+    for request in blocking {
+        pool.execute_blocking(respond_job(vec![request], handler, outbound));
+    }
+    if requests.is_empty() {
+        return;
+    }
     let wire_bytes: u64 = requests.iter().map(Frame::wire_len).sum();
+    let job = respond_job(requests, handler, outbound);
+    if wire_bytes <= INLINE_BATCH_BYTES as u64 && !pool.has_backlog() {
+        job();
+    } else {
+        pool.execute(job);
+    }
+}
+
+/// The job that answers `requests` and flushes their responses through the
+/// connection's outbound in one locked pass.
+fn respond_job(
+    requests: Vec<Frame>,
+    handler: &Arc<dyn RpcHandler>,
+    outbound: &OutboundHandle,
+) -> impl FnOnce() + Send + 'static {
     let handler = Arc::clone(handler);
     let outbound = Arc::clone(outbound);
-    let job = move || {
+    move || {
         let responses: Vec<OutFrame> = requests
             .into_iter()
             .map(|request| OutFrame::new(&respond(handler.as_ref(), request)))
@@ -954,11 +1086,6 @@ fn dispatch_batch(
                 .store(!out.queue.is_empty() || out.closed, Ordering::Release);
             outbound.rearm.store(true, Ordering::Release);
         }
-    };
-    if wire_bytes <= INLINE_BATCH_BYTES as u64 && !pool.has_backlog() {
-        job();
-    } else {
-        pool.execute(job);
     }
 }
 
@@ -1046,6 +1173,106 @@ mod tests {
         });
         std::thread::sleep(Duration::from_millis(30));
         assert_eq!(ran.load(Ordering::Relaxed), 0);
+    }
+
+    /// Sleeps 200 ms on opcode 0x73, which it reports as blocking, and
+    /// echoes everything else.
+    struct SlowCommits;
+
+    impl RpcHandler for SlowCommits {
+        fn handle(
+            &self,
+            opcode: u8,
+            header: &[u8],
+            payload: Bytes,
+        ) -> blobseer_types::Result<(Bytes, Bytes)> {
+            if opcode == 0x73 {
+                std::thread::sleep(Duration::from_millis(200));
+            }
+            Ok((Bytes::from(header.to_vec()), payload))
+        }
+
+        fn may_block(&self, opcode: u8) -> bool {
+            opcode == 0x73
+        }
+    }
+
+    /// A small batch whose handler may block goes to the pool, never runs
+    /// on the reactor: a 200 ms request on one connection does not delay
+    /// an echo on another.
+    #[test]
+    fn a_batch_that_may_block_never_runs_on_the_reactor() {
+        use crate::rpc::{RpcEndpoint, RpcServer};
+        use crate::transport::tcp_listener;
+        use blobseer_types::TransportMetrics;
+        let (connector, listener) = tcp_listener("127.0.0.1:0").unwrap();
+        let pool = WorkerPool::new(2);
+        let reactor = Reactor::new(pool.clone(), None);
+        let server = RpcServer::spawn_reactor(&reactor, listener, Arc::new(SlowCommits));
+        let endpoint = || {
+            RpcEndpoint::new(
+                Arc::clone(&connector),
+                Some(Duration::from_secs(5)),
+                Arc::new(TransportMetrics::new()),
+            )
+        };
+        let (slow, quick) = (endpoint(), endpoint());
+        // Dial both connections first, so neither pays the accept stride.
+        quick.call(0x20, Bytes::new(), Bytes::new()).unwrap();
+        slow.call(0x20, Bytes::new(), Bytes::new()).unwrap();
+        let slow = std::thread::spawn(move || slow.call(0x73, Bytes::new(), Bytes::new()));
+        std::thread::sleep(Duration::from_millis(20));
+        let started = Instant::now();
+        quick
+            .call(0x20, Bytes::from_static(b"quick"), Bytes::new())
+            .unwrap();
+        let waited = started.elapsed();
+        slow.join().unwrap().unwrap();
+        assert!(
+            waited < Duration::from_millis(50),
+            "an echo waited {waited:?} behind a blocking request"
+        );
+        drop(server);
+        reactor.stop();
+        pool.shutdown();
+    }
+
+    /// More blocking jobs than workers, each waiting on a job queued
+    /// behind them, do not wedge the pool: stand-ins run the queue, and
+    /// they retire once the blocking jobs are done.
+    #[test]
+    fn blocking_jobs_beyond_the_worker_count_do_not_wedge_the_pool() {
+        let pool = WorkerPool::new(2);
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let (done, finished) = std::sync::mpsc::channel();
+        for _ in 0..3 {
+            let gate = Arc::clone(&gate);
+            let done = done.clone();
+            pool.execute_blocking(move || {
+                let (open, opened) = &*gate;
+                let mut open = open.lock();
+                while !*open {
+                    opened.wait(&mut open);
+                }
+                done.send(()).unwrap();
+            });
+        }
+        pool.execute(move || {
+            let (open, opened) = &*gate;
+            *open.lock() = true;
+            opened.notify_all();
+        });
+        for _ in 0..3 {
+            finished
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the job the blocked ones wait on never ran");
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while pool.shared.standins.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(pool.shared.standins.load(Ordering::Acquire), 0);
+        pool.shutdown();
     }
 
     #[test]

@@ -534,6 +534,12 @@ impl std::fmt::Debug for RpcEndpoint {
 pub trait RpcHandler: Send + Sync {
     /// Handles one request, returning the response header and payload.
     fn handle(&self, opcode: u8, header: &[u8], payload: Bytes) -> Result<(Bytes, Bytes)>;
+
+    /// Whether serving `opcode` may block — on an fsync, or on another
+    /// request. The reactor never runs such a request on its own thread.
+    fn may_block(&self, _opcode: u8) -> bool {
+        false
+    }
 }
 
 /// Runs `handler` on one decoded request and builds its response frame.
@@ -792,6 +798,9 @@ pub struct VersionHost {
     /// Replay window for the non-idempotent requests (create / assign / pin):
     /// nonce → the encoded response already produced for it.
     replays: Mutex<ReplayWindow>,
+    /// How long a completion or abort waits for its version to become
+    /// durable before it answers a retryable error (`None`: for ever).
+    commit_wait: Option<Duration>,
 }
 
 /// How many completed non-idempotent requests the host remembers. A retry
@@ -841,7 +850,20 @@ impl VersionHost {
             leases: Mutex::new(HashMap::new()),
             next_lease: AtomicU64::new(1),
             replays: Mutex::new(ReplayWindow::new()),
+            commit_wait: None,
         }
+    }
+
+    /// Bounds how long a `VM_COMPLETE` or `VM_ABORT` waits for its version
+    /// to become durable — it may wait on an earlier writer of the blob,
+    /// one that may have died. Past the bound the request answers the
+    /// retryable [`BlobError::Transport`] and the client's retry waits
+    /// again. Kept below the clients' I/O timeout, a waiting committer
+    /// holds at most one server thread at a time.
+    #[must_use]
+    pub fn with_commit_wait(mut self, wait: Option<Duration>) -> Self {
+        self.commit_wait = wait;
+        self
     }
 
     /// Number of pin leases currently held (tests, diagnostics).
@@ -861,18 +883,14 @@ impl VersionHost {
         Ok(fresh)
     }
 
-    /// Maps `UnknownVersion` on a completion/abort retry to success: if the
-    /// version is already at or below the published horizon, the first
-    /// attempt landed and only its response was lost.
+    /// Maps `UnknownVersion` on a completion/abort retry to the first
+    /// attempt's outcome: if the version is already published, that attempt
+    /// landed and only its response was lost — or it is still syncing, and
+    /// the retry waits for the same durability it waits for.
     fn settle(&self, blob: BlobId, version: Version, outcome: Result<Version>) -> Result<Version> {
         match outcome {
             Err(BlobError::UnknownVersion(..)) => {
-                let latest = self.vm.latest_snapshot(blob)?.version;
-                if version.0 <= latest.0 {
-                    Ok(latest)
-                } else {
-                    Err(BlobError::UnknownVersion(blob, version))
-                }
+                self.vm.await_durable(blob, version, self.commit_wait)
             }
             other => other,
         }
@@ -880,6 +898,13 @@ impl VersionHost {
 }
 
 impl RpcHandler for VersionHost {
+    /// With a journal, a blob creation fsyncs and a completion or abort
+    /// waits for its version to be durable; without one, nothing blocks.
+    fn may_block(&self, opcode: u8) -> bool {
+        matches!(opcode, op::VM_CREATE_BLOB | op::VM_COMPLETE | op::VM_ABORT)
+            && self.vm.is_journaled()
+    }
+
     fn handle(&self, opcode: u8, header: &[u8], _payload: Bytes) -> Result<(Bytes, Bytes)> {
         match opcode {
             op::VM_CREATE_BLOB => {
@@ -913,15 +938,17 @@ impl RpcHandler for VersionHost {
             op::VM_COMPLETE => {
                 let (blob, version, artifacts): (BlobId, Version, Option<Vec<NodeArtifact>>) =
                     decode(header)?;
-                let outcome = self
-                    .vm
-                    .complete_write_with_artifacts(blob, version, artifacts);
+                let outcome =
+                    self.vm
+                        .settle_write(blob, version, artifacts, false, self.commit_wait);
                 Ok((encode(&self.settle(blob, version, outcome)?), Bytes::new()))
             }
             op::VM_ABORT => {
                 let (blob, version, artifacts): (BlobId, Version, Option<Vec<NodeArtifact>>) =
                     decode(header)?;
-                let outcome = self.vm.abort_write_with_artifacts(blob, version, artifacts);
+                let outcome =
+                    self.vm
+                        .settle_write(blob, version, artifacts, true, self.commit_wait);
                 Ok((encode(&self.settle(blob, version, outcome)?), Bytes::new()))
             }
             op::VM_PIN => {
@@ -1262,6 +1289,85 @@ mod tests {
         let err = endpoint.call(0x20, Bytes::new(), Bytes::new());
         assert!(err.is_err());
         pool.shutdown();
+    }
+
+    /// A journal whose every commit fsync parks until the test releases
+    /// it: the first barrier wait says it is parked, the second lets it go.
+    struct ParkingJournal {
+        seq: AtomicU64,
+        gate: std::sync::Barrier,
+    }
+
+    impl blobseer_core::Journal for ParkingJournal {
+        fn record_create_blob(&self, _blob: BlobId, _config: &BlobConfig) -> Result<()> {
+            Ok(())
+        }
+
+        fn prepare_commit(&self) -> Result<()> {
+            Ok(())
+        }
+
+        fn append_commit(
+            &self,
+            _blob: BlobId,
+            _descriptor: &blobseer_meta::SnapshotDescriptor,
+        ) -> Result<u64> {
+            Ok(self.seq.fetch_add(1, Ordering::SeqCst) + 1)
+        }
+
+        fn sync_commits(&self, _seq: u64) -> Result<()> {
+            self.gate.wait();
+            self.gate.wait();
+            Ok(())
+        }
+
+        fn record_retire(&self, _blob: BlobId, _first_retained: Version) -> Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A `VM_COMPLETE` re-sent while the first attempt is still syncing
+    /// (its response was lost, say) gets that attempt's outcome once it is
+    /// durable — not `UnknownVersion`, and not before the fsync returns.
+    #[test]
+    fn a_completion_retried_during_its_fsync_gets_the_first_outcome() {
+        let vm = Arc::new(VersionManager::new());
+        let journal = Arc::new(ParkingJournal {
+            seq: AtomicU64::new(0),
+            gate: std::sync::Barrier::new(2),
+        });
+        vm.set_journal(Arc::clone(&journal) as Arc<dyn blobseer_core::Journal>);
+        let host = Arc::new(VersionHost::new(Arc::clone(&vm)));
+        assert!(host.may_block(op::VM_COMPLETE));
+        let blob = vm.create_blob(BlobConfig::default()).unwrap();
+        let ticket = vm
+            .assign_ticket(blob, WriteKind::Append { len: 1 })
+            .unwrap();
+        let request = encode(&(blob, ticket.version, None::<Vec<NodeArtifact>>));
+        let complete = || {
+            let host = Arc::clone(&host);
+            let request = request.clone();
+            let (tx, rx) = channel();
+            std::thread::spawn(move || {
+                let _ = tx.send(host.handle(op::VM_COMPLETE, &request, Bytes::new()));
+            });
+            rx
+        };
+        let first = complete();
+        journal.gate.wait(); // the first attempt is in its fsync
+        let retry = complete();
+        assert!(
+            retry.recv_timeout(Duration::from_millis(100)).is_err(),
+            "the retry answered before the version was durable"
+        );
+        journal.gate.wait();
+        for attempt in [first, retry] {
+            let (header, _) = attempt
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap()
+                .unwrap();
+            assert_eq!(decode::<Version>(&header).unwrap(), ticket.version);
+        }
     }
 
     #[test]

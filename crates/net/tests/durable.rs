@@ -11,10 +11,12 @@
 //! CI runs this file single-threaded (`--test-threads=1`): each test owns
 //! an on-disk directory and a whole deployment.
 
-use blobseer_core::{BlobClient, Cluster};
-use blobseer_net::NetCluster;
-use blobseer_types::{BlobConfig, BlobId, ClusterConfig, Result};
+use blobseer_core::{BlobClient, Cluster, VersionService, WriteKind};
+use blobseer_net::{default_rpc_workers, NetCluster, NetVersionService, RpcEndpoint, TcpConnector};
+use blobseer_types::{BlobConfig, BlobId, ClusterConfig, Result, TransportMetrics};
 use std::path::{Path, PathBuf};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 const CS: u64 = 128;
 
@@ -106,4 +108,64 @@ fn round_trip(serve: fn(Cluster) -> Result<NetCluster>, tag: &str) {
 #[test]
 fn tcp_deployment_round_trips_through_restart() {
     round_trip(NetCluster::tcp, "tcp");
+}
+
+/// More commits wait on one durable blob than the server has workers: each
+/// holds a worker until the blob's first version settles, and the request
+/// settling it arrives last, over the wire. It must still run — the pool
+/// lends stand-in workers — and then every append is acknowledged.
+#[test]
+fn more_waiting_commits_than_workers_do_not_wedge_the_server() {
+    let dir = temp_dir("waiting-commits");
+    let cluster = NetCluster::tcp(open_durable(&dir)).expect("serves");
+    let blob = cluster
+        .client()
+        .create_blob(BlobConfig::new(CS, 1).expect("valid blob config"))
+        .expect("blob creates");
+    let vm_addr = cluster
+        .endpoint_addrs()
+        .into_iter()
+        .find(|(name, _)| name == "vm")
+        .expect("a version-manager endpoint")
+        .1;
+    let held_writer = NetVersionService::new(RpcEndpoint::new(
+        Arc::new(TcpConnector::new(vm_addr)),
+        Some(Duration::from_secs(30)),
+        Arc::new(TransportMetrics::new()),
+    ));
+    let held = held_writer
+        .assign_ticket(blob, WriteKind::Append { len: CS })
+        .expect("ticket");
+
+    let writers = default_rpc_workers() + 1;
+    let (done, acked) = mpsc::channel();
+    for i in 0..writers {
+        let client = cluster.client();
+        let done = done.clone();
+        std::thread::spawn(move || {
+            let _ = done.send(client.append(blob, pattern(CS as usize, i as u64)));
+        });
+    }
+    let vm = cluster.inner().version_manager();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while vm.pending_count(blob).unwrap() < writers + 1 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Let every writer reach its commit, or queue behind the waiting ones.
+    std::thread::sleep(Duration::from_millis(300));
+    held_writer
+        .abort_write(blob, held.version, None)
+        .expect("the held version settles");
+    for _ in 0..writers {
+        acked
+            .recv_timeout(Duration::from_secs(30))
+            .expect("an append never acknowledged: the server's pool is wedged")
+            .expect("append succeeds");
+    }
+    assert_eq!(
+        vm.latest_snapshot(blob).unwrap().version.0,
+        writers as u64 + 1
+    );
+    drop(cluster);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -148,14 +148,30 @@ pub(crate) fn frame_parts(kind: u8, parts: &[&[u8]]) -> Vec<u8> {
     out
 }
 
-/// The file operations [`LogTail`] needs, so tests can inject failures.
-pub(crate) trait LogFile {
+/// The file operations an appending log needs. [`File`] is the real one;
+/// a test can open a [`MetaWal`](crate::MetaWal) over a wrapper whose
+/// writes or fsyncs fail on demand (see `MetaWal::open_over`).
+pub trait LogFile: Send + Sync {
     /// Appends `buf` at the end of the file.
     fn append(&self, buf: &[u8]) -> io::Result<()>;
     /// Cuts the file to `len` bytes.
     fn truncate(&self, len: u64) -> io::Result<()>;
     /// Flushes the file's data to stable storage.
     fn sync(&self) -> io::Result<()>;
+}
+
+impl<T: LogFile + ?Sized> LogFile for Box<T> {
+    fn append(&self, buf: &[u8]) -> io::Result<()> {
+        (**self).append(buf)
+    }
+
+    fn truncate(&self, len: u64) -> io::Result<()> {
+        (**self).truncate(len)
+    }
+
+    fn sync(&self) -> io::Result<()> {
+        (**self).sync()
+    }
 }
 
 impl LogFile for File {
@@ -177,10 +193,13 @@ impl LogFile for File {
 /// its length. An append either lands whole or leaves the file as it was —
 /// a failed write is cut back off, so the next record never lands behind
 /// garbage that recovery would stop at. When even the cut fails the tail
-/// is *torn*, and it refuses every later append and sync (fail-stop).
+/// is *torn*, and it refuses every later append and sync (fail-stop);
+/// [`LogTail::fail`] puts it in that state on purpose.
 pub(crate) struct LogTail<F = File> {
     file: Arc<F>,
     len: u64,
+    /// Bytes a completed fsync covers (everything found at open counts).
+    synced_len: u64,
     torn: Option<String>,
 }
 
@@ -190,6 +209,7 @@ impl<F: LogFile> LogTail<F> {
         LogTail {
             file: Arc::new(file),
             len,
+            synced_len: len,
             torn: None,
         }
     }
@@ -197,6 +217,32 @@ impl<F: LogFile> LogTail<F> {
     /// Bytes in the file.
     pub(crate) fn len(&self) -> u64 {
         self.len
+    }
+
+    /// Records that an fsync of `file` taken when the log was `len` bytes
+    /// long completed. Ignored when `file` is no longer this tail's handle.
+    pub(crate) fn synced(&mut self, file: &Arc<F>, len: u64) {
+        if Arc::ptr_eq(file, &self.file) {
+            self.synced_len = self.synced_len.max(len);
+        }
+    }
+
+    /// Fails the log (fail-stop): every later append and sync is refused
+    /// with `why`; the first reason sticks. With `cut_unsynced`, the bytes
+    /// no fsync covered are cut off, best effort, so the file holds what a
+    /// crash at the last good fsync would have left.
+    pub(crate) fn fail(&mut self, why: String, cut_unsynced: bool) {
+        if self.torn.is_none() {
+            if cut_unsynced {
+                let _ = self.file.truncate(self.synced_len);
+            }
+            self.torn = Some(why);
+        }
+    }
+
+    /// Why the log failed, once it has.
+    pub(crate) fn failure(&self) -> Option<&str> {
+        self.torn.as_deref()
     }
 
     /// The file handle, for an fsync taken outside the caller's lock.
@@ -222,6 +268,9 @@ impl<F: LogFile> LogTail<F> {
             return Err(err.into());
         }
         self.len += record.len() as u64;
+        if sync {
+            self.synced_len = self.len;
+        }
         Ok(())
     }
 }

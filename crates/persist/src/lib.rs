@@ -42,7 +42,7 @@ mod tier;
 mod wal;
 
 pub use frame::{
-    frame_record, record_crc, scan, Crc32, RecordView, ScanOutcome, RECORD_HEADER_BYTES,
+    frame_record, record_crc, scan, Crc32, LogFile, RecordView, ScanOutcome, RECORD_HEADER_BYTES,
     RECORD_MAGIC,
 };
 pub use segment::{SegmentRecovery, SegmentStore, SegmentStoreOptions};

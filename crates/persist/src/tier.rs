@@ -11,11 +11,19 @@
 //! ```
 //!
 //! The tier implements [`Journal`], the version manager's durability hook.
-//! Its commit implementation is the write-ahead ordering in one place:
-//! under [`Durability::Commit`] it fsyncs every provider's segment store
-//! *before* appending (and fsyncing) the WAL commit record, so a commit
-//! record on disk proves the chunks and nodes it names are on disk too.
-//! A store no append touched since its last fsync skips the call.
+//! Its commit is the write-ahead ordering in three steps, none of which
+//! holds a fsync under the blob lock:
+//!
+//! 1. [`Journal::prepare_commit`], before the lock: under
+//!    [`Durability::Commit`] it fsyncs every provider's segment store, so a
+//!    commit record appended afterwards never names a chunk that is not on
+//!    disk. A store no append touched since its last fsync skips the call.
+//! 2. [`Journal::append_commit`], under the lock: the WAL record, unsynced.
+//! 3. [`Journal::sync_commits`], after the lock: the WAL's group fsync
+//!    ([`MetaWal::sync_through`]), one for every commit queued behind it.
+//!
+//! Any failed fsync, of a segment store or of the WAL, fails the WAL for
+//! good: a disk that lost bytes once is not trusted with a commit again.
 
 use crate::segment::{SegmentStore, SegmentStoreOptions};
 use crate::wal::{Journal, MetaWal, RecoveredMetadata};
@@ -167,15 +175,26 @@ impl Journal for DurableTier {
         self.wal.log_create_blob(blob, config)
     }
 
-    fn record_commit(&self, blob: BlobId, descriptor: &SnapshotDescriptor) -> Result<()> {
-        // Write-ahead ordering: the chunks and nodes of this version must
-        // be durable before the record that publishes them. Under `Always`
-        // every record was already synced; under `Buffered` the caller
-        // opted out of syncing entirely.
+    fn prepare_commit(&self) -> Result<()> {
+        // Write-ahead ordering: the chunks of a version must be durable
+        // before the record that publishes them. Under `Always` every
+        // record was already synced; under `Buffered` the caller opted out
+        // of syncing entirely.
         if self.options.durability == Durability::Commit {
-            self.sync_stores()?;
+            if let Err(err) = self.sync_stores() {
+                self.wal.fail(format!("segment store fsync failed: {err}"));
+                return Err(err);
+            }
         }
-        self.wal.log_commit(blob, descriptor)
+        Ok(())
+    }
+
+    fn append_commit(&self, blob: BlobId, descriptor: &SnapshotDescriptor) -> Result<u64> {
+        self.wal.append_commit(blob, descriptor)
+    }
+
+    fn sync_commits(&self, seq: u64) -> Result<()> {
+        self.wal.sync_through(seq)
     }
 
     fn record_retire(&self, blob: BlobId, first_retained: Version) -> Result<()> {
@@ -234,16 +253,19 @@ mod tests {
         {
             let (tier, _) = DurableTier::open(&dir, 1, DurableTierOptions::default()).unwrap();
             tier.record_create_blob(BlobId(7), &config).unwrap();
-            tier.record_commit(
-                BlobId(7),
-                &SnapshotDescriptor {
-                    version: Version(1),
-                    size: 64,
-                    chunk_size: 64,
-                    flat: false,
-                },
-            )
-            .unwrap();
+            tier.prepare_commit().unwrap();
+            let seq = tier
+                .append_commit(
+                    BlobId(7),
+                    &SnapshotDescriptor {
+                        version: Version(1),
+                        size: 64,
+                        chunk_size: 64,
+                        flat: false,
+                    },
+                )
+                .unwrap();
+            tier.sync_commits(seq).unwrap();
         }
         let (_, recovered) = DurableTier::open(&dir, 1, DurableTierOptions::default()).unwrap();
         assert_eq!(recovered.blobs.len(), 1);

@@ -10,6 +10,15 @@
 //! prefix per blob, and drops every orphaned pre-commit record (nodes of
 //! versions whose commit never made it).
 //!
+//! Commits are group-committed. [`MetaWal::append_commit`] appends a
+//! record without an fsync and hands back its sequence number;
+//! [`MetaWal::sync_through`] makes every record up to a sequence number
+//! durable. One caller at a time leads: it fsyncs the log outside the
+//! append lock, and that one fsync covers every record appended before it
+//! started. Callers that queued behind it find their records covered and
+//! return without an fsync of their own. A failed append or fsync fails the
+//! log for good (fail-stop): [`MetaWal::failure`] says why.
+//!
 //! A checkpoint rewrites the log as a compacted image of the live state
 //! (blobs, surviving nodes, commit prefix) via write-to-temp + fsync +
 //! rename, so the log does not grow with history forever. It is *fuzzy*:
@@ -17,7 +26,7 @@
 //! appended after the checkpoint's begin mark is carried over behind the
 //! image, so no acknowledged mutation falls between capture and swap.
 
-use crate::frame::{frame_record, parent_dir, scan, sync_dir, LogTail};
+use crate::frame::{frame_record, parent_dir, scan, sync_dir, LogFile, LogTail};
 use blobseer_meta::{MetadataStore, NodeBody, NodeKey, SnapshotDescriptor};
 use blobseer_types::wire::{WireReader, WireWriter};
 use blobseer_types::{BlobConfig, BlobError, BlobId, ChunkCodec, Durability, Result, Version};
@@ -29,7 +38,7 @@ use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Record kinds of the metadata WAL.
 const KIND_CREATE_BLOB: u8 = 1;
@@ -181,17 +190,33 @@ pub type CheckpointImage = (
     Vec<(NodeKey, NodeBody)>,
 );
 
+/// Wraps each file the log appends to: the file itself in production, a
+/// failure-injecting double in tests.
+type OpenLog = Box<dyn Fn(File) -> Box<dyn LogFile> + Send + Sync>;
+
 /// The append-only metadata log.
 pub struct MetaWal {
     path: PathBuf,
     durability: Durability,
-    inner: Mutex<LogTail>,
+    open_log: OpenLog,
+    inner: Mutex<LogTail<Box<dyn LogFile>>>,
+    /// Records appended since open: the sequence number of the newest one.
+    /// Raised under `inner`.
+    appended: AtomicU64,
+    /// Every record with a sequence number up to this is on disk.
+    synced: AtomicU64,
+    /// Held by the one caller of [`MetaWal::sync_through`] that fsyncs.
+    sync_leader: Mutex<()>,
+    fsyncs: AtomicU64,
     records_since_checkpoint: AtomicU64,
     bytes_since_checkpoint: AtomicU64,
     checkpoints: AtomicU64,
     /// Set by [`MetaWal::seal`] at shutdown: every later append or
     /// checkpoint fails cleanly instead of racing the closing log.
     sealed: AtomicBool,
+    /// Why the log failed, once it has: [`MetaWal::failure`] reads it
+    /// without waiting on a checkpoint that holds `inner`.
+    failed: OnceLock<String>,
 }
 
 impl MetaWal {
@@ -202,6 +227,17 @@ impl MetaWal {
     pub fn open(
         path: impl AsRef<Path>,
         durability: Durability,
+    ) -> Result<(Self, RecoveredMetadata)> {
+        Self::open_over(path, durability, |file| Box::new(file))
+    }
+
+    /// [`MetaWal::open`], appending through `open_log(file)` instead of the
+    /// file itself — here and after every checkpoint swap. Tests pass a
+    /// wrapper whose writes or fsyncs fail on demand.
+    pub fn open_over(
+        path: impl AsRef<Path>,
+        durability: Durability,
+        open_log: impl Fn(File) -> Box<dyn LogFile> + Send + Sync + 'static,
     ) -> Result<(Self, RecoveredMetadata)> {
         let path = path.as_ref().to_path_buf();
         if let Some(parent) = path.parent() {
@@ -252,13 +288,19 @@ impl MetaWal {
             MetaWal {
                 path,
                 durability,
-                inner: Mutex::new(LogTail::new(file, cut as u64)),
+                inner: Mutex::new(LogTail::new(open_log(file), cut as u64)),
+                open_log: Box::new(open_log),
+                appended: AtomicU64::new(0),
+                synced: AtomicU64::new(0),
+                sync_leader: Mutex::new(()),
+                fsyncs: AtomicU64::new(0),
                 records_since_checkpoint: AtomicU64::new(replayed),
                 // Seed with the surviving log length: a reopened WAL that is
                 // already huge is as checkpoint-due as one that grew huge.
                 bytes_since_checkpoint: AtomicU64::new(cut as u64),
                 checkpoints: AtomicU64::new(0),
                 sealed: AtomicBool::new(false),
+                failed: OnceLock::new(),
             },
             recovered,
         ))
@@ -390,8 +432,12 @@ impl MetaWal {
         // (and its bytes are on their way to disk) before we flip the flag.
         let inner = self.inner.lock();
         self.sealed.store(true, Ordering::SeqCst);
-        if self.durability != Durability::Buffered {
-            let _ = inner.handle().map(|file| file.sync_data());
+        if self.durability != Durability::Buffered
+            && inner.handle().is_ok_and(|file| file.sync().is_ok())
+        {
+            self.fsyncs.fetch_add(1, Ordering::Relaxed);
+            self.synced
+                .fetch_max(self.appended.load(Ordering::Relaxed), Ordering::AcqRel);
         }
     }
 
@@ -407,24 +453,70 @@ impl MetaWal {
         self.checkpoints.load(Ordering::Relaxed)
     }
 
-    fn append(&self, kind: u8, payload: &[u8], sync: bool) -> Result<()> {
+    /// Fsyncs of the log file since open: the inline ones of synced
+    /// appends and the group fsyncs of [`MetaWal::sync_through`].
+    #[must_use]
+    pub fn fsyncs(&self) -> u64 {
+        self.fsyncs.load(Ordering::Relaxed)
+    }
+
+    /// Why the log failed, once a failed append or fsync stopped it. A
+    /// failed log refuses every later append, sync and checkpoint until the
+    /// process restarts and recovery replays what reached the disk. Takes
+    /// no lock, so a health probe never waits on a running checkpoint.
+    #[must_use]
+    pub fn failure(&self) -> Option<String> {
+        self.failed.get().cloned()
+    }
+
+    /// Fails the log from outside (fail-stop), with `why` as the reason
+    /// [`MetaWal::failure`] reports. The durable tier calls it when a
+    /// segment store's fsync fails: no commit may name chunks that a
+    /// failing disk may have lost.
+    pub fn fail(&self, why: String) {
+        self.fail_locked(&mut self.inner.lock(), why);
+    }
+
+    /// Fails the log under its lock. Unless the policy never syncs, the
+    /// unsynced tail goes too, as a crash would take it: no commit in it
+    /// was acknowledged.
+    fn fail_locked(&self, inner: &mut LogTail<Box<dyn LogFile>>, why: String) {
+        inner.fail(why, self.durability != Durability::Buffered);
+        if let Some(why) = inner.failure() {
+            let _ = self.failed.set(why.to_string());
+        }
+    }
+
+    /// Appends one record and returns its sequence number, fsyncing it
+    /// first when `sync` is set (and the policy syncs at all). Any failure
+    /// fails the log.
+    fn append(&self, kind: u8, payload: &[u8], sync: bool) -> Result<u64> {
         let record = frame_record(kind, payload);
+        let sync = sync && self.durability != Durability::Buffered;
         let mut inner = self.inner.lock();
         self.writable(&inner)?;
-        inner.append(&record, sync && self.durability != Durability::Buffered)?;
+        if let Err(err) = inner.append(&record, sync) {
+            self.fail_locked(&mut inner, format!("metadata WAL append failed: {err}"));
+            return Err(err);
+        }
+        let seq = self.appended.fetch_add(1, Ordering::Relaxed) + 1;
+        if sync {
+            self.fsyncs.fetch_add(1, Ordering::Relaxed);
+            self.synced.fetch_max(seq, Ordering::AcqRel);
+        }
         // Counted under the lock, so a checkpoint's mark and swap see the
         // counters agree with the log length.
         self.records_since_checkpoint
             .fetch_add(1, Ordering::Relaxed);
         self.bytes_since_checkpoint
             .fetch_add(record.len() as u64, Ordering::Relaxed);
-        Ok(())
+        Ok(seq)
     }
 
     /// Fails once the log is sealed or torn; called under the file lock. A
     /// log a failed append left torn stays failed: no checkpoint quietly
     /// brings it back.
-    fn writable(&self, inner: &LogTail) -> Result<()> {
+    fn writable(&self, inner: &LogTail<Box<dyn LogFile>>) -> Result<()> {
         if self.sealed.load(Ordering::SeqCst) {
             return Err(BlobError::Internal(
                 "metadata WAL is sealed (shutting down)".into(),
@@ -444,7 +536,7 @@ impl MetaWal {
         let mut w = WireWriter::new();
         w.put(&blob);
         put_blob_config(&mut w, config);
-        self.append(KIND_CREATE_BLOB, &w.finish(), true)
+        self.append(KIND_CREATE_BLOB, &w.finish(), true).map(drop)
     }
 
     /// Journals a batch of published tree nodes (before they reach the
@@ -458,17 +550,66 @@ impl MetaWal {
             &put_nodes_payload(nodes),
             self.sync_every_record(),
         )
+        .map(drop)
     }
 
-    /// Journals a version-manager commit: the publication point. Synced
-    /// under every policy but `Buffered` — this is the record that makes a
-    /// version durable, and it must land after the chunks and nodes it
-    /// names (the caller syncs the chunk segments first).
-    pub fn log_commit(&self, blob: BlobId, descriptor: &SnapshotDescriptor) -> Result<()> {
+    /// Appends a version-manager commit record — the publication point —
+    /// and returns its sequence number for [`MetaWal::sync_through`]. Not
+    /// synced here (unless the policy syncs every record): the record must
+    /// land after the chunks and nodes it names, and in publication order,
+    /// but many commits can share one fsync.
+    pub fn append_commit(&self, blob: BlobId, descriptor: &SnapshotDescriptor) -> Result<u64> {
         let mut w = WireWriter::new();
         w.put(&blob);
         put_descriptor(&mut w, descriptor);
-        self.append(KIND_COMMIT, &w.finish(), true)
+        self.append(KIND_COMMIT, &w.finish(), self.sync_every_record())
+    }
+
+    /// Makes every record up to sequence number `seq` durable: the group
+    /// fsync. Returns at once when an earlier fsync already covered `seq`.
+    /// Otherwise one caller at a time leads: it reads the append count,
+    /// fsyncs outside the append lock (appends keep flowing), and raises
+    /// the synced mark to that count. A failed fsync fails the log. A no-op
+    /// under [`Durability::Buffered`], which promises no machine-crash
+    /// safety.
+    pub fn sync_through(&self, seq: u64) -> Result<()> {
+        if self.durability == Durability::Buffered || self.synced.load(Ordering::Acquire) >= seq {
+            return Ok(());
+        }
+        let _leader = self.sync_leader.lock();
+        if self.synced.load(Ordering::Acquire) >= seq {
+            return Ok(());
+        }
+        let (file, count, len) = {
+            let inner = self.inner.lock();
+            self.writable(&inner)?;
+            (
+                inner.handle()?,
+                self.appended.load(Ordering::Relaxed),
+                inner.len(),
+            )
+        };
+        let synced = file.sync();
+        self.fsyncs.fetch_add(1, Ordering::Relaxed);
+        let mut inner = self.inner.lock();
+        match synced {
+            Ok(()) => {
+                inner.synced(&file, len);
+                self.synced.fetch_max(count, Ordering::AcqRel);
+                Ok(())
+            }
+            Err(err) => {
+                self.fail_locked(&mut inner, format!("metadata WAL fsync failed: {err}"));
+                Err(err.into())
+            }
+        }
+    }
+
+    /// Journals a commit and waits for it to be durable:
+    /// [`MetaWal::append_commit`] then [`MetaWal::sync_through`].
+    pub fn log_commit(&self, blob: BlobId, descriptor: &SnapshotDescriptor) -> Result<()> {
+        let seq = self.append_commit(blob, descriptor)?;
+        self.sync_through(seq)
     }
 
     /// Journals a sweeper delete so recovery does not resurrect swept nodes.
@@ -479,6 +620,7 @@ impl MetaWal {
         let mut w = WireWriter::new();
         w.put(&keys.to_vec());
         self.append(KIND_DELETE_NODES, &w.finish(), self.sync_every_record())
+            .map(drop)
     }
 
     /// Journals a lifecycle retention floor so recovery does not resurrect
@@ -488,6 +630,7 @@ impl MetaWal {
         w.put(&blob);
         w.put(&first_retained);
         self.append(KIND_RETIRE, &w.finish(), self.sync_every_record())
+            .map(drop)
     }
 
     /// Rewrites the log as a compacted image of the live state: temp file,
@@ -561,12 +704,20 @@ impl MetaWal {
         // name must not be lost to a power cut while they are not.
         sync_dir(parent_dir(&self.path), self.durability)?;
         *inner = LogTail::new(
-            OpenOptions::new().append(true).open(&self.path)?,
+            (self.open_log)(OpenOptions::new().append(true).open(&self.path)?),
             image.len() as u64,
         );
         if self.durability != Durability::Buffered {
-            inner.handle()?.sync_data()?;
+            self.fsyncs.fetch_add(1, Ordering::Relaxed);
+            if let Err(err) = inner.handle()?.sync() {
+                self.fail_locked(&mut inner, format!("metadata WAL fsync failed: {err}"));
+                return Err(err.into());
+            }
         }
+        // The synced image carries every record appended so far, unsynced
+        // commits included: their sync is done.
+        self.synced
+            .fetch_max(self.appended.load(Ordering::Relaxed), Ordering::AcqRel);
         // Both triggers count the carried tail only — the compacted image
         // itself is the floor another checkpoint cannot shrink, so counting
         // it would loop the trigger forever on a large live state.
@@ -583,13 +734,28 @@ impl MetaWal {
 /// each lifecycle-relevant transition. A RAM-resident deployment runs with
 /// no journal at all; the durable tier implements this over its WAL and
 /// segment stores.
+///
+/// A commit takes three steps, so that no fsync runs under the blob lock:
+/// [`Journal::prepare_commit`] before the lock, [`Journal::append_commit`]
+/// under it (records land in publication order) and
+/// [`Journal::sync_commits`] after it, where concurrent commits share one
+/// fsync. A version counts as durable, and becomes visible to readers, only
+/// once its record is synced.
 pub trait Journal: Send + Sync {
-    /// A blob was created (journaled before the creation is acknowledged).
+    /// A blob was created (journaled, and synced, before the creation is
+    /// acknowledged).
     fn record_create_blob(&self, blob: BlobId, config: &BlobConfig) -> Result<()>;
-    /// A version was published — the commit point. Implementations must
-    /// make every preceding chunk and node of the version durable before
-    /// this record (write-ahead ordering).
-    fn record_commit(&self, blob: BlobId, descriptor: &SnapshotDescriptor) -> Result<()>;
+    /// Step 1, before the blob lock: makes every chunk written so far
+    /// durable, so no commit record appended after it can name a chunk that
+    /// is not on disk (write-ahead ordering).
+    fn prepare_commit(&self) -> Result<()>;
+    /// Step 2, under the blob lock: appends the commit record of one
+    /// published version without syncing it. Returns its sequence number.
+    fn append_commit(&self, blob: BlobId, descriptor: &SnapshotDescriptor) -> Result<u64>;
+    /// Step 3, after the blob lock: returns once every record up to `seq`
+    /// is durable. A failure is final: the journal refuses every later
+    /// commit.
+    fn sync_commits(&self, seq: u64) -> Result<()>;
     /// The retention floor moved.
     fn record_retire(&self, blob: BlobId, first_retained: Version) -> Result<()>;
 }
@@ -645,6 +811,7 @@ impl MetadataStore for WalMetaStore {
         self.inner.put_nodes(nodes)?;
         let wal = &self.wal;
         wal.append(KIND_PUT_NODES, &payload, wal.sync_every_record())
+            .map(drop)
     }
 
     fn delete_nodes(&self, keys: &[NodeKey]) -> Result<usize> {
@@ -969,6 +1136,66 @@ mod tests {
         drop(wal);
         let (_, recovered) = MetaWal::open(&path, Durability::Commit).unwrap();
         assert_eq!(recovered.blobs.len(), 1);
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// Commits appended without a sync share one group fsync, and a sync
+    /// an earlier fsync already covered costs none.
+    #[test]
+    fn one_group_fsync_covers_every_commit_queued_before_it() {
+        let path = temp_wal("group");
+        let (wal, _) = MetaWal::open(&path, Durability::Commit).unwrap();
+        let seqs: Vec<u64> = (1..=3u64)
+            .map(|v| {
+                wal.append_commit(BlobId(1), &descriptor(v, v * 64))
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(seqs, vec![1, 2, 3]);
+        assert_eq!(wal.fsyncs(), 0, "appending a commit does not sync it");
+        wal.sync_through(3).unwrap();
+        assert_eq!(wal.fsyncs(), 1);
+        wal.sync_through(1).unwrap();
+        wal.sync_through(2).unwrap();
+        assert_eq!(
+            wal.fsyncs(),
+            1,
+            "covered records need no fsync of their own"
+        );
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// A commit record appended, unsynced, before a checkpoint's mark is
+    /// carried by the capture (the version manager exports its in-memory
+    /// prefix), and the synced image completes its sync.
+    #[test]
+    fn an_unsynced_commit_before_the_mark_survives_a_checkpoint() {
+        let path = temp_wal("unsynced");
+        let config = BlobConfig::default();
+        {
+            let (wal, _) = MetaWal::open(&path, Durability::Commit).unwrap();
+            wal.log_create_blob(BlobId(1), &config).unwrap();
+            wal.log_put_nodes(&[node(1, 1, 0)]).unwrap();
+            let seq = wal.append_commit(BlobId(1), &descriptor(1, 64)).unwrap();
+            wal.checkpoint(|| {
+                Ok((
+                    vec![(
+                        BlobId(1),
+                        config,
+                        vec![SnapshotDescriptor::initial(64), descriptor(1, 64)],
+                        Version(0),
+                    )],
+                    vec![node(1, 1, 0)],
+                ))
+            })
+            .unwrap();
+            let fsyncs = wal.fsyncs();
+            wal.sync_through(seq).unwrap();
+            assert_eq!(wal.fsyncs(), fsyncs, "the synced image covered the commit");
+        }
+        let (_, recovered) = MetaWal::open(&path, Durability::Commit).unwrap();
+        assert_eq!(recovered.blobs[0].published.len(), 2);
+        assert_eq!(recovered.stats.recovered_nodes, 1);
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 

@@ -4,7 +4,9 @@
 //! dependency, no keep-alive, one request per connection, which is all a
 //! scrape or a health probe needs:
 //!
-//! * `GET /health` → `ok` once the deployment serves;
+//! * `GET /health` → `ok` once the deployment serves, or `503` with the
+//!   reason once its metadata WAL has failed (fail-stop: the deployment
+//!   refuses every commit until it is restarted and recovers);
 //! * `GET /metrics` → one `name value` line per counter (the serving-side
 //!   traffic accounting, the shared chunk cache, lifecycle/GC, recovery and
 //!   metadata round-trip counters already kept by the cluster);
@@ -80,6 +82,19 @@ pub fn render_metrics(cluster: &NetCluster) -> String {
     put("corrupt_chunk_records", rec.corrupt_chunk_records);
 
     out
+}
+
+/// The health probe's answer: `ok`, unless the durable tier's WAL has
+/// failed, in which case no commit can land and the reason is the answer.
+fn health(cluster: &NetCluster) -> (&'static str, String) {
+    let failure = cluster
+        .inner()
+        .durable_tier()
+        .and_then(|tier| tier.wal().failure());
+    match failure {
+        None => ("200 OK", "ok\n".to_string()),
+        Some(why) => ("503 Service Unavailable", format!("failed: {why}\n")),
+    }
 }
 
 /// The metrics/health endpoint: a listener thread answering one request per
@@ -188,7 +203,7 @@ fn serve_one(
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
 
     let (status, body) = match (method, path) {
-        ("GET", "/health") => ("200 OK", "ok\n".to_string()),
+        ("GET", "/health") => health(cluster),
         ("GET", "/metrics") => ("200 OK", render_metrics(cluster)),
         ("POST", "/shutdown") => ("200 OK", "draining\n".to_string()),
         _ => ("404 Not Found", "unknown route\n".to_string()),
@@ -257,6 +272,34 @@ mod tests {
         assert!(ack.contains("draining"), "{ack}");
         server.wait_for_shutdown(); // must already be tripped — no hang
         server.stop();
+    }
+
+    /// Once the WAL has failed, the health probe turns unhealthy and says
+    /// why.
+    #[test]
+    fn health_reports_a_failed_wal() {
+        let dir =
+            std::env::temp_dir().join(format!("blobseer-server-health-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ClusterConfig {
+            data_providers: 2,
+            metadata_providers: 1,
+            ..ClusterConfig::default()
+        };
+        let cluster =
+            Arc::new(NetCluster::tcp(Cluster::open_durable(config, &dir).unwrap()).unwrap());
+        let server = MetricsServer::start("127.0.0.1:0", Arc::clone(&cluster)).unwrap();
+        let healthy = http_get(server.addr(), "GET /health HTTP/1.0\r\n\r\n");
+        assert!(healthy.starts_with("HTTP/1.0 200"), "{healthy}");
+
+        let wal = cluster.inner().durable_tier().unwrap().wal();
+        wal.fail("injected disk failure".into());
+        let failed = http_get(server.addr(), "GET /health HTTP/1.0\r\n\r\n");
+        assert!(failed.starts_with("HTTP/1.0 503"), "{failed}");
+        assert!(failed.contains("injected disk failure"), "{failed}");
+        server.stop();
+        drop(cluster);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Scrapers (the benchmark harness among them) key on these names, in
