@@ -1857,7 +1857,7 @@ mod tests {
     /// A log file whose writes or fsyncs fail while the matching flag is
     /// set.
     struct FlakyLog {
-        file: std::fs::File,
+        file: Box<dyn blobseer_persist::LogFile>,
         fail_write: Arc<std::sync::atomic::AtomicBool>,
         fail_sync: Arc<std::sync::atomic::AtomicBool>,
     }
@@ -1879,6 +1879,10 @@ mod tests {
                 return Err(std::io::Error::other("injected fsync failure"));
             }
             self.file.sync()
+        }
+
+        fn read_at(&self, buf: &mut [u8], at: u64) -> std::io::Result<()> {
+            self.file.read_at(buf, at)
         }
     }
 
@@ -1905,12 +1909,12 @@ mod tests {
             let (wal, _) = blobseer_persist::MetaWal::open_over(
                 &path,
                 blobseer_types::Durability::Commit,
-                move |file| {
-                    Box::new(FlakyLog {
-                        file,
+                move |path| {
+                    Ok(Box::new(FlakyLog {
+                        file: blobseer_persist::open_log_file(path)?,
                         fail_write: Arc::clone(&write_flag),
                         fail_sync: Arc::clone(&sync_flag),
-                    })
+                    }))
                 },
             )
             .unwrap();
@@ -1982,6 +1986,91 @@ mod tests {
             );
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// A segment store whose fsync fails stops for good, and the commit
+    /// whose `prepare_commit` hit the failure is never visible: the writer
+    /// gets a typed error, the WAL fails with the store, later puts to the
+    /// store are refused, and a reopen recovers exactly the committed
+    /// prefix.
+    #[test]
+    fn a_commit_a_segment_fsync_fails_is_never_visible() {
+        use blobseer_persist::{DurableTier, DurableTierOptions};
+        use blobseer_provider::ChunkStore;
+        use std::sync::atomic::AtomicBool;
+        let dir = std::env::temp_dir().join(format!(
+            "blobseer-vm-{}-failed-segment-fsync",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fail_sync = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&fail_sync);
+        let (tier, _) =
+            DurableTier::open_over(&dir, 1, DurableTierOptions::default(), move |path| {
+                // Only the segment files fail; the WAL's disk stays healthy.
+                let segment = path.extension().is_some_and(|ext| ext == "log");
+                Ok(Box::new(FlakyLog {
+                    file: blobseer_persist::open_log_file(path)?,
+                    fail_write: Arc::new(AtomicBool::new(false)),
+                    fail_sync: if segment {
+                        Arc::clone(&flag)
+                    } else {
+                        Arc::new(AtomicBool::new(false))
+                    },
+                }))
+            })
+            .unwrap();
+        let tier = Arc::new(tier);
+        let store = Arc::clone(&tier.stores()[0]);
+        let chunk = |slot| ChunkId {
+            blob: BlobId(1),
+            write_tag: 9,
+            slot,
+        };
+        let data =
+            || blobseer_types::wire::ChunkEnvelope::verbatim(bytes::Bytes::from(vec![7u8; 64]));
+        let vm = Arc::new(VersionManager::new());
+        vm.set_journal(Arc::clone(&tier) as Arc<dyn Journal>);
+        let blob = vm.create_blob(BlobConfig::new(CS, 1).unwrap()).unwrap();
+        store.put(chunk(1), data()).unwrap();
+        publish_leaf(&vm, blob, Some(chunk(1)));
+
+        store.put(chunk(2), data()).unwrap();
+        let t2 = vm
+            .assign_ticket(blob, WriteKind::Append { len: CS })
+            .unwrap();
+        fail_sync.store(true, Ordering::SeqCst);
+        let err = vm.complete_write(blob, t2.version).unwrap_err();
+        assert!(matches!(err, BlobError::Storage(_)), "{err:?}");
+        assert!(
+            tier.wal().failure().is_some(),
+            "the WAL stops with the store"
+        );
+        assert_eq!(vm.latest_snapshot(blob).unwrap().version, Version(1));
+        assert_eq!(
+            vm.published_versions(blob).unwrap(),
+            vec![Version(0), Version(1)]
+        );
+
+        // The disk is healthy again, but the store stays failed.
+        fail_sync.store(false, Ordering::SeqCst);
+        assert!(
+            store.put(chunk(3), data()).is_err(),
+            "a failed store takes no put"
+        );
+        assert!(store.sync().is_err());
+        assert_eq!(vm.latest_snapshot(blob).unwrap().version, Version(1));
+
+        drop((vm, tier, store));
+        let (tier, recovered) = DurableTier::open(&dir, 1, DurableTierOptions::default()).unwrap();
+        let versions: Vec<Version> = recovered.blobs[0]
+            .published
+            .iter()
+            .map(|d| d.version)
+            .collect();
+        assert_eq!(versions, vec![Version(0), Version(1)]);
+        assert_eq!(tier.stores()[0].get(&chunk(1)).unwrap(), Some(data()));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A journal whose `sync_commits` parks, once armed, until the test

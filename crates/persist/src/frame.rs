@@ -1,4 +1,5 @@
-//! Record framing shared by chunk segment files and the metadata WAL.
+//! Records, their framing, and the one log engine both durable stores sit
+//! on.
 //!
 //! Every durable file is a sequence of self-delimiting records:
 //!
@@ -13,15 +14,41 @@
 //! [`scan`] walks a buffer and classifies every byte: complete records
 //! (each flagged `crc_ok` or not) followed by at most one *torn tail* — an
 //! incomplete or unframeable suffix that a crash mid-append leaves behind
-//! and recovery physically truncates. [`LogTail`] is the other end: it
-//! appends records so that a failed write never leaves one behind.
+//! and recovery physically truncates.
+//!
+//! `RecordLog` is the engine: numbered files of records, appended to at the
+//! newest. Everything a log does that does not depend on what its records
+//! mean is written here once:
+//! - **recovery**, one file at a time: read, scan, let the caller's visitor
+//!   say where the file ends, truncate the torn tail and fsync the cut;
+//! - **appends** under one lock, with a callback that learns each record's
+//!   file, offset and sequence number under that lock; a failed write is
+//!   cut back off, and the active file rolls to the next number at the
+//!   caller's size limit, fsyncing the sealed one;
+//! - the **group fsync**, `sync_through(seq)`: one leader fsyncs outside the
+//!   append lock and raises the synced mark for everything appended before
+//!   it started;
+//! - **fail-stop**: a failed fsync fails the log for good and cuts its
+//!   unsynced tail; the reason is readable without a lock;
+//! - **positioned reads** into exact-size buffers, where a failure is the
+//!   retryable [`BlobError::Transport`];
+//! - **retiring** sealed files, and **replacing** a one-file log whole;
+//! - the **fault seam**: every file it opens or creates comes from one
+//!   opener, [`open_log_file`] unless a test passes a [`LogFile`] double.
+//!
+//! The chunk segment store and the metadata WAL are two keyspaces over it,
+//! in the same on-disk format.
 
 use blobseer_types::{BlobError, Durability, Result};
-use std::fs::File;
+use parking_lot::{Mutex, MutexGuard, RwLock};
+use std::collections::BTreeMap;
+use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::ops::Range;
-use std::path::Path;
-use std::sync::Arc;
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// First byte of every record; anything else marks the start of a torn tail.
 pub const RECORD_MAGIC: u8 = 0xB5;
@@ -148,9 +175,10 @@ pub(crate) fn frame_parts(kind: u8, parts: &[&[u8]]) -> Vec<u8> {
     out
 }
 
-/// The file operations an appending log needs. [`File`] is the real one;
-/// a test can open a [`MetaWal`](crate::MetaWal) over a wrapper whose
-/// writes or fsyncs fail on demand (see `MetaWal::open_over`).
+/// The file operations a log needs. [`File`] is the real one, opened by
+/// [`open_log_file`]; a store opened through an `open_over` constructor
+/// gets every file from the caller's opener instead, which may wrap it in
+/// a double whose writes, fsyncs or reads fail on demand.
 pub trait LogFile: Send + Sync {
     /// Appends `buf` at the end of the file.
     fn append(&self, buf: &[u8]) -> io::Result<()>;
@@ -158,20 +186,8 @@ pub trait LogFile: Send + Sync {
     fn truncate(&self, len: u64) -> io::Result<()>;
     /// Flushes the file's data to stable storage.
     fn sync(&self) -> io::Result<()>;
-}
-
-impl<T: LogFile + ?Sized> LogFile for Box<T> {
-    fn append(&self, buf: &[u8]) -> io::Result<()> {
-        (**self).append(buf)
-    }
-
-    fn truncate(&self, len: u64) -> io::Result<()> {
-        (**self).truncate(len)
-    }
-
-    fn sync(&self) -> io::Result<()> {
-        (**self).sync()
-    }
+    /// Fills `buf` with the bytes at offset `at`; a short read is an error.
+    fn read_at(&self, buf: &mut [u8], at: u64) -> io::Result<()>;
 }
 
 impl LogFile for File {
@@ -187,92 +203,21 @@ impl LogFile for File {
     fn sync(&self) -> io::Result<()> {
         self.sync_data()
     }
+
+    fn read_at(&self, buf: &mut [u8], at: u64) -> io::Result<()> {
+        FileExt::read_exact_at(self, buf, at)
+    }
 }
 
-/// The append end of one log file (opened in append mode): the handle and
-/// its length. An append either lands whole or leaves the file as it was —
-/// a failed write is cut back off, so the next record never lands behind
-/// garbage that recovery would stop at. When even the cut fails the tail
-/// is *torn*, and it refuses every later append and sync (fail-stop);
-/// [`LogTail::fail`] puts it in that state on purpose.
-pub(crate) struct LogTail<F = File> {
-    file: Arc<F>,
-    len: u64,
-    /// Bytes a completed fsync covers (everything found at open counts).
-    synced_len: u64,
-    torn: Option<String>,
-}
-
-impl<F: LogFile> LogTail<F> {
-    /// The tail of `file`, which is `len` bytes long.
-    pub(crate) fn new(file: F, len: u64) -> Self {
-        LogTail {
-            file: Arc::new(file),
-            len,
-            synced_len: len,
-            torn: None,
-        }
-    }
-
-    /// Bytes in the file.
-    pub(crate) fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// Records that an fsync of `file` taken when the log was `len` bytes
-    /// long completed. Ignored when `file` is no longer this tail's handle.
-    pub(crate) fn synced(&mut self, file: &Arc<F>, len: u64) {
-        if Arc::ptr_eq(file, &self.file) {
-            self.synced_len = self.synced_len.max(len);
-        }
-    }
-
-    /// Fails the log (fail-stop): every later append and sync is refused
-    /// with `why`; the first reason sticks. With `cut_unsynced`, the bytes
-    /// no fsync covered are cut off, best effort, so the file holds what a
-    /// crash at the last good fsync would have left.
-    pub(crate) fn fail(&mut self, why: String, cut_unsynced: bool) {
-        if self.torn.is_none() {
-            if cut_unsynced {
-                let _ = self.file.truncate(self.synced_len);
-            }
-            self.torn = Some(why);
-        }
-    }
-
-    /// Why the log failed, once it has.
-    pub(crate) fn failure(&self) -> Option<&str> {
-        self.torn.as_deref()
-    }
-
-    /// The file handle, for an fsync taken outside the caller's lock.
-    pub(crate) fn handle(&self) -> Result<Arc<F>> {
-        match &self.torn {
-            Some(why) => Err(BlobError::Internal(format!("log is failed: {why}"))),
-            None => Ok(Arc::clone(&self.file)),
-        }
-    }
-
-    /// Appends one record, fsyncing it when `sync` is set.
-    pub(crate) fn append(&mut self, record: &[u8], sync: bool) -> Result<()> {
-        let file = self.handle()?;
-        let written = file
-            .append(record)
-            .and_then(|()| if sync { file.sync() } else { Ok(()) });
-        if let Err(err) = written {
-            if let Err(cut) = file.truncate(self.len) {
-                self.torn = Some(format!(
-                    "append failed ({err}) and its partial bytes could not be cut back ({cut})"
-                ));
-            }
-            return Err(err.into());
-        }
-        self.len += record.len() as u64;
-        if sync {
-            self.synced_len = self.len;
-        }
-        Ok(())
-    }
+/// Opens a log file, creating it if absent, the way a log opens every file
+/// unless it was given an opener: readable, and appended to at its end.
+pub fn open_log_file(path: &Path) -> io::Result<Box<dyn LogFile>> {
+    let file = OpenOptions::new()
+        .read(true)
+        .append(true)
+        .create(true)
+        .open(path)?;
+    Ok(Box::new(file))
 }
 
 /// Makes a name change in `dir` — a file created, renamed over or removed —
@@ -367,6 +312,470 @@ pub fn scan(buf: &[u8]) -> ScanOutcome {
     }
 }
 
+/// Opens every file of a [`RecordLog`]: [`open_log_file`], or a test's
+/// failure-injecting wrapper around it.
+pub(crate) type Opener = Arc<dyn Fn(&Path) -> io::Result<Box<dyn LogFile>> + Send + Sync>;
+
+/// A log file's shared handle. The active file's appends and every
+/// positioned read go through it; a reader that cloned it finishes on the
+/// file even after the log retired or replaced it.
+type Handle = Arc<Box<dyn LogFile>>;
+
+/// How a [`RecordLog`] names and treats its files.
+pub(crate) struct LogConfig {
+    /// The directory holding the files; its entries are fsynced after every
+    /// name change.
+    pub(crate) dir: PathBuf,
+    /// The path of file number `n`.
+    pub(crate) path: Box<dyn Fn(u64) -> PathBuf + Send + Sync>,
+    pub(crate) durability: Durability,
+    /// Size at which the active file is sealed and the next numbered file
+    /// started (`u64::MAX`: never).
+    pub(crate) roll_bytes: u64,
+    /// Whether a failed append fails the log, as a failed fsync always does.
+    pub(crate) fail_on_append_error: bool,
+    pub(crate) open: Opener,
+}
+
+/// Where an appended record landed.
+pub(crate) struct Pos {
+    /// The file's number.
+    pub(crate) file: u64,
+    /// The record's offset in the file.
+    pub(crate) offset: u64,
+    /// The record's sequence number: records appended since open.
+    pub(crate) seq: u64,
+}
+
+/// What recovering a log's files found.
+#[derive(Debug, Default)]
+pub(crate) struct Recovered {
+    /// Every file, oldest first, with its length once the torn tail is cut.
+    pub(crate) files: Vec<(u64, u64)>,
+    /// Torn-tail bytes physically truncated.
+    pub(crate) truncated_bytes: u64,
+}
+
+/// The file appends go to.
+struct Active {
+    no: u64,
+    file: Handle,
+    /// Bytes in the file.
+    len: u64,
+    /// Bytes a completed fsync covers (everything found at open counts).
+    synced_len: u64,
+}
+
+/// The one log engine under both durable stores: numbered files of framed
+/// records, appended to at the newest. It owns recovery, appends, rolling,
+/// the group fsync, fail-stop, positioned reads and retiring files; a store
+/// keeps only what its records mean.
+pub(crate) struct RecordLog {
+    config: LogConfig,
+    /// The append lock.
+    active: Mutex<Active>,
+    /// The read handle of every file, the active one included.
+    files: RwLock<BTreeMap<u64, Handle>>,
+    /// Records appended since open: the sequence number of the newest one.
+    /// Raised under the append lock.
+    appended: AtomicU64,
+    /// Every record with a sequence number up to this is on disk. Raised
+    /// (`AcqRel`) only after the fsync that covers it returned.
+    synced: AtomicU64,
+    /// Held by the one caller of [`RecordLog::sync_through`] that fsyncs.
+    sync_leader: Mutex<()>,
+    fsyncs: AtomicU64,
+    /// Set by [`RecordLog::seal`] at shutdown.
+    sealed: AtomicBool,
+    /// Why the log failed, once it has (fail-stop). Set under the append
+    /// lock, read without it.
+    failed: OnceLock<String>,
+}
+
+impl RecordLog {
+    /// Opens the log over the files numbered `numbers` (oldest first; none
+    /// creates file 1 and fsyncs its directory entry). Files are recovered
+    /// one at a time, so opening peaks at one file of memory: read,
+    /// [`scan`], then `visit(file, record, payload, is_last)` for each
+    /// complete record in order. Where `visit` returns false the file ends:
+    /// that record and everything after it are the torn tail, which is
+    /// truncated and fsynced away. The newest file becomes the append
+    /// target.
+    pub(crate) fn open(
+        config: LogConfig,
+        mut numbers: Vec<u64>,
+        mut visit: impl FnMut(u64, &RecordView, &[u8], bool) -> bool,
+    ) -> Result<(Self, Recovered)> {
+        let created = numbers.is_empty();
+        if created {
+            numbers.push(1);
+        }
+        let mut recovered = Recovered::default();
+        let mut files = BTreeMap::new();
+        for &no in &numbers {
+            let path = (config.path)(no);
+            let file = (config.open)(&path)?;
+            let len = if created {
+                // The new file's name must outlive a power cut before
+                // anything is appended to it.
+                sync_dir(&config.dir, config.durability)?;
+                0
+            } else {
+                std::fs::metadata(&path)?.len() as usize
+            };
+            let mut raw = vec![0; len];
+            file.read_at(&mut raw, 0)?;
+            let outcome = scan(&raw);
+            let mut cut = outcome.valid_len;
+            let last = outcome.records.len().saturating_sub(1);
+            for (i, record) in outcome.records.iter().enumerate() {
+                if !visit(no, record, &raw[record.payload.clone()], i == last) {
+                    cut = record.span.start;
+                    break;
+                }
+            }
+            if cut < len {
+                file.truncate(cut as u64)?;
+                file.sync()?;
+                recovered.truncated_bytes += (len - cut) as u64;
+            }
+            recovered.files.push((no, cut as u64));
+            files.insert(no, Arc::new(file));
+        }
+        let (&no, file) = files.iter().next_back().expect("a log has a file");
+        let len = recovered.files.last().map_or(0, |&(_, len)| len);
+        let active = Active {
+            no,
+            file: Arc::clone(file),
+            len,
+            synced_len: len,
+        };
+        let log = RecordLog {
+            config,
+            active: Mutex::new(active),
+            files: RwLock::new(files),
+            appended: AtomicU64::new(0),
+            synced: AtomicU64::new(0),
+            sync_leader: Mutex::new(()),
+            fsyncs: AtomicU64::new(0),
+            sealed: AtomicBool::new(false),
+            failed: OnceLock::new(),
+        };
+        Ok((log, recovered))
+    }
+
+    fn path(&self, no: u64) -> PathBuf {
+        (self.config.path)(no)
+    }
+
+    /// Takes the append lock.
+    pub(crate) fn lock(&self) -> Appender<'_> {
+        Appender {
+            log: self,
+            active: self.active.lock(),
+        }
+    }
+
+    /// Records appended since open: the sequence number of the newest.
+    pub(crate) fn appended(&self) -> u64 {
+        self.appended.load(Ordering::Relaxed)
+    }
+
+    /// Makes every record up to sequence number `seq` durable: the group
+    /// fsync. Returns at once when an earlier fsync already covered `seq`.
+    /// Otherwise one caller at a time leads: it reads the append count,
+    /// fsyncs outside the append lock (appends keep flowing), and raises
+    /// the synced mark to that count. A failed fsync fails the log. So does
+    /// anything else while the fsync runs, and then the fsync counts for
+    /// nothing: failing cut the unsynced tail it covered. A no-op under
+    /// [`Durability::Buffered`], which promises no machine-crash safety.
+    pub(crate) fn sync_through(&self, seq: u64) -> Result<()> {
+        if self.config.durability == Durability::Buffered
+            || self.synced.load(Ordering::Acquire) >= seq
+        {
+            return Ok(());
+        }
+        let _leader = self.sync_leader.lock();
+        if self.synced.load(Ordering::Acquire) >= seq {
+            return Ok(());
+        }
+        let log = self.lock();
+        log.writable()?;
+        let (file, len) = (Arc::clone(&log.active.file), log.active.len);
+        let count = self.appended();
+        drop(log);
+        let synced = file.sync();
+        self.fsyncs.fetch_add(1, Ordering::Relaxed);
+        let mut log = self.lock();
+        if let Err(err) = synced {
+            log.fail(format!("fsync failed: {err}"));
+            return Err(err.into());
+        }
+        self.check_failed()?;
+        // A roll or a replace since may have swapped the file; either
+        // synced everything the old one held.
+        if Arc::ptr_eq(&file, &log.active.file) {
+            log.active.synced_len = log.active.synced_len.max(len);
+        }
+        self.synced.fetch_max(count, Ordering::AcqRel);
+        Ok(())
+    }
+
+    /// Seals the log for shutdown: every later append and sync fails
+    /// cleanly instead of writing into a file that is being closed, and a
+    /// final fsync covers every record appended before. The flag is set
+    /// under the append lock, so no append lands after the final fsync.
+    /// One-way and idempotent.
+    pub(crate) fn seal(&self) {
+        let mut log = self.lock();
+        if !self.sealed.swap(true, Ordering::SeqCst)
+            && self.config.durability != Durability::Buffered
+            && self.failed.get().is_none()
+        {
+            let _ = log.sync_active();
+        }
+    }
+
+    /// Whether [`RecordLog::seal`] has been called.
+    pub(crate) fn is_sealed(&self) -> bool {
+        self.sealed.load(Ordering::SeqCst)
+    }
+
+    /// Fsyncs of the log's files since open.
+    pub(crate) fn fsyncs(&self) -> u64 {
+        self.fsyncs.load(Ordering::Relaxed)
+    }
+
+    /// Why the log failed, once it has. Takes no lock.
+    pub(crate) fn failure(&self) -> Option<String> {
+        self.failed.get().cloned()
+    }
+
+    /// Fails once the log has failed.
+    fn check_failed(&self) -> Result<()> {
+        self.failed.get().map_or(Ok(()), |why| {
+            Err(BlobError::Internal(format!("log is failed: {why}")))
+        })
+    }
+
+    /// A reader of file `no`.
+    pub(crate) fn reader(&self, no: u64) -> Result<Reader<'_>> {
+        let file = self.files.read().get(&no).cloned();
+        file.map(|file| Reader {
+            log: self,
+            no,
+            file,
+        })
+        .ok_or_else(|| BlobError::Transport(format!("{} is not open", self.path(no).display())))
+    }
+
+    /// Retires every file numbered up to `through`, all of them sealed:
+    /// deletes them, then fsyncs the directory. Their handles leave last, so
+    /// a reader that cloned one finishes on the unlinked file.
+    pub(crate) fn retire(&self, through: u64) -> Result<()> {
+        let victims: Vec<u64> = self
+            .files
+            .read()
+            .range(..=through)
+            .map(|(&no, _)| no)
+            .collect();
+        for no in victims {
+            match std::fs::remove_file(self.path(no)) {
+                // A concurrent pass already deleted it.
+                Err(err) if err.kind() == io::ErrorKind::NotFound => {}
+                other => other?,
+            }
+        }
+        sync_dir(&self.config.dir, self.config.durability)?;
+        let mut files = self.files.write();
+        *files = files.split_off(&(through + 1));
+        Ok(())
+    }
+}
+
+/// The append lock of a [`RecordLog`], held.
+pub(crate) struct Appender<'a> {
+    log: &'a RecordLog,
+    active: MutexGuard<'a, Active>,
+}
+
+impl Appender<'_> {
+    /// Fails once the log is sealed or failed.
+    pub(crate) fn writable(&self) -> Result<()> {
+        if self.log.is_sealed() {
+            let path = self.log.path(self.active.no);
+            let why = format!("{} is sealed (shutting down)", path.display());
+            return Err(BlobError::Internal(why));
+        }
+        self.log.check_failed()
+    }
+
+    /// Bytes in the active file.
+    pub(crate) fn len(&self) -> u64 {
+        self.active.len
+    }
+
+    /// Reads `len` bytes at `at` in the active file.
+    pub(crate) fn read(&self, at: u64, len: usize) -> Result<Vec<u8>> {
+        self.log.reader(self.active.no)?.read(at, len)
+    }
+
+    /// Appends one record — first rolling to the next file when the active
+    /// one has reached the roll size — and calls `applied` with where it
+    /// landed, still under the lock, so an index over the log sees records
+    /// in log order. The record is fsynced first when `sync` is set or the
+    /// policy is [`Durability::Always`] (never under `Buffered`).
+    ///
+    /// An append lands whole or not at all: a failed write is cut back off,
+    /// so the next record never lands behind garbage that recovery would
+    /// stop at. A failed cut, or a failed fsync, fails the log; so does a
+    /// failed append when the config says so.
+    pub(crate) fn append<T>(
+        &mut self,
+        record: &[u8],
+        sync: bool,
+        applied: impl FnOnce(Pos) -> T,
+    ) -> Result<T> {
+        let durability = self.log.config.durability;
+        let sync = (sync || durability == Durability::Always) && durability != Durability::Buffered;
+        self.writable()?;
+        if self.active.len >= self.log.config.roll_bytes && self.active.len > 0 {
+            self.roll()?;
+        }
+        let offset = self.active.len;
+        if let Err(err) = self.active.file.append(record) {
+            match self.active.file.truncate(offset) {
+                Err(cut) => self.fail(format!(
+                    "append failed ({err}) and its partial bytes could not be cut back ({cut})"
+                )),
+                Ok(()) if self.log.config.fail_on_append_error => {
+                    self.fail(format!("append failed: {err}"));
+                }
+                Ok(()) => {}
+            }
+            return Err(err.into());
+        }
+        self.active.len += record.len() as u64;
+        let seq = self.log.appended.fetch_add(1, Ordering::Relaxed) + 1;
+        if sync {
+            self.sync_active()?;
+        }
+        Ok(applied(Pos {
+            file: self.active.no,
+            offset,
+            seq,
+        }))
+    }
+
+    /// Fsyncs the active file under the lock — a roll's seal, or an inline
+    /// sync — and raises the synced mark over every record appended. A
+    /// failure fails the log.
+    fn sync_active(&mut self) -> Result<()> {
+        self.log.fsyncs.fetch_add(1, Ordering::Relaxed);
+        if let Err(err) = self.active.file.sync() {
+            self.fail(format!("fsync failed: {err}"));
+            return Err(err.into());
+        }
+        self.active.synced_len = self.active.len;
+        self.log
+            .synced
+            .fetch_max(self.log.appended(), Ordering::AcqRel);
+        Ok(())
+    }
+
+    /// Seals the active file — one fsync, nothing read back — and makes the
+    /// next numbered file the append target.
+    fn roll(&mut self) -> Result<()> {
+        self.sync_active()?;
+        let no = self.active.no + 1;
+        let file = (self.log.config.open)(&self.log.path(no))?;
+        sync_dir(&self.log.config.dir, self.log.config.durability)?;
+        self.install(no, file, 0);
+        Ok(())
+    }
+
+    /// Makes `file`, `len` bytes long and all of them synced, file `no` and
+    /// the append target.
+    fn install(&mut self, no: u64, file: Box<dyn LogFile>, len: u64) {
+        let file: Handle = Arc::new(file);
+        self.log.files.write().insert(no, Arc::clone(&file));
+        *self.active = Active {
+            no,
+            file,
+            len,
+            synced_len: len,
+        };
+    }
+
+    /// Replaces the active file with one holding `bytes`: written to a
+    /// `.ckpt` sibling through the opener and fsynced, renamed over the
+    /// active file's name,
+    /// installed as the append target, then the directory fsynced. The new
+    /// handle exists before the rename, so nothing that can fail runs
+    /// between the rename and the swap, and a failed directory fsync fails
+    /// the log. Once it returns, every record appended so far counts as
+    /// synced: the caller's `bytes` carry them all.
+    pub(crate) fn replace(&mut self, bytes: &[u8]) -> Result<()> {
+        let no = self.active.no;
+        let (path, tmp) = (self.log.path(no), self.log.path(no).with_extension("ckpt"));
+        let file = (self.log.config.open)(&tmp)?;
+        // An earlier attempt that failed may have left a partial file.
+        file.truncate(0)?;
+        file.append(bytes)?;
+        self.log.fsyncs.fetch_add(1, Ordering::Relaxed);
+        file.sync()?;
+        std::fs::rename(&tmp, path)?;
+        self.install(no, file, bytes.len() as u64);
+        if let Err(err) = sync_dir(&self.log.config.dir, self.log.config.durability) {
+            self.fail(format!("directory fsync failed: {err}"));
+            return Err(err);
+        }
+        self.log
+            .synced
+            .fetch_max(self.log.appended(), Ordering::AcqRel);
+        Ok(())
+    }
+
+    /// Fails the log (fail-stop): every later append, sync and replace is
+    /// refused, and [`RecordLog::failure`] reports `why`; the first reason
+    /// sticks. Unless the policy never syncs, the unsynced tail is cut off,
+    /// best effort, as a crash at the last good fsync would have left it:
+    /// nothing in it was acknowledged as durable.
+    pub(crate) fn fail(&mut self, why: String) {
+        if self.log.failed.get().is_some() {
+            return;
+        }
+        if self.log.config.durability != Durability::Buffered {
+            let _ = self.active.file.truncate(self.active.synced_len);
+        }
+        let why = format!("{}: {why}", self.log.path(self.active.no).display());
+        let _ = self.log.failed.set(why);
+    }
+}
+
+/// A positioned reader of one log file.
+pub(crate) struct Reader<'a> {
+    log: &'a RecordLog,
+    no: u64,
+    file: Handle,
+}
+
+impl Reader<'_> {
+    /// One positioned read of `len` bytes at `at`, into an exact-size
+    /// buffer. A failed or short read is the retryable
+    /// [`BlobError::Transport`]: the bytes are unreachable here, not absent.
+    pub(crate) fn read(&self, at: u64, len: usize) -> Result<Vec<u8>> {
+        let mut buf = vec![0; len];
+        self.file.read_at(&mut buf, at).map_err(|err| {
+            BlobError::Transport(format!(
+                "{}: reading {len} bytes at offset {at}: {err}",
+                self.log.path(self.no).display()
+            ))
+        })?;
+        Ok(buf)
+    }
+}
+
 /// The byte-at-a-time CRC-32 the slicing tables are derived from: the
 /// reference the fast path is tested against.
 #[cfg(test)]
@@ -386,6 +795,7 @@ mod tests {
     use proptest::collection;
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Barrier;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
@@ -413,12 +823,15 @@ mod tests {
     }
 
     /// An in-memory log file whose writes fail once it holds `fail_at`
-    /// bytes (after writing what fits), and whose truncation fails while
-    /// `stuck` is set.
+    /// bytes (after writing what fits), whose truncation fails while
+    /// `stuck` is set, whose next `fail_syncs` fsyncs fail, and whose fsync
+    /// waits twice at `park` while it is set.
     struct FlakyFile {
         bytes: Mutex<Vec<u8>>,
         fail_at: AtomicUsize,
         stuck: AtomicBool,
+        fail_syncs: AtomicUsize,
+        park: Mutex<Option<Arc<Barrier>>>,
     }
 
     impl FlakyFile {
@@ -427,11 +840,13 @@ mod tests {
                 bytes: Mutex::new(Vec::new()),
                 fail_at: AtomicUsize::new(fail_at),
                 stuck: AtomicBool::new(false),
+                fail_syncs: AtomicUsize::new(0),
+                park: Mutex::new(None),
             }
         }
     }
 
-    impl LogFile for FlakyFile {
+    impl LogFile for Arc<FlakyFile> {
         fn append(&self, buf: &[u8]) -> io::Result<()> {
             let mut bytes = self.bytes.lock();
             let room = self
@@ -455,7 +870,87 @@ mod tests {
         }
 
         fn sync(&self) -> io::Result<()> {
+            let park = self.park.lock().clone();
+            if let Some(gate) = park {
+                gate.wait();
+                gate.wait();
+            }
+            let fails = self
+                .fail_syncs
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
+            if fails.is_ok() {
+                return Err(io::Error::other("injected fsync failure"));
+            }
             Ok(())
+        }
+
+        fn read_at(&self, buf: &mut [u8], at: u64) -> io::Result<()> {
+            let bytes = self.bytes.lock();
+            let at = at as usize;
+            let found = bytes
+                .get(at..at + buf.len())
+                .ok_or(io::ErrorKind::UnexpectedEof)?;
+            buf.copy_from_slice(found);
+            Ok(())
+        }
+    }
+
+    /// A fresh log whose one file is `file`.
+    fn log_over(file: &Arc<FlakyFile>) -> RecordLog {
+        log_with(file, u64::MAX, false)
+    }
+
+    /// A fresh log whose every file is `file`, rolling at `roll_bytes`.
+    fn log_with(file: &Arc<FlakyFile>, roll_bytes: u64, fail_on_append_error: bool) -> RecordLog {
+        let file = Arc::clone(file);
+        let config = LogConfig {
+            dir: std::env::temp_dir(),
+            path: Box::new(|_| PathBuf::from("flaky.log")),
+            durability: Durability::Commit,
+            roll_bytes,
+            fail_on_append_error,
+            open: Arc::new(move |_| Ok(Box::new(Arc::clone(&file)))),
+        };
+        RecordLog::open(config, Vec::new(), |_, _, _, _| true)
+            .unwrap()
+            .0
+    }
+
+    /// A failed append (the WAL fails the log on one) or a roll's failed
+    /// seal while a leader's fsync is parked: that fsync then succeeds, as
+    /// Linux reports a writeback error to one fsync only, but failing cut
+    /// the unsynced record it covered.
+    #[test]
+    fn a_failure_during_a_group_fsync_syncs_nothing() {
+        let synced = frame_record(1, b"synced before the parked fsync");
+        let pending = frame_record(1, b"covered by the parked fsync");
+        for roll in [false, true] {
+            let file = Arc::new(FlakyFile::new(usize::MAX));
+            let full = (synced.len() + pending.len()) as u64;
+            let log = log_with(&file, if roll { full } else { u64::MAX }, !roll);
+            log.lock().append(&synced, true, drop).unwrap();
+            log.lock().append(&pending, false, drop).unwrap();
+            let gate = Arc::new(Barrier::new(2));
+            *file.park.lock() = Some(Arc::clone(&gate));
+            let led = std::thread::scope(|scope| {
+                let leader = scope.spawn(|| log.sync_through(2));
+                // The leader is inside its fsync, off the append lock.
+                gate.wait();
+                *file.park.lock() = None;
+                if roll {
+                    // The next append rolls first, and the seal's fsync fails.
+                    file.fail_syncs.store(1, Ordering::SeqCst);
+                } else {
+                    file.fail_at.store(0, Ordering::SeqCst);
+                }
+                let refused = log.lock().append(&frame_record(1, b"x"), false, drop);
+                assert!(refused.is_err());
+                gate.wait();
+                leader.join().unwrap()
+            });
+            assert!(led.is_err(), "roll {roll}: the fsync covered a cut record");
+            assert!(log.sync_through(2).is_err(), "the cut record is not synced");
+            assert_eq!(*file.bytes.lock(), synced);
         }
     }
 
@@ -465,12 +960,14 @@ mod tests {
         let failing = frame_record(2, b"fails part way through");
         let after = frame_record(1, b"acknowledged after the failure");
         for fail_after in 0..failing.len() {
-            let mut tail = LogTail::new(FlakyFile::new(first.len() + fail_after), 0);
-            tail.append(&first, false).unwrap();
-            assert!(tail.append(&failing, true).is_err());
-            tail.file.fail_at.store(usize::MAX, Ordering::SeqCst);
-            tail.append(&after, false).unwrap();
-            let bytes = tail.file.bytes.lock().clone();
+            let file = Arc::new(FlakyFile::new(first.len() + fail_after));
+            let log = log_over(&file);
+            let mut tail = log.lock();
+            tail.append(&first, false, drop).unwrap();
+            assert!(tail.append(&failing, true, drop).is_err());
+            file.fail_at.store(usize::MAX, Ordering::SeqCst);
+            tail.append(&after, false, drop).unwrap();
+            let bytes = file.bytes.lock().clone();
             assert_eq!(bytes, [first.clone(), after.clone()].concat());
             assert_eq!(tail.len(), bytes.len() as u64);
             let outcome = scan(&bytes);
@@ -481,16 +978,19 @@ mod tests {
 
     #[test]
     fn an_append_that_cannot_be_cut_back_fails_the_log() {
-        let file = FlakyFile::new(20);
+        let file = Arc::new(FlakyFile::new(20));
         file.stuck.store(true, Ordering::SeqCst);
-        let mut tail = LogTail::new(file, 0);
-        assert!(tail.append(&frame_record(1, &[7; 64]), false).is_err());
-        tail.file.fail_at.store(usize::MAX, Ordering::SeqCst);
-        let refused = tail.append(&frame_record(1, b"next"), false);
+        let log = log_over(&file);
+        assert!(log
+            .lock()
+            .append(&frame_record(1, &[7; 64]), false, drop)
+            .is_err());
+        file.fail_at.store(usize::MAX, Ordering::SeqCst);
+        let refused = log.lock().append(&frame_record(1, b"next"), false, drop);
         assert!(matches!(refused, Err(BlobError::Internal(_))));
-        assert!(tail.handle().is_err(), "a torn log refuses syncs too");
+        assert!(log.sync_through(1).is_err(), "a torn log refuses syncs too");
         assert_eq!(
-            tail.file.bytes.lock().len(),
+            file.bytes.lock().len(),
             20,
             "nothing lands behind the torn bytes"
         );

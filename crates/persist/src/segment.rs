@@ -1,44 +1,53 @@
 //! Append-only chunk segment files: the durable backend behind
-//! [`blobseer_provider::ChunkStore`].
+//! [`blobseer_provider::ChunkStore`], one keyspace over the log engine
+//! ([`crate::frame`]).
 //!
-//! One provider owns one directory of `seg-NNNNNN.log` files. Every sealed
-//! [`ChunkEnvelope`] is appended verbatim as one CRC-framed record
-//! ([`crate::frame`]); an in-memory index maps chunk ids to slots. Removals
-//! append *tombstone* records — the log itself is never rewritten in place
-//! — and [`SegmentStore::compact`] folds tombstoned and superseded bytes
-//! away by rewriting survivors into the active segment.
+//! One provider owns one directory of `seg-NNNNNN.log` files, the engine's
+//! numbered files. Every sealed [`ChunkEnvelope`] is appended verbatim as
+//! one CRC-framed record; an in-memory index maps chunk ids to slots.
+//! Removals append *tombstone* records — the log itself is never rewritten
+//! in place — and [`SegmentStore::compact`] folds tombstoned and superseded
+//! bytes away by rewriting survivors into the active segment and retiring
+//! the sealed ones.
+//!
+//! The engine owns recovery, appends, rolling, syncing, fail-stop,
+//! positioned reads and retiring files. The store keeps what chunk records
+//! mean: the index, tombstones, the dead-byte accounting and compaction's
+//! survivor relocation.
 //!
 //! The log is the store. A slot holds where its record lies (segment,
-//! offset, length) and the envelope header, never the payload, and the
-//! index keeps one shared read handle per segment file. A read is one
-//! positioned read of the payload into an exact-size buffer, and that
+//! offset, length) and the envelope header, never the payload. A read is
+//! one positioned read of the payload into an exact-size buffer, and that
 //! buffer becomes the envelope's payload with no further copy, so aligned
 //! reads keep the client's `payload_bytes_copied == 0`. The only RAM above
 //! the segments is the serving side's bounded chunk cache, so a store's
 //! memory does not grow with the bytes it holds.
 //!
 //! A record's CRC is computed once, when it is appended, and checked once,
-//! when recovery scans it; reads never re-check it. Recovery reads one
-//! segment file at a time and keeps only the index. A record whose CRC
-//! failed at recovery stays addressable, and every read of it fails with
-//! the retryable [`BlobError::Transport`] — as does a positioned read that
-//! fails or comes up short — so readers rotate to another replica instead
-//! of consuming silent corruption. Sealing a segment is an fsync and a roll
-//! to the next file: nothing is read back.
+//! when recovery scans it; reads never re-check it. Only a CRC-failing
+//! *final* record of a file is a torn append, cut at recovery. A record
+//! whose CRC failed elsewhere stays addressable, and every read of it fails
+//! with the retryable [`BlobError::Transport`] — as does a positioned read
+//! that fails or comes up short — so readers rotate to another replica
+//! instead of consuming silent corruption.
+//!
+//! Fail-stop: a failed fsync (a commit's sync, a roll's seal) fails the
+//! store for good. Every later put and remove is refused, while reads of
+//! what it holds go on. A failed append that was cut back cleanly is only
+//! that append's error: the next put is taken.
 
 use crate::frame::{
-    frame_parts, frame_record, parent_dir, scan, sync_dir, LogTail, RECORD_HEADER_BYTES,
+    frame_parts, frame_record, open_log_file, parent_dir, sync_dir, Appender, LogConfig, LogFile,
+    RecordLog, RecordView, RECORD_HEADER_BYTES,
 };
 use blobseer_provider::ChunkStore;
 use blobseer_types::wire::{encode, WireReader};
 use blobseer_types::{BlobError, ChunkEnvelope, ChunkId, Durability, EnvelopeHeader, Result};
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
-use std::fs::{File, OpenOptions};
-use std::os::unix::fs::FileExt;
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Record kinds of the chunk segment log.
@@ -84,8 +93,6 @@ pub struct SegmentRecovery {
     /// Complete-but-CRC-failing records kept addressable (reads of them
     /// fail retryably) plus undecodable ones dropped.
     pub corrupt_records: u64,
-    /// Segment files opened.
-    pub segments: u64,
 }
 
 /// One indexed chunk: where its record lies, and no payload.
@@ -108,25 +115,11 @@ impl Slot {
     }
 }
 
-/// One segment file: its length, the bytes of it live slots cover, and the
-/// handle every positioned read of it goes through.
+/// One segment file's length and the bytes of it live slots cover.
+#[derive(Default)]
 struct Segment {
     len: u64,
     live: u64,
-    /// Readers clone the handle and read outside the index lock, so one
-    /// that races the compaction deleting this file finishes on the
-    /// unlinked inode.
-    file: Arc<File>,
-}
-
-impl Segment {
-    fn new(file: File, len: u64) -> Self {
-        Segment {
-            len,
-            live: 0,
-            file: Arc::new(file),
-        }
-    }
 }
 
 #[derive(Default)]
@@ -142,9 +135,7 @@ impl Index {
     /// Indexes `id` at `slot`, replacing (and un-counting) any earlier slot
     /// of the same chunk.
     fn insert(&mut self, id: ChunkId, slot: Slot) {
-        if let Some(segment) = self.segments.get_mut(&slot.seg) {
-            segment.live += slot.len;
-        }
+        self.segments.entry(slot.seg).or_default().live += slot.len;
         self.physical += slot.physical_len();
         if let Some(old) = self.slots.insert(id, slot) {
             self.forget(&old);
@@ -165,12 +156,49 @@ impl Index {
         self.physical -= slot.physical_len();
     }
 
-    /// The read handle of segment `seg`.
-    fn reader(&self, seg: u64) -> Result<Arc<File>> {
-        self.segments
-            .get(&seg)
-            .map(|segment| Arc::clone(&segment.file))
-            .ok_or_else(|| BlobError::Transport(format!("segment {seg} is not open")))
+    /// Replays one recovered record of segment `seg`, returning whether it
+    /// was corrupt.
+    fn replay(&mut self, seg: u64, record: &RecordView, payload: &[u8]) -> bool {
+        match record.kind {
+            KIND_CHUNK => {
+                let mut reader = WireReader::new(payload);
+                let parsed = reader
+                    .get::<ChunkId>()
+                    .and_then(|id| Ok((id, reader.get::<EnvelopeHeader>()?)));
+                match parsed {
+                    Ok((id, header))
+                        if CHUNK_RECORD_OVERHEAD + header.physical_len as usize
+                            == record.span.len() =>
+                    {
+                        // The one CRC check this record ever gets.
+                        let slot = Slot {
+                            seg,
+                            offset: record.span.start as u64,
+                            len: record.span.len() as u64,
+                            header: record.crc_ok.then_some(header),
+                        };
+                        self.insert(id, slot);
+                        !record.crc_ok
+                    }
+                    // Undecodable chunk record: unreachable with a passing
+                    // CRC, droppable garbage without one.
+                    _ => true,
+                }
+            }
+            KIND_TOMBSTONE => {
+                if record.crc_ok {
+                    if let Ok(id) = blobseer_types::wire::decode::<ChunkId>(payload) {
+                        self.remove(&id);
+                        return false;
+                    }
+                }
+                // A corrupt tombstone is ignored rather than applied:
+                // deleting the wrong chunk is worse than leaking one (the
+                // sweeper re-issues deletes it could not prove).
+                true
+            }
+            _ => true,
+        }
     }
 
     /// Every segment but the active one, which is always the newest.
@@ -182,23 +210,10 @@ impl Index {
     }
 }
 
-struct Active {
-    seg: u64,
-    tail: LogTail,
-    /// Bytes appended since open, across every segment.
-    appended: u64,
-}
-
 /// The log-structured durable chunk store.
 pub struct SegmentStore {
-    dir: PathBuf,
-    opts: SegmentStoreOptions,
-    active: Mutex<Active>,
+    log: RecordLog,
     index: RwLock<Index>,
-    /// How much of [`Active::appended`] a completed fsync covers. Raised
-    /// (`AcqRel`) only after the fsync returns; a `sync` that reads
-    /// (`Acquire`) a value covering its bytes may skip its own.
-    synced: AtomicU64,
     recovery: SegmentRecovery,
 }
 
@@ -212,26 +227,6 @@ fn segment_number(path: &Path) -> Option<u64> {
     digits.parse().ok()
 }
 
-fn chunk_record(id: &ChunkId, data: &ChunkEnvelope) -> Vec<u8> {
-    frame_parts(
-        KIND_CHUNK,
-        &[&encode(id), &encode(&data.header()), data.payload()],
-    )
-}
-
-/// One positioned read of `len` bytes at `at` in segment `seg`, into an
-/// exact-size buffer. A failed or short read is the retryable
-/// [`BlobError::Transport`]: the bytes are unreachable here, not absent.
-fn read_at(file: &File, seg: u64, at: u64, len: usize) -> Result<Vec<u8>> {
-    let mut buf = vec![0; len];
-    file.read_exact_at(&mut buf, at).map_err(|err| {
-        BlobError::Transport(format!(
-            "segment {seg}: reading {len} bytes at offset {at}: {err}"
-        ))
-    })?;
-    Ok(buf)
-}
-
 impl SegmentStore {
     /// Opens (or creates) the segment directory, replaying every segment
     /// file: torn tails are physically truncated, tombstones are folded into
@@ -239,112 +234,61 @@ impl SegmentStore {
     /// Files are scanned one at a time and only their index survives, so
     /// opening peaks at one segment file of memory.
     pub fn open(dir: impl AsRef<Path>, opts: SegmentStoreOptions) -> Result<Self> {
+        Self::open_over(dir, opts, open_log_file)
+    }
+
+    /// [`SegmentStore::open`], with every segment file opened or created
+    /// through `open` instead of [`open_log_file`]. Tests pass a wrapper
+    /// whose writes, fsyncs or reads fail on demand.
+    pub fn open_over(
+        dir: impl AsRef<Path>,
+        opts: SegmentStoreOptions,
+        open: impl Fn(&Path) -> io::Result<Box<dyn LogFile>> + Send + Sync + 'static,
+    ) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let mut seg_numbers: Vec<u64> = std::fs::read_dir(&dir)?
+        let mut numbers: Vec<u64> = std::fs::read_dir(&dir)?
             .filter_map(|entry| segment_number(&entry.ok()?.path()))
             .collect();
-        seg_numbers.sort_unstable();
-        if seg_numbers.is_empty() {
-            seg_numbers.push(1);
-            File::create(segment_path(&dir, 1))?;
-            // The new file's name, and the directory's own, must outlive a
-            // power cut before anything is appended to the file.
-            sync_dir(&dir, opts.durability)?;
-            sync_dir(parent_dir(&dir), opts.durability)?;
-        }
-
+        numbers.sort_unstable();
+        let created = numbers.is_empty();
         let mut index = Index::default();
-        let mut recovery = SegmentRecovery::default();
-        for &seg in &seg_numbers {
-            let path = segment_path(&dir, seg);
-            let raw = std::fs::read(&path)?;
-            let outcome = scan(&raw);
-            let mut cut = outcome.valid_len;
-            let mut records = outcome.records;
+        let mut corrupt_records = 0;
+        let named = dir.clone();
+        let config = LogConfig {
+            dir: dir.clone(),
+            path: Box::new(move |seg| segment_path(&named, seg)),
+            durability: opts.durability,
+            roll_bytes: opts.segment_bytes,
+            fail_on_append_error: false,
+            open: Arc::new(open),
+        };
+        let (log, found) = RecordLog::open(config, numbers, |seg, record, payload, last| {
             // A final record with intact framing but a failing CRC is a torn
             // append (the payload write itself was interrupted): cut there.
             // Mid-file CRC failures are at-rest corruption and stay
             // addressable so reads fail loudly instead of missing silently.
-            if let Some(last) = records.last() {
-                if !last.crc_ok {
-                    cut = last.span.start;
-                    records.pop();
-                }
+            if last && !record.crc_ok {
+                return false;
             }
-            recovery.truncated_bytes += (raw.len() - cut) as u64;
-            // Physically drop the torn tail so future appends extend a
-            // well-framed file.
-            let file = OpenOptions::new().read(true).write(true).open(&path)?;
-            if raw.len() > cut {
-                file.set_len(cut as u64)?;
-                file.sync_data()?;
-            }
-            index.segments.insert(seg, Segment::new(file, cut as u64));
-            for record in records {
-                let payload = &raw[record.payload.clone()];
-                match record.kind {
-                    KIND_CHUNK => {
-                        let mut reader = WireReader::new(payload);
-                        let parsed = reader
-                            .get::<ChunkId>()
-                            .and_then(|id| Ok((id, reader.get::<EnvelopeHeader>()?)));
-                        match parsed {
-                            Ok((id, header))
-                                if CHUNK_RECORD_OVERHEAD + header.physical_len as usize
-                                    == record.span.len() =>
-                            {
-                                // The one CRC check this record ever gets.
-                                if !record.crc_ok {
-                                    recovery.corrupt_records += 1;
-                                }
-                                let slot = Slot {
-                                    seg,
-                                    offset: record.span.start as u64,
-                                    len: record.span.len() as u64,
-                                    header: record.crc_ok.then_some(header),
-                                };
-                                index.insert(id, slot);
-                            }
-                            // Undecodable chunk record: unreachable with a
-                            // passing CRC, droppable garbage without one.
-                            _ => recovery.corrupt_records += 1,
-                        }
-                    }
-                    KIND_TOMBSTONE => {
-                        if record.crc_ok {
-                            if let Ok(id) = blobseer_types::wire::decode::<ChunkId>(payload) {
-                                index.remove(&id);
-                                continue;
-                            }
-                        }
-                        // A corrupt tombstone is ignored rather than applied:
-                        // deleting the wrong chunk is worse than leaking one
-                        // (the sweeper re-issues deletes it could not prove).
-                        recovery.corrupt_records += 1;
-                    }
-                    _ => recovery.corrupt_records += 1,
-                }
-            }
-            recovery.segments += 1;
+            corrupt_records += u64::from(index.replay(seg, record, payload));
+            true
+        })?;
+        if created {
+            // The new directory's own name must outlive a power cut too.
+            sync_dir(parent_dir(&dir), opts.durability)?;
         }
-
-        let last_seg = *seg_numbers.last().unwrap();
-        let file = OpenOptions::new()
-            .append(true)
-            .open(segment_path(&dir, last_seg))?;
-        let len = file.metadata()?.len();
-        recovery.recovered_chunks = index.slots.len() as u64;
+        for &(seg, len) in &found.files {
+            index.segments.entry(seg).or_default().len = len;
+        }
+        let recovery = SegmentRecovery {
+            recovered_chunks: index.slots.len() as u64,
+            truncated_bytes: found.truncated_bytes,
+            corrupt_records,
+        };
         Ok(SegmentStore {
-            dir,
-            opts,
-            active: Mutex::new(Active {
-                seg: last_seg,
-                tail: LogTail::new(file, len),
-                appended: 0,
-            }),
+            log,
             index: RwLock::new(index),
-            synced: AtomicU64::new(0),
             recovery,
         })
     }
@@ -355,28 +299,19 @@ impl SegmentStore {
         self.recovery
     }
 
-    /// The directory the segments live in.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Flushes the active segment to stable storage. The durable tier calls
-    /// this from its commit hook under [`Durability::Commit`], *before* the
-    /// WAL commit record is written — the write-ahead ordering that makes
-    /// publication atomic. The fsync runs outside the append lock, so
-    /// appends keep flowing during it, and is skipped when an earlier one
-    /// already covers every appended byte.
+    /// Flushes every appended record to stable storage: the log's group
+    /// fsync through the newest record. The durable tier calls this from
+    /// its commit hook under [`Durability::Commit`], *before* the WAL commit
+    /// record is written — the write-ahead ordering that makes publication
+    /// atomic. Appends keep flowing during the fsync, and it is skipped when
+    /// an earlier one already covers every appended record. A failed fsync
+    /// fails the store for good, and every later sync reports it — even
+    /// when a roll's seal failed with every record already synced.
     pub fn sync(&self) -> Result<()> {
-        let (file, appended) = {
-            let active = self.active.lock();
-            (active.tail.handle()?, active.appended)
-        };
-        if self.synced.load(Ordering::Acquire) < appended {
-            file.sync_data()?;
-            self.synced.fetch_max(appended, Ordering::AcqRel);
+        match self.log.failure() {
+            Some(why) => Err(BlobError::Storage(why)),
+            None => self.log.sync_through(self.log.appended()),
         }
-        Ok(())
     }
 
     /// Number of segment files currently on disk.
@@ -417,7 +352,7 @@ impl SegmentStore {
     }
 
     /// Rewrites every sealed segment's surviving records into the active
-    /// segment and deletes the sealed files, folding tombstoned, superseded
+    /// segment and retires the sealed files, folding tombstoned, superseded
     /// and torn bytes away. Returns `(segments_removed, bytes_reclaimed)`.
     /// Corrupt records are dropped (they were unreadable anyway; replication
     /// and writer repair own redundancy).
@@ -444,30 +379,14 @@ impl SegmentStore {
         // The rewritten survivors must be on disk before the files holding
         // their only other copy go.
         self.sync()?;
-        let victims: Vec<(u64, u64)> = self
-            .index
-            .read()
-            .segments
-            .range(..=last)
-            .map(|(&seg, segment)| (seg, segment.len))
-            .collect();
-        for &(seg, _) in &victims {
-            match std::fs::remove_file(segment_path(&self.dir, seg)) {
-                // A concurrent pass already deleted it.
-                Err(err) if err.kind() == std::io::ErrorKind::NotFound => {}
-                other => other?,
-            }
-        }
-        sync_dir(&self.dir, self.opts.durability)?;
-        // Only now do the victims' read handles leave the index; a reader
-        // that cloned one finishes on the unlinked file.
-        {
+        self.log.retire(last)?;
+        let retired = {
             let mut index = self.index.write();
             let newer = index.segments.split_off(&(last + 1));
-            index.segments = newer;
-        }
-        let victim_bytes: u64 = victims.iter().map(|&(_, len)| len).sum();
-        Ok((victims.len() as u64, victim_bytes.saturating_sub(rewritten)))
+            std::mem::replace(&mut index.segments, newer)
+        };
+        let victim_bytes: u64 = retired.values().map(|segment| segment.len).sum();
+        Ok((retired.len() as u64, victim_bytes.saturating_sub(rewritten)))
     }
 
     /// Rewrites `id`'s record into the active segment if it still lives in
@@ -477,11 +396,11 @@ impl SegmentStore {
     fn relocate(&self, id: &ChunkId, last: u64) -> Result<u64> {
         // Checked under the append lock, so a concurrent remove or rewrite
         // of the chunk wins.
-        let mut active = self.active.lock();
+        let mut log = self.log.lock();
         let (slot, file) = {
             let index = self.index.read();
             match index.slots.get(id) {
-                Some(&slot) if slot.seg <= last => (slot, index.reader(slot.seg)?),
+                Some(&slot) if slot.seg <= last => (slot, self.log.reader(slot.seg)?),
                 _ => return Ok(0),
             }
         };
@@ -492,72 +411,36 @@ impl SegmentStore {
         // The record moves byte for byte, CRC included, so damage done to
         // it since it was written is still caught by the next recovery
         // instead of being re-framed as valid.
-        let record = read_at(&file, slot.seg, slot.offset, slot.len as usize)?;
-        self.append_locked(&mut active, &record, |index, seg, offset| {
-            index.insert(
-                *id,
-                Slot {
-                    seg,
-                    offset,
-                    ..slot
-                },
-            );
+        let record = file.read(slot.offset, slot.len as usize)?;
+        self.append(&mut log, &record, slot.header, |index, moved| {
+            index.insert(*id, moved)
         })?;
         Ok(slot.len)
     }
 
-    /// Appends a framed record to the active segment and applies `update`
-    /// (given the segment and the record's offset in it) to the index under
-    /// the same lock, so the index always agrees with the log's order.
+    /// Appends a framed record and applies `update` to the index under the
+    /// append lock, so the index always agrees with the log's order.
+    /// `update` gets the slot the record would have as a chunk carrying
+    /// `header`.
     fn append<T>(
         &self,
+        log: &mut Appender<'_>,
         record: &[u8],
-        update: impl FnOnce(&mut Index, u64, u64) -> T,
+        header: Option<EnvelopeHeader>,
+        update: impl FnOnce(&mut Index, Slot) -> T,
     ) -> Result<T> {
-        self.append_locked(&mut self.active.lock(), record, update)
-    }
-
-    fn append_locked<T>(
-        &self,
-        active: &mut Active,
-        record: &[u8],
-        update: impl FnOnce(&mut Index, u64, u64) -> T,
-    ) -> Result<T> {
-        if active.tail.len() >= self.opts.segment_bytes && active.tail.len() > 0 {
-            self.roll(active)?;
-        }
-        let offset = active.tail.len();
-        active
-            .tail
-            .append(record, self.opts.durability == Durability::Always)?;
-        active.appended += record.len() as u64;
-        let mut index = self.index.write();
-        if let Some(segment) = index.segments.get_mut(&active.seg) {
-            segment.len += record.len() as u64;
-        }
-        Ok(update(&mut index, active.seg, offset))
-    }
-
-    /// Seals the active segment — one fsync, nothing read back — and makes
-    /// a fresh segment file the append target.
-    fn roll(&self, active: &mut Active) -> Result<()> {
-        active.tail.handle()?.sync_data()?;
-        self.synced.fetch_max(active.appended, Ordering::AcqRel);
-        let next = active.seg + 1;
-        let path = segment_path(&self.dir, next);
-        let file = OpenOptions::new()
-            .create_new(true)
-            .append(true)
-            .open(&path)?;
-        let reader = File::open(&path)?;
-        sync_dir(&self.dir, self.opts.durability)?;
-        self.index
-            .write()
-            .segments
-            .insert(next, Segment::new(reader, 0));
-        active.seg = next;
-        active.tail = LogTail::new(file, 0);
-        Ok(())
+        log.append(record, false, |pos| {
+            let len = record.len() as u64;
+            let mut index = self.index.write();
+            index.segments.entry(pos.file).or_default().len += len;
+            let slot = Slot {
+                seg: pos.file,
+                offset: pos.offset,
+                len,
+                header,
+            };
+            update(&mut index, slot)
+        })
     }
 }
 
@@ -576,19 +459,14 @@ impl ChunkStore for SegmentStore {
         }
         // Framed (and checksummed) outside the append lock. The arrived
         // envelope is dropped once its record is in the log.
-        let record = chunk_record(&id, &data);
-        let header = Some(data.header());
-        let len = record.len() as u64;
-        self.append(&record, |index, seg, offset| {
-            index.insert(
-                id,
-                Slot {
-                    seg,
-                    offset,
-                    len,
-                    header,
-                },
-            );
+        let header = data.header();
+        let record = frame_parts(
+            KIND_CHUNK,
+            &[&encode(&id), &encode(&header), data.payload()],
+        );
+        let mut log = self.log.lock();
+        self.append(&mut log, &record, Some(header), |index, slot| {
+            index.insert(id, slot)
         })
     }
 
@@ -605,12 +483,12 @@ impl ChunkStore for SegmentStore {
                     slot.seg
                 )));
             };
-            (slot, header, index.reader(slot.seg)?)
+            // Taken under the index lock: compaction retires a file only
+            // after every slot in it has moved.
+            (slot, header, self.log.reader(slot.seg)?)
         };
         // Read outside the index lock: appends and other reads go on.
-        let payload = read_at(
-            &file,
-            slot.seg,
+        let payload = file.read(
             slot.offset + CHUNK_RECORD_OVERHEAD as u64,
             header.physical_len as usize,
         )?;
@@ -629,7 +507,9 @@ impl ChunkStore for SegmentStore {
             return None;
         }
         let record = frame_record(KIND_TOMBSTONE, &encode(id));
-        self.append(&record, |index, _, _| index.remove(id)).ok()?
+        let mut log = self.log.lock();
+        self.append(&mut log, &record, None, |index, _| index.remove(id))
+            .ok()?
     }
 
     fn chunk_count(&self) -> usize {
@@ -644,10 +524,12 @@ impl ChunkStore for SegmentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::reference_crc32;
+    use crate::frame::{reference_crc32, scan};
     use blobseer_types::BlobId;
     use proptest::collection;
     use proptest::prelude::*;
+    use std::fs::OpenOptions;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -816,7 +698,7 @@ mod tests {
         let (held_slot, held_file) = {
             let index = store.index.read();
             let slot = index.slots[&cid(1)];
-            (slot, index.reader(slot.seg).unwrap())
+            (slot, store.log.reader(slot.seg).unwrap())
         };
         let done = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|scope| {
@@ -837,13 +719,12 @@ mod tests {
             }
         });
         assert!(!segment_path(&dir, held_slot.seg).exists());
-        let payload = read_at(
-            &held_file,
-            held_slot.seg,
-            held_slot.offset + CHUNK_RECORD_OVERHEAD as u64,
-            held_slot.physical_len() as usize,
-        )
-        .unwrap();
+        let payload = held_file
+            .read(
+                held_slot.offset + CHUNK_RECORD_OVERHEAD as u64,
+                held_slot.physical_len() as usize,
+            )
+            .unwrap();
         assert_eq!(payload, model[&cid(1)].payload().as_ref());
         drop(store);
         let store = SegmentStore::open(&dir, opts).unwrap();
@@ -991,6 +872,145 @@ mod tests {
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A segment file whose appends run out of space half way through
+    /// while `full` is set.
+    struct FillingDisk {
+        file: Box<dyn LogFile>,
+        full: Arc<AtomicBool>,
+    }
+
+    impl LogFile for FillingDisk {
+        fn append(&self, buf: &[u8]) -> io::Result<()> {
+            if self.full.load(Ordering::SeqCst) {
+                self.file.append(&buf[..buf.len() / 2])?;
+                return Err(io::Error::from_raw_os_error(28));
+            }
+            self.file.append(buf)
+        }
+
+        fn truncate(&self, len: u64) -> io::Result<()> {
+            self.file.truncate(len)
+        }
+
+        fn sync(&self) -> io::Result<()> {
+            self.file.sync()
+        }
+
+        fn read_at(&self, buf: &mut [u8], at: u64) -> io::Result<()> {
+            self.file.read_at(buf, at)
+        }
+    }
+
+    /// An ENOSPC mid-append leaves no partial record behind: a reopen finds
+    /// exactly the records that were acknowledged, and the store takes the
+    /// next put once space is back.
+    #[test]
+    fn an_enospc_mid_append_leaves_no_partial_record() {
+        let dir = temp_dir("enospc");
+        let full = Arc::new(AtomicBool::new(false));
+        let disk = Arc::clone(&full);
+        let store = SegmentStore::open_over(&dir, SegmentStoreOptions::default(), move |path| {
+            Ok(Box::new(FillingDisk {
+                file: open_log_file(path)?,
+                full: Arc::clone(&disk),
+            }))
+        })
+        .unwrap();
+        store.put(cid(0), env(vec![1u8; 300])).unwrap();
+        full.store(true, Ordering::SeqCst);
+        assert!(store.put(cid(1), env(vec![2u8; 300])).is_err());
+        assert!(!store.contains(&cid(1)));
+        let raw = std::fs::read(segment_path(&dir, 1)).unwrap();
+        assert_eq!(scan(&raw).valid_len, raw.len(), "no partial record");
+        full.store(false, Ordering::SeqCst);
+        store.put(cid(2), env(vec![3u8; 300])).unwrap();
+        drop(store);
+        let store = SegmentStore::open(&dir, SegmentStoreOptions::default()).unwrap();
+        assert_eq!(store.recovery().truncated_bytes, 0);
+        assert_eq!(store.recovery().corrupt_records, 0);
+        assert_eq!(store.recovery().recovered_chunks, 2);
+        assert_eq!(store.get(&cid(0)).unwrap().unwrap(), env(vec![1u8; 300]));
+        assert_eq!(store.get(&cid(1)).unwrap(), None);
+        assert_eq!(store.get(&cid(2)).unwrap().unwrap(), env(vec![3u8; 300]));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A segment file whose fsyncs fail with EIO while `failing` is set.
+    struct FailingSync {
+        file: Box<dyn LogFile>,
+        failing: Arc<AtomicBool>,
+    }
+
+    impl LogFile for FailingSync {
+        fn append(&self, buf: &[u8]) -> io::Result<()> {
+            self.file.append(buf)
+        }
+
+        fn truncate(&self, len: u64) -> io::Result<()> {
+            self.file.truncate(len)
+        }
+
+        fn sync(&self) -> io::Result<()> {
+            if self.failing.load(Ordering::SeqCst) {
+                return Err(io::Error::from_raw_os_error(5));
+            }
+            self.file.sync()
+        }
+
+        fn read_at(&self, buf: &mut [u8], at: u64) -> io::Result<()> {
+            self.file.read_at(buf, at)
+        }
+    }
+
+    /// A failed fsync fails the store for good, whether a commit's sync or
+    /// a roll's seal hit it: every later put and sync is refused even once
+    /// the disk is healthy — a seal that failed with every record already
+    /// synced included — reads of what reached the disk go on, and a reopen
+    /// finds exactly that.
+    #[test]
+    fn a_failed_fsync_stops_the_store() {
+        for seal in [false, true] {
+            let dir = temp_dir(&format!("fsync-{seal}"));
+            let failing = Arc::new(AtomicBool::new(false));
+            let disk = Arc::clone(&failing);
+            let opts = SegmentStoreOptions {
+                // Tiny segments: the second put seals the first.
+                segment_bytes: if seal { 64 } else { 64 << 20 },
+                ..SegmentStoreOptions::default()
+            };
+            let store = SegmentStore::open_over(&dir, opts, move |path| {
+                Ok(Box::new(FailingSync {
+                    file: open_log_file(path)?,
+                    failing: Arc::clone(&disk),
+                }))
+            })
+            .unwrap();
+            store.put(cid(0), env(vec![1u8; 100])).unwrap();
+            store.sync().unwrap();
+            if seal {
+                failing.store(true, Ordering::SeqCst);
+                assert!(store.put(cid(1), env(vec![2u8; 100])).is_err());
+            } else {
+                store.put(cid(1), env(vec![2u8; 100])).unwrap();
+                failing.store(true, Ordering::SeqCst);
+                assert!(store.sync().is_err());
+            }
+            failing.store(false, Ordering::SeqCst);
+            assert!(store.put(cid(2), env(vec![3u8; 100])).is_err());
+            assert!(store.sync().is_err(), "a failed store never syncs again");
+            assert_eq!(store.get(&cid(0)).unwrap().unwrap(), env(vec![1u8; 100]));
+            drop(store);
+            let store = SegmentStore::open(&dir, opts).unwrap();
+            assert_eq!(
+                store.recovery().recovered_chunks,
+                1,
+                "seal: {seal}: the unsynced put is cut"
+            );
+            assert_eq!(store.get(&cid(0)).unwrap().unwrap(), env(vec![1u8; 100]));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

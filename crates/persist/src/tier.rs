@@ -23,13 +23,17 @@
 //!    ([`MetaWal::sync_through`]), one for every commit queued behind it.
 //!
 //! Any failed fsync, of a segment store or of the WAL, fails the WAL for
-//! good: a disk that lost bytes once is not trusted with a commit again.
+//! good: a disk that lost bytes once is not trusted with a commit again. A
+//! segment store whose fsync failed is failed too, and refuses every later
+//! put.
 
+use crate::frame::{open_log_file, LogFile};
 use crate::segment::{SegmentStore, SegmentStoreOptions};
 use crate::wal::{Journal, MetaWal, RecoveredMetadata};
 use blobseer_meta::SnapshotDescriptor;
 use blobseer_types::{BlobConfig, BlobId, Durability, Result, Version};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 use std::sync::Arc;
 
 /// Tuning knobs of a [`DurableTier`].
@@ -65,7 +69,6 @@ impl Default for DurableTierOptions {
 
 /// One open durable directory: WAL + per-provider segment stores.
 pub struct DurableTier {
-    dir: PathBuf,
     options: DurableTierOptions,
     wal: Arc<MetaWal>,
     stores: Vec<Arc<SegmentStore>>,
@@ -81,16 +84,34 @@ impl DurableTier {
         providers: usize,
         options: DurableTierOptions,
     ) -> Result<(Self, RecoveredMetadata)> {
+        Self::open_over(dir, providers, options, open_log_file)
+    }
+
+    /// [`DurableTier::open`], with every file of the WAL and of the segment
+    /// stores opened or created through `open` instead of
+    /// [`open_log_file`]. Tests pass a wrapper whose writes, fsyncs or reads
+    /// fail on demand.
+    pub fn open_over(
+        dir: impl AsRef<Path>,
+        providers: usize,
+        options: DurableTierOptions,
+        open: impl Fn(&Path) -> io::Result<Box<dyn LogFile>> + Clone + Send + Sync + 'static,
+    ) -> Result<(Self, RecoveredMetadata)> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let (wal, mut recovered) = MetaWal::open(dir.join("meta.wal"), options.durability)?;
+        let (wal, mut recovered) =
+            MetaWal::open_over(dir.join("meta.wal"), options.durability, open.clone())?;
         let seg_opts = SegmentStoreOptions {
             durability: options.durability,
             segment_bytes: options.segment_bytes,
         };
         let mut stores = Vec::with_capacity(providers);
         for idx in 0..providers {
-            let store = SegmentStore::open(dir.join(format!("provider-{idx:04}")), seg_opts)?;
+            let store = SegmentStore::open_over(
+                dir.join(format!("provider-{idx:04}")),
+                seg_opts,
+                open.clone(),
+            )?;
             let seg = store.recovery();
             recovered.stats.recovered_chunks += seg.recovered_chunks;
             recovered.stats.segment_truncated_bytes += seg.truncated_bytes;
@@ -99,25 +120,12 @@ impl DurableTier {
         }
         Ok((
             DurableTier {
-                dir,
                 options,
                 wal: Arc::new(wal),
                 stores,
             },
             recovered,
         ))
-    }
-
-    /// The directory this tier lives in.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The tier's options.
-    #[must_use]
-    pub fn options(&self) -> DurableTierOptions {
-        self.options
     }
 
     /// The metadata WAL.
@@ -161,13 +169,6 @@ impl DurableTier {
         }
         Ok((removed, reclaimed))
     }
-
-    fn sync_stores(&self) -> Result<()> {
-        for store in &self.stores {
-            store.sync()?;
-        }
-        Ok(())
-    }
 }
 
 impl Journal for DurableTier {
@@ -181,7 +182,7 @@ impl Journal for DurableTier {
         // record was already synced; under `Buffered` the caller opted out
         // of syncing entirely.
         if self.options.durability == Durability::Commit {
-            if let Err(err) = self.sync_stores() {
+            if let Err(err) = self.stores.iter().try_for_each(|store| store.sync()) {
                 self.wal.fail(format!("segment store fsync failed: {err}"));
                 return Err(err);
             }
@@ -209,6 +210,7 @@ mod tests {
     use blobseer_types::wire::ChunkEnvelope;
     use blobseer_types::{BlobId as ChunkBlobId, ChunkId};
     use bytes::Bytes;
+    use std::path::PathBuf;
 
     fn chunk_id(tag: u64, slot: u64) -> ChunkId {
         ChunkId {

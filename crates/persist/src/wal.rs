@@ -1,5 +1,12 @@
 //! The metadata write-ahead log: an indexed append-only record of every
-//! durable metadata mutation, with periodic checkpoints.
+//! durable metadata mutation, with periodic checkpoints. It is the second
+//! keyspace over the log engine ([`crate::frame`]): one file, `meta.wal`,
+//! that never rolls.
+//!
+//! The engine owns recovery, appends, the group fsync, fail-stop and the
+//! file swap. The WAL keeps what its records mean: the record codecs,
+//! replay (the first CRC-failing or undecodable record ends the log), and
+//! the fuzzy checkpoint.
 //!
 //! Write-ahead ordering makes publication atomic: a writer's chunks land in
 //! segment files and its tree nodes land here (`PutNodes`) *before* the
@@ -20,25 +27,26 @@
 //! log for good (fail-stop): [`MetaWal::failure`] says why.
 //!
 //! A checkpoint rewrites the log as a compacted image of the live state
-//! (blobs, surviving nodes, commit prefix) via write-to-temp + fsync +
-//! rename, so the log does not grow with history forever. It is *fuzzy*:
-//! the live state is captured without holding the log, and every record
-//! appended after the checkpoint's begin mark is carried over behind the
-//! image, so no acknowledged mutation falls between capture and swap.
+//! (blobs, surviving nodes, commit prefix) so the log does not grow with
+//! history forever. It is *fuzzy*: the live state is captured without
+//! holding the log, and every record appended after the checkpoint's begin
+//! mark is carried over behind the image, so no acknowledged mutation falls
+//! between capture and swap. The image is written to `meta.ckpt` through
+//! the same opener as the log and fsynced, and the append handle on it
+//! exists before it is renamed over `meta.wal`: nothing that can fail runs
+//! between the rename and the swap, and a failed directory fsync after it
+//! fails the log.
 
-use crate::frame::{frame_record, parent_dir, scan, sync_dir, LogFile, LogTail};
+use crate::frame::{frame_record, open_log_file, parent_dir, LogConfig, LogFile, RecordLog};
 use blobseer_meta::{MetadataStore, NodeBody, NodeKey, SnapshotDescriptor};
-use blobseer_types::wire::{WireReader, WireWriter};
+use blobseer_types::wire::{encode, WireReader, WireWriter};
 use blobseer_types::{BlobConfig, BlobError, BlobId, ChunkCodec, Durability, Result, Version};
 use bytes::Bytes;
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::io;
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Record kinds of the metadata WAL.
 const KIND_CREATE_BLOB: u8 = 1;
@@ -49,7 +57,10 @@ const KIND_RETIRE: u8 = 5;
 // Kind 6 is reserved: it was a flatten record that nothing ever wrote.
 // Flatness is journaled by the commit descriptor's `flat` byte.
 
-fn put_blob_config(w: &mut WireWriter, config: &BlobConfig) {
+/// The payload of a blob-creation record.
+fn create_payload(blob: BlobId, config: &BlobConfig) -> Bytes {
+    let mut w = WireWriter::new();
+    w.put(&blob);
     w.put_u64(config.chunk_size);
     w.put_u64(config.replication as u64);
     w.put_u64(config.meta_retry.initial_delay_us);
@@ -60,6 +71,7 @@ fn put_blob_config(w: &mut WireWriter, config: &BlobConfig) {
         Some(ChunkCodec::Off) => w.put_u8(1),
         Some(ChunkCodec::Fast) => w.put_u8(2),
     }
+    w.finish()
 }
 
 fn get_blob_config(r: &mut WireReader<'_>) -> Result<BlobConfig> {
@@ -88,11 +100,15 @@ fn get_blob_config(r: &mut WireReader<'_>) -> Result<BlobConfig> {
     })
 }
 
-fn put_descriptor(w: &mut WireWriter, descriptor: &SnapshotDescriptor) {
+/// The payload of a commit record.
+fn commit_payload(blob: BlobId, descriptor: &SnapshotDescriptor) -> Bytes {
+    let mut w = WireWriter::new();
+    w.put(&blob);
     w.put(&descriptor.version);
     w.put_u64(descriptor.size);
     w.put_u64(descriptor.chunk_size);
     w.put_u8(u8::from(descriptor.flat));
+    w.finish()
 }
 
 fn put_nodes_payload(nodes: &[(NodeKey, NodeBody)]) -> Bytes {
@@ -165,21 +181,12 @@ pub struct RecoveredMetadata {
     pub stats: RecoveryStats,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ReplayBlob {
     config: Option<BlobConfig>,
     commits: BTreeMap<u64, SnapshotDescriptor>,
-    first_retained: Version,
-}
-
-impl Default for ReplayBlob {
-    fn default() -> Self {
-        ReplayBlob {
-            config: None,
-            commits: BTreeMap::new(),
-            first_retained: Version(0),
-        }
-    }
+    /// The lifecycle floor's version number.
+    first_retained: u64,
 }
 
 /// The live state a checkpoint compacts the log to: every blob's id,
@@ -190,33 +197,12 @@ pub type CheckpointImage = (
     Vec<(NodeKey, NodeBody)>,
 );
 
-/// Wraps each file the log appends to: the file itself in production, a
-/// failure-injecting double in tests.
-type OpenLog = Box<dyn Fn(File) -> Box<dyn LogFile> + Send + Sync>;
-
 /// The append-only metadata log.
 pub struct MetaWal {
-    path: PathBuf,
-    durability: Durability,
-    open_log: OpenLog,
-    inner: Mutex<LogTail<Box<dyn LogFile>>>,
-    /// Records appended since open: the sequence number of the newest one.
-    /// Raised under `inner`.
-    appended: AtomicU64,
-    /// Every record with a sequence number up to this is on disk.
-    synced: AtomicU64,
-    /// Held by the one caller of [`MetaWal::sync_through`] that fsyncs.
-    sync_leader: Mutex<()>,
-    fsyncs: AtomicU64,
+    log: RecordLog,
     records_since_checkpoint: AtomicU64,
     bytes_since_checkpoint: AtomicU64,
     checkpoints: AtomicU64,
-    /// Set by [`MetaWal::seal`] at shutdown: every later append or
-    /// checkpoint fails cleanly instead of racing the closing log.
-    sealed: AtomicBool,
-    /// Why the log failed, once it has: [`MetaWal::failure`] reads it
-    /// without waiting on a checkpoint that holds `inner`.
-    failed: OnceLock<String>,
 }
 
 impl MetaWal {
@@ -228,79 +214,53 @@ impl MetaWal {
         path: impl AsRef<Path>,
         durability: Durability,
     ) -> Result<(Self, RecoveredMetadata)> {
-        Self::open_over(path, durability, |file| Box::new(file))
+        Self::open_over(path, durability, open_log_file)
     }
 
-    /// [`MetaWal::open`], appending through `open_log(file)` instead of the
-    /// file itself — here and after every checkpoint swap. Tests pass a
-    /// wrapper whose writes or fsyncs fail on demand.
+    /// [`MetaWal::open`], with the log file — and every checkpoint's
+    /// replacement — opened or created through `open` instead of
+    /// [`open_log_file`]. Tests pass a wrapper whose writes or fsyncs fail
+    /// on demand.
     pub fn open_over(
         path: impl AsRef<Path>,
         durability: Durability,
-        open_log: impl Fn(File) -> Box<dyn LogFile> + Send + Sync + 'static,
+        open: impl Fn(&Path) -> io::Result<Box<dyn LogFile>> + Send + Sync + 'static,
     ) -> Result<(Self, RecoveredMetadata)> {
         let path = path.as_ref().to_path_buf();
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        let raw = match std::fs::read(&path) {
-            Ok(raw) => raw,
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => {
-                File::create(&path)?;
-                sync_dir(parent_dir(&path), durability)?;
-                Vec::new()
-            }
-            Err(err) => return Err(err.into()),
-        };
-        let outcome = scan(&raw);
         let mut blobs: BTreeMap<BlobId, ReplayBlob> = BTreeMap::new();
         let mut nodes: HashMap<NodeKey, NodeBody> = HashMap::new();
-        let mut cut = outcome.valid_len;
         let mut replayed = 0u64;
-        for record in &outcome.records {
-            if !record.crc_ok {
-                cut = record.span.start;
-                break;
-            }
-            let payload = &raw[record.payload.clone()];
-            if Self::apply_record(record.kind, payload, &mut blobs, &mut nodes).is_err() {
-                cut = record.span.start;
-                break;
-            }
-            replayed += 1;
-        }
-        let truncated = (raw.len() - cut) as u64;
-        if (raw.len() as u64) > cut as u64 {
-            // Keep the valid prefix; set_len below cuts only the torn tail.
-            let file = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(false)
-                .open(&path)?;
-            file.set_len(cut as u64)?;
-            file.sync_data()?;
-        }
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let numbers = if path.exists() { vec![1] } else { Vec::new() };
+        let named = path.clone();
+        let config = LogConfig {
+            dir: parent_dir(&path).to_path_buf(),
+            path: Box::new(move |_| named.clone()),
+            durability,
+            roll_bytes: u64::MAX,
+            fail_on_append_error: true,
+            open: Arc::new(open),
+        };
+        let (log, found) = RecordLog::open(config, numbers, |_, record, payload, _| {
+            let applied = record.crc_ok
+                && Self::apply_record(record.kind, payload, &mut blobs, &mut nodes).is_ok();
+            replayed += u64::from(applied);
+            applied
+        })?;
         let mut recovered = Self::finish_replay(blobs, nodes);
         recovered.stats.wal_replayed_records = replayed;
-        recovered.stats.wal_truncated_bytes = truncated;
+        recovered.stats.wal_truncated_bytes = found.truncated_bytes;
+        let len = found.files.iter().map(|&(_, len)| len).sum();
         Ok((
             MetaWal {
-                path,
-                durability,
-                inner: Mutex::new(LogTail::new(open_log(file), cut as u64)),
-                open_log: Box::new(open_log),
-                appended: AtomicU64::new(0),
-                synced: AtomicU64::new(0),
-                sync_leader: Mutex::new(()),
-                fsyncs: AtomicU64::new(0),
+                log,
                 records_since_checkpoint: AtomicU64::new(replayed),
                 // Seed with the surviving log length: a reopened WAL that is
                 // already huge is as checkpoint-due as one that grew huge.
-                bytes_since_checkpoint: AtomicU64::new(cut as u64),
+                bytes_since_checkpoint: AtomicU64::new(len),
                 checkpoints: AtomicU64::new(0),
-                sealed: AtomicBool::new(false),
-                failed: OnceLock::new(),
             },
             recovered,
         ))
@@ -349,7 +309,7 @@ impl MetaWal {
                 let first_retained: Version = r.get()?;
                 r.expect_end()?;
                 let entry = blobs.entry(id).or_default();
-                entry.first_retained = entry.first_retained.max(first_retained);
+                entry.first_retained = entry.first_retained.max(first_retained.0);
             }
             tag => {
                 return Err(BlobError::Transport(format!(
@@ -385,7 +345,7 @@ impl MetaWal {
                 id,
                 config,
                 published,
-                first_retained: replay.first_retained,
+                first_retained: Version(replay.first_retained),
             });
         }
         for (key, body) in nodes {
@@ -399,12 +359,6 @@ impl MetaWal {
         out.stats.recovered_blobs = out.blobs.len() as u64;
         out.stats.recovered_nodes = out.nodes.len() as u64;
         out
-    }
-
-    /// Path of the backing log file.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Records appended (or replayed) since the last checkpoint — the
@@ -423,28 +377,18 @@ impl MetaWal {
         self.bytes_since_checkpoint.load(Ordering::Relaxed)
     }
 
-    /// Seals the log for shutdown: every later append or checkpoint fails
-    /// with a clean error instead of writing into a file that is being
-    /// closed. Sealing is one-way and idempotent; in-flight appends holding
-    /// the file lock finish untorn before the seal is observed.
+    /// Seals the log for shutdown with a final sync: every later append,
+    /// sync or checkpoint fails with a clean error instead of writing into
+    /// a file that is being closed. Sealing is one-way and idempotent; an
+    /// append racing it either lands before the final sync or is refused.
     pub fn seal(&self) {
-        // Take the file lock so a checkpoint or append in flight completes
-        // (and its bytes are on their way to disk) before we flip the flag.
-        let inner = self.inner.lock();
-        self.sealed.store(true, Ordering::SeqCst);
-        if self.durability != Durability::Buffered
-            && inner.handle().is_ok_and(|file| file.sync().is_ok())
-        {
-            self.fsyncs.fetch_add(1, Ordering::Relaxed);
-            self.synced
-                .fetch_max(self.appended.load(Ordering::Relaxed), Ordering::AcqRel);
-        }
+        self.log.seal();
     }
 
     /// Whether [`MetaWal::seal`] has been called.
     #[must_use]
     pub fn is_sealed(&self) -> bool {
-        self.sealed.load(Ordering::SeqCst)
+        self.log.is_sealed()
     }
 
     /// Checkpoints taken since open.
@@ -453,11 +397,11 @@ impl MetaWal {
         self.checkpoints.load(Ordering::Relaxed)
     }
 
-    /// Fsyncs of the log file since open: the inline ones of synced
-    /// appends and the group fsyncs of [`MetaWal::sync_through`].
+    /// Fsyncs of the log since open: the inline ones of synced appends, the
+    /// group fsyncs of [`MetaWal::sync_through`] and the checkpoints'.
     #[must_use]
     pub fn fsyncs(&self) -> u64 {
-        self.fsyncs.load(Ordering::Relaxed)
+        self.log.fsyncs()
     }
 
     /// Why the log failed, once a failed append or fsync stopped it. A
@@ -466,7 +410,7 @@ impl MetaWal {
     /// no lock, so a health probe never waits on a running checkpoint.
     #[must_use]
     pub fn failure(&self) -> Option<String> {
-        self.failed.get().cloned()
+        self.log.failure()
     }
 
     /// Fails the log from outside (fail-stop), with `why` as the reason
@@ -474,69 +418,31 @@ impl MetaWal {
     /// segment store's fsync fails: no commit may name chunks that a
     /// failing disk may have lost.
     pub fn fail(&self, why: String) {
-        self.fail_locked(&mut self.inner.lock(), why);
-    }
-
-    /// Fails the log under its lock. Unless the policy never syncs, the
-    /// unsynced tail goes too, as a crash would take it: no commit in it
-    /// was acknowledged.
-    fn fail_locked(&self, inner: &mut LogTail<Box<dyn LogFile>>, why: String) {
-        inner.fail(why, self.durability != Durability::Buffered);
-        if let Some(why) = inner.failure() {
-            let _ = self.failed.set(why.to_string());
-        }
+        self.log.lock().fail(why);
     }
 
     /// Appends one record and returns its sequence number, fsyncing it
-    /// first when `sync` is set (and the policy syncs at all). Any failure
-    /// fails the log.
+    /// first when `sync` is set or the policy syncs every record. Any
+    /// failure fails the log.
     fn append(&self, kind: u8, payload: &[u8], sync: bool) -> Result<u64> {
         let record = frame_record(kind, payload);
-        let sync = sync && self.durability != Durability::Buffered;
-        let mut inner = self.inner.lock();
-        self.writable(&inner)?;
-        if let Err(err) = inner.append(&record, sync) {
-            self.fail_locked(&mut inner, format!("metadata WAL append failed: {err}"));
-            return Err(err);
-        }
-        let seq = self.appended.fetch_add(1, Ordering::Relaxed) + 1;
-        if sync {
-            self.fsyncs.fetch_add(1, Ordering::Relaxed);
-            self.synced.fetch_max(seq, Ordering::AcqRel);
-        }
-        // Counted under the lock, so a checkpoint's mark and swap see the
-        // counters agree with the log length.
-        self.records_since_checkpoint
-            .fetch_add(1, Ordering::Relaxed);
-        self.bytes_since_checkpoint
-            .fetch_add(record.len() as u64, Ordering::Relaxed);
-        Ok(seq)
-    }
-
-    /// Fails once the log is sealed or torn; called under the file lock. A
-    /// log a failed append left torn stays failed: no checkpoint quietly
-    /// brings it back.
-    fn writable(&self, inner: &LogTail<Box<dyn LogFile>>) -> Result<()> {
-        if self.sealed.load(Ordering::SeqCst) {
-            return Err(BlobError::Internal(
-                "metadata WAL is sealed (shutting down)".into(),
-            ));
-        }
-        inner.handle().map(drop)
-    }
-
-    fn sync_every_record(&self) -> bool {
-        self.durability == Durability::Always
+        self.log.lock().append(&record, sync, |pos| {
+            // Counted under the lock, so a checkpoint's mark and swap see
+            // the counters agree with the log length.
+            self.records_since_checkpoint
+                .fetch_add(1, Ordering::Relaxed);
+            self.bytes_since_checkpoint
+                .fetch_add(record.len() as u64, Ordering::Relaxed);
+            pos.seq
+        })
     }
 
     /// Journals a blob creation. Synced before returning, whatever the
     /// policy short of `Buffered` — handing out a blob id that a restart
     /// forgets would let the next incarnation mint it twice.
     pub fn log_create_blob(&self, blob: BlobId, config: &BlobConfig) -> Result<()> {
-        let mut w = WireWriter::new();
-        w.put(&blob);
-        put_blob_config(&mut w, config);
-        self.append(KIND_CREATE_BLOB, &w.finish(), true).map(drop)
+        self.append(KIND_CREATE_BLOB, &create_payload(blob, config), true)
+            .map(drop)
     }
 
     /// Journals a batch of published tree nodes (before they reach the
@@ -545,12 +451,8 @@ impl MetaWal {
         if nodes.is_empty() {
             return Ok(());
         }
-        self.append(
-            KIND_PUT_NODES,
-            &put_nodes_payload(nodes),
-            self.sync_every_record(),
-        )
-        .map(drop)
+        self.append(KIND_PUT_NODES, &put_nodes_payload(nodes), false)
+            .map(drop)
     }
 
     /// Appends a version-manager commit record — the publication point —
@@ -559,50 +461,16 @@ impl MetaWal {
     /// land after the chunks and nodes it names, and in publication order,
     /// but many commits can share one fsync.
     pub fn append_commit(&self, blob: BlobId, descriptor: &SnapshotDescriptor) -> Result<u64> {
-        let mut w = WireWriter::new();
-        w.put(&blob);
-        put_descriptor(&mut w, descriptor);
-        self.append(KIND_COMMIT, &w.finish(), self.sync_every_record())
+        self.append(KIND_COMMIT, &commit_payload(blob, descriptor), false)
     }
 
-    /// Makes every record up to sequence number `seq` durable: the group
-    /// fsync. Returns at once when an earlier fsync already covered `seq`.
-    /// Otherwise one caller at a time leads: it reads the append count,
-    /// fsyncs outside the append lock (appends keep flowing), and raises
-    /// the synced mark to that count. A failed fsync fails the log. A no-op
-    /// under [`Durability::Buffered`], which promises no machine-crash
-    /// safety.
+    /// Makes every record up to sequence number `seq` durable: the log's
+    /// group fsync. Returns at once when an earlier fsync already covered
+    /// `seq`; otherwise one caller leads the fsync, outside the append
+    /// lock, for every record appended before it started. A failed fsync
+    /// fails the log. A no-op under [`Durability::Buffered`].
     pub fn sync_through(&self, seq: u64) -> Result<()> {
-        if self.durability == Durability::Buffered || self.synced.load(Ordering::Acquire) >= seq {
-            return Ok(());
-        }
-        let _leader = self.sync_leader.lock();
-        if self.synced.load(Ordering::Acquire) >= seq {
-            return Ok(());
-        }
-        let (file, count, len) = {
-            let inner = self.inner.lock();
-            self.writable(&inner)?;
-            (
-                inner.handle()?,
-                self.appended.load(Ordering::Relaxed),
-                inner.len(),
-            )
-        };
-        let synced = file.sync();
-        self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.lock();
-        match synced {
-            Ok(()) => {
-                inner.synced(&file, len);
-                self.synced.fetch_max(count, Ordering::AcqRel);
-                Ok(())
-            }
-            Err(err) => {
-                self.fail_locked(&mut inner, format!("metadata WAL fsync failed: {err}"));
-                Err(err.into())
-            }
-        }
+        self.log.sync_through(seq)
     }
 
     /// Journals a commit and waits for it to be durable:
@@ -617,19 +485,14 @@ impl MetaWal {
         if keys.is_empty() {
             return Ok(());
         }
-        let mut w = WireWriter::new();
-        w.put(&keys.to_vec());
-        self.append(KIND_DELETE_NODES, &w.finish(), self.sync_every_record())
+        self.append(KIND_DELETE_NODES, &encode(&keys.to_vec()), false)
             .map(drop)
     }
 
     /// Journals a lifecycle retention floor so recovery does not resurrect
     /// retired versions.
     pub fn log_retire(&self, blob: BlobId, first_retained: Version) -> Result<()> {
-        let mut w = WireWriter::new();
-        w.put(&blob);
-        w.put(&first_retained);
-        self.append(KIND_RETIRE, &w.finish(), self.sync_every_record())
+        self.append(KIND_RETIRE, &encode(&(blob, first_retained)), false)
             .map(drop)
     }
 
@@ -647,11 +510,11 @@ impl MetaWal {
     /// log. A capture that another checkpoint overtook is dropped.
     pub fn checkpoint(&self, capture: impl FnOnce() -> Result<CheckpointImage>) -> Result<()> {
         let (generation, mark, records_at_mark) = {
-            let inner = self.inner.lock();
-            self.writable(&inner)?;
+            let log = self.log.lock();
+            log.writable()?;
             (
                 self.checkpoints.load(Ordering::Relaxed),
-                inner.len(),
+                log.len(),
                 self.records_since_checkpoint.load(Ordering::Relaxed),
             )
         };
@@ -665,59 +528,27 @@ impl MetaWal {
             image.extend_from_slice(&frame_record(KIND_PUT_NODES, &put_nodes_payload(&nodes)));
         }
         for (id, config, published, first_retained) in &blobs {
-            let mut w = WireWriter::new();
-            w.put(id);
-            put_blob_config(&mut w, config);
-            image.extend_from_slice(&frame_record(KIND_CREATE_BLOB, &w.finish()));
+            image.extend(frame_record(KIND_CREATE_BLOB, &create_payload(*id, config)));
             for descriptor in published.iter().filter(|d| d.version.0 > 0) {
-                let mut w = WireWriter::new();
-                w.put(id);
-                put_descriptor(&mut w, descriptor);
-                image.extend_from_slice(&frame_record(KIND_COMMIT, &w.finish()));
+                image.extend(frame_record(KIND_COMMIT, &commit_payload(*id, descriptor)));
             }
             if first_retained.0 > 0 {
-                let mut w = WireWriter::new();
-                w.put(id);
-                w.put(first_retained);
-                image.extend_from_slice(&frame_record(KIND_RETIRE, &w.finish()));
+                let payload = encode(&(*id, *first_retained));
+                image.extend_from_slice(&frame_record(KIND_RETIRE, &payload));
             }
         }
-        // Hold the file lock across the swap so no append lands in the old
-        // file between reading its tail and switching the handle.
-        let mut inner = self.inner.lock();
-        self.writable(&inner)?;
+        // Hold the append lock across the swap so no append lands in the
+        // old file between reading its tail and switching to the new one.
+        let mut log = self.log.lock();
+        log.writable()?;
         if self.checkpoints.load(Ordering::Relaxed) != generation {
             return Ok(());
         }
-        let tail_len = inner.len() - mark;
-        let image_len = image.len();
-        image.resize(image_len + tail_len as usize, 0);
-        File::open(&self.path)?.read_exact_at(&mut image[image_len..], mark)?;
-        let tmp_path = self.path.with_extension("ckpt");
-        {
-            let mut tmp = File::create(&tmp_path)?;
-            tmp.write_all(&image)?;
-            tmp.sync_all()?;
-        }
-        std::fs::rename(&tmp_path, &self.path)?;
-        // Commit records appended from here on land in the new inode: its
-        // name must not be lost to a power cut while they are not.
-        sync_dir(parent_dir(&self.path), self.durability)?;
-        *inner = LogTail::new(
-            (self.open_log)(OpenOptions::new().append(true).open(&self.path)?),
-            image.len() as u64,
-        );
-        if self.durability != Durability::Buffered {
-            self.fsyncs.fetch_add(1, Ordering::Relaxed);
-            if let Err(err) = inner.handle()?.sync() {
-                self.fail_locked(&mut inner, format!("metadata WAL fsync failed: {err}"));
-                return Err(err.into());
-            }
-        }
+        let tail_len = log.len() - mark;
+        image.extend_from_slice(&log.read(mark, tail_len as usize)?);
         // The synced image carries every record appended so far, unsynced
-        // commits included: their sync is done.
-        self.synced
-            .fetch_max(self.appended.load(Ordering::Relaxed), Ordering::AcqRel);
+        // commits included: the swap completes their sync.
+        log.replace(&image)?;
         // Both triggers count the carried tail only — the compacted image
         // itself is the floor another checkpoint cannot shrink, so counting
         // it would loop the trigger forever on a large live state.
@@ -780,12 +611,6 @@ impl WalMetaStore {
     pub fn new(inner: Arc<dyn MetadataStore>, wal: Arc<MetaWal>) -> Self {
         WalMetaStore { inner, wal }
     }
-
-    /// The wrapped store.
-    #[must_use]
-    pub fn inner(&self) -> &Arc<dyn MetadataStore> {
-        &self.inner
-    }
 }
 
 impl MetadataStore for WalMetaStore {
@@ -809,9 +634,7 @@ impl MetadataStore for WalMetaStore {
         // Encoded before the store takes the batch, so it moves in uncopied.
         let payload = put_nodes_payload(&nodes);
         self.inner.put_nodes(nodes)?;
-        let wal = &self.wal;
-        wal.append(KIND_PUT_NODES, &payload, wal.sync_every_record())
-            .map(drop)
+        self.wal.append(KIND_PUT_NODES, &payload, false).map(drop)
     }
 
     fn delete_nodes(&self, keys: &[NodeKey]) -> Result<usize> {
@@ -833,6 +656,10 @@ mod tests {
     use super::*;
     use blobseer_meta::LeafNode;
     use blobseer_types::ByteRange;
+    use parking_lot::Mutex;
+    use std::fs::OpenOptions;
+    use std::path::PathBuf;
+    use std::sync::atomic::AtomicBool;
 
     fn temp_wal(tag: &str) -> PathBuf {
         let dir =
@@ -1197,6 +1024,88 @@ mod tests {
         assert_eq!(recovered.blobs[0].published.len(), 2);
         assert_eq!(recovered.stats.recovered_nodes, 1);
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// A log file whose fsyncs fail while `failing` is set.
+    struct FailingSync {
+        file: Box<dyn LogFile>,
+        failing: Arc<AtomicBool>,
+    }
+
+    impl LogFile for FailingSync {
+        fn append(&self, buf: &[u8]) -> io::Result<()> {
+            self.file.append(buf)
+        }
+
+        fn truncate(&self, len: u64) -> io::Result<()> {
+            self.file.truncate(len)
+        }
+
+        fn sync(&self) -> io::Result<()> {
+            if self.failing.load(Ordering::SeqCst) {
+                return Err(io::Error::other("injected fsync failure"));
+            }
+            self.file.sync()
+        }
+
+        fn read_at(&self, buf: &mut [u8], at: u64) -> io::Result<()> {
+            self.file.read_at(buf, at)
+        }
+    }
+
+    /// A checkpoint that fails opening or fsyncing the file that replaces
+    /// the log loses no acknowledged commit: a later commit is either in
+    /// the file a reopen finds, or refused with the WAL failed. (Opening
+    /// the new append handle after the rename left a failed open appending
+    /// acknowledged commits to the unlinked old file.)
+    #[test]
+    fn a_failed_checkpoint_loses_no_acknowledged_commit() {
+        for fail_open in [true, false] {
+            let path = temp_wal(&format!("ckpt-fails-{fail_open}"));
+            let (opens, syncs) = (
+                Arc::new(AtomicBool::new(false)),
+                Arc::new(AtomicBool::new(false)),
+            );
+            let (failing_opens, failing_syncs) = (Arc::clone(&opens), Arc::clone(&syncs));
+            let (wal, _) = MetaWal::open_over(&path, Durability::Commit, move |path| {
+                if failing_opens.load(Ordering::SeqCst) {
+                    return Err(io::Error::other("injected open failure"));
+                }
+                Ok(Box::new(FailingSync {
+                    file: open_log_file(path)?,
+                    failing: Arc::clone(&failing_syncs),
+                }))
+            })
+            .unwrap();
+            let config = BlobConfig::default();
+            wal.log_create_blob(BlobId(1), &config).unwrap();
+            wal.log_commit(BlobId(1), &descriptor(1, 64)).unwrap();
+            let fault = if fail_open { &opens } else { &syncs };
+            fault.store(true, Ordering::SeqCst);
+            let failed = wal.checkpoint(|| {
+                Ok((
+                    vec![(
+                        BlobId(1),
+                        config,
+                        vec![SnapshotDescriptor::initial(64), descriptor(1, 64)],
+                        Version(0),
+                    )],
+                    Vec::new(),
+                ))
+            });
+            assert!(failed.is_err(), "fail open: {fail_open}");
+            fault.store(false, Ordering::SeqCst);
+            let acked = wal.log_commit(BlobId(1), &descriptor(2, 128)).is_ok();
+            assert!(acked || wal.failure().is_some(), "fail open: {fail_open}");
+            drop(wal);
+            let (_, recovered) = MetaWal::open(&path, Durability::Commit).unwrap();
+            assert_eq!(
+                recovered.blobs[0].published.len(),
+                if acked { 3 } else { 2 },
+                "fail open: {fail_open}: every acknowledged commit survives"
+            );
+            let _ = std::fs::remove_dir_all(path.parent().unwrap());
+        }
     }
 
     /// A store that checkpoints the WAL over its current contents right

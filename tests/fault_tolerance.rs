@@ -3,16 +3,19 @@
 //! where a provider can die harder than in-process (its endpoint vanishes
 //! mid-connection instead of answering "unavailable").
 
-use blobseer::core::Cluster;
+use blobseer::core::{ClientServices, Cluster, InProcessChunkService};
 use blobseer::net::NetCluster;
-use blobseer::persist::scan;
+use blobseer::persist::{open_log_file, scan, LogFile, SegmentStore, SegmentStoreOptions};
+use blobseer::provider::{ChunkStore, DataProvider};
 use blobseer::qos::{MonitoringCollector, QosController};
 use blobseer::types::wire::WireReader;
 use blobseer::types::{
     BlobConfig, BlobError, ChunkId, ClusterConfig, Durability, PlacementPolicy, ProviderId, Version,
 };
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 #[test]
@@ -440,6 +443,120 @@ fn truncated_segment_behind_a_live_cluster_fails_over_to_the_intact_replica() {
             "a damaged replica must never shorten or fail the read"
         );
     }
+    drop((client, cluster));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A segment file whose positioned reads fail with EIO once armed.
+struct EioOnRead {
+    file: Box<dyn LogFile>,
+    armed: Arc<AtomicBool>,
+    failed_reads: Arc<AtomicUsize>,
+}
+
+impl LogFile for EioOnRead {
+    fn append(&self, buf: &[u8]) -> std::io::Result<()> {
+        self.file.append(buf)
+    }
+
+    fn truncate(&self, len: u64) -> std::io::Result<()> {
+        self.file.truncate(len)
+    }
+
+    fn sync(&self) -> std::io::Result<()> {
+        self.file.sync()
+    }
+
+    fn read_at(&self, buf: &mut [u8], at: u64) -> std::io::Result<()> {
+        if !self.armed.load(Ordering::SeqCst) {
+            return self.file.read_at(buf, at);
+        }
+        self.failed_reads.fetch_add(1, Ordering::SeqCst);
+        Err(std::io::Error::from_raw_os_error(5))
+    }
+}
+
+/// One replica's disk returns EIO on every positioned read of a chunk:
+/// each such read is the retryable transport error, and a replication-2
+/// read is served whole by the other replica.
+#[test]
+fn an_eio_on_one_replica_is_served_by_the_other() {
+    let dir = durable_dir("eio");
+    let payload = ft_pattern(16 * DUR_CS as usize, 11);
+    let cluster = Cluster::open_durable(durable_config(), &dir).unwrap();
+    let client = cluster.client();
+    let blob = client
+        .create_blob(BlobConfig::new(DUR_CS, 2).unwrap())
+        .unwrap();
+    client.append(blob, &payload).unwrap();
+    // Provider 0's segments, opened a second time over a disk that fails
+    // every chunk read.
+    let (armed, failed_reads) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicUsize::new(0)),
+    );
+    let (arm, counter) = (Arc::clone(&armed), Arc::clone(&failed_reads));
+    let store = SegmentStore::open_over(
+        dir.join("provider-0000"),
+        SegmentStoreOptions::default(),
+        move |path| {
+            Ok(Box::new(EioOnRead {
+                file: open_log_file(path)?,
+                armed: Arc::clone(&arm),
+                failed_reads: Arc::clone(&counter),
+            }))
+        },
+    )
+    .unwrap();
+    let store = Arc::new(store);
+    armed.store(true, Ordering::SeqCst);
+    let raw = std::fs::read(dir.join("provider-0000").join("seg-000001.log")).unwrap();
+    let held: Vec<ChunkId> = scan(&raw)
+        .records
+        .iter()
+        .map(|record| WireReader::new(&raw[record.payload.clone()]).get().unwrap())
+        .collect();
+    assert!(!held.is_empty(), "provider 0 holds replicas");
+    for id in &held {
+        assert!(
+            matches!(store.get(id), Err(BlobError::Transport(_))),
+            "{id}: an EIO is the retryable error"
+        );
+    }
+    let mut providers: HashMap<ProviderId, Arc<DataProvider>> = cluster
+        .providers()
+        .into_iter()
+        .map(|provider| (provider.id(), provider))
+        .collect();
+    let failing = DataProvider::with_store(ProviderId(0), Arc::clone(&store) as _);
+    providers.insert(ProviderId(0), Arc::new(failing));
+    let chunks = Arc::new(InProcessChunkService::new(
+        Arc::clone(cluster.provider_manager()),
+        providers,
+    ));
+    // Replicas are probed in a random order: several fresh clients make
+    // sure the failing one is tried first for some chunk.
+    for _ in 0..8 {
+        let client = cluster.client_over(ClientServices {
+            versions: Arc::clone(cluster.version_manager()) as _,
+            chunks: Arc::clone(&chunks) as _,
+            metadata: Arc::clone(cluster.metadata_service()),
+        });
+        assert_eq!(
+            client.read_all(blob, None).unwrap(),
+            payload,
+            "a replica whose disk fails reads must never fail the read"
+        );
+    }
+    assert!(
+        failed_reads.load(Ordering::SeqCst) > held.len(),
+        "clients hit the EIO"
+    );
+    assert_eq!(
+        store.chunk_count(),
+        held.len(),
+        "unreadable chunks are still held"
+    );
     drop((client, cluster));
     let _ = std::fs::remove_dir_all(&dir);
 }
