@@ -221,7 +221,8 @@ mod tests {
     #[test]
     fn series_round_trip_shape() {
         let mut s = SweepSeries::new("curve");
-        s.push_full(1.0, 100.0, 2.5, 42);
+        s.push(1.0, 100.0, 2.5);
+        s.points[0].meta_round_trips = 42;
         let json = series_json(&s).to_string();
         assert!(json.contains("\"name\":\"curve\""));
         assert!(json.contains("\"throughput_mibps\":100"));

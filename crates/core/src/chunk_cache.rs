@@ -17,6 +17,10 @@
 //! The map is sharded so concurrent readers sharing a client (or a future
 //! node-local cache shared by many clients) do not serialise on one lock:
 //! each shard owns a hash map plus an LRU order keyed by a per-shard tick.
+//!
+//! The discrete-event simulator (`blobseer-sim`) runs this same cache for
+//! every simulated client, filled with zero payloads of the chunks' lengths,
+//! so its hits, misses and admission decisions are the real ones.
 
 use blobseer_types::ChunkId;
 use bytes::Bytes;
@@ -25,10 +29,10 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of independently locked shards. Public because the per-entry
-/// admission limit is derived from it (`budget / SHARDS`): the simulator
-/// mirrors the rule and must never drift from the real cache.
-pub const SHARDS: usize = 16;
+/// Number of independently locked shards. The per-entry admission limit
+/// is derived from it: an entry larger than `budget / SHARDS` is not
+/// cached.
+const SHARDS: usize = 16;
 
 /// Counters describing the cache's lifetime activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -58,18 +58,6 @@ impl DataNode {
     }
 }
 
-/// Counters kept by the namenode, used to show how much traffic the single
-/// metadata server absorbs compared with BlobSeer's DHT.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NameNodeStats {
-    /// Metadata operations served (creates, lookups, block allocations,
-    /// lease operations).
-    pub metadata_ops: u64,
-    /// Lease acquisitions that had to be rejected because another writer
-    /// held the file.
-    pub lease_conflicts: u64,
-}
-
 /// The HDFS-like file system: one namenode plus a set of datanodes.
 pub struct HdfsLikeFs {
     files: Mutex<HashMap<String, FileMeta>>,
@@ -79,7 +67,6 @@ pub struct HdfsLikeFs {
     next_block: Mutex<u64>,
     next_lease: Mutex<u64>,
     next_datanode: Mutex<usize>,
-    stats: Mutex<NameNodeStats>,
 }
 
 impl HdfsLikeFs {
@@ -107,27 +94,11 @@ impl HdfsLikeFs {
             next_block: Mutex::new(0),
             next_lease: Mutex::new(0),
             next_datanode: Mutex::new(0),
-            stats: Mutex::new(NameNodeStats::default()),
         })
-    }
-
-    /// Namenode statistics.
-    pub fn namenode_stats(&self) -> NameNodeStats {
-        *self.stats.lock()
-    }
-
-    /// Number of datanodes.
-    pub fn datanode_count(&self) -> usize {
-        self.datanodes.len()
-    }
-
-    fn count_op(&self) {
-        self.stats.lock().metadata_ops += 1;
     }
 
     /// Creates an empty file. Fails if it already exists.
     pub fn create_file(&self, path: &str) -> Result<()> {
-        self.count_op();
         let mut files = self.files.lock();
         if files.contains_key(path) {
             return Err(BlobError::AlreadyExists(path.to_string()));
@@ -138,13 +109,11 @@ impl HdfsLikeFs {
 
     /// Whether a file exists.
     pub fn exists(&self, path: &str) -> bool {
-        self.count_op();
         self.files.lock().contains_key(path)
     }
 
     /// Size of a file in bytes.
     pub fn file_size(&self, path: &str) -> Result<u64> {
-        self.count_op();
         self.files
             .lock()
             .get(path)
@@ -152,20 +121,11 @@ impl HdfsLikeFs {
             .ok_or_else(|| BlobError::InvalidPath(path.to_string()))
     }
 
-    /// All file paths, sorted.
-    pub fn list_files(&self) -> Vec<String> {
-        self.count_op();
-        let mut names: Vec<String> = self.files.lock().keys().cloned().collect();
-        names.sort();
-        names
-    }
-
     /// Opens a file for appending, acquiring its single-writer lease.
     /// Returns a writer handle; any concurrent open of the same file fails
     /// with [`BlobError::WriterConflict`] until the writer is closed — the
     /// key limitation BlobSeer removes.
     pub fn open_for_append(self: &Arc<Self>, path: &str) -> Result<HdfsWriter> {
-        self.count_op();
         let lease = {
             let mut next = self.next_lease.lock();
             *next += 1;
@@ -176,7 +136,6 @@ impl HdfsLikeFs {
             .get_mut(path)
             .ok_or_else(|| BlobError::InvalidPath(path.to_string()))?;
         if meta.lease_holder.is_some() {
-            self.stats.lock().lease_conflicts += 1;
             return Err(BlobError::WriterConflict(format!(
                 "{path} already has an active writer"
             )));
@@ -202,7 +161,6 @@ impl HdfsLikeFs {
     /// append-only); this always fails and exists to make the API contrast
     /// with BlobSeer explicit in benchmarks and tests.
     pub fn write_at(&self, path: &str, _offset: u64, _data: &[u8]) -> Result<()> {
-        self.count_op();
         Err(BlobError::WriterConflict(format!(
             "{path}: random-offset writes are not supported by the HDFS-like baseline"
         )))
@@ -212,7 +170,6 @@ impl HdfsLikeFs {
     /// segment is a zero-copy sub-slice of the block a datanode holds, so
     /// nothing is flattened on the storage side.
     pub fn read_at_bytes(&self, path: &str, offset: u64, len: u64) -> Result<BlobSlice> {
-        self.count_op();
         let blocks = {
             let files = self.files.lock();
             let meta = files
@@ -264,7 +221,6 @@ impl HdfsLikeFs {
     /// The block layout of a file: byte range and datanodes per block
     /// (the locality API MapReduce uses).
     pub fn block_locations(&self, path: &str) -> Result<Vec<(u64, u64, Vec<ProviderId>)>> {
-        self.count_op();
         let files = self.files.lock();
         let meta = files
             .get(path)
@@ -293,7 +249,6 @@ impl HdfsLikeFs {
         if data.is_empty() {
             return Ok(());
         }
-        self.count_op();
         // Verify the lease before moving any data.
         {
             let files = self.files.lock();
@@ -321,7 +276,6 @@ impl HdfsLikeFs {
                     .write()
                     .insert(id, Bytes::copy_from_slice(piece));
             }
-            self.count_op(); // block allocation is a namenode operation
             new_blocks.push(BlockInfo {
                 id,
                 len: piece.len() as u64,
@@ -340,7 +294,6 @@ impl HdfsLikeFs {
     }
 
     fn release_lease(&self, path: &str, lease: u64) {
-        self.count_op();
         if let Some(meta) = self.files.lock().get_mut(path) {
             if meta.lease_holder == Some(lease) {
                 meta.lease_holder = None;
@@ -407,7 +360,6 @@ mod tests {
         assert_eq!(fs.read_file("/logs/app").unwrap(), b"hello world");
         assert_eq!(fs.read_at("/logs/app", 6, 5).unwrap(), b"world");
         assert!(fs.exists("/logs/app"));
-        assert_eq!(fs.list_files(), vec!["/logs/app"]);
     }
 
     #[test]
@@ -435,7 +387,6 @@ mod tests {
             fs.open_for_append("/shared"),
             Err(BlobError::WriterConflict(_))
         ));
-        assert_eq!(fs.namenode_stats().lease_conflicts, 1);
         writer.close().unwrap();
         // After the first writer closes, a new one can proceed.
         let mut second = fs.open_for_append("/shared").unwrap();
@@ -483,22 +434,6 @@ mod tests {
         assert!(HdfsLikeFs::new(2, 0, 1).is_err());
         assert!(HdfsLikeFs::new(2, 128, 0).is_err());
         assert!(HdfsLikeFs::new(2, 128, 3).is_err());
-    }
-
-    #[test]
-    fn every_metadata_operation_hits_the_single_namenode() {
-        let fs = fs();
-        let before = fs.namenode_stats().metadata_ops;
-        fs.create_file("/x").unwrap();
-        fs.append("/x", &vec![1u8; 300]).unwrap();
-        fs.read_file("/x").unwrap();
-        fs.block_locations("/x").unwrap();
-        let after = fs.namenode_stats().metadata_ops;
-        assert!(
-            after - before >= 8,
-            "creates, lease ops, block allocations, lookups all count ({})",
-            after - before
-        );
     }
 
     #[test]

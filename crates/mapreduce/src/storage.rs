@@ -65,11 +65,6 @@ impl BsfsStorage {
     pub fn new(fs: Arc<Bsfs>) -> Self {
         BsfsStorage { fs }
     }
-
-    /// The wrapped file system.
-    pub fn fs(&self) -> &Arc<Bsfs> {
-        &self.fs
-    }
 }
 
 impl JobStorage for BsfsStorage {
@@ -121,11 +116,6 @@ impl HdfsStorage {
     /// Wraps an HDFS-like deployment.
     pub fn new(fs: Arc<HdfsLikeFs>) -> Self {
         HdfsStorage { fs }
-    }
-
-    /// The wrapped file system.
-    pub fn fs(&self) -> &Arc<HdfsLikeFs> {
-        &self.fs
     }
 }
 

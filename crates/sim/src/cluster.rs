@@ -1,14 +1,18 @@
 //! The simulated cluster: protocol-faithful cost accounting on top of the
-//! real BlobSeer-RS control-plane code.
+//! real BlobSeer-RS code.
 //!
 //! A [`SimulatedCluster`] owns
 //!
-//! * one FIFO [`Resource`] per contention point (version manager CPU, each
-//!   data provider's NIC in both directions, each metadata provider's
-//!   request processor, each client's NIC in both directions), and
+//! * one FIFO [`Resource`] per contention point (each data provider's NIC in
+//!   both directions, each metadata provider's request processor, each
+//!   client's NIC in both directions),
 //! * real instances of the version manager, provider manager and metadata
 //!   DHT, which decide placement, versioning and metadata routing exactly as
-//!   the production code does.
+//!   the production code does, and
+//! * per simulated client, the real client caches: a
+//!   [`ChunkCache`] of `chunk_cache_bytes` and, with
+//!   `client_metadata_cache`, a [`CachedMetadataStore`] over the client's
+//!   cost-recording metadata store.
 //!
 //! Client operations are replayed in simulated-time order; each operation
 //! runs the real protocol (ticket → chunks → metadata → publication) while
@@ -22,21 +26,19 @@ use crate::model::{
 };
 use crate::resource::{Resource, SimTime, NANOS_PER_SEC};
 use crate::workload::{OpKind, Workload};
-use blobseer_core::{NodeArtifact, VersionManager, WriteKind};
+use blobseer_core::{ChunkCache, VersionManager, WriteKind};
 use blobseer_dht::Dht;
 use blobseer_meta::{
-    build_flat_metadata, build_write_metadata_chained, collect_leaves_streaming, publish_metadata,
+    build_write_metadata_chained, collect_leaves_streaming, publish_metadata, CachedMetadataStore,
     MetadataStore, NodeBody, NodeKey, WrittenChunk,
 };
 use blobseer_provider::{PlacementRequest, ProviderManager};
-use blobseer_types::FaultPlan;
 use blobseer_types::{
     chunk_span, BlobError, BlobId, ByteRange, ChunkCodec, ChunkId, ClusterConfig, Durability,
     MetaNodeId, ProviderId, Result, DHT_VIRTUAL_NODES,
 };
+use bytes::Bytes;
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
@@ -55,11 +57,6 @@ const WAL_COMMIT_RECORD_BYTES: u64 = 64;
 /// Per-frame wire overhead charged for one data-plane transfer (frame
 /// prefix, codec-encoded header and the response frame), in bytes.
 const FRAME_OVERHEAD_BYTES: u64 = 64;
-
-/// Attempts the lossy network model grants one transfer before forcing
-/// success: mirrors the RPC layer's retry budget, deep enough that the
-/// fault probabilities the tests run at converge with room to spare.
-const NET_MAX_ATTEMPTS: u64 = 6;
 
 /// Bytes the `Fast` codec scans per nanosecond of client CPU when sealing a
 /// chunk (roughly the single-core pace of an LZ4-class greedy matcher).
@@ -124,22 +121,15 @@ pub struct SimulationResult {
     /// Chunk fetches that missed the cache and hit the providers. Zero when
     /// `chunk_cache_bytes` is zero.
     pub cache_misses: u64,
-    /// Data-plane frames put on the wire, *including* the retries the lossy
-    /// network model forces (`data_round_trips` stays the logical transfer
-    /// count, so `frames_sent - data_round_trips` is pure fault overhead).
-    pub frames_sent: u64,
-    /// Data-plane frames the lossy network model swallowed (each one costs
-    /// the sender its `io_timeout` before the retry goes out).
-    pub frames_dropped: u64,
     /// Bytes the data plane *physically* moved on the wire: payload as the
     /// codec shipped it (compressed when the `Fast` codec won) plus frame
-    /// overhead, retries included. Chunk-cache hits move nothing. With the
-    /// codec `Off` this equals [`SimulationResult::bytes_on_wire_logical`].
+    /// overhead. Chunk-cache hits move nothing. With the codec `Off` this
+    /// equals [`SimulationResult::bytes_on_wire_logical`].
     pub bytes_on_wire: u64,
     /// Bytes the data plane *logically* moved: the decompressed payload
-    /// sizes the application observes, plus the same frame overhead and
-    /// retries as [`SimulationResult::bytes_on_wire`]. The gap between the
-    /// two is the codec's wire saving.
+    /// sizes the application observes, plus the same frame overhead as
+    /// [`SimulationResult::bytes_on_wire`]. The gap between the two is the
+    /// codec's wire saving.
     pub bytes_on_wire_logical: u64,
     /// Chunks the `Fast` codec actually shrank when they were sealed
     /// (verbatim passthroughs of incompressible chunks are not counted).
@@ -153,18 +143,6 @@ pub struct SimulationResult {
     /// of `n` trips contributes `n - 1`) — the simulator's mirror of the
     /// RPC layer's small-frame coalescing counter.
     pub frames_coalesced: u64,
-    /// Flat snapshot versions the lifecycle flattener materialised during
-    /// the run (zero unless `ClusterConfig::flatten_threshold` is set).
-    pub flattens: u64,
-    /// Metadata tree nodes the lifecycle sweeper deleted during the run
-    /// (zero unless `ClusterConfig::retained_versions` is set).
-    pub meta_nodes_deleted: u64,
-    /// Stored chunk bytes (physical, summed over replicas) the lifecycle
-    /// sweeper reclaimed during the run. Together with
-    /// [`SimulationResult::meta_nodes_deleted`] this is the simulator's
-    /// measure of the lifecycle tier: without it both grow without bound as
-    /// versions accumulate.
-    pub reclaimed_bytes: u64,
     /// Fsyncs the durable tier would issue for the measured operations
     /// under `ClusterConfig::durability`: zero when `Buffered`, segment
     /// syncs plus one WAL commit sync per published version when `Commit`,
@@ -224,6 +202,23 @@ impl SimulationResult {
     }
 }
 
+/// The counters of the run in progress; [`SimulatedCluster::run`] starts
+/// each run from the default and copies them into its result.
+#[derive(Debug, Default)]
+struct RunCounters {
+    meta_nodes_created: u64,
+    meta_round_trips: u64,
+    data_round_trips: u64,
+    bytes_copied: u64,
+    bytes_on_wire: u64,
+    bytes_on_wire_logical: u64,
+    chunks_compressed: u64,
+    compress_saved_bytes: u64,
+    frames_coalesced: u64,
+    fsyncs: u64,
+    wal_bytes: u64,
+}
+
 /// A scheduled change in a data provider's health, applied while a run
 /// progresses (failure injection for the fault-tolerance and QoS
 /// experiments).
@@ -252,47 +247,37 @@ struct MetaTrip {
     items: u64,
 }
 
-/// Metadata store wrapper that groups traffic the way the real DHT routes
-/// it — one round-trip per owning metadata node per batch — and records the
-/// trips so their cost can be charged to the right resources. The
-/// client-side metadata cache is emulated here (before grouping), so a
-/// fully cached batch costs no round-trip at all.
-struct RecordingStore<'a> {
-    inner: &'a Dht<NodeKey, NodeBody>,
-    cache: Option<&'a Mutex<HashSet<NodeKey>>>,
-    trips: Mutex<Vec<MetaTrip>>,
-    /// Owning metadata node of every key *charged* (not cache-hit) by the
-    /// most recent `get_nodes` batch, keyed by the node's byte range. The
-    /// pipelined read model uses this to start a leaf's chunk fetch when
-    /// the leaf's own shard round-trip completed, not when the slowest
-    /// shard of the level did.
-    last_batch_routes: Mutex<HashMap<ByteRange, MetaNodeId>>,
+/// What a [`RecordingStore`] saw since its last drain.
+#[derive(Debug, Default)]
+struct Recorded {
+    trips: Vec<MetaTrip>,
+    /// Byte range and owning metadata node of every leaf a get batch
+    /// fetched. The pipelined read model starts a leaf's chunk fetch when
+    /// its own shard's round-trip completed, not when the slowest shard of
+    /// the batch did.
+    leaves: Vec<(ByteRange, MetaNodeId)>,
 }
 
-impl<'a> RecordingStore<'a> {
-    fn new(inner: &'a Dht<NodeKey, NodeBody>, cache: Option<&'a Mutex<HashSet<NodeKey>>>) -> Self {
-        RecordingStore {
-            inner,
-            cache,
-            trips: Mutex::new(Vec::new()),
-            last_batch_routes: Mutex::new(HashMap::new()),
-        }
-    }
+/// The cost-recording metadata store: it serves from the real DHT, groups
+/// traffic the way the DHT routes it — one round-trip per owning metadata
+/// node per batch — and records the trips so their cost can be charged to
+/// the right resources. A client's node cache, when it has one, is the real
+/// [`CachedMetadataStore`] layered over it, so cache hits never reach it.
+struct RecordingStore {
+    dht: Arc<Dht<NodeKey, NodeBody>>,
+    recorded: Mutex<Recorded>,
+}
 
-    /// Takes the round-trips recorded since the last drain.
-    fn drain_trips(&self) -> Vec<MetaTrip> {
-        std::mem::take(&mut *self.trips.lock())
-    }
-
-    /// Takes the per-range shard routing of the most recent get batch.
-    fn take_last_routes(&self) -> HashMap<ByteRange, MetaNodeId> {
-        std::mem::take(&mut *self.last_batch_routes.lock())
+impl RecordingStore {
+    /// Takes what was recorded since the last drain.
+    fn drain(&self) -> Recorded {
+        std::mem::take(&mut *self.recorded.lock())
     }
 
     /// The metadata provider charged for a get of `key`: the first replica
     /// in routing order (the simulator injects no metadata-node failures).
     fn primary(&self, key: &NodeKey) -> MetaNodeId {
-        self.inner
+        self.dht
             .route(key)
             .first()
             .copied()
@@ -308,11 +293,11 @@ impl<'a> RecordingStore<'a> {
             .map(|(node, items)| MetaTrip { node, items })
             .collect();
         trips.sort_by_key(|t| t.node);
-        self.trips.lock().extend(trips);
+        self.recorded.lock().trips.extend(trips);
     }
 }
 
-impl MetadataStore for RecordingStore<'_> {
+impl MetadataStore for RecordingStore {
     fn put_node(&self, key: NodeKey, body: NodeBody) -> Result<()> {
         self.put_nodes(vec![(key, body)])
     }
@@ -322,39 +307,30 @@ impl MetadataStore for RecordingStore<'_> {
     }
 
     fn get_nodes(&self, keys: &[NodeKey]) -> Result<Vec<Option<NodeBody>>> {
+        let owners: Vec<MetaNodeId> = keys.iter().map(|key| self.primary(key)).collect();
         let mut per_node: HashMap<MetaNodeId, u64> = HashMap::new();
-        let mut routes: HashMap<ByteRange, MetaNodeId> = HashMap::with_capacity(keys.len());
-        let mut cache = self.cache.map(|cache| cache.lock());
-        for key in keys {
-            let cached = match cache.as_mut() {
-                Some(cache) => !cache.insert(*key),
-                None => false,
-            };
-            if !cached {
-                let node = self.primary(key);
-                *per_node.entry(node).or_default() += 1;
-                routes.insert(key.range, node);
-            }
+        for node in &owners {
+            *per_node.entry(*node).or_default() += 1;
         }
-        drop(cache);
-        *self.last_batch_routes.lock() = routes;
         self.record(per_node);
-        Ok(self.inner.get_batch(keys))
+        let bodies = self.dht.get_batch(keys);
+        let leaves = keys
+            .iter()
+            .zip(owners)
+            .zip(&bodies)
+            .filter(|(_, body)| matches!(body, Some(NodeBody::Leaf(_))))
+            .map(|((key, node), _)| (key.range, node));
+        self.recorded.lock().leaves.extend(leaves);
+        Ok(bodies)
     }
 
     fn put_nodes(&self, nodes: Vec<(NodeKey, NodeBody)>) -> Result<()> {
-        if let Some(cache) = self.cache {
-            let mut cache = cache.lock();
-            for (key, _) in &nodes {
-                cache.insert(*key);
-            }
-        }
         // Mirror `Dht::put_batch` exactly: one wave of per-node requests per
         // replica rank, so the recorded trip count matches what
         // `Dht::round_trips` reports for the same traffic.
         let routes: Vec<Vec<MetaNodeId>> =
-            nodes.iter().map(|(key, _)| self.inner.route(key)).collect();
-        for rank in 0..self.inner.replication() {
+            nodes.iter().map(|(key, _)| self.dht.route(key)).collect();
+        for rank in 0..self.dht.replication() {
             let mut per_node: HashMap<MetaNodeId, u64> = HashMap::new();
             for route in &routes {
                 if let Some(id) = route.get(rank) {
@@ -363,81 +339,72 @@ impl MetadataStore for RecordingStore<'_> {
             }
             self.record(per_node);
         }
-        self.inner.put_batch(nodes)
-    }
-
-    fn delete_nodes(&self, keys: &[NodeKey]) -> Result<usize> {
-        // Deletes route exactly like gets: one round-trip per owning
-        // metadata node per batch. The client-side cache is *not* consulted
-        // — only the lifecycle sweeper deletes, and it runs cacheless.
-        let mut per_node: HashMap<MetaNodeId, u64> = HashMap::new();
-        for key in keys {
-            *per_node.entry(self.primary(key)).or_default() += 1;
-        }
-        self.record(per_node);
-        self.inner.delete_nodes(keys)
+        self.dht.put_batch(nodes)
     }
 
     fn node_count(&self) -> usize {
-        self.inner.total_entries()
+        self.dht.total_entries()
     }
 }
 
-/// Byte-budgeted LRU bookkeeping of one simulated client's chunk cache.
-/// Mirrors `blobseer-core::chunk_cache::ChunkCache` minus the payloads —
-/// the simulator only needs identities and sizes to decide which fetches
-/// stay off the wire. The admission rule matches the real cache: entries
-/// larger than one shard's budget share are never cached, so the simulated
-/// figures cannot promise hits a real client would refuse to hold.
-struct SimChunkCache {
-    budget: u64,
-    /// Largest admissible entry (the real cache's per-shard budget).
-    entry_limit: u64,
-    bytes: u64,
-    tick: u64,
-    entries: HashMap<ChunkId, (u64, u64)>,
-    order: std::collections::BTreeMap<u64, ChunkId>,
+/// One simulated client, fresh per run (preloaded data is cold by
+/// definition): its NIC in both directions and the real client caches.
+struct SimClient {
+    id: usize,
+    uplink: Resource,
+    downlink: Resource,
+    recorder: Arc<RecordingStore>,
+    /// The node cache over `recorder` (`client_metadata_cache`).
+    node_cache: Option<CachedMetadataStore<RecordingStore>>,
+    /// The chunk cache (`chunk_cache_bytes`; none when the budget is 0).
+    chunk_cache: Option<ChunkCache>,
 }
 
-impl SimChunkCache {
-    fn new(budget: u64) -> Self {
-        SimChunkCache {
-            budget,
-            entry_limit: budget.div_ceil(blobseer_core::chunk_cache::SHARDS as u64),
-            bytes: 0,
-            tick: 0,
-            entries: HashMap::new(),
-            order: std::collections::BTreeMap::new(),
-        }
-    }
-
-    /// Whether the chunk is cached; refreshes its LRU position when it is.
-    fn contains(&mut self, id: &ChunkId) -> bool {
-        let Some(&(len, tick)) = self.entries.get(id) else {
-            return false;
+impl SimClient {
+    fn new(id: usize, config: &ClusterConfig, dht: &Arc<Dht<NodeKey, NodeBody>>) -> Self {
+        let link = |dir: &str| {
+            Resource::new(
+                format!("client-{id}-{dir}"),
+                LINK_BANDWIDTH_BPS,
+                LINK_LATENCY_NS,
+            )
         };
-        self.tick += 1;
-        self.order.remove(&tick);
-        self.order.insert(self.tick, *id);
-        self.entries.insert(*id, (len, self.tick));
-        true
+        let recorder = Arc::new(RecordingStore {
+            dht: Arc::clone(dht),
+            recorded: Mutex::new(Recorded::default()),
+        });
+        SimClient {
+            id,
+            uplink: link("out"),
+            downlink: link("in"),
+            node_cache: config
+                .client_metadata_cache
+                .then(|| CachedMetadataStore::new(Arc::clone(&recorder))),
+            recorder,
+            chunk_cache: (config.chunk_cache_bytes > 0)
+                .then(|| ChunkCache::new(config.chunk_cache_bytes)),
+        }
     }
+}
 
-    fn insert(&mut self, id: ChunkId, len: u64) {
-        if len == 0 || len > self.entry_limit || self.contains(&id) {
-            return;
-        }
-        self.tick += 1;
-        self.entries.insert(id, (len, self.tick));
-        self.order.insert(self.tick, id);
-        self.bytes += len;
-        while self.bytes > self.budget {
-            let (&oldest, &victim) = self.order.iter().next().expect("non-empty while over");
-            self.order.remove(&oldest);
-            let (evicted, _) = self.entries.remove(&victim).expect("order and map agree");
-            self.bytes -= evicted;
-        }
+/// The metadata store a client reads and writes through: its node cache
+/// when it has one, its bare recorder otherwise.
+fn client_store<'a>(
+    recorder: &'a RecordingStore,
+    node_cache: &'a Option<CachedMetadataStore<RecordingStore>>,
+) -> &'a dyn MetadataStore {
+    match node_cache {
+        Some(cache) => cache,
+        None => recorder,
     }
+}
+
+/// The version manager is a lightweight control-plane hop: every request
+/// costs a fixed service time but the manager never becomes a queueing
+/// bottleneck at the request sizes involved (a few dozen bytes), so it is
+/// modelled as a pure delay.
+fn vm_delay(now: SimTime) -> SimTime {
+    now + VERSION_MANAGER_SERVICE_NS
 }
 
 /// The simulated BlobSeer deployment.
@@ -446,48 +413,37 @@ pub struct SimulatedCluster {
     version_manager: VersionManager,
     provider_manager: ProviderManager,
     metadata: Arc<Dht<NodeKey, NodeBody>>,
-    vm_requests: u64,
     provider_in: Vec<Resource>,
     provider_out: Vec<Resource>,
     meta_cpu: Vec<Resource>,
     failed_providers: HashSet<ProviderId>,
     degraded: HashMap<ProviderId, f64>,
     health_events: Vec<HealthEvent>,
-    meta_nodes_created: u64,
-    meta_round_trips: u64,
-    data_round_trips: u64,
-    bytes_copied: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    frames_sent: u64,
-    frames_dropped: u64,
-    bytes_on_wire: u64,
-    bytes_on_wire_logical: u64,
-    chunks_compressed: u64,
-    compress_saved_bytes: u64,
+    counters: RunCounters,
     /// Compressibility of the corpus the running workload moves (its
     /// `Workload::compressibility`); `1.0` between runs.
     compress_ratio: f64,
-    frames_coalesced: u64,
-    /// Stored physical bytes of every live chunk, summed over its replicas
-    /// — the ledger the lifecycle sweeper settles against when a chunk
-    /// becomes unreachable from the retained versions.
-    chunk_stored_bytes: HashMap<ChunkId, u64>,
-    flattens: u64,
-    meta_nodes_deleted: u64,
-    reclaimed_bytes: u64,
-    fsyncs: u64,
-    wal_bytes: u64,
-    /// Lossy network model: every data-plane transfer is routed through the
-    /// same seeded per-frame fault decisions the networked fault injector
-    /// draws (`None` = clean network, the default).
-    net_faults: Option<(FaultPlan, StdRng)>,
+    /// One zero-filled payload per distinct chunk length. The simulated
+    /// chunk caches hold clones of these, so their memory does not grow
+    /// with their byte budgets.
+    zeroes: HashMap<u64, Bytes>,
 }
 
 impl SimulatedCluster {
     /// Builds a simulated deployment from a cluster configuration.
+    ///
+    /// The version lifecycle (`retained_versions`, `flatten_threshold`) is
+    /// measured on real deployments (`fig_g1`), not simulated: a
+    /// configuration that enables it is rejected.
     pub fn new(config: ClusterConfig) -> Result<Self> {
         config.validate()?;
+        if config.retained_versions > 0 || config.flatten_threshold > 0 {
+            return Err(BlobError::InvalidConfig(
+                "the simulator does not model the version lifecycle: \
+                 retained_versions and flatten_threshold must be 0"
+                    .into(),
+            ));
+        }
         let provider_manager = ProviderManager::new(config.placement);
         for i in 0..config.data_providers {
             provider_manager.register(ProviderId(i as u32));
@@ -509,52 +465,17 @@ impl SimulatedCluster {
             meta_cpu: (0..config.metadata_providers)
                 .map(|i| Resource::new(format!("meta-{i}"), bw, META_SERVICE_NS))
                 .collect(),
-            vm_requests: 0,
             version_manager: VersionManager::new(),
             provider_manager,
             metadata,
             failed_providers: HashSet::new(),
             degraded: HashMap::new(),
             health_events: Vec::new(),
-            meta_nodes_created: 0,
-            meta_round_trips: 0,
-            data_round_trips: 0,
-            bytes_copied: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            frames_sent: 0,
-            frames_dropped: 0,
-            bytes_on_wire: 0,
-            bytes_on_wire_logical: 0,
-            chunks_compressed: 0,
-            compress_saved_bytes: 0,
+            counters: RunCounters::default(),
             compress_ratio: 1.0,
-            frames_coalesced: 0,
-            chunk_stored_bytes: HashMap::new(),
-            flattens: 0,
-            meta_nodes_deleted: 0,
-            reclaimed_bytes: 0,
-            fsyncs: 0,
-            wal_bytes: 0,
-            net_faults: None,
+            zeroes: HashMap::new(),
             config,
         })
-    }
-
-    /// Routes every data-plane transfer through a lossy network model
-    /// driven by `plan` (seeded, deterministic): swallowed frames cost the
-    /// sender its `io_timeout` and a retry, delayed frames add latency.
-    /// Mirrors the networked fault injector (`FaultyConnector`) at flow
-    /// level, so the `readers_during_writers`/`rescan_reads` workloads can be
-    /// run over an unreliable network.
-    pub fn set_network_faults(&mut self, plan: FaultPlan) -> Result<()> {
-        plan.validate()?;
-        self.net_faults = if plan.is_clean() {
-            None
-        } else {
-            Some((plan, StdRng::seed_from_u64(plan.seed)))
-        };
-        Ok(())
     }
 
     /// Bytes a chunk of `logical` payload bytes occupies on the wire and at
@@ -579,53 +500,21 @@ impl SimulatedCluster {
         logical / COMPRESS_SCAN_BYTES_PER_NS
     }
 
-    /// Samples the lossy network model for one data-plane transfer whose
-    /// payload is `logical` bytes to the application and `physical` bytes as
-    /// the codec shipped it: returns the extra completion delay (timeouts of
-    /// swallowed frames, injected latency) and charges the frame counters.
-    /// Retries resend the physical frame, so both wire counters include
-    /// them.
-    fn net_transfer_penalty(&mut self, logical: u64, physical: u64) -> u64 {
-        let frame_bytes = physical + FRAME_OVERHEAD_BYTES;
-        let logical_frame_bytes = logical + FRAME_OVERHEAD_BYTES;
-        let Some((plan, rng)) = &mut self.net_faults else {
-            self.frames_sent += 1;
-            self.bytes_on_wire += frame_bytes;
-            self.bytes_on_wire_logical += logical_frame_bytes;
-            return 0;
-        };
-        let io_timeout_ns = self.config.io_timeout_ms.saturating_mul(1_000_000).max(1);
-        // Stalls, drops and disconnects all look the same at flow level —
-        // silence until the sender's I/O timeout fires. Compose them the way
-        // the networked fault injector samples them (sequentially, each
-        // on the frames the previous kind let through), so a plan means the
-        // same loss rate in the simulator as on the real test transport.
-        let p_lost = 1.0 - (1.0 - plan.disconnect) * (1.0 - plan.stall) * (1.0 - plan.drop);
-        let mut penalty = 0u64;
-        for attempt in 1..=NET_MAX_ATTEMPTS {
-            self.frames_sent += 1;
-            self.bytes_on_wire += frame_bytes;
-            self.bytes_on_wire_logical += logical_frame_bytes;
-            // A frame can be lost in either direction: request out, response
-            // back.
-            let lost_out = rng.gen_bool(p_lost);
-            let lost_back = rng.gen_bool(p_lost);
-            // A truncated frame is detected on receive and retried at once.
-            let truncated = rng.gen_bool(plan.truncate);
-            if rng.gen_bool(plan.delay) {
-                penalty += plan.delay_us * 1_000;
-            }
-            if (lost_out || lost_back) && attempt < NET_MAX_ATTEMPTS {
-                self.frames_dropped += 1;
-                penalty += io_timeout_ns;
-                continue;
-            }
-            if truncated && attempt < NET_MAX_ATTEMPTS {
-                continue;
-            }
-            break;
-        }
-        penalty
+    /// Counts one data-plane transfer whose payload is `logical` bytes to the
+    /// application and `physical` bytes as the codec shipped it.
+    fn count_transfer(&mut self, logical: u64, physical: u64) {
+        self.counters.data_round_trips += 1;
+        self.counters.bytes_on_wire += physical + FRAME_OVERHEAD_BYTES;
+        self.counters.bytes_on_wire_logical += logical + FRAME_OVERHEAD_BYTES;
+    }
+
+    /// A zero-filled payload of `len` bytes to hand a chunk cache: the
+    /// simulator moves no data, only its size matters.
+    fn payload(&mut self, len: u64) -> Bytes {
+        self.zeroes
+            .entry(len)
+            .or_insert_with(|| Bytes::from(vec![0u8; len as usize]))
+            .clone()
     }
 
     /// The configuration the simulation was built from.
@@ -714,24 +603,22 @@ impl SimulatedCluster {
         self.degraded.get(&provider).copied().unwrap_or(1.0)
     }
 
-    /// The version manager is a lightweight control-plane hop: every request
-    /// costs a fixed service time but the manager never becomes a queueing
-    /// bottleneck at the request sizes involved (a few dozen bytes), so it
-    /// is modelled as a pure delay.
-    fn vm_delay(&mut self, now: SimTime) -> SimTime {
-        self.vm_requests += 1;
-        now + VERSION_MANAGER_SERVICE_NS
-    }
-
     /// Runs a workload and returns its measured result.
     ///
     /// The blob is created fresh, pre-loaded (untimed) if the workload needs
     /// existing data, and then every client replays its operation sequence
-    /// concurrently in simulated time.
+    /// concurrently in simulated time. A workload without exactly one op
+    /// list per client, or with an invalid blob configuration, is rejected
+    /// with [`BlobError::InvalidConfig`] before anything runs.
     pub fn run(&mut self, workload: &Workload) -> Result<SimulationResult> {
+        if workload.clients == 0 || workload.ops.len() != workload.clients {
+            return Err(BlobError::InvalidConfig(
+                "workload must define one op list per client".into(),
+            ));
+        }
+        workload.blob_config.validate()?;
         // Fresh measurement state (the control plane keeps its blobs, which
         // is harmless because every run uses a new blob).
-        self.vm_requests = 0;
         for r in self
             .provider_in
             .iter_mut()
@@ -740,68 +627,22 @@ impl SimulatedCluster {
         {
             r.reset();
         }
-        self.meta_nodes_created = 0;
-        self.meta_round_trips = 0;
-        self.data_round_trips = 0;
-        self.bytes_copied = 0;
-        self.cache_hits = 0;
-        self.cache_misses = 0;
-        self.frames_sent = 0;
-        self.frames_dropped = 0;
-        self.bytes_on_wire = 0;
-        self.bytes_on_wire_logical = 0;
-        self.chunks_compressed = 0;
-        self.compress_saved_bytes = 0;
+        self.counters = RunCounters::default();
         self.compress_ratio = workload.compressibility.clamp(f64::MIN_POSITIVE, 1.0);
-        self.frames_coalesced = 0;
-        self.chunk_stored_bytes.clear();
-        self.flattens = 0;
-        self.meta_nodes_deleted = 0;
-        self.reclaimed_bytes = 0;
-        self.fsyncs = 0;
-        self.wal_bytes = 0;
-        // Re-seed the fault stream so repeated runs of one cluster replay
-        // the identical fault sequence.
-        if let Some((plan, rng)) = &mut self.net_faults {
-            *rng = StdRng::seed_from_u64(plan.seed);
-        }
 
         let blob = self.version_manager.create_blob(workload.blob_config)?;
         if workload.preload_bytes > 0 {
             self.preload(blob, workload)?;
         }
 
-        let mut client_out: Vec<Resource> = (0..workload.clients)
-            .map(|i| {
-                Resource::new(
-                    format!("client-{i}-out"),
-                    LINK_BANDWIDTH_BPS,
-                    LINK_LATENCY_NS,
-                )
-            })
-            .collect();
-        let mut client_in: Vec<Resource> = (0..workload.clients)
-            .map(|i| {
-                Resource::new(
-                    format!("client-{i}-in"),
-                    LINK_BANDWIDTH_BPS,
-                    LINK_LATENCY_NS,
-                )
-            })
-            .collect();
-        let client_cache: Vec<Mutex<HashSet<NodeKey>>> = (0..workload.clients)
-            .map(|_| Mutex::new(HashSet::new()))
-            .collect();
-        // Per-client chunk caches, fresh per run (preloaded data is cold by
-        // definition). Disabled entirely when the budget is zero.
-        let chunk_caches: Vec<Mutex<SimChunkCache>> = (0..workload.clients)
-            .map(|_| Mutex::new(SimChunkCache::new(self.config.chunk_cache_bytes)))
+        let mut clients: Vec<SimClient> = (0..workload.clients)
+            .map(|i| SimClient::new(i, &self.config, &self.metadata))
             .collect();
 
         // Event queue: (next ready time, client, next op index).
         let mut queue: BinaryHeap<Reverse<(SimTime, usize, usize)>> = BinaryHeap::new();
-        for c in 0..workload.clients {
-            if !workload.ops[c].is_empty() {
+        for (c, ops) in workload.ops.iter().enumerate() {
+            if !ops.is_empty() {
                 queue.push(Reverse((0, c, 0)));
             }
         }
@@ -812,32 +653,16 @@ impl SimulatedCluster {
             self.apply_health_events(now);
             let op = workload.ops[client][op_index];
             write_tag += 1;
-            let cache = self
-                .config
-                .client_metadata_cache
-                .then(|| &client_cache[client]);
-            let chunk_cache = (self.config.chunk_cache_bytes > 0).then(|| &chunk_caches[client]);
-            let record = self.simulate_op(
-                blob,
-                client,
-                now,
-                op,
-                write_tag,
-                &mut client_out[client],
-                &mut client_in[client],
-                cache,
-                chunk_cache,
-            )?;
+            let record = match op {
+                OpKind::Append { .. } | OpKind::Write { .. } => {
+                    self.simulate_write(blob, now, op, write_tag, &mut clients[client])?
+                }
+                OpKind::Read { offset, len } => {
+                    self.simulate_read(blob, now, offset, len, &mut clients[client])?
+                }
+            };
             let end = record.end;
             ops.push(record);
-            // The lifecycle engine runs as background work between
-            // operations (the simulator's event loop is its quiescent
-            // point): flatten when the diff chain crossed the threshold,
-            // evict beyond the retention policy, sweep what died. Its cost
-            // stays off the measured operations' critical path — the
-            // background thread it models never blocks a client — and its
-            // effects land in the dedicated lifecycle counters.
-            self.lifecycle_pass(blob)?;
             if op_index + 1 < workload.ops[client].len() {
                 queue.push(Reverse((end, client, op_index + 1)));
             }
@@ -846,6 +671,12 @@ impl SimulatedCluster {
         let makespan_ns = ops.iter().map(|o| o.end).max().unwrap_or(0);
         let total_bytes = ops.iter().filter(|o| o.ok).map(|o| o.bytes).sum();
         let failed_ops = ops.iter().filter(|o| !o.ok).count();
+        let (cache_hits, cache_misses) = clients
+            .iter()
+            .filter_map(|c| c.chunk_cache.as_ref().map(ChunkCache::stats))
+            .fold((0, 0), |(hits, misses), s| {
+                (hits + s.hits, misses + s.misses)
+            });
         let meta_load = self
             .meta_cpu
             .iter()
@@ -858,29 +689,25 @@ impl SimulatedCluster {
             .enumerate()
             .map(|(i, r)| (ProviderId(i as u32), r.bytes()))
             .collect();
+        let c = &self.counters;
         Ok(SimulationResult {
             makespan_ns,
             total_bytes,
             ops,
             failed_ops,
-            meta_nodes_created: self.meta_nodes_created,
-            meta_round_trips: self.meta_round_trips,
-            data_round_trips: self.data_round_trips,
-            bytes_copied: self.bytes_copied,
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
-            frames_sent: self.frames_sent,
-            frames_dropped: self.frames_dropped,
-            bytes_on_wire: self.bytes_on_wire,
-            bytes_on_wire_logical: self.bytes_on_wire_logical,
-            chunks_compressed: self.chunks_compressed,
-            compress_saved_bytes: self.compress_saved_bytes,
-            frames_coalesced: self.frames_coalesced,
-            flattens: self.flattens,
-            meta_nodes_deleted: self.meta_nodes_deleted,
-            reclaimed_bytes: self.reclaimed_bytes,
-            fsyncs: self.fsyncs,
-            wal_bytes: self.wal_bytes,
+            meta_nodes_created: c.meta_nodes_created,
+            meta_round_trips: c.meta_round_trips,
+            data_round_trips: c.data_round_trips,
+            bytes_copied: c.bytes_copied,
+            cache_hits,
+            cache_misses,
+            bytes_on_wire: c.bytes_on_wire,
+            bytes_on_wire_logical: c.bytes_on_wire_logical,
+            chunks_compressed: c.chunks_compressed,
+            compress_saved_bytes: c.compress_saved_bytes,
+            frames_coalesced: c.frames_coalesced,
+            fsyncs: c.fsyncs,
+            wal_bytes: c.wal_bytes,
             meta_load,
             provider_write_bytes,
         })
@@ -924,12 +751,6 @@ impl SimulatedCluster {
                     }
                 })
                 .collect();
-            for c in &chunks {
-                self.chunk_stored_bytes.insert(
-                    c.chunk,
-                    self.sealed_physical_len(c.len) * c.providers.len() as u64,
-                );
-            }
             let meta = build_write_metadata_chained(
                 self.metadata.as_ref(),
                 blob,
@@ -938,115 +759,19 @@ impl SimulatedCluster {
                 ticket.new_size,
                 &chunks,
             )?;
-            let artifacts = NodeArtifact::from_metadata(&meta);
             publish_metadata(self.metadata.as_ref(), meta)?;
-            self.version_manager.complete_write_with_artifacts(
-                blob,
-                ticket.version,
-                Some(artifacts),
-            )?;
+            self.version_manager.complete_write(blob, ticket.version)?;
         }
         Ok(())
     }
 
-    /// One background lifecycle pass over the workload's blob: flatten when
-    /// the retained diff chain crossed `flatten_threshold`, evict versions
-    /// beyond `retained_versions`, sweep the chunks and tree nodes that
-    /// became unreachable. A no-op with the lifecycle off (the defaults).
-    ///
-    /// The pass models the deployment's background engine, which never sits
-    /// on a client's critical path, so it charges no timed resource; its
-    /// effects surface in the dedicated lifecycle counters
-    /// (`flattens` / `meta_nodes_deleted` / `reclaimed_bytes`).
-    fn lifecycle_pass(&mut self, blob: BlobId) -> Result<()> {
-        let retained = self.config.retained_versions;
-        let threshold = self.config.flatten_threshold;
-        if retained == 0 && threshold == 0 {
-            return Ok(());
-        }
-        if threshold > 0 && self.version_manager.writes_since_flatten(blob)? >= threshold as u64 {
-            if let Some(ticket) = self.version_manager.begin_flatten(blob)? {
-                let meta = build_flat_metadata(
-                    self.metadata.as_ref(),
-                    blob,
-                    &ticket.source,
-                    ticket.version,
-                )?;
-                let artifacts = NodeArtifact::from_metadata(&meta);
-                publish_metadata(self.metadata.as_ref(), meta)?;
-                self.version_manager.complete_write_with_artifacts(
-                    blob,
-                    ticket.version,
-                    Some(artifacts),
-                )?;
-                self.flattens += 1;
-            }
-        }
-        if retained > 0 {
-            self.version_manager.evict_versions(blob, retained)?;
-        }
-        let set = self.version_manager.take_collectable(blob)?;
-        if set.is_empty() {
-            return Ok(());
-        }
-        self.meta_nodes_deleted += self.metadata.delete_nodes(&set.nodes)? as u64;
-        for (chunk, _) in set.chunks {
-            if let Some(bytes) = self.chunk_stored_bytes.remove(&chunk) {
-                self.reclaimed_bytes += bytes;
-            }
-        }
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn simulate_op(
-        &mut self,
-        blob: BlobId,
-        client: usize,
-        now: SimTime,
-        op: OpKind,
-        write_tag: u64,
-        client_out: &mut Resource,
-        client_in: &mut Resource,
-        cache: Option<&Mutex<HashSet<NodeKey>>>,
-        chunk_cache: Option<&Mutex<SimChunkCache>>,
-    ) -> Result<OpRecord> {
-        match op {
-            OpKind::Append { .. } | OpKind::Write { .. } => self.simulate_write(
-                blob,
-                client,
-                now,
-                op,
-                write_tag,
-                client_out,
-                cache,
-                chunk_cache,
-            ),
-            OpKind::Read { offset, len } => self.simulate_read(
-                blob,
-                client,
-                now,
-                offset,
-                len,
-                client_out,
-                client_in,
-                cache,
-                chunk_cache,
-            ),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn simulate_write(
         &mut self,
         blob: BlobId,
-        client: usize,
         now: SimTime,
         op: OpKind,
         write_tag: u64,
-        client_out: &mut Resource,
-        cache: Option<&Mutex<HashSet<NodeKey>>>,
-        chunk_cache: Option<&Mutex<SimChunkCache>>,
+        client: &mut SimClient,
     ) -> Result<OpRecord> {
         let (kind, len) = match op {
             OpKind::Append { len } => (WriteKind::Append { len }, len),
@@ -1057,51 +782,42 @@ impl SimulatedCluster {
         let replication = self.version_manager.blob_config(blob)?.replication;
 
         // Phase 1: version ticket.
-        let t_ticket = self.vm_delay(now);
+        let t_ticket = vm_delay(now);
         let ticket = self.version_manager.assign_ticket(blob, kind)?;
 
         // Phase 2: chunk transfers (client uplink, then provider downlink).
         let slots = chunk_span(ByteRange::new(ticket.offset, len), chunk_size);
-        let placement = match self.provider_manager.allocate(PlacementRequest {
+        let Ok(placement) = self.provider_manager.allocate(PlacementRequest {
             chunk_count: slots.len(),
             replication,
-        }) {
-            Ok(p) => p,
-            Err(err) => {
-                // Not enough live providers: the write fails; repair keeps
-                // the blob consistent for later versions.
-                let summary = blobseer_meta::WriteSummary {
-                    version: ticket.version,
-                    written_slots: ByteRange::new(
-                        slots[0].index * chunk_size,
-                        slots.len() as u64 * chunk_size,
-                    ),
-                    size: ticket.new_size,
-                    chunk_size,
-                };
-                let repair = blobseer_meta::build_repair_metadata(
-                    self.metadata.as_ref(),
-                    blob,
-                    &ticket.chain,
-                    &summary,
-                )?;
-                let artifacts = NodeArtifact::from_metadata(&repair);
-                publish_metadata(self.metadata.as_ref(), repair)?;
-                self.version_manager.abort_write_with_artifacts(
-                    blob,
-                    ticket.version,
-                    Some(artifacts),
-                )?;
-                let _ = err;
-                return Ok(OpRecord {
-                    client,
-                    start: now,
-                    end: t_ticket,
-                    bytes: 0,
-                    is_write: true,
-                    ok: false,
-                });
-            }
+        }) else {
+            // Not enough live providers: the write fails; repair keeps the
+            // blob consistent for later versions.
+            let summary = blobseer_meta::WriteSummary {
+                version: ticket.version,
+                written_slots: ByteRange::new(
+                    slots[0].index * chunk_size,
+                    slots.len() as u64 * chunk_size,
+                ),
+                size: ticket.new_size,
+                chunk_size,
+            };
+            let repair = blobseer_meta::build_repair_metadata(
+                self.metadata.as_ref(),
+                blob,
+                &ticket.chain,
+                &summary,
+            )?;
+            publish_metadata(self.metadata.as_ref(), repair)?;
+            self.version_manager.abort_write(blob, ticket.version)?;
+            return Ok(OpRecord {
+                client: client.id,
+                start: now,
+                end: t_ticket,
+                bytes: 0,
+                is_write: true,
+                ok: false,
+            });
         };
         let write_range = ByteRange::new(ticket.offset, len);
         let mut t_chunks = t_ticket;
@@ -1115,7 +831,7 @@ impl SimulatedCluster {
             // slots pay a client-side assembly copy.
             let covered = write_range.offset <= slot_start && write_range.end() >= end;
             if !covered {
-                self.bytes_copied += chunk_len;
+                self.counters.bytes_copied += chunk_len;
             }
             // The writing client seals the chunk exactly once — every
             // replica push ships the same envelope, and providers store it
@@ -1125,22 +841,18 @@ impl SimulatedCluster {
             let physical = self.sealed_physical_len(chunk_len);
             let probe_ns = self.seal_probe_ns(chunk_len);
             if physical < chunk_len {
-                self.chunks_compressed += 1;
-                self.compress_saved_bytes += chunk_len - physical;
+                self.counters.chunks_compressed += 1;
+                self.counters.compress_saved_bytes += chunk_len - physical;
             }
             for &p in providers {
-                self.data_round_trips += 1;
-                // Lossy network model: swallowed frames cost the writer its
-                // I/O timeout (and a retried transmission) before the chunk
-                // finally lands.
-                let penalty = self.net_transfer_penalty(chunk_len, physical);
-                let sent = client_out.schedule(t_ticket + probe_ns + penalty, physical);
+                self.count_transfer(chunk_len, physical);
+                let sent = client.uplink.schedule(t_ticket + probe_ns, physical);
                 let charged = (physical as f64 * self.slowdown(p)) as u64;
                 let mut done = self.provider_in[p.0 as usize].schedule(sent, charged);
                 // `Always` durability flushes every chunk record as the
                 // segment file appends it, before the provider acks.
                 if self.config.durability == Durability::Always {
-                    self.fsyncs += 1;
+                    self.counters.fsyncs += 1;
                     done += FSYNC_NS;
                 }
                 t_chunks = t_chunks.max(done);
@@ -1150,21 +862,19 @@ impl SimulatedCluster {
                 write_tag,
                 slot: slot.index,
             };
-            self.chunk_stored_bytes
-                .insert(chunk, physical * providers.len() as u64);
             // Write-through: the writer keeps the payload it just pushed,
             // so re-reading your own writes never fetches. A covered slot
             // of a multi-slot write is a strict sub-view of the caller's
-            // buffer, which the real cache compacts on insert so its
-            // budget bounds real memory — charge that copy. Boundary slots
-            // (assembled into owned buffers) and single-slot writes (the
-            // payload *is* the whole buffer) insert without one.
-            if let Some(chunk_cache) = chunk_cache {
-                let mut chunk_cache = chunk_cache.lock();
-                if covered && slots.len() > 1 && chunk_len <= chunk_cache.entry_limit {
-                    self.bytes_copied += chunk_len;
+            // buffer, which the cache compacts when it accepts the entry so
+            // its budget bounds real memory — charge that copy. Boundary
+            // slots (assembled into owned buffers) and single-slot writes
+            // (the payload *is* the whole buffer) insert without one.
+            if let Some(cache) = &client.chunk_cache {
+                let accepted_before = cache.stats().insertions;
+                cache.insert(chunk, self.payload(chunk_len));
+                if covered && slots.len() > 1 && cache.stats().insertions > accepted_before {
+                    self.counters.bytes_copied += chunk_len;
                 }
-                chunk_cache.insert(chunk, chunk_len);
             }
             chunks.push(WrittenChunk {
                 slot: slot.index,
@@ -1189,23 +899,23 @@ impl SimulatedCluster {
         // (depth × workers) is a memory/backpressure bound that the
         // open-ended resource model here has no queue-occupancy notion to
         // express.
-        let recorder = RecordingStore::new(self.metadata.as_ref(), cache);
+        let store = client_store(&client.recorder, &client.node_cache);
         let meta = build_write_metadata_chained(
-            &recorder,
+            store,
             blob,
             &ticket.chain,
             ticket.version,
             ticket.new_size,
             &chunks,
         )?;
-        let weave_trips = recorder.drain_trips();
+        let weave_trips = client.recorder.drain().trips;
         let nodes_created = meta.node_count() as u64;
-        let artifacts = NodeArtifact::from_metadata(&meta);
-        publish_metadata(&recorder, meta)?;
-        self.meta_nodes_created += nodes_created;
-        let publish_trips = recorder.trips.into_inner();
-        let t_weave = self.charge_meta_trips(t_ticket, &weave_trips, client_out);
-        let t_meta = self.charge_meta_trips(t_weave.max(t_chunks), &publish_trips, client_out);
+        publish_metadata(store, meta)?;
+        self.counters.meta_nodes_created += nodes_created;
+        let publish_trips = client.recorder.drain().trips;
+        let t_weave = self.charge_meta_trips(t_ticket, &weave_trips, &mut client.uplink);
+        let t_meta =
+            self.charge_meta_trips(t_weave.max(t_chunks), &publish_trips, &mut client.uplink);
 
         // Durability cost model: the WAL appends one record per tree node
         // plus the commit record under every policy; the policy decides how
@@ -1216,29 +926,25 @@ impl SimulatedCluster {
         // already flushed each chunk record above and each WAL node record
         // as it was appended (those serialise on the one WAL file), leaving
         // the commit record's own flush.
-        self.wal_bytes += nodes_created * WAL_NODE_RECORD_BYTES + WAL_COMMIT_RECORD_BYTES;
+        self.counters.wal_bytes += nodes_created * WAL_NODE_RECORD_BYTES + WAL_COMMIT_RECORD_BYTES;
         let t_durable = match self.config.durability {
             Durability::Buffered => t_meta.max(t_chunks),
             Durability::Commit => {
                 let touched: HashSet<ProviderId> = placement.iter().flatten().copied().collect();
-                self.fsyncs += touched.len() as u64 + 1;
+                self.counters.fsyncs += touched.len() as u64 + 1;
                 t_meta.max(t_chunks) + 2 * FSYNC_NS
             }
             Durability::Always => {
-                self.fsyncs += nodes_created + 1;
+                self.counters.fsyncs += nodes_created + 1;
                 t_meta.max(t_chunks) + (nodes_created + 1) * FSYNC_NS
             }
         };
 
         // Phase 4: publication to the version manager.
-        let t_done = self.vm_delay(t_durable);
-        self.version_manager.complete_write_with_artifacts(
-            blob,
-            ticket.version,
-            Some(artifacts),
-        )?;
+        let t_done = vm_delay(t_durable);
+        self.version_manager.complete_write(blob, ticket.version)?;
         Ok(OpRecord {
-            client,
+            client: client.id,
             start: now,
             end: t_done,
             bytes: len,
@@ -1247,26 +953,21 @@ impl SimulatedCluster {
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn simulate_read(
         &mut self,
         blob: BlobId,
-        client: usize,
         now: SimTime,
         offset: u64,
         len: u64,
-        client_out: &mut Resource,
-        client_in: &mut Resource,
-        cache: Option<&Mutex<HashSet<NodeKey>>>,
-        chunk_cache: Option<&Mutex<SimChunkCache>>,
+        client: &mut SimClient,
     ) -> Result<OpRecord> {
         // Phase 1: ask the version manager for the latest snapshot.
-        let t_snapshot = self.vm_delay(now);
+        let t_snapshot = vm_delay(now);
         let snapshot = self.version_manager.latest_snapshot(blob)?;
         let range = ByteRange::new(offset, len.min(snapshot.size.saturating_sub(offset)));
         if range.is_empty() {
             return Ok(OpRecord {
-                client,
+                client: client.id,
                 start: now,
                 end: t_snapshot,
                 bytes: 0,
@@ -1276,25 +977,39 @@ impl SimulatedCluster {
         }
 
         // Phase 2+3: metadata tree descent (one batched round-trip per tree
-        // level per owning metadata node, respecting the client-side cache)
-        // and chunk fetches from the providers (provider uplink, then
-        // client downlink, first live replica of each chunk). A leaf's
-        // fetch starts the moment its own shard round-trip completed, while
-        // deeper levels and slower shards are still in flight — the
-        // operation's elapsed cost becomes max(metadata critical path, data
-        // critical path).
-        let metadata = Arc::clone(&self.metadata);
-        let recorder = RecordingStore::new(metadata.as_ref(), cache);
+        // level per owning metadata node, minus what the client's node cache
+        // holds or prefetched) and chunk fetches from the providers
+        // (provider uplink, then client downlink, first live replica of
+        // each chunk). A leaf's fetch starts the moment the round-trip that
+        // brought its node back completed, while deeper levels and slower
+        // shards are still in flight — the operation's elapsed cost becomes
+        // max(metadata critical path, data critical path).
+        let SimClient {
+            id,
+            uplink,
+            downlink,
+            recorder,
+            node_cache,
+            chunk_cache,
+        } = client;
+        let chunk_cache = chunk_cache.as_ref();
         let mut t_meta = t_snapshot;
         let mut t_data = t_snapshot;
         let mut fetched_bytes = 0u64;
         let mut all_found = true;
-        let walk = collect_leaves_streaming(&recorder, blob, &snapshot, range, |level| {
-            let trips = recorder.drain_trips();
-            let routes = recorder.take_last_routes();
+        // Arrival time of every leaf this read fetched, by slot. A leaf
+        // prefetched by an earlier level's batch is a cache hit when its
+        // level comes, but it arrived with that earlier batch.
+        let mut leaf_arrival: HashMap<ByteRange, SimTime> = HashMap::new();
+        let store = client_store(recorder, node_cache);
+        collect_leaves_streaming(store, blob, &snapshot, range, |level| {
+            let Recorded { trips, leaves } = recorder.drain();
             let (level_done, trip_done) =
-                self.charge_meta_trips_detailed(t_snapshot, &trips, client_out);
+                self.charge_meta_trips_detailed(t_snapshot, &trips, uplink);
             t_meta = t_meta.max(level_done);
+            for (slot, node) in leaves {
+                leaf_arrival.insert(slot, trip_done[&node]);
+            }
             for mapping in level {
                 let Some(leaf) = mapping.leaf.clone() else {
                     continue;
@@ -1302,11 +1017,9 @@ impl SimulatedCluster {
                 if leaf.is_hole() {
                     continue;
                 }
-                // This leaf's fetch starts when the shard that served its
-                // metadata answered (cache hits start immediately).
-                let start_at = routes
+                // Leaves cached by earlier operations start at once.
+                let start_at = leaf_arrival
                     .get(&mapping.slot_range)
-                    .and_then(|node| trip_done.get(node))
                     .copied()
                     .unwrap_or(t_snapshot);
                 let (done, wanted, found) = self.schedule_fetch(
@@ -1314,17 +1027,16 @@ impl SimulatedCluster {
                     mapping.slot_range,
                     &leaf,
                     range,
-                    client_in,
+                    downlink,
                     chunk_cache,
                 );
                 t_data = t_data.max(done);
                 fetched_bytes += wanted;
                 all_found &= found;
             }
-        });
-        let _ = walk?;
+        })?;
         Ok(OpRecord {
-            client,
+            client: *id,
             start: now,
             end: t_data.max(t_meta),
             bytes: fetched_bytes,
@@ -1343,15 +1055,14 @@ impl SimulatedCluster {
     /// already materialised buffer — serves the chunk even when every
     /// provider holding it has failed. Misses fetch over the wire, charge
     /// one receive materialisation to `bytes_copied` and fill the cache.
-    #[allow(clippy::too_many_arguments)]
     fn schedule_fetch(
         &mut self,
         start_at: SimTime,
         slot_range: ByteRange,
         leaf: &blobseer_meta::LeafNode,
         range: ByteRange,
-        client_in: &mut Resource,
-        chunk_cache: Option<&Mutex<SimChunkCache>>,
+        downlink: &mut Resource,
+        chunk_cache: Option<&ChunkCache>,
     ) -> (SimTime, u64, bool) {
         let wanted = slot_range
             .intersect(&range)
@@ -1360,12 +1071,8 @@ impl SimulatedCluster {
         if wanted == 0 {
             return (start_at, 0, true);
         }
-        if let Some(chunk_cache) = chunk_cache {
-            if chunk_cache.lock().contains(&leaf.chunk) {
-                self.cache_hits += 1;
-                return (start_at, wanted, true);
-            }
-            self.cache_misses += 1;
+        if chunk_cache.is_some_and(|cache| cache.get(&leaf.chunk).is_some()) {
+            return (start_at, wanted, true);
         }
         let Some(provider) = leaf
             .providers
@@ -1375,21 +1082,18 @@ impl SimulatedCluster {
         else {
             return (start_at, 0, false);
         };
-        self.data_round_trips += 1;
-        self.bytes_copied += leaf.len;
+        self.counters.bytes_copied += leaf.len;
         // Providers ship the stored envelope verbatim — compressed chunks
         // cross the wire at their sealed (physical) size and the reader
         // decompresses once on receive; the materialised buffer above is
         // the logical payload either way.
         let physical = self.sealed_physical_len(leaf.len);
-        // Lossy network model: a swallowed request or response frame stalls
-        // this fetch for the reader's I/O timeout before the retry lands.
-        let penalty = self.net_transfer_penalty(leaf.len, physical);
+        self.count_transfer(leaf.len, physical);
         let charged = (physical as f64 * self.slowdown(provider)) as u64;
-        let served = self.provider_out[provider.0 as usize].schedule(start_at + penalty, charged);
-        let done = client_in.schedule(served, physical);
-        if let Some(chunk_cache) = chunk_cache {
-            chunk_cache.lock().insert(leaf.chunk, leaf.len);
+        let served = self.provider_out[provider.0 as usize].schedule(start_at, charged);
+        let done = downlink.schedule(served, physical);
+        if let Some(cache) = chunk_cache {
+            cache.insert(leaf.chunk, self.payload(leaf.len));
         }
         (done, wanted, true)
     }
@@ -1404,9 +1108,9 @@ impl SimulatedCluster {
         &mut self,
         start: SimTime,
         trips: &[MetaTrip],
-        client_out: &mut Resource,
+        uplink: &mut Resource,
     ) -> SimTime {
-        self.charge_meta_trips_detailed(start, trips, client_out).0
+        self.charge_meta_trips_detailed(start, trips, uplink).0
     }
 
     /// [`Self::charge_meta_trips`] plus the per-metadata-node completion
@@ -1416,9 +1120,9 @@ impl SimulatedCluster {
         &mut self,
         start: SimTime,
         trips: &[MetaTrip],
-        client_out: &mut Resource,
+        uplink: &mut Resource,
     ) -> (SimTime, HashMap<MetaNodeId, SimTime>) {
-        self.meta_round_trips += trips.len() as u64;
+        self.counters.meta_round_trips += trips.len() as u64;
         if trips.is_empty() {
             return (start, HashMap::new());
         }
@@ -1429,10 +1133,10 @@ impl SimulatedCluster {
         // matching `TransportStats::frames_coalesced` semantics: a batch of
         // n contributes n - 1).
         if trips.len() > 1 {
-            self.frames_coalesced += trips.len() as u64 - 1;
+            self.counters.frames_coalesced += trips.len() as u64 - 1;
         }
         let batch_bytes: u64 = trips.iter().map(|t| t.items * META_NODE_WIRE_BYTES).sum();
-        let sent = client_out.schedule(start, batch_bytes);
+        let sent = uplink.schedule(start, batch_bytes);
         let mut t_meta = start;
         let mut per_node: HashMap<MetaNodeId, SimTime> = HashMap::with_capacity(trips.len());
         for trip in trips {
@@ -1446,24 +1150,6 @@ impl SimulatedCluster {
             *slot = (*slot).max(done);
         }
         (t_meta, per_node)
-    }
-
-    /// Utilisation of the version manager over the last run's makespan
-    /// (useful to show it is not the bottleneck).
-    pub fn version_manager_utilisation(&self, makespan_ns: SimTime) -> f64 {
-        if makespan_ns == 0 {
-            return 0.0;
-        }
-        (self.vm_requests * VERSION_MANAGER_SERVICE_NS) as f64 / makespan_ns as f64
-    }
-
-    /// Convenience used by tests: whether any chunk was charged to the given
-    /// provider during the last run.
-    pub fn provider_received_bytes(&self, provider: ProviderId) -> u64 {
-        self.provider_in
-            .get(provider.0 as usize)
-            .map(Resource::bytes)
-            .unwrap_or(0)
     }
 }
 
@@ -1489,17 +1175,6 @@ pub fn grid_like_cluster(
         ..ClusterConfig::default()
     };
     SimulatedCluster::new(config)
-}
-
-/// Errors below are turned into a plain [`BlobError`] so the harness can
-/// abort cleanly when a workload is mis-configured.
-pub fn check_workload(workload: &Workload) -> Result<()> {
-    if workload.clients == 0 || workload.ops.len() != workload.clients {
-        return Err(BlobError::InvalidConfig(
-            "workload must define one op list per client".into(),
-        ));
-    }
-    workload.blob_config.validate()
 }
 
 #[cfg(test)]
@@ -1911,122 +1586,6 @@ mod tests {
         assert_eq!(wire_saving, 2 * fast.compress_saved_bytes);
     }
 
-    fn lossy_plan(drop: f64) -> FaultPlan {
-        FaultPlan {
-            seed: 99,
-            drop,
-            delay: 0.2,
-            delay_us: 200,
-            ..FaultPlan::none()
-        }
-    }
-
-    #[test]
-    fn readers_during_writers_survive_a_lossy_network_with_bounded_slowdown() {
-        // The pipelined mixed workload over a network that swallows 5% of
-        // data-plane frames: retries mask every fault (no failed ops, same
-        // bytes), the dropped frames are visible in the counters, and the
-        // lost frames cost real simulated time.
-        let workload = WorkloadBuilder::new(8)
-            .ops_per_client(2)
-            .op_size(8 << 20)
-            .chunk_size(512 << 10)
-            .readers_during_writers();
-        let mut config = ClusterConfig {
-            data_providers: 16,
-            metadata_providers: 4,
-            ..ClusterConfig::default()
-        };
-        config.io_timeout_ms = 50; // a short retry timeout, as a lossy deployment would run
-        let mut sim = SimulatedCluster::new(config.clone()).unwrap();
-        let clean = sim.run(&workload).unwrap();
-        sim.set_network_faults(lossy_plan(0.05)).unwrap();
-        let lossy = sim.run(&workload).unwrap();
-        assert_eq!(clean.failed_ops, 0);
-        assert_eq!(lossy.failed_ops, 0, "retries must mask every lost frame");
-        assert_eq!(clean.total_bytes, lossy.total_bytes);
-        assert_eq!(
-            clean.data_round_trips, lossy.data_round_trips,
-            "faults cost retries, not extra logical transfers"
-        );
-        assert_eq!(clean.frames_sent, clean.data_round_trips);
-        assert!(lossy.frames_dropped > 0);
-        assert_eq!(
-            lossy.frames_sent,
-            lossy.data_round_trips + lossy.frames_dropped,
-            "every dropped frame is retransmitted exactly once more"
-        );
-        assert!(lossy.bytes_on_wire > clean.bytes_on_wire);
-        assert!(
-            lossy.makespan_ns > clean.makespan_ns,
-            "lost frames must cost simulated time ({} vs {} ns)",
-            lossy.makespan_ns,
-            clean.makespan_ns
-        );
-    }
-
-    #[test]
-    fn rescan_reads_keep_their_cache_win_over_a_lossy_network() {
-        // Re-scanning a published region over a lossy network: the chunk
-        // cache still eliminates the second scan's round-trips — and with
-        // them its exposure to faults.
-        let workload = WorkloadBuilder::new(1)
-            .ops_per_client(2)
-            .op_size(8 << 20)
-            .chunk_size(1 << 20)
-            .rescan_reads();
-        let mut config = ClusterConfig {
-            data_providers: 16,
-            metadata_providers: 4,
-            chunk_cache_bytes: 64 << 20,
-            ..ClusterConfig::default()
-        };
-        config.io_timeout_ms = 50;
-        let mut sim = SimulatedCluster::new(config).unwrap();
-        sim.set_network_faults(lossy_plan(0.2)).unwrap();
-        let result = sim.run(&workload).unwrap();
-        assert_eq!(result.failed_ops, 0);
-        assert_eq!(
-            result.data_round_trips, 8,
-            "the cached second scan stays off the lossy wire entirely"
-        );
-        assert_eq!(result.cache_hits, 8);
-        assert!(result.frames_sent >= 8);
-    }
-
-    #[test]
-    fn fault_sequences_replay_deterministically_and_clean_plans_disable_the_model() {
-        let workload = small_workload(4);
-        let mut config = ClusterConfig {
-            data_providers: 8,
-            metadata_providers: 4,
-            ..ClusterConfig::default()
-        };
-        config.io_timeout_ms = 50;
-        let mut sim = SimulatedCluster::new(config).unwrap();
-        sim.set_network_faults(lossy_plan(0.1)).unwrap();
-        let a = sim.run(&workload).unwrap();
-        let b = sim.run(&workload).unwrap();
-        // Each run uses a fresh blob (so metadata routing shifts), but the
-        // re-seeded fault stream replays identically transfer by transfer.
-        assert_eq!(
-            a.frames_dropped, b.frames_dropped,
-            "seeded faults must replay"
-        );
-        assert_eq!(a.frames_sent, b.frames_sent);
-        assert!(a.frames_dropped > 0);
-        // A clean plan turns the model off again.
-        sim.set_network_faults(FaultPlan::none()).unwrap();
-        let clean = sim.run(&workload).unwrap();
-        assert_eq!(clean.frames_dropped, 0);
-        assert!(sim
-            .set_network_faults(FaultPlan {
-                drop: 7.0,
-                ..FaultPlan::none()
-            })
-            .is_err());
-    }
-
     #[test]
     fn failed_providers_reduce_read_success_without_replication() {
         let workload = WorkloadBuilder::new(4)
@@ -2096,10 +1655,34 @@ mod tests {
     }
 
     #[test]
-    fn workload_validation_catches_mismatches() {
-        let mut w = small_workload(2);
-        w.ops.pop();
-        assert!(check_workload(&w).is_err());
-        assert!(check_workload(&small_workload(2)).is_ok());
+    fn run_rejects_a_workload_missing_an_op_list() {
+        let mut sim = grid_like_cluster(8, 4).unwrap();
+        let mut missing = small_workload(2);
+        missing.ops.pop();
+        assert!(matches!(
+            sim.run(&missing),
+            Err(BlobError::InvalidConfig(_))
+        ));
+        let mut none = small_workload(1);
+        none.clients = 0;
+        none.ops.clear();
+        assert!(matches!(sim.run(&none), Err(BlobError::InvalidConfig(_))));
+        // The cluster stays usable for a well-formed workload.
+        assert_eq!(sim.run(&small_workload(2)).unwrap().failed_ops, 0);
+    }
+
+    #[test]
+    fn lifecycle_configurations_are_rejected() {
+        for (retained_versions, flatten_threshold) in [(4, 0), (0, 25)] {
+            let config = ClusterConfig {
+                retained_versions,
+                flatten_threshold,
+                ..ClusterConfig::default()
+            };
+            assert!(matches!(
+                SimulatedCluster::new(config),
+                Err(BlobError::InvalidConfig(_))
+            ));
+        }
     }
 }

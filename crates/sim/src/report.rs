@@ -42,7 +42,7 @@ pub struct SeriesPoint {
     /// Logical-minus-physical bytes the codec saved at sealing time.
     pub compress_saved_bytes: u64,
     /// Frames put on the wire (retries included); zero for analytic series
-    /// and in-process measurements.
+    /// and in-process measurements, `data_round_trips` for simulated runs.
     pub frames_sent: u64,
     /// Frames that shared a batched (coalesced) write with a predecessor
     /// instead of paying their own syscall/per-request latency; a batch of
@@ -71,38 +71,12 @@ impl SweepSeries {
 
     /// Appends a point with no round-trip measurements (analytic series).
     pub fn push(&mut self, x: f64, throughput_mibps: f64, latency_ms: f64) {
-        self.push_measured(x, throughput_mibps, latency_ms, 0, 0);
-    }
-
-    /// Appends a point with a metadata round-trip measurement but no
-    /// data-plane one (kept for callers predating `data_round_trips`).
-    pub fn push_full(
-        &mut self,
-        x: f64,
-        throughput_mibps: f64,
-        latency_ms: f64,
-        meta_round_trips: u64,
-    ) {
-        self.push_measured(x, throughput_mibps, latency_ms, meta_round_trips, 0);
-    }
-
-    /// Appends a fully measured point, both planes' round-trips included
-    /// (cache and copy counters zero; prefer [`SweepSeries::push_sim`] when
-    /// a [`SimulationResult`] is at hand).
-    pub fn push_measured(
-        &mut self,
-        x: f64,
-        throughput_mibps: f64,
-        latency_ms: f64,
-        meta_round_trips: u64,
-        data_round_trips: u64,
-    ) {
         self.points.push(SeriesPoint {
             x,
             throughput_mibps,
             latency_ms,
-            meta_round_trips,
-            data_round_trips,
+            meta_round_trips: 0,
+            data_round_trips: 0,
             bytes_copied: 0,
             cache_hits: 0,
             cache_misses: 0,
@@ -136,7 +110,8 @@ impl SweepSeries {
             bytes_on_wire_logical: result.bytes_on_wire_logical,
             chunks_compressed: result.chunks_compressed,
             compress_saved_bytes: result.compress_saved_bytes,
-            frames_sent: result.frames_sent,
+            // The simulated network loses nothing: one frame per transfer.
+            frames_sent: result.data_round_trips,
             frames_coalesced: result.frames_coalesced,
         });
     }

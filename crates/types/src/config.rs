@@ -72,7 +72,7 @@ pub enum Durability {
 
 /// Deterministic, seedable per-frame fault injection for the network
 /// (`blobseer_net::FaultyConnector`, which wraps the client end of real TCP
-/// connections) and the simulator's lossy network model.
+/// connections).
 ///
 /// Every probability is evaluated independently per frame from a generator
 /// seeded with [`FaultPlan::seed`], so a given plan produces the same fault

@@ -2,8 +2,9 @@
 //! the qualitative shapes the paper reports (these are the assertions behind
 //! EXPERIMENTS.md, run at reduced scale so the suite stays fast).
 
-use blobseer::sim::{SimulatedCluster, WorkloadBuilder};
-use blobseer::types::{ClusterConfig, PlacementPolicy};
+use blobseer::core::Cluster;
+use blobseer::sim::{OpKind, SimulatedCluster, Workload, WorkloadBuilder};
+use blobseer::types::{BlobConfig, ClusterConfig, PlacementPolicy};
 use blobseer_bench as bench;
 
 fn cluster(data: usize, meta: usize) -> SimulatedCluster {
@@ -152,4 +153,77 @@ fn provider_load_is_balanced_under_round_robin() {
         max / min < 1.6,
         "round-robin striping must balance provider load"
     );
+}
+
+/// The simulator runs the real client caches, so on the same sequence its
+/// cache and metadata counts are the real client's. Both sides create one
+/// blob and append eight chunks to it in one version (the simulator's
+/// untimed preload), so they hold the same blob id and tree keys; then a
+/// fresh client reads the whole blob twice.
+#[test]
+fn sim_cache_and_metadata_counts_match_the_real_client() {
+    const CHUNK: u64 = 64 << 10;
+    const LEN: u64 = 8 * CHUNK;
+    let blob_config = BlobConfig {
+        chunk_size: CHUNK,
+        replication: 1,
+        ..BlobConfig::default()
+    };
+    let reads = |n: usize| Workload {
+        clients: 1,
+        blob_config,
+        preload_bytes: LEN,
+        ops: vec![vec![
+            OpKind::Read {
+                offset: 0,
+                len: LEN
+            };
+            n
+        ]],
+        compressibility: 1.0,
+    };
+    // One budget whose shard share holds all eight chunks, and one whose
+    // shard share (budget / 16) is smaller than a chunk: nothing admitted.
+    for chunk_cache_bytes in [16 * LEN, LEN] {
+        let config = ClusterConfig {
+            data_providers: 4,
+            metadata_providers: 4,
+            dht_replication: 1,
+            chunk_cache_bytes,
+            ..ClusterConfig::default()
+        };
+        let sim = |n| {
+            SimulatedCluster::new(config.clone())
+                .unwrap()
+                .run(&reads(n))
+                .unwrap()
+        };
+        let (first, both) = (sim(1), sim(2));
+        assert_eq!(both.failed_ops, 0);
+
+        let cluster = Cluster::new(config.clone()).unwrap();
+        let writer = cluster.client();
+        let blob = writer.create_blob(blob_config).unwrap();
+        writer.append(blob, vec![7u8; LEN as usize]).unwrap();
+        let reader = cluster.client();
+        let before = cluster.metadata_round_trips();
+        assert_eq!(reader.read(blob, None, 0, LEN).unwrap().len() as u64, LEN);
+        let first_read_trips = cluster.metadata_round_trips() - before;
+        reader.read(blob, None, 0, LEN).unwrap();
+        let stats = reader.stats();
+        let admitted = chunk_cache_bytes / 16 >= CHUNK;
+        assert_eq!(stats.cache_hits, if admitted { 8 } else { 0 });
+        assert_eq!(stats.cache_misses, if admitted { 8 } else { 16 });
+        assert!(first_read_trips > 0);
+
+        assert_eq!(
+            (both.cache_hits, both.cache_misses),
+            (stats.cache_hits, stats.cache_misses),
+            "chunk cache counts diverge at a {chunk_cache_bytes}-byte budget"
+        );
+        assert_eq!(
+            first.meta_round_trips, first_read_trips,
+            "first-read metadata round trips diverge at a {chunk_cache_bytes}-byte budget"
+        );
+    }
 }
