@@ -10,8 +10,8 @@
 //! * [`node::DhtNode`] — one metadata provider: an in-memory key/value store
 //!   with per-node statistics and a failure switch;
 //! * [`Dht`] — the client-side view tying the two together, with replicated
-//!   `put`/`get`, membership management and a `route` query used by the
-//!   cluster simulator to attribute costs to the right node.
+//!   `put`/`get`, batch operations that route each key once and can report
+//!   the round-trips they made ([`Trip`]), and membership management.
 //!
 //! Values are write-once (metadata in BlobSeer is immutable): `put` of an
 //! existing key is accepted only if idempotent, which is exactly the
@@ -41,7 +41,7 @@ use std::sync::Arc;
 /// that one *round-trip* per owning node moves the whole group, instead of
 /// one round-trip per key. The accumulated round-trip count is exposed via
 /// [`Dht::round_trips`] — the unit the paper's metadata-path costs are
-/// measured in.
+/// measured in — and the `_traced` variants report each batch's own trips.
 pub struct Dht<K, V> {
     ring: RwLock<HashRing>,
     nodes: RwLock<HashMap<MetaNodeId, Arc<DhtNode<K, V>>>>,
@@ -50,6 +50,20 @@ pub struct Dht<K, V> {
     /// Logical request/response exchanges with individual nodes: one per
     /// node contacted by a `get`/`put`, one per owning node per batch.
     round_trips: AtomicU64,
+}
+
+/// One round-trip a batch operation made: a request to the metadata
+/// provider `owner` carrying the batch items at positions `items`. An item
+/// appears once per live replica the operation asked — a put's entry on
+/// every replica it reached, a get's key on each replica tried until one
+/// held it — so with replication 1 the trips of a batch partition it by
+/// owner.
+#[derive(Debug, Clone)]
+pub struct Trip {
+    /// The node the request went to.
+    pub owner: MetaNodeId,
+    /// Positions, in the batch, of the items the request carried.
+    pub items: Vec<usize>,
 }
 
 impl<K, V> Dht<K, V>
@@ -109,9 +123,6 @@ where
     }
 
     /// The nodes responsible for `key`, primary first.
-    ///
-    /// This is exposed so that the simulator can charge metadata traffic to
-    /// the correct node without duplicating the routing logic.
     pub fn route(&self, key: &K) -> Vec<MetaNodeId> {
         let hash = ring::hash_key(key);
         self.ring.read().successors(hash, self.replication)
@@ -174,50 +185,31 @@ where
     /// reaches its full replica set; the first error is reported after the
     /// batch completes. Every entry must reach at least one live replica.
     pub fn put_batch(&self, entries: Vec<(K, V)>) -> Result<()> {
-        if entries.is_empty() {
-            return Ok(());
-        }
+        self.put_batch_traced(entries, &mut Vec::new())
+    }
+
+    /// [`Dht::put_batch`], appending every round-trip it made to `trips`.
+    pub fn put_batch_traced(&self, entries: Vec<(K, V)>, trips: &mut Vec<Trip>) -> Result<()> {
         let entries: Vec<(K, Arc<V>)> =
             entries.into_iter().map(|(k, v)| (k, Arc::new(v))).collect();
-        let routes: Vec<Vec<MetaNodeId>> = entries.iter().map(|(key, _)| self.route(key)).collect();
-        let nodes = self.nodes.read();
         let mut stored_on = vec![0usize; entries.len()];
-        let mut failed = vec![false; entries.len()];
         let mut first_error = None;
-        // One wave per replica rank, each wave grouped by owning node: an
-        // entry rejected as conflicting at its primary (the same replica a
-        // per-key put would hit first) is never pushed onto later ranks,
+        // An entry rejected as conflicting at its primary (the same replica
+        // a per-key put would hit first) is never pushed onto later ranks,
         // which would permanently diverge the write-once replicas.
-        for rank in 0..self.replication {
-            let mut groups: HashMap<MetaNodeId, Vec<usize>> = HashMap::new();
-            for (index, route) in routes.iter().enumerate() {
-                if failed[index] {
-                    continue;
+        self.batch(entries.iter().map(|(key, _)| key), trips, |node, index| {
+            let (key, value) = &entries[index];
+            match node.put_shared(key.clone(), Arc::clone(value)) {
+                Ok(()) => {
+                    stored_on[index] += 1;
+                    true
                 }
-                if let Some(id) = route.get(rank) {
-                    groups.entry(*id).or_default().push(index);
-                }
-            }
-            for (id, indices) in groups {
-                let node = nodes.get(&id).ok_or(BlobError::Internal(format!(
-                    "ring references unknown node {id}"
-                )))?;
-                if !node.is_alive() {
-                    continue;
-                }
-                self.round_trips.fetch_add(1, Ordering::Relaxed);
-                for index in indices {
-                    let (key, value) = &entries[index];
-                    match node.put_shared(key.clone(), Arc::clone(value)) {
-                        Ok(()) => stored_on[index] += 1,
-                        Err(err) => {
-                            failed[index] = true;
-                            first_error.get_or_insert(err);
-                        }
-                    }
+                Err(err) => {
+                    first_error.get_or_insert(err);
+                    false
                 }
             }
-        }
+        });
         if let Some(err) = first_error {
             return Err(err);
         }
@@ -239,34 +231,11 @@ where
     /// sweeps issuing these removals are idempotent, and a replica that was
     /// down merely keeps an unreachable (harmless) copy.
     pub fn remove_batch(&self, keys: &[K]) -> usize {
-        if keys.is_empty() {
-            return 0;
-        }
-        let routes: Vec<Vec<MetaNodeId>> = keys.iter().map(|k| self.route(k)).collect();
-        let nodes = self.nodes.read();
         let mut removed = vec![false; keys.len()];
-        for rank in 0..self.replication {
-            let mut groups: HashMap<MetaNodeId, Vec<usize>> = HashMap::new();
-            for (index, route) in routes.iter().enumerate() {
-                if let Some(id) = route.get(rank) {
-                    groups.entry(*id).or_default().push(index);
-                }
-            }
-            for (id, indices) in groups {
-                let Some(node) = nodes.get(&id) else {
-                    continue;
-                };
-                if !node.is_alive() {
-                    continue;
-                }
-                self.round_trips.fetch_add(1, Ordering::Relaxed);
-                for index in indices {
-                    if node.remove(&keys[index]).is_some() {
-                        removed[index] = true;
-                    }
-                }
-            }
-        }
+        self.batch(keys, &mut Vec::new(), |node, index| {
+            removed[index] |= node.remove(&keys[index]).is_some();
+            true
+        });
         removed.into_iter().filter(|r| *r).count()
     }
 
@@ -292,46 +261,63 @@ where
     /// Fetches a whole batch of keys, contacting every owning node once per
     /// replica rank: the common case (every key present on its primary)
     /// costs one round-trip per *distinct primary node*, however many keys
-    /// the batch has. Keys a node turns out not to hold fall through to the
-    /// next replica in routing order, one extra grouped round per rank.
+    /// the batch has. Keys a node turns out not to hold, and keys whose
+    /// replica is down, fall through to the next replica in routing order,
+    /// one extra grouped round per rank.
     pub fn get_batch(&self, keys: &[K]) -> Vec<Option<V>> {
+        self.get_batch_traced(keys, &mut Vec::new())
+    }
+
+    /// [`Dht::get_batch`], appending every round-trip it made to `trips`.
+    pub fn get_batch_traced(&self, keys: &[K], trips: &mut Vec<Trip>) -> Vec<Option<V>> {
         let mut out: Vec<Option<V>> = keys.iter().map(|_| None).collect();
-        if keys.is_empty() {
-            return out;
-        }
-        let routes: Vec<Vec<MetaNodeId>> = keys.iter().map(|k| self.route(k)).collect();
-        let nodes = self.nodes.read();
-        let mut unresolved: Vec<usize> = (0..keys.len()).collect();
-        for rank in 0..self.replication {
-            if unresolved.is_empty() {
-                break;
+        self.batch(keys, trips, |node, index| match node.get(&keys[index]) {
+            Some(v) => {
+                out[index] = Some(v);
+                false
             }
-            let mut groups: HashMap<MetaNodeId, Vec<usize>> = HashMap::new();
-            let mut next_round: Vec<usize> = Vec::new();
-            for index in unresolved {
-                if let Some(id) = routes[index].get(rank) {
-                    match nodes.get(id) {
-                        Some(node) if node.is_alive() => {
-                            groups.entry(*id).or_default().push(index);
-                        }
-                        // Dead or unknown replica: retry on the next rank.
-                        _ => next_round.push(index),
-                    }
-                }
-            }
-            for (id, indices) in groups {
-                let node = &nodes[&id];
-                self.round_trips.fetch_add(1, Ordering::Relaxed);
-                for index in indices {
-                    match node.get(&keys[index]) {
-                        Some(v) => out[index] = Some(v),
-                        None => next_round.push(index),
-                    }
-                }
-            }
-            unresolved = next_round;
-        }
+            None => true,
+        });
         out
+    }
+
+    /// The one routing decision behind every batch operation: one wave per
+    /// replica rank, each wave grouping the batch's pending items by the
+    /// node that owns them at that rank, and one round-trip per live owner.
+    /// `visit` serves one item (by its position in `keys`) on its owner and
+    /// says whether the item goes on to its next replica; the items of a
+    /// dead owner go on untouched. Every round-trip is appended to `trips`.
+    fn batch<'k>(
+        &self,
+        keys: impl IntoIterator<Item = &'k K>,
+        trips: &mut Vec<Trip>,
+        mut visit: impl FnMut(&DhtNode<K, V>, usize) -> bool,
+    ) where
+        K: 'k,
+    {
+        // Routing under the membership lock keeps every route pointing at
+        // a member node.
+        let nodes = self.nodes.read();
+        let routes: Vec<Vec<MetaNodeId>> = keys.into_iter().map(|key| self.route(key)).collect();
+        let mut pending: Vec<usize> = (0..routes.len()).collect();
+        for rank in 0..self.replication {
+            let mut groups: HashMap<MetaNodeId, Vec<usize>> = HashMap::new();
+            for index in pending.drain(..) {
+                if let Some(owner) = routes[index].get(rank) {
+                    groups.entry(*owner).or_default().push(index);
+                }
+            }
+            for (owner, items) in groups {
+                match nodes.get(&owner) {
+                    Some(node) if node.is_alive() => {
+                        self.round_trips.fetch_add(1, Ordering::Relaxed);
+                        pending.extend(items.iter().copied().filter(|&index| visit(node, index)));
+                        trips.push(Trip { owner, items });
+                    }
+                    _ => pending.extend(items),
+                }
+            }
+        }
     }
 
     /// Returns whether any live replica currently stores `key`.
@@ -518,6 +504,71 @@ mod tests {
             assert!(d.get(key).is_some());
         }
         assert!(d.round_trips() - before >= 50);
+    }
+
+    /// Every item of a batch, by the owners its trips went to, in trip
+    /// order.
+    fn owners_by_item(trips: &[Trip], len: usize) -> Vec<Vec<MetaNodeId>> {
+        let mut owners = vec![Vec::new(); len];
+        for trip in trips {
+            for &index in &trip.items {
+                owners[index].push(trip.owner);
+            }
+        }
+        owners
+    }
+
+    #[test]
+    fn batches_report_trips_that_partition_them_by_owner() {
+        let d = dht(4, 1);
+        let entries: Vec<(String, u64)> = (0..200u64).map(|i| (format!("key-{i}"), i)).collect();
+        let keys: Vec<String> = entries.iter().map(|(k, _)| k.clone()).collect();
+        let mut trips = Vec::new();
+        let before = d.round_trips();
+        d.put_batch_traced(entries, &mut trips).unwrap();
+        assert_eq!(trips.len() as u64, d.round_trips() - before);
+        let put_trips = std::mem::take(&mut trips);
+
+        let before = d.round_trips();
+        let values = d.get_batch_traced(&keys, &mut trips);
+        assert!(values.iter().all(Option::is_some));
+        assert_eq!(trips.len() as u64, d.round_trips() - before);
+        for report in [&put_trips, &trips] {
+            // One trip per owner, together carrying every item exactly
+            // once, each on the node the ring routes it to.
+            assert_eq!(report.len(), 4);
+            let owners = owners_by_item(report, keys.len());
+            for (key, owners) in keys.iter().zip(owners) {
+                assert_eq!(owners, d.route(key), "{key}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_get_reports_the_fall_through_trip_past_a_failed_primary() {
+        let d = dht(4, 2);
+        let entries: Vec<(String, u64)> = (0..100u64).map(|i| (format!("key-{i}"), i)).collect();
+        let keys: Vec<String> = entries.iter().map(|(k, _)| k.clone()).collect();
+        d.put_batch(entries).unwrap();
+        d.fail_node(MetaNodeId(2)).unwrap();
+        let mut trips = Vec::new();
+        let before = d.round_trips();
+        let values = d.get_batch_traced(&keys, &mut trips);
+        assert_eq!(trips.len() as u64, d.round_trips() - before);
+        let owners = owners_by_item(&trips, keys.len());
+        let mut fell_through = 0;
+        for (i, (key, owners)) in keys.iter().zip(owners).enumerate() {
+            assert_eq!(values[i], Some(i as u64), "{key}");
+            let route = d.route(key);
+            if route[0] == MetaNodeId(2) {
+                // The dead primary costs no trip; the next replica serves.
+                assert_eq!(owners, vec![route[1]], "{key}");
+                fell_through += 1;
+            } else {
+                assert_eq!(owners, vec![route[0]], "{key}");
+            }
+        }
+        assert!(fell_through > 0, "no key had the failed node as primary");
     }
 
     #[test]

@@ -97,12 +97,9 @@ impl Connectors {
             // The metadata endpoint gets a deeper retry budget: metadata
             // frames are tiny and on every critical path, so extra masking
             // of lossy links is cheap there (see `META_RPC_RETRIES`).
-            // Batches are split into one frame per metadata shard and
-            // flushed as a single vectored submission.
-            metadata: Arc::new(
-                NetMetadataService::new(endpoint(&self.meta).with_retries(META_RPC_RETRIES))
-                    .with_shards(config.metadata_providers),
-            ),
+            metadata: Arc::new(NetMetadataService::new(
+                endpoint(&self.meta).with_retries(META_RPC_RETRIES),
+            )),
             // The version-manager plane has the deepest budget of all: its
             // frames are tiny, every operation serialises through it with
             // no replica to rotate to, and the host deduplicates retries of
@@ -468,8 +465,7 @@ impl RemoteEndpoints {
 /// [`BlobClient::configured`] reads it, with no shared chunk cache.
 ///
 /// `config` should match the serving deployment where it matters on the
-/// client side: `metadata_providers` (shard-grouped frame batching),
-/// `chunk_codec`, timeouts and connection counts.
+/// client side: `chunk_codec`, timeouts and connection counts.
 pub fn connect_remote(config: &ClusterConfig, endpoints: &RemoteEndpoints) -> Result<BlobClient> {
     use rand::RngCore;
     let metrics = Arc::new(TransportMetrics::new());

@@ -287,78 +287,20 @@ impl RpcEndpoint {
         Ok(batch.len())
     }
 
-    fn try_call(&self, opcode: u8, header: &Bytes, payload: &Bytes) -> Result<Frame> {
+    /// One transport attempt for a batch of same-opcode requests: registers
+    /// every request on a single connection, queues all frames and flushes
+    /// them as one batch (one vectored write on a TCP sink — this is where
+    /// deterministic client-side frame coalescing comes from), then awaits
+    /// the responses off the shared reader. One outcome per request, in
+    /// order: the response frame, or the transport error that lost it.
+    fn attempt(&self, opcode: u8, requests: &[(Bytes, Bytes)]) -> Vec<Result<Frame>> {
         let slot_index =
             (self.next_conn.fetch_add(1, Ordering::Relaxed) as usize) % self.conns.len();
-        let conn = self.ensure_conn(slot_index)?;
-        let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx): (Sender<Frame>, Receiver<Frame>) = channel();
-        {
-            let mut registry = conn.pending.lock();
-            match registry.as_mut() {
-                Some(map) => {
-                    map.insert(request_id, tx);
-                }
-                None => {
-                    drop(registry);
-                    self.drop_conn(slot_index, &conn);
-                    return Err(BlobError::Transport("rpc: connection lost".into()));
-                }
-            }
-        }
-        let frame = Frame::new(request_id, opcode, header.clone(), payload.clone());
-        conn.send_queue.lock().push(frame);
-        if let Err(err) = self.flush_queue(&conn) {
-            // The failed batch may have carried other callers' frames too;
-            // dropping the connection fails their waits over promptly (and
-            // every request is idempotent, so they simply retry).
-            if let Some(map) = conn.pending.lock().as_mut() {
-                map.remove(&request_id);
-            }
-            self.drop_conn(slot_index, &conn);
-            return Err(err);
-        }
-        match rx.recv_timeout(self.io_timeout) {
-            Ok(response) => Ok(response),
-            Err(RecvTimeoutError::Timeout) => {
-                // A timed-out request means the frame (or its response) was
-                // swallowed, or the endpoint is dead; the next attempt is
-                // better off on a fresh connection. Other in-flight requests
-                // fail over with us and retry on the new one — a deliberate
-                // trade: spurious group failovers on a slow-but-alive link
-                // are cheap (every request is idempotent), a dead link
-                // detected once is not re-probed by every waiter in turn.
-                if let Some(map) = conn.pending.lock().as_mut() {
-                    map.remove(&request_id);
-                }
-                self.drop_conn(slot_index, &conn);
-                Err(BlobError::Transport(format!(
-                    "rpc: no response within {:?}",
-                    self.io_timeout
-                )))
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                self.drop_conn(slot_index, &conn);
-                Err(BlobError::Transport("rpc: connection lost".into()))
-            }
-        }
-    }
-
-    /// One batched transport attempt: registers every request on a single
-    /// connection, queues all frames and flushes them as one batch (one
-    /// vectored write on a TCP sink — this is where deterministic
-    /// client-side frame coalescing comes from), then awaits the responses
-    /// off the shared reader. Per-item `Err(())` means "retry this one
-    /// individually"; a whole-batch `Err` means no frame was sent at all.
-    #[allow(clippy::type_complexity)]
-    fn try_call_many(
-        &self,
-        opcode: u8,
-        requests: &[(Bytes, Bytes)],
-    ) -> Result<Vec<std::result::Result<Frame, ()>>> {
-        let slot_index =
-            (self.next_conn.fetch_add(1, Ordering::Relaxed) as usize) % self.conns.len();
-        let conn = self.ensure_conn(slot_index)?;
+        let lost = |err: BlobError| requests.iter().map(|_| Err(err.clone())).collect();
+        let conn = match self.ensure_conn(slot_index) {
+            Ok(conn) => conn,
+            Err(err) => return lost(err),
+        };
         let mut waiters: Vec<(u64, Receiver<Frame>)> = Vec::with_capacity(requests.len());
         {
             let mut registry = conn.pending.lock();
@@ -374,7 +316,7 @@ impl RpcEndpoint {
                 None => {
                     drop(registry);
                     self.drop_conn(slot_index, &conn);
-                    return Err(BlobError::Transport("rpc: connection lost".into()));
+                    return lost(BlobError::Transport("rpc: connection lost".into()));
                 }
             }
         }
@@ -390,35 +332,46 @@ impl RpcEndpoint {
             }
         }
         if let Err(err) = self.flush_queue(&conn) {
+            // The failed batch may have carried other callers' frames too;
+            // dropping the connection fails their waits over promptly (and
+            // every request is idempotent, so they simply retry).
             if let Some(map) = conn.pending.lock().as_mut() {
                 for (request_id, _) in &waiters {
                     map.remove(request_id);
                 }
             }
             self.drop_conn(slot_index, &conn);
-            return Err(err);
+            return lost(err);
         }
-        let mut outcomes = Vec::with_capacity(waiters.len());
-        for (request_id, rx) in waiters {
-            match rx.recv_timeout(self.io_timeout) {
-                Ok(frame) => outcomes.push(Ok(frame)),
+        waiters
+            .into_iter()
+            .map(|(request_id, rx)| match rx.recv_timeout(self.io_timeout) {
+                Ok(frame) => Ok(frame),
                 Err(RecvTimeoutError::Timeout) => {
+                    // A timed-out request means the frame (or its response)
+                    // was swallowed, or the endpoint is dead; the next
+                    // attempt is better off on a fresh connection. Dropping
+                    // it disconnects the other in-flight requests too, so
+                    // they fail over without waiting out their own timeouts
+                    // — a deliberate trade: spurious group failovers on a
+                    // slow-but-alive link are cheap (every request is
+                    // idempotent), a dead link detected once is not
+                    // re-probed by every waiter in turn.
                     if let Some(map) = conn.pending.lock().as_mut() {
                         map.remove(&request_id);
                     }
-                    // Dropping the connection disconnects the remaining
-                    // waiters of this batch too; they fail over below
-                    // without waiting out their own timeouts.
                     self.drop_conn(slot_index, &conn);
-                    outcomes.push(Err(()));
+                    Err(BlobError::Transport(format!(
+                        "rpc: no response within {:?}",
+                        self.io_timeout
+                    )))
                 }
                 Err(RecvTimeoutError::Disconnected) => {
                     self.drop_conn(slot_index, &conn);
-                    outcomes.push(Err(()));
+                    Err(BlobError::Transport("rpc: connection lost".into()))
                 }
-            }
-        }
-        Ok(outcomes)
+            })
+            .collect()
     }
 
     /// Issues a batch of same-opcode requests as one pipelined send over a
@@ -449,60 +402,48 @@ impl RpcEndpoint {
         opcode: u8,
         requests: &[(Bytes, Bytes)],
     ) -> Vec<Option<Result<Frame>>> {
-        let mut results: Vec<Option<Result<Frame>>> = requests.iter().map(|_| None).collect();
-        if let Ok(outcomes) = self.try_call_many(opcode, requests) {
-            for (slot, outcome) in results.iter_mut().zip(outcomes) {
-                match outcome {
-                    Ok(frame) if frame.opcode == op::RESP_OK => *slot = Some(Ok(frame)),
-                    Ok(frame) if frame.opcode == op::RESP_ERR => {
-                        match decode::<BlobError>(&frame.header) {
-                            // Transport-class errors (a frame mangled in
-                            // flight) are the caller's to retry; application
-                            // errors are final.
-                            Ok(BlobError::Transport(_)) | Err(_) => {}
-                            Ok(err) => *slot = Some(Err(err)),
-                        }
-                    }
-                    Ok(_) | Err(()) => {}
-                }
-            }
-        }
-        results
+        self.attempt(opcode, requests)
+            .into_iter()
+            .map(|outcome| settle(outcome).ok())
+            .collect()
     }
 
     /// Issues one request and returns the decoded-enough response frame
     /// (`RESP_OK`), retrying transport-level failures with fresh
     /// connections. Application errors from the server are returned as-is.
     pub fn call(&self, opcode: u8, header: Bytes, payload: Bytes) -> Result<Frame> {
+        let request = [(header, payload)];
         let mut last_err = BlobError::Transport("rpc: no attempt made".into());
         for attempt in 0..=self.retries {
             if attempt > 0 {
                 self.metrics.retried();
             }
-            match self.try_call(opcode, &header, &payload) {
-                Ok(frame) if frame.opcode == op::RESP_ERR => {
-                    match decode::<BlobError>(&frame.header) {
-                        // The server could not make sense of our request —
-                        // almost certainly a frame mangled in flight.
-                        // Transport-class: retry.
-                        Ok(BlobError::Transport(msg)) => {
-                            last_err = BlobError::Transport(msg);
-                        }
-                        Ok(err) => return Err(err),
-                        Err(err) => last_err = err,
-                    }
-                }
-                Ok(frame) if frame.opcode == op::RESP_OK => return Ok(frame),
-                Ok(frame) => {
-                    last_err = BlobError::Transport(format!(
-                        "rpc: unexpected response opcode {:#x}",
-                        frame.opcode
-                    ));
-                }
+            let outcome = self.attempt(opcode, &request).pop();
+            match settle(outcome.expect("one outcome per request")) {
+                Ok(done) => return done,
                 Err(err) => last_err = err,
             }
         }
         Err(last_err)
+    }
+}
+
+/// Sorts one attempt's outcome: `Ok` when it is final — a `RESP_OK` frame,
+/// or the application error the server answered — and `Err` with the
+/// reason when it failed at the transport level and is worth retrying.
+fn settle(outcome: Result<Frame>) -> std::result::Result<Result<Frame>, BlobError> {
+    let frame = outcome?;
+    match frame.opcode {
+        op::RESP_OK => Ok(Ok(frame)),
+        op::RESP_ERR => match decode::<BlobError>(&frame.header)? {
+            // The server could not make sense of our request — almost
+            // certainly a frame mangled in flight. Transport-class: retry.
+            err @ BlobError::Transport(_) => Err(err),
+            err => Ok(Err(err)),
+        },
+        other => Err(BlobError::Transport(format!(
+            "rpc: unexpected response opcode {other:#x}"
+        ))),
     }
 }
 

@@ -38,7 +38,6 @@ use blobseer_types::{
 };
 use bytes::Bytes;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -244,6 +243,12 @@ impl ChunkService for NetChunkService {
 /// against the metadata endpoint (which hosts the DHT in production
 /// wiring).
 ///
+/// Each batch — a `get_nodes`, `put_nodes` or `delete_nodes` — crosses the
+/// wire as one frame, whatever metadata providers its keys belong to. The
+/// serving side routes it: the DHT behind the endpoint groups the frame's
+/// keys by owning node, one round-trip per owner, exactly as it does for an
+/// in-process client.
+///
 /// Reads and writes both propagate failure. `MetadataStore::get_node(s)`
 /// returns `Result`, keeping "node absent" (meaningful: holes,
 /// not-yet-woven nodes) distinct from "endpoint unreachable" — a transport
@@ -251,77 +256,23 @@ impl ChunkService for NetChunkService {
 /// absence a boundary-merging writer could misread as "never written:
 /// zeros". `put_nodes` likewise propagates transport errors, so a writer
 /// never publishes a version whose nodes did not land.
-///
-/// ## Per-shard frame coalescing
-///
-/// When built [`NetMetadataService::with_shards`] (> 1), each batched
-/// `get_nodes`/`put_nodes` is split into one frame per metadata shard
-/// (keys grouped by hash, mirroring DHT key ownership) and the whole set
-/// of per-shard frames is submitted as a *single vectored flush* — one
-/// syscall for the entire descent level, counted in
-/// `TransportMetrics::frames_coalesced`. Responses are scattered back into
-/// the caller's key order. A batch that only touches one shard degrades to
-/// the plain single-frame path.
 pub struct NetMetadataService {
     endpoint: RpcEndpoint,
-    shards: usize,
 }
 
 impl NetMetadataService {
-    /// Wires the metadata endpoint of one client (single-frame batches).
+    /// Wires the metadata endpoint of one client.
     #[must_use]
     pub fn new(endpoint: RpcEndpoint) -> Self {
-        NetMetadataService {
-            endpoint,
-            shards: 1,
-        }
+        NetMetadataService { endpoint }
     }
 
-    /// Sets the number of metadata shards batches are split across (values
-    /// below 1 clamp to 1 — the unsharded single-frame path).
+    /// Does nothing: a batch is one frame, and the serving DHT routes it.
+    /// It stays only because `connect_traced` in the frozen `e2e` benchmark
+    /// harness calls it; delete it once that call is gone.
     #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
+    pub fn with_shards(self, _shards: usize) -> Self {
         self
-    }
-
-    /// The shard a node key belongs to (stable hash, mirroring how a DHT
-    /// assigns key ownership).
-    fn shard_of(&self, key: &NodeKey) -> usize {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        (hasher.finish() % self.shards as u64) as usize
-    }
-
-    /// Groups indices into `keys` by shard, dropping empty groups.
-    fn shard_groups(
-        &self,
-        keys: impl Iterator<Item = usize>,
-        of: impl Fn(usize) -> usize,
-    ) -> Vec<Vec<usize>> {
-        let mut groups: Vec<Vec<usize>> = (0..self.shards).map(|_| Vec::new()).collect();
-        for index in keys {
-            groups[of(index)].push(index);
-        }
-        groups.retain(|g| !g.is_empty());
-        groups
-    }
-
-    /// The plain single-frame `get_nodes` (also the per-group fallback when
-    /// a coalesced response fails to decode).
-    fn get_nodes_single(&self, keys: &[NodeKey]) -> Result<Vec<Option<NodeBody>>> {
-        let header = encode(&keys.to_vec());
-        call_decoded(&self.endpoint, op::META_GET, &header, |frame| {
-            let bodies = decode::<Vec<Option<NodeBody>>>(&frame.header)?;
-            if bodies.len() != keys.len() {
-                return Err(BlobError::Transport(format!(
-                    "meta get of {} keys answered {} slots",
-                    keys.len(),
-                    bodies.len()
-                )));
-            }
-            Ok(bodies)
-        })
     }
 }
 
@@ -335,109 +286,33 @@ impl MetadataStore for NetMetadataService {
     }
 
     fn get_nodes(&self, keys: &[NodeKey]) -> Result<Vec<Option<NodeBody>>> {
-        let groups = if self.shards > 1 && keys.len() > 1 {
-            self.shard_groups(0..keys.len(), |i| self.shard_of(&keys[i]))
-        } else {
-            Vec::new()
-        };
-        if groups.len() < 2 {
-            return self.get_nodes_single(keys);
-        }
-        let requests: Vec<(Bytes, Bytes)> = groups
-            .iter()
-            .map(|group| {
-                let group_keys: Vec<NodeKey> = group.iter().map(|&i| keys[i]).collect();
-                (encode(&group_keys), Bytes::new())
-            })
-            .collect();
-        // Every per-shard frame of this descent level leaves in one
-        // vectored flush; responses scatter back into the caller's order.
-        let outcomes = self.endpoint.call_many(op::META_GET, &requests);
-        let mut results: Vec<Option<NodeBody>> = vec![None; keys.len()];
-        for (group, outcome) in groups.iter().zip(outcomes) {
-            let parsed = outcome.and_then(|frame| {
-                let bodies = decode::<Vec<Option<NodeBody>>>(&frame.header)?;
-                if bodies.len() != group.len() {
-                    return Err(BlobError::Transport(format!(
-                        "meta get of {} keys answered {} slots",
-                        group.len(),
-                        bodies.len()
-                    )));
-                }
-                Ok(bodies)
-            });
-            let bodies = match parsed {
-                Ok(bodies) => bodies,
-                // A mangled coalesced response retries this group alone,
-                // with the full per-call retry budget.
-                Err(_) => {
-                    let group_keys: Vec<NodeKey> = group.iter().map(|&i| keys[i]).collect();
-                    self.get_nodes_single(&group_keys)?
-                }
-            };
-            for (&index, body) in group.iter().zip(bodies) {
-                results[index] = body;
+        let header = encode(&keys.to_vec());
+        call_decoded(&self.endpoint, op::META_GET, &header, |frame| {
+            let bodies = decode::<Vec<Option<NodeBody>>>(&frame.header)?;
+            if bodies.len() != keys.len() {
+                return Err(BlobError::Transport(format!(
+                    "meta get of {} keys answered {} slots",
+                    keys.len(),
+                    bodies.len()
+                )));
             }
-        }
-        Ok(results)
+            Ok(bodies)
+        })
     }
 
     fn put_nodes(&self, nodes: Vec<(NodeKey, NodeBody)>) -> Result<()> {
-        let groups = if self.shards > 1 && nodes.len() > 1 {
-            self.shard_groups(0..nodes.len(), |i| self.shard_of(&nodes[i].0))
-        } else {
-            Vec::new()
-        };
-        if groups.len() < 2 {
-            let header = encode(&nodes);
-            let frame = self.endpoint.call(op::META_PUT, header, Bytes::new())?;
-            debug_assert_eq!(frame.opcode, op::RESP_OK);
-            return Ok(());
-        }
-        let requests: Vec<(Bytes, Bytes)> = groups
-            .iter()
-            .map(|group| {
-                let group_nodes: Vec<(NodeKey, NodeBody)> =
-                    group.iter().map(|&i| nodes[i].clone()).collect();
-                (encode(&group_nodes), Bytes::new())
-            })
-            .collect();
-        // One vectored flush for every shard's put of this level; each
-        // group must land (a writer never publishes missing nodes).
-        for outcome in self.endpoint.call_many(op::META_PUT, &requests) {
-            let frame = outcome?;
-            debug_assert_eq!(frame.opcode, op::RESP_OK);
-        }
+        let frame = self
+            .endpoint
+            .call(op::META_PUT, encode(&nodes), Bytes::new())?;
+        debug_assert_eq!(frame.opcode, op::RESP_OK);
         Ok(())
     }
 
     fn delete_nodes(&self, keys: &[NodeKey]) -> Result<usize> {
-        let groups = if self.shards > 1 && keys.len() > 1 {
-            self.shard_groups(0..keys.len(), |i| self.shard_of(&keys[i]))
-        } else {
-            Vec::new()
-        };
-        if groups.len() < 2 {
-            let header = encode(&keys.to_vec());
-            return call_decoded(&self.endpoint, op::META_DELETE, &header, |frame| {
-                decode::<usize>(&frame.header)
-            });
-        }
-        let requests: Vec<(Bytes, Bytes)> = groups
-            .iter()
-            .map(|group| {
-                let group_keys: Vec<NodeKey> = group.iter().map(|&i| keys[i]).collect();
-                (encode(&group_keys), Bytes::new())
-            })
-            .collect();
-        // One vectored flush for every shard's delete. A failed group
-        // propagates as `Err`: the sweeper counts it and leaks those nodes
-        // rather than misreport the reclaim.
-        let mut deleted = 0usize;
-        for outcome in self.endpoint.call_many(op::META_DELETE, &requests) {
-            deleted += decode::<usize>(&outcome?.header)?;
-        }
-        Ok(deleted)
+        let header = encode(&keys.to_vec());
+        call_decoded(&self.endpoint, op::META_DELETE, &header, |frame| {
+            decode::<usize>(&frame.header)
+        })
     }
 
     fn node_count(&self) -> usize {
@@ -583,9 +458,10 @@ mod tests {
     use crate::reactor::{Reactor, WorkerPool};
     use crate::rpc::{ChunkHost, ManagerHost, MetaHost, RpcServer};
     use crate::transport::tcp_listener;
+    use blobseer_dht::Dht;
     use blobseer_meta::{InMemoryMetaStore, LeafNode};
     use blobseer_provider::{DataProvider, ProviderManager};
-    use blobseer_types::{BlobId, ByteRange, PlacementPolicy, Version};
+    use blobseer_types::{BlobId, ByteRange, PlacementPolicy, Version, DHT_VIRTUAL_NODES};
     use std::time::Duration;
 
     /// Serves `handler` on its own reactor and dials it.
@@ -790,6 +666,57 @@ mod tests {
             len: 64,
         });
         assert!(svc.put_nodes(vec![(key(1), other)]).is_err());
+    }
+
+    /// A batch whose keys belong to every metadata provider still leaves
+    /// as one frame: the serving DHT routes it, one round trip per owner,
+    /// and the answers come back in the caller's key order.
+    #[test]
+    fn a_batch_spanning_every_shard_is_one_frame_routed_by_the_dht() {
+        let metrics = Arc::new(TransportMetrics::new());
+        let dht = Arc::new(Dht::<NodeKey, NodeBody>::new(4, DHT_VIRTUAL_NODES, 1).unwrap());
+        let (_server, ep) = endpoint_for(
+            Arc::new(MetaHost::new(dht.clone() as Arc<dyn MetadataStore>)),
+            &metrics,
+        );
+        // Wired with a shard count, as the benchmark harness wires it.
+        let svc = NetMetadataService::new(ep).with_shards(4);
+        let key = |slot: u64| NodeKey {
+            blob: BlobId(1),
+            version: Version(1),
+            range: ByteRange::new(slot * 64, 64),
+        };
+        let leaf = |slot: u64| NodeBody::Leaf(LeafNode::hole(BlobId(1), slot));
+        let stored = |slot: &u64| slot % 3 != 0;
+        // Frames sent and DHT round trips since the last call.
+        let mut last = (0, 0);
+        let mut delta = || {
+            let now = (metrics.snapshot().frames_sent, dht.round_trips());
+            let delta = (now.0 - last.0, now.1 - last.1);
+            last = now;
+            delta
+        };
+
+        let puts: Vec<(NodeKey, NodeBody)> = (0..64)
+            .filter(stored)
+            .map(|slot| (key(slot), leaf(slot)))
+            .collect();
+        svc.put_nodes(puts).unwrap();
+        assert_eq!(delta(), (1, 4), "one frame, one DHT trip per owner");
+
+        let keys: Vec<NodeKey> = (0..64).rev().map(key).collect();
+        let got = svc.get_nodes(&keys).unwrap();
+        assert_eq!(delta(), (1, 4));
+        let expected: Vec<Option<NodeBody>> = (0..64u64)
+            .rev()
+            .map(|slot| stored(&slot).then(|| leaf(slot)))
+            .collect();
+        assert_eq!(got, expected);
+
+        let deleted = svc.delete_nodes(&keys).unwrap();
+        assert_eq!(delta(), (1, 4));
+        assert_eq!(deleted, (0..64).filter(stored).count());
+        assert_eq!(dht.total_entries(), 0);
     }
 
     #[test]

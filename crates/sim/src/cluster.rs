@@ -27,7 +27,7 @@ use crate::model::{
 use crate::resource::{Resource, SimTime, NANOS_PER_SEC};
 use crate::workload::{OpKind, Workload};
 use blobseer_core::{ChunkCache, VersionManager, WriteKind};
-use blobseer_dht::Dht;
+use blobseer_dht::{Dht, Trip};
 use blobseer_meta::{
     build_write_metadata_chained, collect_leaves_streaming, publish_metadata, CachedMetadataStore,
     MetadataStore, NodeBody, NodeKey, WrittenChunk,
@@ -258,11 +258,11 @@ struct Recorded {
     leaves: Vec<(ByteRange, MetaNodeId)>,
 }
 
-/// The cost-recording metadata store: it serves from the real DHT, groups
-/// traffic the way the DHT routes it — one round-trip per owning metadata
-/// node per batch — and records the trips so their cost can be charged to
-/// the right resources. A client's node cache, when it has one, is the real
-/// [`CachedMetadataStore`] layered over it, so cache hits never reach it.
+/// The cost-recording metadata store: it serves from the real DHT and
+/// records the round-trips the DHT reports for each batch — one per owning
+/// metadata node — so their cost can be charged to the right resources. A
+/// client's node cache, when it has one, is the real [`CachedMetadataStore`]
+/// layered over it, so cache hits never reach it.
 struct RecordingStore {
     dht: Arc<Dht<NodeKey, NodeBody>>,
     recorded: Mutex<Recorded>,
@@ -274,23 +274,17 @@ impl RecordingStore {
         std::mem::take(&mut *self.recorded.lock())
     }
 
-    /// The metadata provider charged for a get of `key`: the first replica
-    /// in routing order (the simulator injects no metadata-node failures).
-    fn primary(&self, key: &NodeKey) -> MetaNodeId {
-        self.dht
-            .route(key)
-            .first()
-            .copied()
-            .unwrap_or(MetaNodeId(0))
-    }
-
-    fn record(&self, per_node: HashMap<MetaNodeId, u64>) {
-        // Charge trips in node order: hash-map iteration order is seeded per
-        // process, and letting it leak into the charge order makes simulated
-        // timings (and the figures built from them) vary run to run.
-        let mut trips: Vec<MetaTrip> = per_node
-            .into_iter()
-            .map(|(node, items)| MetaTrip { node, items })
+    fn record(&self, trips: &[Trip]) {
+        // Charge one call's trips in node order: the DHT groups them in a
+        // hash map, whose iteration order is seeded per process, and letting
+        // it leak into the charge order makes simulated timings (and the
+        // figures built from them) vary run to run.
+        let mut trips: Vec<MetaTrip> = trips
+            .iter()
+            .map(|trip| MetaTrip {
+                node: trip.owner,
+                items: trip.items.len() as u64,
+            })
             .collect();
         trips.sort_by_key(|t| t.node);
         self.recorded.lock().trips.extend(trips);
@@ -307,13 +301,16 @@ impl MetadataStore for RecordingStore {
     }
 
     fn get_nodes(&self, keys: &[NodeKey]) -> Result<Vec<Option<NodeBody>>> {
-        let owners: Vec<MetaNodeId> = keys.iter().map(|key| self.primary(key)).collect();
-        let mut per_node: HashMap<MetaNodeId, u64> = HashMap::new();
-        for node in &owners {
-            *per_node.entry(*node).or_default() += 1;
+        let mut trips = Vec::new();
+        let bodies = self.dht.get_batch_traced(keys, &mut trips);
+        self.record(&trips);
+        // A key's owner is the last node its batch asked for it.
+        let mut owners = vec![MetaNodeId(0); keys.len()];
+        for trip in &trips {
+            for &index in &trip.items {
+                owners[index] = trip.owner;
+            }
         }
-        self.record(per_node);
-        let bodies = self.dht.get_batch(keys);
         let leaves = keys
             .iter()
             .zip(owners)
@@ -325,21 +322,10 @@ impl MetadataStore for RecordingStore {
     }
 
     fn put_nodes(&self, nodes: Vec<(NodeKey, NodeBody)>) -> Result<()> {
-        // Mirror `Dht::put_batch` exactly: one wave of per-node requests per
-        // replica rank, so the recorded trip count matches what
-        // `Dht::round_trips` reports for the same traffic.
-        let routes: Vec<Vec<MetaNodeId>> =
-            nodes.iter().map(|(key, _)| self.dht.route(key)).collect();
-        for rank in 0..self.dht.replication() {
-            let mut per_node: HashMap<MetaNodeId, u64> = HashMap::new();
-            for route in &routes {
-                if let Some(id) = route.get(rank) {
-                    *per_node.entry(*id).or_default() += 1;
-                }
-            }
-            self.record(per_node);
-        }
-        self.dht.put_batch(nodes)
+        let mut trips = Vec::new();
+        let outcome = self.dht.put_batch_traced(nodes, &mut trips);
+        self.record(&trips);
+        outcome
     }
 
     fn node_count(&self) -> usize {

@@ -26,8 +26,9 @@
 //! * the version manager is a fixed delay; fsyncs cost a fixed latency per
 //!   `Durability` policy; the chunk codec is a compressibility ratio plus a
 //!   scan cost; admission is the workload's paced submission window;
-//! * the metadata put path groups trips in per-replica-rank waves the way
-//!   `Dht::put_batch` does.
+//! * metadata round-trips are the ones the DHT reports for each batch
+//!   (`Dht::get_batch_traced`, `Dht::put_batch_traced`), charged to the
+//!   owning metadata provider.
 //!
 //! The version lifecycle and network faults are not simulated: they are
 //! measured on real deployments (`fig_g1`, `tests/fault_tolerance.rs`).

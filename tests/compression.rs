@@ -7,8 +7,8 @@
 //! and cannot shrink. On top of the differential property: compressed
 //! replicas must survive provider failures (the repair path re-reads the
 //! stored envelope, it never re-codes), the shared node-local chunk cache
-//! must let one client's fetch hit for another, and the shard-grouped
-//! metadata descent must coalesce frames on the wire.
+//! must let one client's fetch hit for another, and the batched client
+//! must coalesce frames on the wire.
 
 use blobseer::core::{BlobClient, Cluster};
 use blobseer::net::NetCluster;
@@ -182,10 +182,11 @@ fn shared_chunk_cache_serves_across_clients() {
     );
 }
 
-/// The shard-grouped metadata plane coalesces frames: a reader's tree
-/// descent batches each level's `get_nodes` into one flush per shard, and a
-/// writer's `put_nodes` batches the whole tree update — both visible as
-/// `frames_coalesced` on real loopback TCP.
+/// The batched client coalesces frames on real loopback TCP: a writer ships
+/// each provider's chunks as one flush, a reader fetches each request
+/// train as one flush, and a metadata batch (the tree update, a descent's
+/// cache misses) is one frame that the serving DHT routes per owner — so
+/// the whole read sends fewer frames than its tree has nodes plus chunks.
 #[test]
 fn metadata_descent_coalesces_frames_on_the_wire() {
     let cluster = NetCluster::tcp(Cluster::new(config(ChunkCodec::Off, 0)).unwrap()).unwrap();
@@ -195,7 +196,7 @@ fn metadata_descent_coalesces_frames_on_the_wire() {
     writer.append(blob, payload.clone()).unwrap();
     assert!(
         writer.stats().frames_coalesced > 0,
-        "the writer's tree publish must batch put_nodes frames"
+        "the writer's chunk puts must share flushes"
     );
 
     let reader = cluster.client();
@@ -203,7 +204,7 @@ fn metadata_descent_coalesces_frames_on_the_wire() {
     let stats = reader.stats();
     assert!(
         stats.frames_coalesced > 0,
-        "the reader's tree descent must batch get_nodes frames"
+        "the reader's chunk trains must share flushes"
     );
     // 64 leaves mean a 127-node tree plus 64 chunk fetches; without
     // coalescing every one would be its own flush. The batched descent

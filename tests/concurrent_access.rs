@@ -180,10 +180,11 @@ fn reads_cost_depth_times_shards_metadata_round_trips() {
     // read costs 21 trips in process and 56 over TCP.)
     let shards = 4;
     let local = cluster(); // 4 metadata providers
-    let (cold, warm) = cold_and_warm_read_trips(|| local.client(), || local.metadata_round_trips());
+    let (local_cold, warm) =
+        cold_and_warm_read_trips(|| local.client(), || local.metadata_round_trips());
     assert!(
-        cold <= shards,
-        "in-process cold read issued {cold} metadata round-trips (> one batch over {shards} shards)"
+        local_cold <= shards,
+        "in-process cold read issued {local_cold} metadata round-trips (> one batch over {shards} shards)"
     );
     // A second read of the same snapshot is served from the client cache.
     assert_eq!(warm, 0);
@@ -191,13 +192,11 @@ fn reads_cost_depth_times_shards_metadata_round_trips() {
     let served = NetCluster::tcp(cluster()).unwrap();
     let (cold, warm) =
         cold_and_warm_read_trips(|| served.client(), || served.inner().metadata_round_trips());
-    // The remote client splits the batch into one frame per shard by its
-    // own key hash, not the DHT ring, so the server routes each frame to up
-    // to `shards` owners: still one flush, but up to shards² DHT trips.
-    let bound = shards * shards;
-    assert!(
-        cold <= bound,
-        "cold read over TCP issued {cold} metadata round-trips (> one flush of {shards} frames × {shards} owners = {bound})"
+    // The remote client sends each batch as one frame and the serving DHT
+    // routes it, one trip per owner, so the wire adds no metadata trips.
+    assert_eq!(
+        cold, local_cold,
+        "cold read over TCP issued {cold} metadata round-trips, in process {local_cold}"
     );
     assert_eq!(warm, 0);
 }
