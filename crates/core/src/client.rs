@@ -891,8 +891,7 @@ impl BlobClient {
     }
 
     /// Submits the store of one group of chunks sharing a replica set to
-    /// the transfer scheduler, tagged with the primary provider so
-    /// placement sees the in-flight load. Falls back to other live
+    /// the transfer scheduler. Falls back to other live
     /// providers per chunk when an assigned one fails mid-write. Stored
     /// chunks are written through to the chunk cache so reading your own
     /// writes never costs a data round-trip; for fast-path payloads
@@ -919,12 +918,11 @@ impl BlobClient {
         let service = Arc::clone(&self.chunks);
         let cache = self.chunk_cache.clone();
         let stats = Arc::clone(&self.stats);
-        let primary = replicas.first().copied();
         // Admission gate: taken here on the submitting thread (blocking
         // *this* client when it is over budget), released when the pool
         // task finishes because the permit moves into the closure.
         let permit = self.admission.as_ref().map(|a| a.acquire(self.id));
-        self.transfers.submit_for(primary, move || {
+        self.transfers.submit(move || {
             let _permit = permit;
             let chunks: Vec<(ChunkId, ChunkEnvelope)> = items
                 .iter()
@@ -1067,8 +1065,8 @@ impl BlobClient {
     }
 
     /// Submits one request train — every chunk of a level whose rotated
-    /// probe tries `provider` first — as one transfer-scheduler task, with
-    /// one admission permit and one in-flight tag, exactly as
+    /// probe tries `provider` first — as one transfer-scheduler task with
+    /// one admission permit, exactly as
     /// [`BlobClient::submit_store_group`] does per store group. The task
     /// fetches the whole train with one `get_chunks` (one flush of frames on
     /// a networked transport); a chunk the train could not deliver — the
@@ -1084,7 +1082,7 @@ impl BlobClient {
         let cache = self.chunk_cache.clone();
         let stats = Arc::clone(&self.stats);
         let permit = self.admission.as_ref().map(|a| a.acquire(self.id));
-        self.transfers.submit_for(Some(provider), move || {
+        self.transfers.submit(move || {
             let _permit = permit;
             let (fetched, err) = fetch_train(service.as_ref(), provider, train);
             // Chunks that arrived count and fill the cache even when a
@@ -1119,8 +1117,7 @@ impl BlobClient {
         let mut next_start: usize = self.rng.lock().gen();
         let cap = self
             .pipeline_depth
-            .saturating_mul(self.transfers.worker_count().max(1))
-            .max(1);
+            .saturating_mul(self.transfers.worker_count());
         // In-flight trains, oldest first, with the chunk count of each.
         let mut pending: VecDeque<(usize, Completion<Result<Vec<FetchedChunk>>>)> = VecDeque::new();
         let mut in_flight = 0usize;

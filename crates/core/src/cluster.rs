@@ -469,22 +469,6 @@ impl Cluster {
         self.metadata.recover_node(id)
     }
 
-    /// Pushes every provider's current statistics to the provider manager,
-    /// as the periodic heartbeat of a real deployment would. The transfer
-    /// scheduler's live per-provider in-flight gauge is folded into each
-    /// report, so placement sees the data-plane load that is on the wire
-    /// right now, not only what providers have already stored.
-    pub fn report_provider_loads(&self) {
-        let in_flight = self.transfers.in_flight_counts();
-        for provider in self.chunk_service.iter_providers() {
-            if provider.is_alive() {
-                let mut stats = provider.stats();
-                stats.in_flight = in_flight.get(&provider.id()).copied().unwrap_or(0);
-                let _ = self.provider_manager().report_load(provider.id(), stats);
-            }
-        }
-    }
-
     /// Total payload bytes currently stored across all data providers
     /// (replicas counted as many times as they are stored).
     pub fn total_stored_bytes(&self) -> u64 {
@@ -581,21 +565,5 @@ mod tests {
         let fresh = client.create_blob(BlobConfig::new(16, 1).unwrap()).unwrap();
         assert_ne!(fresh, blob);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn heartbeats_update_the_provider_manager() {
-        let cluster = Cluster::new(ClusterConfig::small()).unwrap();
-        let client = cluster.client();
-        let blob = client.create_blob(BlobConfig::new(16, 1).unwrap()).unwrap();
-        client.append(blob, &[1u8; 160]).unwrap();
-        cluster.report_provider_loads();
-        let total_reported: u64 = cluster
-            .provider_manager()
-            .all_statuses()
-            .iter()
-            .map(|s| s.stored_bytes)
-            .sum();
-        assert_eq!(total_reported, 160);
     }
 }

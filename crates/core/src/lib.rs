@@ -50,10 +50,10 @@ pub use client::{BlobClient, ClientStats};
 pub use cluster::Cluster;
 pub use lifecycle::{LifecycleEngine, LifecycleStats};
 pub use services::{ChunkService, ClientServices, InProcessChunkService, MetadataService};
-pub use transfer::{TransferPool, TransferPoolStats};
+pub use transfer::TransferPool;
 pub use version_manager::{
-    ArtifactKind, CollectableSet, FlattenTicket, NodeArtifact, VersionManager, VersionManagerStats,
-    WriteKind, WriteTicket,
+    ArtifactKind, CollectableSet, FlattenTicket, NodeArtifact, VersionManager, WriteKind,
+    WriteTicket,
 };
 pub use version_service::{VersionPin, VersionService};
 

@@ -24,7 +24,6 @@ use blobseer_types::{
 };
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -73,20 +72,6 @@ pub struct WriteTicket {
     pub chunk_size: u64,
     /// Reference view the writer resolves borrowed subtrees against.
     pub chain: ReferenceChain,
-}
-
-/// Statistics of the version manager, used by monitoring and the benchmark
-/// harness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VersionManagerStats {
-    /// Blobs created.
-    pub blobs: u64,
-    /// Tickets assigned.
-    pub tickets: u64,
-    /// Versions published.
-    pub published: u64,
-    /// Writes aborted.
-    pub aborted: u64,
 }
 
 /// What a published version stored at one tree range, as reported by the
@@ -513,15 +498,10 @@ const VM_SHARDS: usize = 32;
 /// that is the only lock this type takes on the hot path: blob states live
 /// behind individual mutexes inside a sharded, read-mostly outer map.
 /// Operations on distinct blobs never contend on any shared lock — the shard
-/// maps are only write-locked by blob creation — and the global counters are
-/// plain atomics.
+/// maps are only write-locked by blob creation.
 pub struct VersionManager {
     shards: Vec<RwLock<HashMap<BlobId, Arc<BlobSlot>>>>,
     blob_ids: IdGenerator,
-    stat_blobs: AtomicU64,
-    stat_tickets: AtomicU64,
-    stat_published: AtomicU64,
-    stat_aborted: AtomicU64,
     /// Durability hook: when set (durable deployments), blob creations,
     /// publications and retention moves are journaled through it, and
     /// readers see only what it made durable. `None` for the RAM-resident
@@ -538,10 +518,6 @@ impl VersionManager {
                 .map(|_| RwLock::new(HashMap::new()))
                 .collect(),
             blob_ids: IdGenerator::starting_at(1),
-            stat_blobs: AtomicU64::new(0),
-            stat_tickets: AtomicU64::new(0),
-            stat_published: AtomicU64::new(0),
-            stat_aborted: AtomicU64::new(0),
             journal: RwLock::new(None),
         }
     }
@@ -594,7 +570,6 @@ impl VersionManager {
                 return Err(err);
             }
         }
-        self.stat_blobs.fetch_add(1, Ordering::Relaxed);
         Ok(id)
     }
 
@@ -635,7 +610,6 @@ impl VersionManager {
         state.published = published;
         self.shard(id).write().insert(id, BlobSlot::new(state));
         self.blob_ids.advance_past(id.0);
-        self.stat_blobs.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -702,7 +676,6 @@ impl VersionManager {
                 base_pin: Some(base_version),
             },
         );
-        self.stat_tickets.fetch_add(1, Ordering::Relaxed);
         Ok(WriteTicket {
             blob,
             version,
@@ -814,11 +787,6 @@ impl VersionManager {
             state.unpin(base);
         }
         let published = state.advance_publication();
-        if abort {
-            self.stat_aborted.fetch_add(1, Ordering::Relaxed);
-        }
-        self.stat_published
-            .fetch_add(published.len() as u64, Ordering::Relaxed);
         let Some(journal) = journal else {
             state.durable = state.latest_published().version.0;
             return Ok(Version(state.durable));
@@ -970,7 +938,6 @@ impl VersionManager {
                 base_pin: Some(source.version.0),
             },
         );
-        self.stat_tickets.fetch_add(1, Ordering::Relaxed);
         Ok(Some(FlattenTicket {
             blob,
             version,
@@ -1116,16 +1083,6 @@ impl VersionManager {
     pub fn pending_count(&self, blob: BlobId) -> Result<usize> {
         Ok(self.state(blob)?.lock().pending.len())
     }
-
-    /// Global operation counters.
-    pub fn stats(&self) -> VersionManagerStats {
-        VersionManagerStats {
-            blobs: self.stat_blobs.load(Ordering::Relaxed),
-            tickets: self.stat_tickets.load(Ordering::Relaxed),
-            published: self.stat_published.load(Ordering::Relaxed),
-            aborted: self.stat_aborted.load(Ordering::Relaxed),
-        }
-    }
 }
 
 impl Default for VersionManager {
@@ -1198,6 +1155,7 @@ impl VersionService for VersionManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     const CS: u64 = 64;
 
@@ -1371,7 +1329,6 @@ mod tests {
         // Version 2 exists with the size it claimed; its appended region is
         // repaired to holes (zeros) by the repair weave.
         assert_eq!(vm.snapshot(blob, Version(2)).unwrap().size, 2 * CS);
-        assert_eq!(vm.stats().aborted, 1);
     }
 
     #[test]
@@ -1416,19 +1373,16 @@ mod tests {
         assert_eq!(vm.pending_count(blob).unwrap(), 0);
         assert_eq!(vm.snapshot(blob, Version(1)).unwrap().size, CS);
         assert_eq!(vm.snapshot(blob, Version(2)).unwrap().size, 2 * CS);
-        assert_eq!(vm.stats().aborted, 1);
-        assert_eq!(vm.stats().published, 2);
     }
 
     #[test]
-    fn every_abort_is_counted() {
+    fn every_abort_publishes_a_no_op_snapshot() {
         let (vm, blob) = vm_with_blob();
-        for expected in 1..=3u64 {
+        for n in 1..=3u64 {
             let t = vm
                 .assign_ticket(blob, WriteKind::Append { len: CS })
                 .unwrap();
-            vm.abort_write(blob, t.version).unwrap();
-            assert_eq!(vm.stats().aborted, expected);
+            assert_eq!(vm.abort_write(blob, t.version).unwrap(), Version(n));
         }
         // Three aborted appends: three no-op snapshots, size still grows
         // because each aborted append consumed its byte range.
@@ -1449,22 +1403,8 @@ mod tests {
         vm.complete_write(blob, t.version).unwrap();
         // Already published: there is no pending entry left to abort.
         assert!(vm.abort_write(blob, t.version).is_err());
-        assert_eq!(vm.stats().aborted, 0);
+        assert_eq!(vm.latest_snapshot(blob).unwrap().version, Version(1));
         assert!(vm.abort_write(BlobId(999), Version(1)).is_err());
-    }
-
-    #[test]
-    fn stats_track_operations() {
-        let (vm, blob) = vm_with_blob();
-        let t1 = vm
-            .assign_ticket(blob, WriteKind::Append { len: CS })
-            .unwrap();
-        vm.complete_write(blob, t1.version).unwrap();
-        let stats = vm.stats();
-        assert_eq!(stats.blobs, 1);
-        assert_eq!(stats.tickets, 1);
-        assert_eq!(stats.published, 1);
-        assert_eq!(stats.aborted, 0);
     }
 
     #[test]

@@ -1,24 +1,12 @@
 //! A single metadata provider: an in-memory, write-once key/value store with
-//! operation statistics and a failure switch used by the fault-injection
-//! experiments.
+//! a failure switch used by the fault-injection experiments.
 
 use blobseer_types::{BlobError, MetaNodeId, Result};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Operation counters of one metadata provider.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeStats {
-    /// Number of successful `put` operations served.
-    pub puts: u64,
-    /// Number of `get` operations served (hits and misses).
-    pub gets: u64,
-    /// Number of `get` operations that found the key.
-    pub hits: u64,
-}
 
 /// One node of the metadata DHT.
 ///
@@ -29,9 +17,6 @@ pub struct DhtNode<K, V> {
     id: MetaNodeId,
     entries: RwLock<HashMap<K, Arc<V>>>,
     alive: AtomicBool,
-    puts: AtomicU64,
-    gets: AtomicU64,
-    hits: AtomicU64,
 }
 
 impl<K, V> DhtNode<K, V>
@@ -45,9 +30,6 @@ where
             id,
             entries: RwLock::new(HashMap::new()),
             alive: AtomicBool::new(true),
-            puts: AtomicU64::new(0),
-            gets: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
         }
     }
 
@@ -87,7 +69,6 @@ where
             Some(_) => Ok(()),
             None => {
                 entries.insert(key, value);
-                self.puts.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
         }
@@ -101,12 +82,7 @@ where
     /// Fetches the shared handle stored under `key`, if any (no value
     /// clone).
     pub fn get_shared(&self, key: &K) -> Option<Arc<V>> {
-        self.gets.fetch_add(1, Ordering::Relaxed);
-        let found = self.entries.read().get(key).cloned();
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
+        self.entries.read().get(key).cloned()
     }
 
     /// Number of entries currently stored.
@@ -140,15 +116,6 @@ where
     pub fn drain(&self) -> Vec<(K, Arc<V>)> {
         self.entries.write().drain().collect()
     }
-
-    /// Operation counters accumulated since the node was created.
-    pub fn stats(&self) -> NodeStats {
-        NodeStats {
-            puts: self.puts.load(Ordering::Relaxed),
-            gets: self.gets.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -164,10 +131,7 @@ mod tests {
         assert_eq!(n.get(&"a"), Some(1));
         assert_eq!(n.get(&"missing"), None);
         assert_eq!(n.len(), 2);
-        let stats = n.stats();
-        assert_eq!(stats.puts, 2);
-        assert_eq!(stats.gets, 2);
-        assert_eq!(stats.hits, 1);
+        assert_eq!(n.get(&"b"), Some(2));
     }
 
     #[test]
@@ -177,8 +141,8 @@ mod tests {
         n.put("a", 1).unwrap();
         assert!(n.put("a", 2).is_err());
         assert_eq!(n.get(&"a"), Some(1));
-        // The idempotent re-put is not counted as a new put.
-        assert_eq!(n.stats().puts, 1);
+        // The idempotent re-put stores no second entry.
+        assert_eq!(n.len(), 1);
     }
 
     #[test]
@@ -237,6 +201,8 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(n.len(), 4_000);
-        assert_eq!(n.stats().puts, 4_000);
+        for t in 0..8u64 {
+            assert_eq!(n.get(&(t * 1_000 + 499)), Some(499));
+        }
     }
 }

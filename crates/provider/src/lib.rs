@@ -12,7 +12,7 @@
 //!   caching mechanism").
 //! * [`provider`] — a data provider node: a store plus statistics and a
 //!   failure switch.
-//! * [`manager`] — the provider manager: registry, heartbeats, load reports
+//! * [`manager`] — the provider manager: registry, liveness, QoS scores
 //!   and placement strategies (round-robin, random, least-loaded,
 //!   QoS-aware).
 //! * [`service`] — the [`ChunkService`] boundary clients program against,

@@ -2,11 +2,10 @@
 //!
 //! The provider manager "decides which chunks are stored on which data
 //! providers when writes or appends are issued by the clients". It keeps a
-//! registry of providers with their reported load and quality-of-service
-//! score, and answers placement requests according to a configurable
-//! [`PlacementPolicy`].
+//! registry of providers with the chunks it has assigned to each and their
+//! quality-of-service score, and answers placement requests according to a
+//! configurable [`PlacementPolicy`].
 
-use crate::provider::ProviderStats;
 use blobseer_types::{BlobError, PlacementPolicy, ProviderId, Result};
 use parking_lot::Mutex;
 use rand::seq::SliceRandom;
@@ -20,17 +19,9 @@ pub struct ProviderStatus {
     pub id: ProviderId,
     /// Whether the provider is believed to be alive.
     pub alive: bool,
-    /// Bytes stored, from the last load report.
-    pub stored_bytes: u64,
-    /// Chunks stored, from the last load report.
-    pub stored_chunks: u64,
-    /// Chunks assigned by the manager but not yet reported back (in-flight
-    /// load), used by the least-loaded policy to avoid herding.
-    pub pending_chunks: u64,
-    /// Transfers the shared transfer scheduler had on the wire to this
-    /// provider at the last load report — live data-plane load, as opposed
-    /// to the manager's own optimistic `pending_chunks` guess.
-    pub in_flight_transfers: u64,
+    /// Chunk replicas the manager has assigned to this provider since it
+    /// registered: the load the least-loaded policy balances.
+    pub assigned_chunks: u64,
     /// Quality-of-service score in `[0, 1]`; 1 means healthy. Updated by the
     /// QoS / behaviour-modelling layer, consumed by the QoS-aware policy.
     pub qos_score: f64,
@@ -41,19 +32,9 @@ impl ProviderStatus {
         ProviderStatus {
             id,
             alive: true,
-            stored_bytes: 0,
-            stored_chunks: 0,
-            pending_chunks: 0,
-            in_flight_transfers: 0,
+            assigned_chunks: 0,
             qos_score: 1.0,
         }
-    }
-
-    /// Load metric used by the least-loaded policy: stored chunks plus both
-    /// flavours of in-flight load (assigned-but-unreported and live
-    /// transfers on the wire).
-    fn load(&self) -> u64 {
-        self.stored_chunks + self.pending_chunks + self.in_flight_transfers
     }
 }
 
@@ -140,23 +121,6 @@ impl ProviderManager {
             .get_mut(&id)
             .ok_or(BlobError::UnknownProvider(id))?;
         status.alive = alive;
-        Ok(())
-    }
-
-    /// Updates the stored-load view of a provider from a heartbeat /
-    /// statistics report; clears the manager's own optimistic pending
-    /// counter and adopts the report's live in-flight transfer count (the
-    /// transfer scheduler's gauge, folded in by the cluster heartbeat).
-    pub fn report_load(&self, id: ProviderId, stats: ProviderStats) -> Result<()> {
-        let mut inner = self.inner.lock();
-        let status = inner
-            .providers
-            .get_mut(&id)
-            .ok_or(BlobError::UnknownProvider(id))?;
-        status.stored_bytes = stats.bytes;
-        status.stored_chunks = stats.chunks;
-        status.pending_chunks = 0;
-        status.in_flight_transfers = stats.in_flight;
         Ok(())
     }
 
@@ -248,7 +212,7 @@ impl ProviderManager {
             };
             for id in &replicas {
                 if let Some(status) = inner.providers.get_mut(id) {
-                    status.pending_chunks += 1;
+                    status.assigned_chunks += 1;
                 }
             }
             placement.push(replicas);
@@ -291,7 +255,7 @@ impl ProviderManager {
             .iter()
             .filter_map(|id| inner.providers.get(id))
             .collect();
-        candidates.sort_by_key(|s| (s.load(), s.id));
+        candidates.sort_by_key(|s| (s.assigned_chunks, s.id));
         candidates.iter().take(replication).map(|s| s.id).collect()
     }
 
@@ -310,7 +274,7 @@ impl ProviderManager {
             b.qos_score
                 .partial_cmp(&a.qos_score)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.load().cmp(&b.load()))
+                .then(a.assigned_chunks.cmp(&b.assigned_chunks))
                 .then(a.id.cmp(&b.id))
         });
         candidates.iter().take(replication).map(|s| s.id).collect()
@@ -385,25 +349,14 @@ mod tests {
     #[test]
     fn least_loaded_prefers_empty_providers() {
         let m = manager(PlacementPolicy::LeastLoaded, 3);
-        // Report provider 0 and 1 as loaded.
-        m.report_load(
-            ProviderId(0),
-            ProviderStats {
-                chunks: 100,
-                bytes: 100 << 20,
-                ..ProviderStats::default()
-            },
-        )
+        // Load providers 0 and 1 while provider 2 is down: 0, 1, 0.
+        m.set_alive(ProviderId(2), false).unwrap();
+        m.allocate(PlacementRequest {
+            chunk_count: 3,
+            replication: 1,
+        })
         .unwrap();
-        m.report_load(
-            ProviderId(1),
-            ProviderStats {
-                chunks: 50,
-                bytes: 50 << 20,
-                ..ProviderStats::default()
-            },
-        )
-        .unwrap();
+        m.set_alive(ProviderId(2), true).unwrap();
         let placement = m
             .allocate(PlacementRequest {
                 chunk_count: 1,
@@ -412,12 +365,14 @@ mod tests {
             .unwrap();
         // Provider 2 (empty) first, then provider 1 (lighter of the loaded).
         assert_eq!(placement[0], vec![ProviderId(2), ProviderId(1)]);
+        let assigned: Vec<u64> = m.all_statuses().iter().map(|s| s.assigned_chunks).collect();
+        assert_eq!(assigned, vec![2, 2, 1]);
     }
 
     #[test]
     fn least_loaded_accounts_for_in_flight_chunks() {
         let m = manager(PlacementPolicy::LeastLoaded, 2);
-        // Ten single-chunk allocations alternate because pending load counts.
+        // Ten single-chunk allocations alternate because assigned chunks count.
         let mut counts = HashMap::new();
         for _ in 0..10 {
             let p = m
@@ -511,9 +466,6 @@ mod tests {
         let m = manager(PlacementPolicy::RoundRobin, 1);
         assert!(m.set_alive(ProviderId(9), false).is_err());
         assert!(m.set_qos_score(ProviderId(9), 0.5).is_err());
-        assert!(m
-            .report_load(ProviderId(9), ProviderStats::default())
-            .is_err());
         assert!(m.status(ProviderId(9)).is_none());
     }
 
@@ -531,60 +483,5 @@ mod tests {
                 replication: 1,
             })
             .is_err());
-    }
-
-    #[test]
-    fn reported_in_flight_transfers_steer_least_loaded_placement() {
-        let m = manager(PlacementPolicy::LeastLoaded, 2);
-        // Both providers store the same amount, but provider 0 has live
-        // transfers on the wire: placement must prefer provider 1.
-        m.report_load(
-            ProviderId(0),
-            ProviderStats {
-                chunks: 10,
-                in_flight: 6,
-                ..ProviderStats::default()
-            },
-        )
-        .unwrap();
-        m.report_load(
-            ProviderId(1),
-            ProviderStats {
-                chunks: 10,
-                ..ProviderStats::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(m.status(ProviderId(0)).unwrap().in_flight_transfers, 6);
-        let p = m
-            .allocate(PlacementRequest {
-                chunk_count: 1,
-                replication: 1,
-            })
-            .unwrap()[0][0];
-        assert_eq!(p, ProviderId(1));
-    }
-
-    #[test]
-    fn report_load_clears_pending() {
-        let m = manager(PlacementPolicy::LeastLoaded, 1);
-        m.allocate(PlacementRequest {
-            chunk_count: 5,
-            replication: 1,
-        })
-        .unwrap();
-        assert_eq!(m.status(ProviderId(0)).unwrap().pending_chunks, 5);
-        m.report_load(
-            ProviderId(0),
-            ProviderStats {
-                chunks: 5,
-                bytes: 5 << 10,
-                ..ProviderStats::default()
-            },
-        )
-        .unwrap();
-        let status = m.status(ProviderId(0)).unwrap();
-        assert_eq!(status.pending_chunks, 0);
-        assert_eq!(status.stored_chunks, 5);
     }
 }

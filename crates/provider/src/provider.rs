@@ -20,12 +20,6 @@ pub struct ProviderStats {
     pub reads: u64,
     /// Requests rejected because the provider was failed.
     pub rejected: u64,
-    /// Transfers currently on the wire to/from this provider, as observed by
-    /// the cluster's transfer scheduler at report time. The provider itself
-    /// cannot know this (the data may still be queued client-side), so
-    /// [`DataProvider::stats`] reports zero and the cluster heartbeat fills
-    /// it in from the transfer pool's live gauge.
-    pub in_flight: u64,
     /// Physical payload bytes reclaimed by the lifecycle sweeper since
     /// start (chunks of evicted versions removed from this provider).
     pub reclaimed_bytes: u64,
@@ -152,7 +146,6 @@ impl DataProvider {
             writes: self.writes.load(Ordering::Relaxed),
             reads: self.reads.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
-            in_flight: 0,
             reclaimed_bytes: self.reclaimed_bytes.load(Ordering::Relaxed),
             reclaimed_chunks: self.reclaimed_chunks.load(Ordering::Relaxed),
         }

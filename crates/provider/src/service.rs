@@ -113,7 +113,7 @@ impl InProcessChunkService {
     }
 
     /// Iterates over the provider handles without cloning or ordering them
-    /// (for heartbeats and statistics sweeps that visit every provider).
+    /// (for statistics sweeps that visit every provider).
     pub fn iter_providers(&self) -> impl Iterator<Item = &Arc<DataProvider>> {
         self.providers.values()
     }

@@ -381,6 +381,8 @@ mod tests {
         // The pipeline window survives as a key, but zero is no longer a
         // schedule selector.
         assert!(ServerOptions::parse("pipeline_depth = 0\n").is_err());
+        // Nor is zero a transfer-pool mode: the pool always has workers.
+        assert!(ServerOptions::parse("transfer_workers = 0\n").is_err());
         assert_eq!(
             ServerOptions::parse("pipeline_depth = 2\n")
                 .unwrap()

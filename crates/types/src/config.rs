@@ -17,7 +17,7 @@ pub enum PlacementPolicy {
     RoundRobin,
     /// Pick providers uniformly at random.
     Random,
-    /// Pick the providers with the fewest stored bytes first.
+    /// Pick the providers the manager has assigned the fewest chunks first.
     LeastLoaded,
     /// Pick the providers with the best recent quality-of-service score
     /// first (fed by the QoS / behaviour-modelling layer).
@@ -308,9 +308,7 @@ pub struct ClusterConfig {
     /// metadata caching).
     pub client_metadata_cache: bool,
     /// Worker threads of the cluster-wide chunk-transfer pool shared by
-    /// every client. Zero means clients transfer chunks inline on their own
-    /// thread (no parallel striping), which is useful for deterministic
-    /// debugging.
+    /// every client. Must be at least 1.
     pub transfer_workers: usize,
     /// In-flight window of the client transfer pipeline: how many tree
     /// levels' worth of chunk fetches a client may have in flight (per
@@ -470,6 +468,11 @@ impl ClusterConfig {
                 "pipeline_depth must be at least 1".into(),
             ));
         }
+        if self.transfer_workers == 0 {
+            return Err(BlobError::InvalidConfig(
+                "transfer_workers must be at least 1".into(),
+            ));
+        }
         if self.connections_per_endpoint == 0 {
             return Err(BlobError::InvalidConfig(
                 "connections_per_endpoint must be at least 1".into(),
@@ -612,6 +615,11 @@ mod tests {
         assert!(cfg.validate().is_err());
         let cfg = ClusterConfig {
             pipeline_depth: 0,
+            ..ClusterConfig::default()
+        };
+        assert!(cfg.validate().is_err());
+        let cfg = ClusterConfig {
+            transfer_workers: 0,
             ..ClusterConfig::default()
         };
         assert!(cfg.validate().is_err());
