@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the core data structures: segment-tree weaving and
-//! reading, DHT routing, chunk stores and the end-to-end client write/read
-//! path on an in-process cluster.
+//! reading, DHT routing, the RAM and segment chunk stores, and the
+//! end-to-end client write/read path on an in-process cluster.
 
 use blobseer_core::Cluster;
 use blobseer_dht::Dht;
@@ -8,6 +8,7 @@ use blobseer_meta::{
     build_write_metadata, collect_leaves, publish_metadata, InMemoryMetaStore, SnapshotDescriptor,
     WrittenChunk,
 };
+use blobseer_persist::{SegmentStore, SegmentStoreOptions};
 use blobseer_provider::{ChunkStore, RamStore};
 use blobseer_types::{BlobConfig, BlobId, ByteRange, ChunkId, ClusterConfig, ProviderId, Version};
 use bytes::Bytes;
@@ -119,6 +120,41 @@ fn bench_ram_store(c: &mut Criterion) {
     });
 }
 
+/// One positioned read of a 64 KiB chunk record — what every uncached
+/// durable `GET_CHUNK` pays — from a store as appended, and from the same
+/// store reopened (its index rebuilt by recovery, its files reopened).
+fn bench_segment_store(c: &mut Criterion) {
+    const CHUNKS: u64 = 256;
+    let dir = std::env::temp_dir().join(format!("blobseer-micro-segments-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let id = |slot| ChunkId {
+        blob: BlobId(1),
+        write_tag: 3,
+        slot,
+    };
+    let read_all = |c: &mut Criterion, name: &str, store: &SegmentStore| {
+        c.bench_function(name, |b| {
+            let mut slot = 0u64;
+            b.iter(|| {
+                slot = (slot + 1) % CHUNKS;
+                store.get(&id(slot)).unwrap().unwrap()
+            })
+        });
+    };
+    let payload = Bytes::from(vec![7u8; 64 << 10]);
+    {
+        let store = SegmentStore::open(&dir, SegmentStoreOptions::default()).unwrap();
+        for slot in 0..CHUNKS {
+            store.put(id(slot), payload.clone().into()).unwrap();
+        }
+        read_all(c, "segment_store_get_64k", &store);
+    }
+    let store = SegmentStore::open(&dir, SegmentStoreOptions::default()).unwrap();
+    read_all(c, "segment_store_get_64k_reopened", &store);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn bench_client_roundtrip(c: &mut Criterion) {
     let cluster = Cluster::new(ClusterConfig {
         data_providers: 8,
@@ -205,6 +241,6 @@ fn bench_cold_vs_cached_reads(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20).measurement_time(Duration::from_secs(2)).warm_up_time(Duration::from_millis(500));
-    targets = bench_segment_tree_weave, bench_dht_routing_and_puts, bench_ram_store, bench_client_roundtrip, bench_zero_copy_write_path, bench_cold_vs_cached_reads
+    targets = bench_segment_tree_weave, bench_dht_routing_and_puts, bench_ram_store, bench_segment_store, bench_client_roundtrip, bench_zero_copy_write_path, bench_cold_vs_cached_reads
 }
 criterion_main!(micro);

@@ -10,17 +10,20 @@
 //! read-your-writes round-trip-free.
 //!
 //! Hits hand back the *same* [`Bytes`] the cache holds (a reference-count
-//! bump, no copy); the caller slices what it needs zero-copy. Inserts of
-//! payloads that are sub-views of larger buffers pay one bounded compaction
-//! memcpy (see [`ChunkCache::insert`]) so the budget bounds real memory.
+//! bump, no copy); the caller slices what it needs zero-copy. Every entry
+//! is charged the whole allocation it pins, so the budget bounds real
+//! memory; only a payload that pins more than twice its length (a small
+//! view of a large buffer) pays one bounded compaction memcpy (see
+//! [`ChunkCache::insert`]).
 //!
 //! The map is sharded so concurrent readers sharing a client (or a future
 //! node-local cache shared by many clients) do not serialise on one lock:
 //! each shard owns a hash map plus an LRU order keyed by a per-shard tick.
 //!
 //! The discrete-event simulator (`blobseer-sim`) runs this same cache for
-//! every simulated client, filled with zero payloads of the chunks' lengths,
-//! so its hits, misses and admission decisions are the real ones.
+//! every simulated client, filled with zero payloads of the chunks' lengths
+//! that pin what the real payloads pin, so its hits, misses and admission
+//! decisions are the real ones.
 
 use blobseer_types::ChunkId;
 use bytes::Bytes;
@@ -47,10 +50,11 @@ pub struct ChunkCacheStats {
     pub evictions: u64,
     /// Payload bytes memcpy'd to compact zero-copy views on insert (see
     /// [`ChunkCache::insert`]): the cost of caching a chunk that was a
-    /// sub-slice of a larger buffer. Zero when every inserted payload owns
-    /// its allocation.
+    /// small sub-slice of a larger buffer. Zero when every inserted payload
+    /// pins at most twice its length.
     pub bytes_compacted: u64,
-    /// Payload bytes currently held.
+    /// Bytes currently charged against the budget: the allocations the
+    /// held entries pin (see [`ChunkCache::insert`]).
     pub bytes: u64,
     /// Chunks currently held.
     pub entries: u64,
@@ -105,6 +109,14 @@ impl ChunkCache {
         }
     }
 
+    /// Whether [`ChunkCache::insert`] compacts a payload of `len` bytes
+    /// that pins `pinned` bytes of allocation: when it pins more than twice
+    /// its length.
+    #[must_use]
+    pub fn compacts(len: u64, pinned: u64) -> bool {
+        pinned > 2 * len
+    }
+
     /// Total byte budget (the per-shard budgets summed).
     #[must_use]
     pub fn budget_bytes(&self) -> u64 {
@@ -131,19 +143,21 @@ impl ChunkCache {
     }
 
     /// Inserts a chunk payload, evicting least-recently-used entries until
-    /// the shard fits its budget again. Payloads larger than a whole shard's
-    /// budget are not cached (they would evict everything for one entry that
-    /// is itself evicted next). Re-inserting an existing chunk only
+    /// the shard fits its budget again. Re-inserting an existing chunk only
     /// refreshes its LRU position — immutability guarantees the payload is
     /// identical.
     ///
-    /// A payload that is a sub-view of a larger buffer, or whose buffer has
-    /// spare capacity, is *compacted* (one memcpy, bounded by the chunk
-    /// size, counted in [`ChunkCacheStats::bytes_compacted`]): caching it
-    /// verbatim would keep its whole backing allocation alive, letting a
-    /// megabyte budget pin gigabytes. This is the one place the cached
-    /// configuration pays a copy — the same per-chunk copy the pre-zero-copy
-    /// write path always paid — and only for payloads that are not compact.
+    /// An entry is charged the whole allocation it pins
+    /// ([`Bytes::pinned_len`]), not its length: a view keeps its backing
+    /// buffer alive, so charging the view's length would let a megabyte
+    /// budget pin gigabytes. A payload that pins more than twice its length
+    /// is *compacted* first (one memcpy, bounded by the chunk size, counted
+    /// in [`ChunkCacheStats::bytes_compacted`]) and charged its length. One
+    /// that pins at most twice its length — a received `PUT` payload is a
+    /// view of its frame body, a few dozen header bytes longer — is cached
+    /// by reference, without a copy. An entry whose charge exceeds a whole
+    /// shard's budget is not cached (it would evict everything for one
+    /// entry that is itself evicted next).
     pub fn insert(&self, id: ChunkId, data: Bytes) {
         let len = data.len() as u64;
         if len == 0 || len > self.shard_budget {
@@ -156,20 +170,24 @@ impl ChunkCache {
             shard.touch(id, tick);
             return;
         }
-        let data = if data.is_compact() {
-            data
-        } else {
+        let data = if Self::compacts(len, data.pinned_len() as u64) {
             // Compacting under the shard lock is deliberate: the copy is
             // chunk-bounded and doing it outside would let two racing
             // inserters both pay it.
             self.bytes_compacted.fetch_add(len, Ordering::Relaxed);
             Bytes::copy_from_slice(&data)
+        } else {
+            data
         };
+        let charge = data.pinned_len() as u64;
+        if charge > self.shard_budget {
+            return;
+        }
         shard.tick += 1;
         let tick = shard.tick;
         shard.entries.insert(id, (data, tick));
         shard.order.insert(tick, id);
-        shard.bytes += len;
+        shard.bytes += charge;
         self.insertions.fetch_add(1, Ordering::Relaxed);
         while shard.bytes > self.shard_budget {
             let (&oldest, &victim) = shard
@@ -179,7 +197,7 @@ impl ChunkCache {
                 .expect("bytes > 0 implies entries");
             shard.order.remove(&oldest);
             let (evicted, _) = shard.entries.remove(&victim).expect("order and map agree");
-            shard.bytes -= evicted.len() as u64;
+            shard.bytes -= evicted.pinned_len() as u64;
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -192,7 +210,7 @@ impl ChunkCache {
         let mut shard = self.shard(id).lock();
         if let Some((data, tick)) = shard.entries.remove(id) {
             shard.order.remove(&tick);
-            shard.bytes -= data.len() as u64;
+            shard.bytes -= data.pinned_len() as u64;
         }
     }
 
@@ -312,6 +330,20 @@ mod tests {
         assert_eq!(cached, view);
         assert!(cached.is_compact(), "the cache must hold a compact copy");
         assert_eq!(cache.stats().bytes, 100);
+    }
+
+    #[test]
+    fn near_whole_views_are_cached_by_reference_and_charged_what_they_pin() {
+        let cache = ChunkCache::new(16 << 20);
+        // A PUT payload: the 64 KiB chunk behind a 64-byte frame header.
+        let body = payload((64 << 10) + 64, 5);
+        let view = body.slice(64..);
+        cache.insert(cid(0), view.clone());
+        let cached = cache.get(&cid(0)).unwrap();
+        assert_eq!(cached.as_ptr(), view.as_ptr(), "cached by reference");
+        let stats = cache.stats();
+        assert_eq!(stats.bytes_compacted, 0);
+        assert_eq!(stats.bytes, (64 << 10) + 64, "charged the whole body");
     }
 
     #[test]

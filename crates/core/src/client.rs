@@ -895,11 +895,12 @@ impl BlobClient {
     /// providers per chunk when an assigned one fails mid-write. Stored
     /// chunks are written through to the chunk cache so reading your own
     /// writes never costs a data round-trip; for fast-path payloads
-    /// (zero-copy views of the caller's buffer) the cache compacts the view
-    /// on insert — one chunk-bounded memcpy, on the pool worker, counted in
-    /// `ChunkCacheStats::bytes_compacted` — so its budget bounds real
-    /// memory. With the cache off the write path stays copy-free end to
-    /// end.
+    /// (zero-copy views of the caller's buffer) the cache compacts a view
+    /// that pins more than twice its length on insert — one chunk-bounded
+    /// memcpy, on the pool worker, counted in
+    /// `ChunkCacheStats::bytes_compacted` — and charges any other view the
+    /// whole buffer, so its budget bounds real memory. With the cache off
+    /// the write path stays copy-free end to end.
     ///
     /// This is also where the chunk codec runs: each payload is sealed into
     /// its envelope on the pool worker (so compression overlaps other

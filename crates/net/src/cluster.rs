@@ -199,13 +199,21 @@ impl NetCluster {
             // The version manager — the deployment's serialisation point —
             // goes on the wire like every other plane.
             vm: serve("vm".into(), Arc::clone(&vm_host) as Arc<dyn RpcHandler>)?,
+            // The serving cache is the RAM tier in front of a durable
+            // store; a RAM-resident provider is served straight from its
+            // store, which already holds every chunk in memory.
             providers: inner
                 .providers()
                 .into_iter()
                 .map(|provider| {
                     let id = provider.id();
                     let host = ChunkHost::new(provider)
-                        .with_cache(inner.shared_chunk_cache().cloned())
+                        .with_cache(
+                            inner
+                                .durable_tier()
+                                .and(inner.shared_chunk_cache())
+                                .cloned(),
+                        )
                         .with_metrics(Some(Arc::clone(&server_metrics)));
                     Ok((id, serve(format!("provider-{}", id.0), Arc::new(host))?))
                 })
@@ -526,6 +534,36 @@ mod tests {
         let stats = client.stats();
         assert!(stats.frames_sent > 0);
         assert!(stats.bytes_on_wire as usize > data.len());
+    }
+
+    /// A RAM-resident provider is served straight from its store: the
+    /// shared cache is never handed to a chunk host, so writes and reads
+    /// over the wire neither fill it, consult it nor copy into it.
+    #[test]
+    fn a_ram_deployment_serves_without_a_serving_cache() {
+        let cluster = tcp(ClusterConfig {
+            shared_chunk_cache: true,
+            ..config()
+        });
+        // A client without a chunk cache of its own: only the chunk hosts
+        // could touch the shared one.
+        let client = connect_remote(
+            &ClusterConfig {
+                chunk_cache_bytes: 0,
+                ..config()
+            },
+            &RemoteEndpoints::from_pairs(&cluster.endpoint_addrs()).unwrap(),
+        )
+        .unwrap();
+        let blob = client.create_blob(BlobConfig::new(CS, 1).unwrap()).unwrap();
+        let data = pattern(8 * CS as usize, 5);
+        client.append(blob, &data).unwrap();
+        assert_eq!(client.read_all(blob, None).unwrap(), data);
+        assert_eq!(client.read_all(blob, None).unwrap(), data);
+        let stats = cluster.inner().shared_chunk_cache().unwrap().stats();
+        assert_eq!(stats.insertions, 0, "{stats:?}");
+        assert_eq!(stats.hits + stats.misses, 0, "{stats:?}");
+        assert_eq!(stats.bytes_compacted, 0, "{stats:?}");
     }
 
     /// Only a journaled version manager blocks its handlers: a RAM-resident

@@ -571,13 +571,22 @@ fn unknown_opcode(opcode: u8, host: &str) -> BlobError {
 
 /// Hosts one data provider's chunk store behind [`op::PUT_CHUNK`] /
 /// [`op::GET_CHUNK`].
+///
+/// A host over a durable store may carry a serving cache: the RAM tier in
+/// front of the disk (Section IV.B keeps "our initial RAM-based storage
+/// scheme as an underlying caching mechanism"). It is filled write-through
+/// on `PUT` — the received payload is cached by reference, without a copy —
+/// and consulted first on `GET`. A `GET` miss is answered by the store's
+/// positioned read and is *not* inserted: the OS page cache already holds
+/// those pages, and a scan must not evict the recent writes. A host over a
+/// RAM store gets no cache, since its store already holds every chunk in
+/// memory.
 pub struct ChunkHost {
     provider: Arc<DataProvider>,
-    /// Server-side chunk cache, consulted before the provider's store on
-    /// GET and populated on PUT — safe without any coherence protocol
-    /// because chunks are immutable. Only verbatim envelopes are cached
-    /// (the cache stores raw bytes; a compressed envelope's codec tag would
-    /// be lost), which is the common daemon configuration.
+    /// The serving cache — safe without any coherence protocol because
+    /// chunks are immutable. Only verbatim envelopes are cached (the cache
+    /// stores raw bytes; a compressed envelope's codec tag would be lost),
+    /// which is the common daemon configuration.
     cache: Option<Arc<ChunkCache>>,
     /// Serving-side traffic accounting: every envelope crossing this host
     /// is counted at its logical and physical size, so a daemon built over
@@ -597,8 +606,8 @@ impl ChunkHost {
         }
     }
 
-    /// Attaches a server-side chunk cache (shared across hosts is fine —
-    /// chunk ids are globally unique).
+    /// Attaches a serving cache (shared across hosts is fine — chunk ids
+    /// are globally unique). Attach one only over a durable store.
     #[must_use]
     pub fn with_cache(mut self, cache: Option<Arc<ChunkCache>>) -> Self {
         self.cache = cache;
@@ -653,11 +662,6 @@ impl RpcHandler for ChunkHost {
                 }
                 let data = self.provider.get_chunk(&chunk)?;
                 self.account(data.logical_len(), data.physical_len());
-                if let Some(cache) = &self.cache {
-                    if data.is_verbatim() {
-                        cache.insert(chunk, data.payload().clone());
-                    }
-                }
                 // The envelope ships exactly as stored: codec metadata in
                 // the response header, physical bytes as the payload.
                 Ok((encode(&data.header()), data.into_payload()))

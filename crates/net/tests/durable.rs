@@ -12,7 +12,10 @@
 //! an on-disk directory and a whole deployment.
 
 use blobseer_core::{BlobClient, Cluster, VersionService, WriteKind};
-use blobseer_net::{default_rpc_workers, NetCluster, NetVersionService, RpcEndpoint, TcpConnector};
+use blobseer_net::{
+    connect_remote, default_rpc_workers, NetCluster, NetVersionService, RemoteEndpoints,
+    RpcEndpoint, TcpConnector,
+};
 use blobseer_types::{BlobConfig, BlobId, ClusterConfig, Result, TransportMetrics};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc};
@@ -108,6 +111,73 @@ fn round_trip(serve: fn(Cluster) -> Result<NetCluster>, tag: &str) {
 #[test]
 fn tcp_deployment_round_trips_through_restart() {
     round_trip(NetCluster::tcp, "tcp");
+}
+
+/// The serving cache is a write-through RAM tier in front of the disk:
+/// `PUT`s fill it by reference (no copy), reads of recent writes hit it, and
+/// a miss — every read of an old chunk after a restart — is answered from
+/// the segment files without being inserted.
+#[test]
+fn the_serving_cache_fills_on_write_only() {
+    const CHUNK: u64 = 64 << 10;
+    const CHUNKS: u64 = 8;
+    let dir = temp_dir("serving-cache");
+    let serve = || {
+        let config = ClusterConfig {
+            data_providers: 4,
+            metadata_providers: 2,
+            shared_chunk_cache: true,
+            ..ClusterConfig::default()
+        };
+        NetCluster::tcp(Cluster::open_durable(config, &dir).expect("durable cluster opens"))
+            .expect("durable deployment serves")
+    };
+    // A client without a chunk cache of its own: only the chunk hosts can
+    // touch the shared one.
+    let connect = |cluster: &NetCluster| {
+        let config = ClusterConfig {
+            metadata_providers: 2,
+            chunk_cache_bytes: 0,
+            ..ClusterConfig::default()
+        };
+        let endpoints = RemoteEndpoints::from_pairs(&cluster.endpoint_addrs()).unwrap();
+        connect_remote(&config, &endpoints).expect("client connects")
+    };
+    let cache_stats = |cluster: &NetCluster| cluster.inner().shared_chunk_cache().unwrap().stats();
+    let data = pattern((CHUNKS * CHUNK) as usize, 7);
+    let blob = {
+        let cluster = serve();
+        let client = connect(&cluster);
+        let blob = client
+            .create_blob(BlobConfig::new(CHUNK, 1).expect("valid blob config"))
+            .expect("blob creates");
+        client.append(blob, &data).expect("append succeeds");
+        let written = cache_stats(&cluster);
+        assert_eq!(written.insertions, CHUNKS, "{written:?}");
+        assert_eq!(
+            written.bytes_compacted, 0,
+            "PUT payloads are cached by reference"
+        );
+        assert_eq!(client.read_all(blob, None).unwrap(), data);
+        assert_eq!(client.read_all(blob, None).unwrap(), data);
+        let read = cache_stats(&cluster);
+        assert_eq!(read.hits, 2 * CHUNKS, "{read:?}");
+        assert_eq!(read.misses, 0, "{read:?}");
+        assert_eq!(read.insertions, CHUNKS, "reads insert nothing");
+        blob
+    };
+    let cluster = serve();
+    let client = connect(&cluster);
+    assert_eq!(client.read_all(blob, None).unwrap(), data);
+    let restarted = cache_stats(&cluster);
+    assert_eq!(restarted.misses, CHUNKS, "{restarted:?}");
+    assert_eq!(
+        restarted.insertions, 0,
+        "a miss is served from disk, not cached"
+    );
+    assert_eq!(restarted.entries, 0, "{restarted:?}");
+    drop(cluster);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// More commits wait on one durable blob than the server has workers: each

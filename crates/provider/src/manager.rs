@@ -194,6 +194,11 @@ impl ProviderManager {
             });
         }
 
+        // Replicas this request has placed on each provider so far: the
+        // load policies balance them first, so a provider whose lifetime
+        // count lags (revived or newly added) takes at most one chunk per
+        // round of a request instead of every stripe of it.
+        let mut placed: HashMap<ProviderId, u64> = HashMap::new();
         let mut placement = Vec::with_capacity(request.chunk_count);
         for _ in 0..request.chunk_count {
             let replicas = match self.policy {
@@ -204,16 +209,17 @@ impl ProviderManager {
                     Self::pick_random(&mut inner, &live, request.replication)
                 }
                 PlacementPolicy::LeastLoaded => {
-                    Self::pick_least_loaded(&inner, &live, request.replication)
+                    Self::pick_least_loaded(&inner, &live, &placed, request.replication)
                 }
                 PlacementPolicy::QosAware => {
-                    Self::pick_qos_aware(&inner, &live, request.replication)
+                    Self::pick_qos_aware(&inner, &live, &placed, request.replication)
                 }
             };
             for id in &replicas {
                 if let Some(status) = inner.providers.get_mut(id) {
                     status.assigned_chunks += 1;
                 }
+                *placed.entry(*id).or_default() += 1;
             }
             placement.push(replicas);
         }
@@ -246,36 +252,44 @@ impl ProviderManager {
         pool
     }
 
+    /// The load order of a provider: replicas this request already placed
+    /// on it, then its lifetime assigned count, then its id (total and
+    /// deterministic).
+    fn load_key(status: &ProviderStatus, placed: &HashMap<ProviderId, u64>) -> (u64, u64, u32) {
+        let this_request = placed.get(&status.id).copied().unwrap_or(0);
+        (this_request, status.assigned_chunks, status.id.0)
+    }
+
     fn pick_least_loaded(
         inner: &ManagerInner,
         live: &[ProviderId],
+        placed: &HashMap<ProviderId, u64>,
         replication: usize,
     ) -> Vec<ProviderId> {
         let mut candidates: Vec<&ProviderStatus> = live
             .iter()
             .filter_map(|id| inner.providers.get(id))
             .collect();
-        candidates.sort_by_key(|s| (s.assigned_chunks, s.id));
+        candidates.sort_by_key(|s| Self::load_key(s, placed));
         candidates.iter().take(replication).map(|s| s.id).collect()
     }
 
     fn pick_qos_aware(
         inner: &ManagerInner,
         live: &[ProviderId],
+        placed: &HashMap<ProviderId, u64>,
         replication: usize,
     ) -> Vec<ProviderId> {
         let mut candidates: Vec<&ProviderStatus> = live
             .iter()
             .filter_map(|id| inner.providers.get(id))
             .collect();
-        // Highest QoS score first; break ties by load, then id, so the
-        // ordering is total and deterministic.
+        // Highest QoS score first; break ties by load.
         candidates.sort_by(|a, b| {
             b.qos_score
                 .partial_cmp(&a.qos_score)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.assigned_chunks.cmp(&b.assigned_chunks))
-                .then(a.id.cmp(&b.id))
+                .then(Self::load_key(a, placed).cmp(&Self::load_key(b, placed)))
         });
         candidates.iter().take(replication).map(|s| s.id).collect()
     }
@@ -367,6 +381,28 @@ mod tests {
         assert_eq!(placement[0], vec![ProviderId(2), ProviderId(1)]);
         let assigned: Vec<u64> = m.all_statuses().iter().map(|s| s.assigned_chunks).collect();
         assert_eq!(assigned, vec![2, 2, 1]);
+    }
+
+    #[test]
+    fn a_revived_provider_takes_one_chunk_per_round_of_a_request() {
+        let m = manager(PlacementPolicy::LeastLoaded, 3);
+        m.set_alive(ProviderId(2), false).unwrap();
+        m.allocate(PlacementRequest {
+            chunk_count: 30,
+            replication: 1,
+        })
+        .unwrap();
+        m.set_alive(ProviderId(2), true).unwrap();
+        let placement = m
+            .allocate(PlacementRequest {
+                chunk_count: 3,
+                replication: 1,
+            })
+            .unwrap();
+        // The revived provider still comes first, but its low lifetime
+        // count no longer pulls every stripe of the write onto it.
+        let ids: Vec<u32> = placement.iter().map(|r| r[0].0).collect();
+        assert_eq!(ids, vec![2, 0, 1]);
     }
 
     #[test]

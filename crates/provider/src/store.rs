@@ -2,13 +2,14 @@
 //!
 //! This module defines the [`ChunkStore`] trait every backend implements and
 //! the [`RamStore`] in-memory backend — the original BlobSeer prototype's
-//! storage scheme and the default for tests, examples and the simulator.
-//! The durable tier (`blobseer-persist`'s segment store: append-only
-//! CRC-framed segment files with crash recovery) implements the same trait
-//! from its own crate, mirroring Section IV.B ("persistent data and metadata
-//! storage while keeping our initial RAM-based storage scheme as an
-//! underlying caching mechanism"). There the segment files are the store
-//! and a bounded chunk cache on the serving side is that caching tier.
+//! storage scheme, the RAM tier of a RAM-resident deployment, and the
+//! default for tests, examples and the simulator. The durable tier
+//! (`blobseer-persist`'s segment store: append-only CRC-framed segment
+//! files with crash recovery) implements the same trait from its own crate,
+//! mirroring Section IV.B ("persistent data and metadata storage while
+//! keeping our initial RAM-based storage scheme as an underlying caching
+//! mechanism"). There the segment files are the store and a bounded
+//! write-through chunk cache on the serving side is that caching tier.
 //!
 //! Every backend stores [`ChunkEnvelope`]s — the chunk codec's unit of
 //! at-rest storage. A compressed chunk stays compressed on the provider
@@ -18,7 +19,7 @@
 
 use blobseer_types::{BlobError, ChunkEnvelope, ChunkId, ProviderId, Result};
 use parking_lot::RwLock;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Abstraction over chunk storage so that providers can swap backends.
 pub trait ChunkStore: Send + Sync {
@@ -54,59 +55,28 @@ pub trait ChunkStore: Send + Sync {
     fn bytes_stored(&self) -> u64;
 }
 
-/// In-memory chunk store.
+/// In-memory chunk store: the RAM tier of a RAM-resident deployment.
 ///
-/// When constructed with a capacity limit it behaves as an LRU cache
-/// (evicting the least recently inserted/accessed chunk); without a limit it
-/// keeps everything, which is the behaviour of the original RAM-only
-/// prototype.
+/// It keeps every chunk it is given until the lifecycle sweeper removes
+/// it — the behaviour of the original RAM-only prototype. A store never
+/// drops a chunk on its own; bounding memory is the serving cache's job,
+/// and only in front of a durable store.
 pub struct RamStore {
     inner: RwLock<RamInner>,
-    capacity_bytes: Option<u64>,
 }
 
+#[derive(Default)]
 struct RamInner {
     chunks: HashMap<ChunkId, ChunkEnvelope>,
-    lru: VecDeque<ChunkId>,
     bytes: u64,
 }
 
 impl RamStore {
-    /// Creates an unbounded in-memory store.
+    /// Creates an empty in-memory store.
     #[must_use]
     pub fn unbounded() -> Self {
         RamStore {
-            inner: RwLock::new(RamInner {
-                chunks: HashMap::new(),
-                lru: VecDeque::new(),
-                bytes: 0,
-            }),
-            capacity_bytes: None,
-        }
-    }
-
-    /// Creates a store that evicts least-recently-used chunks once it holds
-    /// more than `capacity_bytes` bytes.
-    #[must_use]
-    pub fn with_capacity(capacity_bytes: u64) -> Self {
-        RamStore {
-            inner: RwLock::new(RamInner {
-                chunks: HashMap::new(),
-                lru: VecDeque::new(),
-                bytes: 0,
-            }),
-            capacity_bytes: Some(capacity_bytes),
-        }
-    }
-
-    fn evict_if_needed(inner: &mut RamInner, capacity: u64) {
-        while inner.bytes > capacity {
-            let Some(victim) = inner.lru.pop_front() else {
-                break;
-            };
-            if let Some(data) = inner.chunks.remove(&victim) {
-                inner.bytes -= data.physical_len();
-            }
+            inner: RwLock::new(RamInner::default()),
         }
     }
 }
@@ -130,10 +100,6 @@ impl ChunkStore for RamStore {
         }
         inner.bytes += data.physical_len();
         inner.chunks.insert(id, data);
-        inner.lru.push_back(id);
-        if let Some(capacity) = self.capacity_bytes {
-            Self::evict_if_needed(&mut inner, capacity);
-        }
         Ok(())
     }
 
@@ -146,8 +112,6 @@ impl ChunkStore for RamStore {
         let data = inner.chunks.remove(id)?;
         let freed = data.physical_len();
         inner.bytes -= freed;
-        // The stale LRU entry is left behind on purpose: eviction pops ids
-        // and skips ones no longer in the map, so it ages out harmlessly.
         Some(freed)
     }
 
@@ -211,25 +175,6 @@ mod tests {
         let back = s.get(&chunk(2, 1, 0)).unwrap().unwrap();
         assert_eq!(back, sealed);
         assert_eq!(back.logical_len(), 1024);
-    }
-
-    #[test]
-    fn bounded_ram_store_evicts_oldest() {
-        let s = RamStore::with_capacity(10);
-        s.put(
-            chunk(1, 1, 0),
-            ChunkEnvelope::verbatim(Bytes::from(vec![0u8; 6])),
-        )
-        .unwrap();
-        s.put(
-            chunk(1, 1, 1),
-            ChunkEnvelope::verbatim(Bytes::from(vec![1u8; 6])),
-        )
-        .unwrap();
-        // 12 bytes > 10: the first chunk is evicted.
-        assert_eq!(s.get(&chunk(1, 1, 0)).unwrap(), None);
-        assert!(s.get(&chunk(1, 1, 1)).unwrap().is_some());
-        assert!(s.bytes_stored() <= 10);
     }
 
     #[test]

@@ -62,7 +62,10 @@ impl Default for ServerOptions {
             cluster: ClusterConfig {
                 // The daemon serves many unrelated clients; a process-wide
                 // chunk cache (coherence-free thanks to chunk immutability)
-                // is the right default and feeds the `cache_*` metrics.
+                // is the right default. In front of a durable tier it is
+                // the serving cache and feeds the `cache_*` metrics; a
+                // RAM-resident daemon serves from its stores and reports
+                // zeros.
                 shared_chunk_cache: true,
                 ..ClusterConfig::default()
             },

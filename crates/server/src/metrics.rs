@@ -44,7 +44,8 @@ pub fn render_metrics(cluster: &NetCluster) -> String {
     put("bytes_on_wire_logical", wire.bytes_on_wire_logical);
     put("bytes_on_wire_physical", wire.bytes_on_wire_physical);
 
-    // The shared serving-side chunk cache (zeros when not configured).
+    // The serving cache in front of a durable tier (zeros on a RAM daemon
+    // and when not configured).
     let inner = cluster.inner();
     let cache = inner
         .shared_chunk_cache()

@@ -136,8 +136,9 @@ fn daemon_serves_tcp_clients_drains_cleanly_and_survives_restart() {
         .unwrap();
     let data: Vec<u8> = (0..2048u32).map(|i| (i % 251) as u8).collect();
     assert_eq!(client.append(blob, &data).unwrap(), Version(1));
+    // The serving cache was filled write-through by the PUTs, so even the
+    // first uncached read hits it; so does the second.
     assert_eq!(client.read_all(blob, None).unwrap(), data);
-    // A second uncached read hits the serving-side shared chunk cache.
     assert_eq!(client.read_all(blob, None).unwrap(), data);
 
     let body = http(metrics_addr, "GET /metrics HTTP/1.0\r\n\r\n").unwrap();

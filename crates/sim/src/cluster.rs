@@ -409,10 +409,10 @@ pub struct SimulatedCluster {
     /// Compressibility of the corpus the running workload moves (its
     /// `Workload::compressibility`); `1.0` between runs.
     compress_ratio: f64,
-    /// One zero-filled payload per distinct chunk length. The simulated
-    /// chunk caches hold clones of these, so their memory does not grow
-    /// with their byte budgets.
-    zeroes: HashMap<u64, Bytes>,
+    /// One zero-filled payload per distinct (length, pinned allocation).
+    /// The simulated chunk caches hold clones of these, so their memory
+    /// does not grow with their byte budgets.
+    zeroes: HashMap<(u64, u64), Bytes>,
 }
 
 impl SimulatedCluster {
@@ -494,12 +494,17 @@ impl SimulatedCluster {
         self.counters.bytes_on_wire_logical += logical + FRAME_OVERHEAD_BYTES;
     }
 
-    /// A zero-filled payload of `len` bytes to hand a chunk cache: the
-    /// simulator moves no data, only its size matters.
-    fn payload(&mut self, len: u64) -> Bytes {
+    /// A zero-filled payload of `len` bytes, pinning an allocation of
+    /// `pinned` bytes, to hand a chunk cache: the simulator moves no data,
+    /// only the sizes matter (the cache charges the pinned allocation).
+    fn payload(&mut self, len: u64, pinned: u64) -> Bytes {
         self.zeroes
-            .entry(len)
-            .or_insert_with(|| Bytes::from(vec![0u8; len as usize]))
+            .entry((len, pinned))
+            .or_insert_with(|| {
+                let mut buf = Vec::with_capacity(pinned as usize);
+                buf.resize(len as usize, 0);
+                Bytes::from(buf)
+            })
             .clone()
     }
 
@@ -850,15 +855,19 @@ impl SimulatedCluster {
             };
             // Write-through: the writer keeps the payload it just pushed,
             // so re-reading your own writes never fetches. A covered slot
-            // of a multi-slot write is a strict sub-view of the caller's
-            // buffer, which the cache compacts when it accepts the entry so
-            // its budget bounds real memory — charge that copy. Boundary
-            // slots (assembled into owned buffers) and single-slot writes
-            // (the payload *is* the whole buffer) insert without one.
+            // is a view of the caller's `len`-byte buffer, which the cache
+            // either compacts when it accepts the entry — charge that copy
+            // — or keeps by reference, charged the whole buffer. Boundary
+            // slots (assembled into owned buffers) pin only themselves. A
+            // payload the cache would compact is handed over already
+            // compact, so the simulated caches never allocate.
             if let Some(cache) = &client.chunk_cache {
+                let pinned = if covered { len } else { chunk_len };
+                let compacts = ChunkCache::compacts(chunk_len, pinned);
                 let accepted_before = cache.stats().insertions;
-                cache.insert(chunk, self.payload(chunk_len));
-                if covered && slots.len() > 1 && cache.stats().insertions > accepted_before {
+                let payload = self.payload(chunk_len, if compacts { chunk_len } else { pinned });
+                cache.insert(chunk, payload);
+                if compacts && cache.stats().insertions > accepted_before {
                     self.counters.bytes_copied += chunk_len;
                 }
             }
@@ -1078,8 +1087,15 @@ impl SimulatedCluster {
         let charged = (physical as f64 * self.slowdown(provider)) as u64;
         let served = self.provider_out[provider.0 as usize].schedule(start_at, charged);
         let done = downlink.schedule(served, physical);
+        // A verbatim chunk is cached as a view of its response frame, which
+        // pins the frame's overhead too; a decompressed one owns its buffer.
         if let Some(cache) = chunk_cache {
-            cache.insert(leaf.chunk, self.payload(leaf.len));
+            let pinned = if physical < leaf.len {
+                leaf.len
+            } else {
+                leaf.len + FRAME_OVERHEAD_BYTES
+            };
+            cache.insert(leaf.chunk, self.payload(leaf.len, pinned));
         }
         (done, wanted, true)
     }

@@ -324,7 +324,8 @@ pub struct ClusterConfig {
     /// cache is 16-way sharded and a chunk larger
     /// than one shard's budget share (1/16th of this value) is never
     /// cached, so size the budget to at least ~16 chunks of the blobs that
-    /// should hit.
+    /// should hit. On a daemon it is also the budget of the serving cache
+    /// (see `shared_chunk_cache`).
     pub chunk_cache_bytes: u64,
     /// Listen address for TCP-loopback server endpoints. Port 0 lets the OS
     /// pick an ephemeral port per endpoint, which keeps concurrent test
@@ -344,7 +345,12 @@ pub struct ClusterConfig {
     /// node-local chunk cache instead of each getting a private one. Chunk
     /// immutability makes the shared cache coherence-free; a chunk fetched
     /// by one client of the process then hits for every other. Off by
-    /// default so per-client cache statistics stay attributable.
+    /// default so per-client cache statistics stay attributable. On a
+    /// daemon (where it defaults on) this one cache is also the serving
+    /// cache in front of a durable tier: chunk hosts fill it write-through
+    /// on `PUT` and consult it on `GET`, and a `GET` miss is read from disk
+    /// without being inserted. A RAM-resident daemon gives its chunk hosts
+    /// no serving cache, since its stores already hold every chunk in RAM.
     pub shared_chunk_cache: bool,
     /// TCP connections each client opens per server endpoint. One multiplexed
     /// socket (the default) is enough for most workloads because requests are
