@@ -8,11 +8,16 @@ use blobseer_meta::{
     build_write_metadata, collect_leaves, publish_metadata, InMemoryMetaStore, SnapshotDescriptor,
     WrittenChunk,
 };
-use blobseer_persist::{SegmentStore, SegmentStoreOptions};
+use blobseer_persist::{scan, Crc32, SegmentStore, SegmentStoreOptions};
 use blobseer_provider::{ChunkStore, RamStore};
-use blobseer_types::{BlobConfig, BlobId, ByteRange, ChunkId, ClusterConfig, ProviderId, Version};
+use blobseer_types::{
+    BlobConfig, BlobId, ByteRange, ChunkId, ClusterConfig, Durability, ProviderId, Version,
+};
 use bytes::Bytes;
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
+use std::fs::File;
+use std::os::unix::fs::FileExt;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn bench_segment_tree_weave(c: &mut Criterion) {
@@ -121,8 +126,10 @@ fn bench_ram_store(c: &mut Criterion) {
 }
 
 /// One positioned read of a 64 KiB chunk record — what every uncached
-/// durable `GET_CHUNK` pays — from a store as appended, and from the same
-/// store reopened (its index rebuilt by recovery, its files reopened).
+/// durable `GET_CHUNK` pays — from a store as appended, from the same
+/// store reopened (its index rebuilt by recovery, its files reopened), and,
+/// as the floor both are measured against, the same bytes of the same file
+/// read with a bare `read_exact_at` into a fresh buffer.
 fn bench_segment_store(c: &mut Criterion) {
     const CHUNKS: u64 = 256;
     let dir = std::env::temp_dir().join(format!("blobseer-micro-segments-{}", std::process::id()));
@@ -152,7 +159,76 @@ fn bench_segment_store(c: &mut Criterion) {
     let store = SegmentStore::open(&dir, SegmentStoreOptions::default()).unwrap();
     read_all(c, "segment_store_get_64k_reopened", &store);
     drop(store);
+    // The chunk bytes end each record's payload; the store reads exactly
+    // those.
+    let path = dir.join("seg-000001.log");
+    let chunks: Vec<u64> = scan(&std::fs::read(&path).unwrap())
+        .records
+        .iter()
+        .map(|record| (record.payload.end - payload.len()) as u64)
+        .collect();
+    assert_eq!(chunks.len() as u64, CHUNKS);
+    let file = Arc::new(File::open(&path).unwrap());
+    c.bench_function("segment_file_read_exact_at_64k", |b| {
+        let mut slot = 0usize;
+        b.iter(|| {
+            slot = (slot + 1) % chunks.len();
+            let mut buf = vec![0; payload.len()];
+            file.read_exact_at(&mut buf, chunks[slot]).unwrap();
+            Bytes::from(buf)
+        })
+    });
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A durable commit's chunk side: eight 64 KiB puts into a fresh
+/// `Durability::Commit` store on a real file, then the store's fsync, timed
+/// as one unit. Early writeback shows here: the fsync finds most of the
+/// pages already on their way to disk.
+fn bench_segment_store_commit(c: &mut Criterion) {
+    let root = std::env::temp_dir().join(format!("blobseer-micro-commit-{}", std::process::id()));
+    let payload = Bytes::from(vec![7u8; 64 << 10]);
+    let mut round = 0u64;
+    c.bench_function("segment_store_commit_512k", |b| {
+        b.iter_batched(
+            || {
+                // A fresh store per round, so the disk holds one round.
+                let _ = std::fs::remove_dir_all(&root);
+                round += 1;
+                let opts = SegmentStoreOptions {
+                    durability: Durability::Commit,
+                    ..SegmentStoreOptions::default()
+                };
+                SegmentStore::open(root.join(round.to_string()), opts).unwrap()
+            },
+            |store| {
+                for slot in 0..8 {
+                    let id = ChunkId {
+                        blob: BlobId(1),
+                        write_tag: 3,
+                        slot,
+                    };
+                    store.put(id, payload.clone().into()).unwrap();
+                }
+                store.sync().unwrap();
+                store
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The record CRC over 64 KiB: the dispatched path (carry-less multiply
+/// where the CPU has it) and the slicing-by-16 tables it falls back to.
+fn bench_record_crc(c: &mut Criterion) {
+    let data = vec![0x5Au8; 64 << 10];
+    c.bench_function("record_crc_64k", |b| {
+        b.iter(|| Crc32::new().update(black_box(&data)).finalize())
+    });
+    c.bench_function("record_crc_64k_tables", |b| {
+        b.iter(|| Crc32::new().update_with_tables(black_box(&data)).finalize())
+    });
 }
 
 fn bench_client_roundtrip(c: &mut Criterion) {
@@ -241,6 +317,6 @@ fn bench_cold_vs_cached_reads(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20).measurement_time(Duration::from_secs(2)).warm_up_time(Duration::from_millis(500));
-    targets = bench_segment_tree_weave, bench_dht_routing_and_puts, bench_ram_store, bench_segment_store, bench_client_roundtrip, bench_zero_copy_write_path, bench_cold_vs_cached_reads
+    targets = bench_segment_tree_weave, bench_dht_routing_and_puts, bench_ram_store, bench_segment_store, bench_segment_store_commit, bench_record_crc, bench_client_roundtrip, bench_zero_copy_write_path, bench_cold_vs_cached_reads
 }
 criterion_main!(micro);

@@ -48,8 +48,12 @@
 //! (whose [`ChunkStore`](blobseer_provider::ChunkStore) trait the segment
 //! store implements, with the RAM store relegated to cache duty).
 
+#![deny(unsafe_code)]
+
 mod frame;
 mod segment;
+#[allow(unsafe_code)]
+mod sys;
 mod tier;
 mod wal;
 

@@ -18,6 +18,8 @@
 //!    [`Durability::Commit`] it fsyncs every provider's segment store, so a
 //!    commit record appended afterwards never names a chunk that is not on
 //!    disk. A store no append touched since its last fsync skips the call.
+//!    Each put already asked the kernel to start writing its whole pages
+//!    back, so the fsync mostly waits for writes under way.
 //! 2. [`Journal::append_commit`], under the lock: the WAL record, unsynced.
 //! 3. [`Journal::sync_commits`], after the lock: the WAL's group fsync
 //!    ([`MetaWal::sync_through`]), one for every commit queued behind it.
@@ -180,7 +182,10 @@ impl Journal for DurableTier {
         // Write-ahead ordering: the chunks of a version must be durable
         // before the record that publishes them. Under `Always` every
         // record was already synced; under `Buffered` the caller opted out
-        // of syncing entirely.
+        // of syncing entirely. Under `Commit` every put already started
+        // the writeback of its whole pages, so these fsyncs mostly wait
+        // for writes under way and commit the file system's journal; an
+        // error in that writeback surfaces here, as a failed fsync.
         if self.options.durability == Durability::Commit {
             if let Err(err) = self.stores.iter().try_for_each(|store| store.sync()) {
                 self.wal.fail(format!("segment store fsync failed: {err}"));
@@ -211,6 +216,7 @@ mod tests {
     use blobseer_types::{BlobId as ChunkBlobId, ChunkId};
     use bytes::Bytes;
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn chunk_id(tag: u64, slot: u64) -> ChunkId {
         ChunkId {
@@ -245,6 +251,97 @@ mod tests {
         assert_eq!(recovered.stats.recovered_chunks, 1);
         assert!(tier.stores()[1].get(&id).unwrap().is_some());
         assert!(tier.stores()[0].get(&id).unwrap().is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A segment file that takes early-writeback requests (passing them to
+    /// the real file, and counting them) and whose fsyncs fail with EIO
+    /// while `failing` is set.
+    struct WritebackThenEio {
+        file: Box<dyn LogFile>,
+        failing: Arc<AtomicBool>,
+        requests: Arc<AtomicUsize>,
+    }
+
+    impl LogFile for WritebackThenEio {
+        fn append(&self, buf: &[u8]) -> io::Result<()> {
+            self.file.append(buf)
+        }
+
+        fn truncate(&self, len: u64) -> io::Result<()> {
+            self.file.truncate(len)
+        }
+
+        fn sync(&self) -> io::Result<()> {
+            if self.failing.load(Ordering::SeqCst) {
+                return Err(io::Error::from_raw_os_error(5));
+            }
+            self.file.sync()
+        }
+
+        fn read_at(&self, buf: &mut [u8], at: u64) -> io::Result<()> {
+            self.file.read_at(buf, at)
+        }
+
+        fn start_writeback(&self, at: u64, len: u64) {
+            self.requests.fetch_add(1, Ordering::SeqCst);
+            self.file.start_writeback(at, len);
+        }
+    }
+
+    /// Early writeback changes nothing about fail-stop: a store whose pages
+    /// were handed to writeback and whose commit fsync then fails fails the
+    /// commit, the store and the WAL, and a reopen finds only what the last
+    /// good fsync covered.
+    #[test]
+    fn a_failed_fsync_after_early_writeback_fails_the_store_and_the_wal() {
+        let dir = temp_dir("writeback-eio");
+        let (failing, requests) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicUsize::new(0)),
+        );
+        let (disk, asked) = (Arc::clone(&failing), Arc::clone(&requests));
+        let (tier, _) =
+            DurableTier::open_over(&dir, 1, DurableTierOptions::default(), move |path| {
+                Ok(Box::new(WritebackThenEio {
+                    file: open_log_file(path)?,
+                    failing: Arc::clone(&disk),
+                    requests: Arc::clone(&asked),
+                }))
+            })
+            .unwrap();
+        let store = &tier.stores()[0];
+        let chunk = |slot| ChunkEnvelope::verbatim(Bytes::from(vec![slot as u8; 64 << 10]));
+        // Eight chunks per commit: 512 KiB, two writeback requests' worth.
+        for slot in 0..8 {
+            store.put(chunk_id(1, slot), chunk(slot)).unwrap();
+        }
+        tier.prepare_commit().unwrap();
+        for slot in 8..16 {
+            store.put(chunk_id(1, slot), chunk(slot)).unwrap();
+        }
+        let asked = requests.load(Ordering::SeqCst);
+        assert!(asked >= 3, "the puts asked for writeback {asked} times");
+        failing.store(true, Ordering::SeqCst);
+        assert!(tier.prepare_commit().is_err());
+        failing.store(false, Ordering::SeqCst);
+        assert!(store.sync().is_err(), "a failed store never syncs again");
+        assert!(store.put(chunk_id(1, 16), chunk(16)).is_err());
+        assert!(
+            tier.wal().failure().is_some(),
+            "the WAL failed with the store"
+        );
+        assert!(tier.prepare_commit().is_err());
+        drop(tier);
+        let (tier, recovered) = DurableTier::open(&dir, 1, DurableTierOptions::default()).unwrap();
+        assert_eq!(
+            recovered.stats.recovered_chunks, 8,
+            "the unsynced puts are cut"
+        );
+        for slot in 0..8 {
+            let found = tier.stores()[0].get(&chunk_id(1, slot)).unwrap();
+            assert_eq!(found, Some(chunk(slot)));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
